@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import TypeVar
 
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.quorums.base import SetSystem
 from repro.quorums.bitset import try_pack
@@ -124,6 +123,10 @@ def optimal_load(
     number of levels.  Use this for the small/medium systems in tests and
     benches; the closed forms in :mod:`repro.core.metrics` cover all sizes.
     """
+    # Imported here, not at module top: scipy.optimize costs 0.4 s and
+    # ~50 MiB, and every ``repro serve`` process imports this module.
+    from scipy.optimize import linprog
+
     if isinstance(quorums, SetSystem):
         system = quorums
     else:

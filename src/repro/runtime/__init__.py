@@ -9,8 +9,11 @@ OS process:
   both backends implement;
 * :mod:`~repro.runtime.clock` — wall-clock ``Clock`` over an asyncio
   event loop;
-* :mod:`~repro.runtime.codec` — length-prefixed JSON frames for the
-  protocol messages;
+* :mod:`~repro.runtime.codec` — length-prefixed JSON frames: positional
+  arrays for the protocol messages, objects for control;
+* :mod:`~repro.runtime.connection` — the one framed connection class
+  both ends share (frame splitting, handshake, one write per peer per
+  loop iteration, bounded send queue);
 * :mod:`~repro.runtime.loopback` — the minimal in-process transport
   (seam conformance tests);
 * :mod:`~repro.runtime.siteserver` — one replica site served over TCP

@@ -59,9 +59,12 @@ def _site_env() -> dict[str, str]:
 class SiteProcess:
     """One replica site running as a real child process."""
 
-    def __init__(self, sid: int, host: str = "127.0.0.1") -> None:
+    def __init__(
+        self, sid: int, host: str = "127.0.0.1", service_time: float = 0.0
+    ) -> None:
         self.sid = sid
         self.host = host
+        self.service_time = service_time
         self.port: int | None = None
         self.proc: subprocess.Popen | None = None
 
@@ -71,6 +74,7 @@ class SiteProcess:
             [
                 sys.executable, "-m", "repro", "serve",
                 "--sid", str(self.sid), "--host", self.host, "--port", "0",
+                "--service-time", repr(self.service_time),
             ],
             env=_site_env(),
             stdout=subprocess.PIPE,
@@ -154,7 +158,10 @@ class LocalCluster:
     async def start(self) -> None:
         """Spawn every site, dial them all, wire the coordinator."""
         self.transport = TcpTransport(local_sid=-1)
-        self.sites = [SiteProcess(sid, self.host) for sid in range(self.n)]
+        self.sites = [
+            SiteProcess(sid, self.host, self.service_time)
+            for sid in range(self.n)
+        ]
         try:
             await asyncio.gather(*(site.spawn() for site in self.sites))
             await asyncio.gather(

@@ -1,22 +1,31 @@
 """Wire format: protocol messages as length-prefixed JSON frames.
 
 Each frame is a 4-byte big-endian length followed by a UTF-8 JSON
-object.  JSON (not msgpack) because the toolchain ships no third-party
+payload.  JSON (not msgpack) because the toolchain ships no third-party
 serializer and the protocol's payloads are small scalars; the framing
 keeps message boundaries exact either way.
 
-Two frame families share the wire:
+Two frame families share the wire, told apart by the payload's JSON
+type:
 
-* **protocol frames** (``kind: "msg"``) — one of the ten
-  :mod:`repro.sim.messages` classes, encoded field-by-field from the
-  per-class tables below.  :class:`~repro.sim.replica.Timestamp` values
-  travel as a ``[version, sid]`` pair.  ``msg_id`` is *not* carried: it
-  exists for tracing only, and each process stamps decoded messages from
-  its own counter.
-* **control frames** (any other ``kind``) — connection handshakes
-  (``hello``) and the KV front-end API (``get`` / ``put`` / ``result`` /
-  ``stop``).  These never reach the protocol layer; the transport and
-  servers consume them directly.
+* **protocol frames** are JSON *arrays* ``[type, src, dst, *fields]`` —
+  one of the ten :mod:`repro.sim.messages` classes, its fields in
+  constructor order from the per-class table below.  A
+  :class:`~repro.sim.replica.Timestamp` is always the last field and
+  travels flattened as two trailing ints ``…, version, sid]``.  Field
+  names are not carried: at 83–147 bytes a keyed object spent most of
+  its encode, decode and wire bytes on the keys.  ``msg_id`` is *not*
+  carried either: it exists for tracing only, and each process stamps
+  decoded messages from its own counter.
+* **control frames** are JSON *objects* with a ``kind`` — connection
+  handshakes (``hello``) and the KV front-end API (``get`` / ``put`` /
+  ``result`` / ``stop``).  These never reach the protocol layer; the
+  connection and the servers consume them directly.
+
+:func:`parse_frame` is the one place a byte string becomes a payload:
+the length cap, UTF-8, JSON and payload-type checks all live there, and
+both readers — :class:`repro.runtime.connection.Connection` and the
+stream helper :func:`read_frame` — go through it.
 
 Keys and values must be JSON-representable (the KV API uses strings);
 that is a wire restriction, not a protocol one — the simulator backend
@@ -28,6 +37,7 @@ from __future__ import annotations
 import asyncio
 import json
 import struct
+from operator import attrgetter
 from typing import Any
 
 from repro.sim.messages import (
@@ -53,7 +63,8 @@ _LENGTH = struct.Struct(">I")
 
 #: Payload fields per message class, in constructor order (after
 #: ``src``/``dst``).  Order matters: decode calls the constructor
-#: positionally, exactly as the coordinator/site do.
+#: positionally, exactly as the coordinator/site do.  A ``timestamp``
+#: field, where present, is last.
 _FIELDS: dict[type, tuple[str, ...]] = {
     ReadRequest: ("key", "request_id"),
     ReadReply: ("key", "request_id", "value", "timestamp"),
@@ -67,84 +78,118 @@ _FIELDS: dict[type, tuple[str, ...]] = {
     DecisionRequest: ("txid",),
 }
 
-_BY_NAME: dict[str, type] = {cls.type_name: cls for cls in _FIELDS}
 
-#: Fields carrying a :class:`Timestamp` (encoded as ``[version, sid]``).
-_TIMESTAMP_FIELDS = frozenset({"timestamp"})
+def _wire_names(fields: tuple[str, ...]) -> tuple[str, ...]:
+    """Attribute paths of one frame, timestamp flattened to two ints."""
+    if fields[-1] == "timestamp":
+        fields = fields[:-1] + ("timestamp.version", "timestamp.sid")
+    return ("type_name", "src", "dst") + fields
+
+
+#: class -> one C-level call reading every frame element off a message.
+_GETTERS = {cls: attrgetter(*_wire_names(f)) for cls, f in _FIELDS.items()}
+
+#: type name -> (class, frame length, whether a timestamp trails).
+_LAYOUTS = {
+    cls.type_name: (cls, len(_wire_names(f)), f[-1] == "timestamp")
+    for cls, f in _FIELDS.items()
+}
+
+_to_json = json.JSONEncoder(separators=(",", ":")).encode
 
 
 class CodecError(ValueError):
     """A frame that cannot be decoded into a protocol message."""
 
 
-def encode_message(message: Message) -> dict[str, Any]:
-    """Message -> JSON-ready dict (``kind: "msg"``)."""
-    fields = _FIELDS.get(type(message))
-    if fields is None:
+def encode_message(message: Message) -> list[Any]:
+    """Message -> JSON-ready array ``[type, src, dst, *fields]``."""
+    getter = _GETTERS.get(type(message))
+    if getter is None:
         raise CodecError(f"unencodable message type {type(message).__name__}")
-    obj: dict[str, Any] = {
-        "kind": "msg",
-        "type": message.type_name,
-        "src": message.src,
-        "dst": message.dst,
-    }
-    for name in fields:
-        value = getattr(message, name)
-        if name in _TIMESTAMP_FIELDS:
-            value = [value.version, value.sid]
-        obj[name] = value
-    return obj
+    return list(getter(message))
 
 
-def decode_message(obj: dict[str, Any]) -> Message:
-    """JSON dict -> message instance (fresh local ``msg_id``)."""
-    cls = _BY_NAME.get(obj.get("type", ""))
-    if cls is None:
-        raise CodecError(f"unknown message type {obj.get('type')!r}")
-    try:
-        args: list[Any] = [obj["src"], obj["dst"]]
-        for name in _FIELDS[cls]:
-            value = obj[name]
-            if name in _TIMESTAMP_FIELDS:
-                value = Timestamp(value[0], value[1])
-            args.append(value)
-    except (KeyError, IndexError, TypeError) as exc:
-        raise CodecError(f"malformed {cls.type_name} frame: {obj!r}") from exc
-    return cls(*args)
+def decode_message(frame: list[Any]) -> Message:
+    """JSON array -> message instance (fresh local ``msg_id``)."""
+    if type(frame) is not list or not frame:
+        raise CodecError(f"malformed protocol frame: {frame!r}")
+    type_name = frame[0]
+    layout = _LAYOUTS.get(type_name) if type(type_name) is str else None
+    if layout is None:
+        raise CodecError(f"unknown message type {type_name!r}")
+    cls, length, stamped = layout
+    if len(frame) != length:
+        raise CodecError(f"malformed {type_name} frame: {frame!r}")
+    if stamped:
+        return cls(*frame[1:-2], Timestamp(frame[-2], frame[-1]))
+    return cls(*frame[1:])
 
 
-def encode_frame(obj: dict[str, Any]) -> bytes:
+def encode_frame(obj: dict[str, Any] | list[Any]) -> bytes:
     """One wire frame: length prefix + compact JSON payload."""
-    payload = json.dumps(obj, separators=(",", ":")).encode("utf-8")
+    payload = _to_json(obj).encode("utf-8")
     if len(payload) > MAX_FRAME_BYTES:
         raise CodecError(f"frame too large ({len(payload)} bytes)")
     return _LENGTH.pack(len(payload)) + payload
 
 
-def write_frame(writer: asyncio.StreamWriter, obj: dict[str, Any]) -> None:
+def parse_frame(data: bytes, start: int = 0) -> tuple[Any, int]:
+    """The frame beginning at ``data[start]``, validated.
+
+    Returns ``(payload, end)`` when the frame is complete, ``end`` being
+    where the next one starts.  Returns ``(None, end)`` when ``data`` is
+    too short, ``end`` being how far it must reach before asking again
+    (a valid payload is an object or an array, never ``None``).  Raises
+    :class:`CodecError` on a length over :data:`MAX_FRAME_BYTES` — as
+    soon as the prefix is in, before any payload is buffered — and on a
+    payload that is not UTF-8, not JSON, or neither object nor array.
+    """
+    body = start + _LENGTH.size
+    if len(data) < body:
+        return None, body
+    (length,) = _LENGTH.unpack_from(data, start)
+    if length > MAX_FRAME_BYTES:
+        raise CodecError(f"frame length {length} exceeds {MAX_FRAME_BYTES}")
+    end = body + length
+    if len(data) < end:
+        return None, end
+    try:
+        payload = json.loads(data[body:end].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CodecError("undecodable frame payload") from exc
+    if type(payload) is not list and type(payload) is not dict:
+        raise CodecError(
+            f"frame payload is neither object nor array: {payload!r}"
+        )
+    return payload, end
+
+
+def write_frame(
+    writer: asyncio.StreamWriter, obj: dict[str, Any] | list[Any]
+) -> None:
     """Queue one frame on ``writer`` (no flush — asyncio buffers)."""
     writer.write(encode_frame(obj))
 
 
-async def read_frame(reader: asyncio.StreamReader) -> dict[str, Any] | None:
-    """Read one frame; ``None`` on clean EOF at a frame boundary."""
+async def read_frame(
+    reader: asyncio.StreamReader,
+) -> dict[str, Any] | list[Any] | None:
+    """Read one frame off a stream; ``None`` on clean EOF at a boundary.
+
+    The stream-side twin of the connection's splitter, for the KV
+    front-end and its clients: it reads exactly one frame's bytes, so
+    the next call starts on the next frame.
+    """
     try:
         prefix = await reader.readexactly(_LENGTH.size)
     except asyncio.IncompleteReadError as exc:
         if exc.partial:
             raise CodecError("EOF inside a frame length prefix") from exc
         return None
-    (length,) = _LENGTH.unpack(prefix)
-    if length > MAX_FRAME_BYTES:
-        raise CodecError(f"frame length {length} exceeds {MAX_FRAME_BYTES}")
+    _, end = parse_frame(prefix)
     try:
-        payload = await reader.readexactly(length)
+        payload = await reader.readexactly(end - _LENGTH.size)
     except asyncio.IncompleteReadError as exc:
         raise CodecError("EOF inside a frame payload") from exc
-    try:
-        obj = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CodecError("undecodable frame payload") from exc
-    if not isinstance(obj, dict):
-        raise CodecError(f"frame payload is not an object: {obj!r}")
-    return obj
+    return parse_frame(prefix + payload)[0]

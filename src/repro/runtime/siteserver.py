@@ -11,8 +11,10 @@ arrived on.
 Connection protocol: a connecting peer (the coordinator front-end) first
 sends a ``hello`` control frame carrying its own SID; every later frame
 is a protocol message for this site.  Replies flow back on the same
-connection.  A peer that disconnects is forgotten — messages to it drop,
-exactly like the simulator's delivery-time liveness check.
+:class:`~repro.runtime.connection.Connection` — the replies to all the
+requests of one ``recv`` in one write.  A peer that disconnects is
+forgotten — messages to it drop, exactly like the simulator's
+delivery-time liveness check.
 
 Crash injection: the *real* chaos mode SIGKILLs the whole process (see
 :mod:`repro.runtime.cluster`).  For in-process tests, :meth:`crash`
@@ -24,17 +26,11 @@ storage intact and runs the site's 2PC termination protocol.
 from __future__ import annotations
 
 import asyncio
-import contextlib
 from typing import Any
 
 from repro.runtime.clock import AsyncClock
-from repro.runtime.codec import (
-    CodecError,
-    decode_message,
-    encode_message,
-    read_frame,
-    write_frame,
-)
+from repro.runtime.codec import CodecError, encode_frame, encode_message
+from repro.runtime.connection import Connection
 from repro.runtime.interfaces import Clock, Endpoint
 from repro.sim.site import Site
 
@@ -91,8 +87,10 @@ class SiteServer:
         self._port = port
         self._service_time = service_time
         self._server: asyncio.base_events.Server | None = None
-        self._writers: dict[int, asyncio.StreamWriter] = {}
-        self._conn_tasks: set[asyncio.Task] = set()
+        #: Every accepted socket, greeted or not (closed on stop/crash).
+        self._connections: set[Connection] = set()
+        #: Greeted peers by announced SID: where replies are routed.
+        self._peers: dict[int | None, Connection] = {}
         self._accepting = True
         self.site: Site | None = None
         self.transport: _SitePeerTransport | None = None
@@ -109,8 +107,8 @@ class SiteServer:
         self.site = Site(
             self.sid, self.transport, service_time=self._service_time
         )
-        self._server = await asyncio.start_server(
-            self._on_connection, self._host, self._port
+        self._server = await asyncio.get_running_loop().create_server(
+            self._accept, self._host, self._port
         )
         self._port = self._server.sockets[0].getsockname()[1]
 
@@ -120,11 +118,9 @@ class SiteServer:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        self._drop_connections()
-        for task in list(self._conn_tasks):
-            task.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await task
+        if self._connections:
+            self._drop_connections()
+            await asyncio.sleep(0)  # let the loop run their teardown
 
     # -- crash / recovery (in-process fault injection) -----------------
 
@@ -146,60 +142,45 @@ class SiteServer:
         self.site.recover()
 
     def _drop_connections(self) -> None:
-        for writer in self._writers.values():
-            writer.close()
-        self._writers.clear()
+        for connection in list(self._connections):
+            connection.close()
+        self._peers.clear()
 
     # -- outbound ------------------------------------------------------
 
     def route(self, message: Any) -> None:
         """Deliver an outbound protocol message to its peer connection."""
-        writer = self._writers.get(message.dst)
-        if writer is None or writer.is_closing():
+        connection = self._peers.get(message.dst)
+        if connection is None or connection.is_closing():
             return  # peer gone: drop, the quorum layer tolerates loss
         try:
-            write_frame(writer, encode_message(message))
-        except (ConnectionError, CodecError):
-            self._writers.pop(message.dst, None)
+            connection.send(encode_frame(encode_message(message)))
+        except CodecError:
+            pass  # unencodable or oversized: dropped like any lost message
 
     # -- inbound -------------------------------------------------------
 
-    async def _on_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-            task.add_done_callback(self._conn_tasks.discard)
-        peer_sid: int | None = None
-        try:
-            hello = await read_frame(reader)
-            if (
-                not self._accepting
-                or hello is None
-                or hello.get("kind") != "hello"
-                or not isinstance(hello.get("sid"), int)
-            ):
-                return
-            peer_sid = hello["sid"]
-            self._writers[peer_sid] = writer
-            write_frame(writer, {"kind": "hello", "sid": self.sid})
-            while True:
-                frame = await read_frame(reader)
-                if frame is None:
-                    return
-                if frame.get("kind") != "msg":
-                    continue  # control frames are not for the site
-                message = decode_message(frame)
-                if self._accepting:
-                    assert self.site is not None
-                    self.site.receive(message)
-        except (ConnectionError, CodecError, asyncio.CancelledError):
+    def _accept(self) -> Connection:
+        connection = Connection(self._on_hello, self._on_message, self._on_lost)
+        self._connections.add(connection)
+        return connection
+
+    def _on_hello(self, connection: Connection) -> None:
+        if not self._accepting:
+            connection.close()
             return
-        finally:
-            if peer_sid is not None and self._writers.get(peer_sid) is writer:
-                del self._writers[peer_sid]
-            writer.close()
+        self._peers[connection.peer_sid] = connection
+        connection.send_hello(self.sid)
+
+    def _on_message(self, message: Any) -> None:
+        if self._accepting:
+            assert self.site is not None
+            self.site.receive(message)
+
+    def _on_lost(self, connection: Connection) -> None:
+        self._connections.discard(connection)
+        if self._peers.get(connection.peer_sid) is connection:
+            del self._peers[connection.peer_sid]
 
 
 async def serve_site(

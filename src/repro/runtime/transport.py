@@ -5,11 +5,14 @@ It dials every site process, keeps one connection per site SID, and
 implements the transport seam the protocol layer speaks:
 
 * ``send``/``broadcast`` encode protocol messages as length-prefixed
-  JSON frames onto the destination's connection — messages to a dead or
-  never-connected peer drop silently, exactly the loss the quorum
-  timeout/retry machinery exists to absorb;
-* inbound frames are decoded and handed to the registered local endpoint
-  (the coordinator) — delivery order per peer is the socket's FIFO;
+  JSON frames onto the destination's :class:`~repro.runtime.connection.
+  Connection`, which writes all the frames one loop iteration produced
+  for that site at once — messages to a dead or never-connected peer
+  drop silently, exactly the loss the quorum timeout/retry machinery
+  exists to absorb;
+* inbound messages arrive decoded from the connection's receive
+  callback and are handed to the registered local endpoint (the
+  coordinator) — delivery order per peer is the socket's FIFO;
 * connection loss marks the peer dead, bumps the liveness epoch (so
   cached live-sets and leases invalidate) and feeds :meth:`is_live`,
   which is the runtime's liveness oracle: a SIGKILLed site's socket
@@ -23,18 +26,12 @@ operator/cluster layer, not the transport.
 from __future__ import annotations
 
 import asyncio
-import contextlib
 from dataclasses import dataclass
 from typing import Any
 
 from repro.runtime.clock import AsyncClock
-from repro.runtime.codec import (
-    CodecError,
-    decode_message,
-    encode_message,
-    read_frame,
-    write_frame,
-)
+from repro.runtime.codec import CodecError, encode_frame, encode_message
+from repro.runtime.connection import Connection
 from repro.runtime.interfaces import Endpoint
 
 
@@ -57,8 +54,7 @@ class TcpTransport:
         #: addressed to it back on this transport's connection.
         self.local_sid = local_sid
         self._endpoints: dict[int, Endpoint] = {}
-        self._writers: dict[int, asyncio.StreamWriter] = {}
-        self._reader_tasks: dict[int, asyncio.Task] = {}
+        self._connections: dict[int, Connection] = {}
         self._liveness_epoch = 0
         self.stats = TransportStats()
 
@@ -83,12 +79,12 @@ class TcpTransport:
 
     def is_live(self, sid: int) -> bool:
         """The runtime liveness oracle: a usable connection exists."""
-        writer = self._writers.get(sid)
-        return writer is not None and not writer.is_closing()
+        connection = self._connections.get(sid)
+        return connection is not None and not connection.is_closing()
 
     def live_sids(self) -> list[int]:
         """Every currently connected site SID, sorted."""
-        return sorted(sid for sid in self._writers if self.is_live(sid))
+        return sorted(sid for sid in self._connections if self.is_live(sid))
 
     @property
     def liveness_epoch(self) -> int:
@@ -118,86 +114,85 @@ class TcpTransport:
         Retries absorb the race where the site process has announced its
         port but the accept loop is not up yet.
         """
+        loop = asyncio.get_running_loop()
+        greeted: asyncio.Future[None] = loop.create_future()
+
+        def on_hello(connection: Connection) -> None:
+            if greeted.done():  # the dial was abandoned meanwhile
+                connection.close()
+            elif connection.peer_sid != sid:
+                connection.close()
+                greeted.set_exception(ConnectionError(
+                    f"dialed site {sid} but peer announced "
+                    f"{connection.peer_sid}"
+                ))
+            else:
+                old = self._connections.get(sid)
+                if old is not None:
+                    old.close()
+                self._connections[sid] = connection
+                self.bump_liveness_epoch()
+                greeted.set_result(None)
+
+        def on_lost(connection: Connection) -> None:
+            if not greeted.done():
+                greeted.set_exception(ConnectionError(
+                    f"site {sid} did not complete handshake"
+                ))
+            elif self._connections.get(sid) is connection:
+                del self._connections[sid]
+                self.stats.disconnects += 1
+                self.bump_liveness_epoch()
+
         start = self._clock.now
         while True:
             try:
-                reader, writer = await asyncio.open_connection(host, port)
+                _, connection = await loop.create_connection(
+                    lambda: Connection(on_hello, self._deliver, on_lost),
+                    host,
+                    port,
+                )
                 break
             except (ConnectionError, OSError):
                 if self._clock.now - start > deadline:
                     raise
                 await asyncio.sleep(retry_delay)
-        write_frame(writer, {"kind": "hello", "sid": self.local_sid})
-        hello = await read_frame(reader)
-        if hello is None or hello.get("kind") != "hello":
-            writer.close()
-            raise ConnectionError(f"site {sid} did not complete handshake")
-        if hello.get("sid") != sid:
-            writer.close()
-            raise ConnectionError(
-                f"dialed site {sid} but peer announced {hello.get('sid')}"
-            )
-        old = self._writers.pop(sid, None)
-        if old is not None:
-            old.close()
-        self._writers[sid] = writer
-        self._reader_tasks[sid] = asyncio.get_running_loop().create_task(
-            self._pump(sid, reader, writer)
-        )
-        self.bump_liveness_epoch()
-
-    async def _pump(
-        self,
-        sid: int,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        """Per-connection inbound loop: frame -> message -> endpoint."""
+        connection.send_hello(self.local_sid)
         try:
-            while True:
-                frame = await read_frame(reader)
-                if frame is None:
-                    return
-                if frame.get("kind") != "msg":
-                    continue
-                message = decode_message(frame)
-                endpoint = self._endpoints.get(message.dst)
-                if endpoint is None or not endpoint.up:
-                    continue
-                self.stats.delivered += 1
-                endpoint.receive(message)
-        except (ConnectionError, CodecError, asyncio.CancelledError):
+            await greeted
+        except BaseException:
+            connection.close()
+            raise
+
+    def _deliver(self, message: Any) -> None:
+        """Inbound message -> the local endpoint it is addressed to."""
+        endpoint = self._endpoints.get(message.dst)
+        if endpoint is None or not endpoint.up:
             return
-        finally:
-            if self._writers.get(sid) is writer:
-                del self._writers[sid]
-                self.stats.disconnects += 1
-                self.bump_liveness_epoch()
-            writer.close()
+        self.stats.delivered += 1
+        endpoint.receive(message)
 
     async def close(self) -> None:
-        """Drop every connection and cancel the inbound pumps."""
-        for writer in list(self._writers.values()):
-            writer.close()
-        self._writers.clear()
-        for task in list(self._reader_tasks.values()):
-            task.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await task
-        self._reader_tasks.clear()
+        """Drop every connection (not counted as disconnects)."""
+        connections = list(self._connections.values())
+        self._connections.clear()
+        for connection in connections:
+            connection.close()
+        if connections:
+            await asyncio.sleep(0)  # let the loop run their teardown
 
     # -- delivery ------------------------------------------------------
 
     def send(self, message: Any) -> None:
         """Frame and queue one protocol message (drops if the peer is gone)."""
         self.stats.sent += 1
-        writer = self._writers.get(message.dst)
-        if writer is None or writer.is_closing():
+        connection = self._connections.get(message.dst)
+        if connection is None or connection.is_closing():
             self.stats.dropped_dead += 1
             return
         try:
-            write_frame(writer, encode_message(message))
-        except (ConnectionError, CodecError):
+            connection.send(encode_frame(encode_message(message)))
+        except CodecError:
             self.stats.dropped_dead += 1
 
     def broadcast(self, messages: list) -> None:

@@ -76,6 +76,34 @@ def test_cluster_serves_sigkill_survives_and_shuts_down_clean():
     asyncio.run(asyncio.wait_for(main(), 90.0))
 
 
+def test_service_time_reaches_the_site_processes():
+    """``LocalCluster(service_time=...)`` used to be stored and dropped:
+    ``SiteProcess.spawn`` never passed ``--service-time``, so the sites
+    answered in microseconds.  On ``1-3`` a read asks one site (one
+    service period) and a write runs its version, prepare and commit
+    rounds one after the other (three)."""
+    service_time = 0.02
+
+    async def main():
+        cluster = LocalCluster(spec="1-3", timeout=5.0, service_time=service_time)
+        await cluster.start()
+        try:
+            clock = cluster.transport.clock
+            started = clock.now
+            assert (await cluster.put("k", "v")).success
+            put_s = clock.now - started
+            started = clock.now
+            assert (await cluster.get("k")).value == "v"
+            get_s = clock.now - started
+        finally:
+            await cluster.stop()
+        assert cluster.orphans() == []
+        assert get_s >= service_time
+        assert put_s >= 3 * service_time
+
+    asyncio.run(asyncio.wait_for(main(), 60.0))
+
+
 def test_percentile_nearest_rank():
     samples = [float(value) for value in range(1, 101)]
     assert percentile(samples, 50) == 50.0
