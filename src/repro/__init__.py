@@ -25,8 +25,25 @@ Quickstart::
     print(summary.read_cost, summary.write_load)
 """
 
-from repro import analysis, core, protocols, quorums, sim
+from importlib import import_module
 
 __version__ = "1.0.0"
 
 __all__ = ["analysis", "core", "protocols", "quorums", "sim", "__version__"]
+
+# A package ``__init__`` imports nothing a ``repro serve`` child does not
+# run (DESIGN §2.16): every ``python -m repro`` process executes this file,
+# and a replica site needs none of the five subpackages below whole.  They
+# load on first attribute access (PEP 562) and are then cached in the
+# module namespace, so ``repro.core`` costs one ``__getattr__`` call ever.
+_SUBPACKAGES = frozenset(__all__) - {"__version__"}
+
+
+def __getattr__(name: str):
+    if name in _SUBPACKAGES:
+        return import_module(f"repro.{name}")
+    raise AttributeError(f"module 'repro' has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _SUBPACKAGES)

@@ -46,14 +46,14 @@ import argparse
 import sys
 from collections.abc import Sequence
 
-from repro.analysis.related_work import survey
-from repro.analysis.sweeps import figure2_series, figure3_series, figure4_series
-from repro.analysis.tables import format_series, format_table
-from repro.core import analyse, from_spec
-from repro.core.tuning import recommend
+# No module-level ``repro.*`` import: every ``repro serve`` child executes
+# this file, so each handler imports what it calls and each subparser what
+# its ``choices=`` need (DESIGN §2.16).
 
 
 def _print_example() -> None:
+    from repro.analysis.tables import format_table
+    from repro.core import analyse
     from repro.core.tree import ArbitraryTree
 
     tree = ArbitraryTree.from_level_counts([0, 3, 5], [1, 0, 4])
@@ -85,6 +85,13 @@ def _print_example() -> None:
 
 
 def _print_figure(which: str, p: float) -> None:
+    from repro.analysis.sweeps import (
+        figure2_series,
+        figure3_series,
+        figure4_series,
+    )
+    from repro.analysis.tables import format_series
+
     builders = {
         "fig2": (figure2_series, ("read_cost", "write_cost")),
         "fig3": (figure3_series, ("read_load", "expected_read_load")),
@@ -101,6 +108,9 @@ def _print_figure(which: str, p: float) -> None:
 
 
 def _print_survey(n: int) -> None:
+    from repro.analysis.related_work import survey
+    from repro.analysis.tables import format_table
+
     rows = [
         [e.protocol, e.reference, e.n, e.read_cost_best, e.read_cost_worst,
          round(e.write_cost, 2), round(e.read_load, 4), round(e.write_load, 4)]
@@ -115,6 +125,9 @@ def _print_survey(n: int) -> None:
 
 
 def _print_analysis(spec: str, p: float) -> None:
+    from repro.analysis.tables import format_table
+    from repro.core import analyse, from_spec
+
     tree = from_spec(spec)
     print(tree.describe())
     metrics = analyse(tree, p=p)
@@ -137,11 +150,15 @@ def _print_analysis(spec: str, p: float) -> None:
     ))
 
 
-def _print_sweep(quantities: Sequence[str], sizes: Sequence[int], p: float,
-                 jobs: int) -> None:
+def _print_sweep(quantities: Sequence[str], sizes: Sequence[int] | None,
+                 p: float, jobs: int) -> None:
     """``repro sweep``: arbitrary-quantity configuration sweep via the runner."""
+    from repro.analysis.sweeps import DEFAULT_SIZES
+    from repro.analysis.tables import format_series
     from repro.runner import ProgressPrinter, parallel_sweep
 
+    if sizes is None:
+        sizes = DEFAULT_SIZES
     series = parallel_sweep(
         tuple(quantities), sizes=tuple(sizes), p=p, jobs=jobs,
         progress=ProgressPrinter("sweep") if jobs > 1 else None,
@@ -166,6 +183,8 @@ def _print_availability(spec: str, protocol: str | None, n: int,
     Monte-Carlo path, sharded across a process pool — bit-identical to the
     same chunked estimate at ``jobs = 1``.
     """
+    from repro.analysis.tables import format_table
+    from repro.core import from_spec
     from repro.core.protocol import ArbitraryProtocol
     from repro.protocols.zoo import quorum_system
     from repro.quorums.system import CachedQuorumSystem
@@ -208,6 +227,9 @@ def _print_availability(spec: str, protocol: str | None, n: int,
 
 
 def _print_tuning(n: int, p: float, read_fraction: float) -> None:
+    from repro.analysis.tables import format_table
+    from repro.core.tuning import recommend
+
     result = recommend(n, p=p, read_fraction=read_fraction)
     print(f"best tree for n={n}, p={p}, read fraction {read_fraction}:")
     print(f"  {result.tree.spec()}  (score {result.best.score:.4f})")
@@ -256,70 +278,37 @@ def _retry_policy_spec(kind: str | None, backoff: str | None):
     return RetryPolicySpec(kind=kind, **fields)
 
 
-def _sim_config(spec: str, operations: int, read_fraction: float,
-                p: float, seed: int, protocol: str | None = None,
-                n: int = 0, drop: float = 0.0, max_attempts: int = 1,
-                trace: bool = False, retry_policy=None,
-                detector: bool = False, batch_window: float = 0.0,
-                leases: bool = False, reshape_at: float = 0.0,
-                reshape_spec: str | None = None,
-                reshape_online: bool = True):
-    """Build the (config, label) pair shared by simulate/trace/report.
-
-    Delegates to :func:`repro.runner.tasks.build_sim_config` — the single
-    source of the simulation defaults — so CLI runs and parallel-runner
-    workers build identical configurations.
-    """
+def _print_simulation(args) -> None:
+    from repro.analysis.tables import format_table
+    from repro.core import analyse
     from repro.runner.tasks import SimParams, build_sim_config
-
-    return build_sim_config(SimParams(
-        spec=spec, operations=operations, read_fraction=read_fraction,
-        p=p, seed=seed, protocol=protocol, n=n, drop=drop,
-        max_attempts=max_attempts, trace=trace,
-        retry_policy=retry_policy, detector=detector,
-        batch_window=batch_window, leases=leases,
-        reshape_at=reshape_at, reshape_spec=reshape_spec,
-        reshape_online=reshape_online,
-    ))
-
-
-def _print_simulation(spec: str, operations: int, read_fraction: float,
-                      p: float, seed: int, protocol: str | None = None,
-                      n: int = 0, repeats: int = 1, jobs: int = 1,
-                      retry_policy=None, detector: bool = False,
-                      batch_window: float = 0.0,
-                      leases: bool = False, reshape_at: float = 0.0,
-                      reshape_spec: str | None = None,
-                      reshape_online: bool = True) -> None:
     from repro.sim import simulate
 
-    config, label = _sim_config(
-        spec, operations, read_fraction, p, seed, protocol=protocol, n=n,
-        retry_policy=retry_policy, detector=detector,
-        batch_window=batch_window, leases=leases,
-        reshape_at=reshape_at, reshape_spec=reshape_spec,
-        reshape_online=reshape_online,
+    operations, p, seed = args.operations, args.p, args.seed
+    protocol, repeats, jobs = args.protocol, args.repeats, args.jobs
+    # build_sim_config is the single source of the simulation defaults, so
+    # this run and the parallel runner's workers build identical configs.
+    params = SimParams(
+        spec=args.spec, operations=operations,
+        read_fraction=args.read_fraction, p=p, seed=seed,
+        protocol=protocol, n=args.n,
+        retry_policy=_retry_policy_spec(args.retry_policy, args.backoff),
+        detector=args.detector,
+        batch_window=args.batch_window, leases=args.leases,
+        reshape_at=args.reshape_at, reshape_spec=args.reshape_spec,
+        reshape_online=not args.reshape_stop_the_world,
     )
+    config, label = build_sim_config(params)
     reconfiguration = None
     if repeats > 1:
         from repro.runner import (
             ProgressPrinter,
-            SimParams,
             merge_monitors,
             parallel_simulations,
         )
 
         monitors = parallel_simulations(
-            SimParams(
-                spec=spec, operations=operations,
-                read_fraction=read_fraction, p=p, seed=seed,
-                protocol=protocol, n=n,
-                retry_policy=retry_policy, detector=detector,
-                batch_window=batch_window, leases=leases,
-                reshape_at=reshape_at, reshape_spec=reshape_spec,
-                reshape_online=reshape_online,
-            ),
-            repeats, jobs=jobs,
+            params, repeats, jobs=jobs,
             progress=ProgressPrinter("simulate") if jobs > 1 else None,
         )
         summary = merge_monitors(monitors).summary()
@@ -431,6 +420,7 @@ def _shard_params(args):
 
 def _print_shard(args) -> None:
     """``repro shard``: a sharded keyspace run with per-shard breakdown."""
+    from repro.analysis.tables import format_table
     from repro.runner import build_sharded_config
 
     params = _shard_params(args)
@@ -492,6 +482,7 @@ def _print_shard(args) -> None:
 
 def _print_chaos(args) -> None:
     """``repro chaos``: a scenario run with the invariant checker armed."""
+    from repro.analysis.tables import format_table
     from repro.runner.tasks import SimParams, build_sim_config
     from repro.sim import simulate
 
@@ -549,6 +540,7 @@ def _print_chaos(args) -> None:
 
 def _print_reconfigure(args) -> None:
     """``repro reconfigure``: a mid-run tree change with invariants armed."""
+    from repro.analysis.tables import format_table
     from repro.runner.tasks import SimParams, build_sim_config
     from repro.sim import simulate
 
@@ -598,13 +590,15 @@ def _print_reconfigure(args) -> None:
 
 def _run_traced(args) -> tuple:
     """Run one traced simulation from trace/report CLI arguments."""
+    from repro.runner.tasks import SimParams, build_sim_config
     from repro.sim import simulate
 
-    config, label = _sim_config(
-        args.spec, args.operations, args.read_fraction, args.p, args.seed,
+    config, label = build_sim_config(SimParams(
+        spec=args.spec, operations=args.operations,
+        read_fraction=args.read_fraction, p=args.p, seed=args.seed,
         protocol=args.protocol, n=args.n, drop=args.drop,
         max_attempts=args.max_attempts, trace=True,
-    )
+    ))
     return simulate(config), label
 
 
@@ -777,10 +771,32 @@ def _add_reshape_arguments(parser) -> None:
     )
 
 
-def _add_trace_sim_arguments(parser) -> None:
-    """Simulation options shared by ``trace`` and ``report``."""
+def _add_protocol_arguments(
+    parser, help: str, n_help: str = "replica count for --protocol"
+) -> None:
+    """``--protocol`` / ``--n``: where a subparser loads the zoo's names."""
     from repro.protocols.zoo import PROTOCOL_NAMES
 
+    parser.add_argument(
+        "--protocol", choices=PROTOCOL_NAMES, default=None, help=help
+    )
+    parser.add_argument("--n", type=int, default=0, help=n_help)
+
+
+def _add_repeat_arguments(parser, merged: str) -> None:
+    """``--repeats`` / ``--jobs`` of the commands the runner can fan out."""
+    parser.add_argument(
+        "--repeats", type=int, default=1,
+        help=f"independently seeded repeats ({merged})",
+    )
+    parser.add_argument(
+        "--jobs", type=int, default=1,
+        help="worker processes to fan repeats across",
+    )
+
+
+def _add_trace_sim_arguments(parser) -> None:
+    """Simulation options shared by ``trace`` and ``report``."""
     parser.add_argument("spec", nargs="?", default="1-3-5")
     parser.add_argument("--operations", type=int, default=500)
     parser.add_argument("--read-fraction", type=float, default=0.5)
@@ -790,12 +806,9 @@ def _add_trace_sim_arguments(parser) -> None:
                         help="message drop probability in [0, 1]")
     parser.add_argument("--max-attempts", type=int, default=3)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--protocol", choices=PROTOCOL_NAMES, default=None,
-        help="simulate a zoo protocol instead of an explicit tree spec",
+    _add_protocol_arguments(
+        parser, "simulate a zoo protocol instead of an explicit tree spec"
     )
-    parser.add_argument("--n", type=int, default=0,
-                        help="replica count for --protocol")
 
 
 def _run_serve(args) -> int:
@@ -888,29 +901,39 @@ def _run_cluster(args) -> int:
         return 130
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="Arbitrary tree-structured replica control protocol "
-                    "(ICDCS 2008) — analysis and simulation toolkit",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# One registrar per command: it adds the command's subparser, importing
+# what its ``choices=`` need, with the handler as the ``run`` default.
 
-    sub.add_parser("example", help="Table 1 + the Section 3.4 example")
 
-    for fig in ("fig2", "fig3", "fig4"):
-        fig_parser = sub.add_parser(fig, help=f"regenerate {fig} series")
-        fig_parser.add_argument("--p", type=float, default=0.7)
+def _add_example(sub, name: str) -> None:
+    parser = sub.add_parser(name, help="Table 1 + the Section 3.4 example")
+    parser.set_defaults(run=lambda args: _print_example())
 
-    survey_parser = sub.add_parser("survey", help="related-work survey")
+
+def _add_figure(sub, name: str) -> None:
+    fig_parser = sub.add_parser(name, help=f"regenerate {name} series")
+    fig_parser.add_argument("--p", type=float, default=0.7)
+    fig_parser.set_defaults(run=lambda args: _print_figure(args.command, args.p))
+
+
+def _add_survey(sub, name: str) -> None:
+    survey_parser = sub.add_parser(name, help="related-work survey")
     survey_parser.add_argument("--n", type=int, default=121)
+    survey_parser.set_defaults(run=lambda args: _print_survey(args.n))
 
-    analyse_parser = sub.add_parser("analyse", help="analyse a tree spec")
+
+def _add_analyse(sub, name: str) -> None:
+    analyse_parser = sub.add_parser(name, help="analyse a tree spec")
     analyse_parser.add_argument("spec", help="tree spec, e.g. 1-3-5")
     analyse_parser.add_argument("--p", type=float, default=0.9)
+    analyse_parser.set_defaults(
+        run=lambda args: _print_analysis(args.spec, args.p)
+    )
 
+
+def _add_sweep(sub, name: str) -> None:
     sweep_parser = sub.add_parser(
-        "sweep", help="configuration sweep over arbitrary quantities"
+        name, help="configuration sweep over arbitrary quantities"
     )
     sweep_parser.add_argument(
         "--quantities", nargs="+", default=["read_cost", "write_cost"],
@@ -925,10 +948,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs", type=int, default=1,
         help="worker processes to shard size runs across",
     )
+    sweep_parser.set_defaults(run=lambda args: _print_sweep(
+        args.quantities, args.sizes, args.p, args.jobs,
+    ))
 
+
+def _add_availability(sub, name: str) -> None:
     avail_parser = sub.add_parser(
-        "availability",
-        help="read/write availability of a spec or zoo protocol",
+        name, help="read/write availability of a spec or zoo protocol",
     )
     avail_parser.add_argument("spec", nargs="?", default="1-3-5")
     avail_parser.add_argument(
@@ -944,59 +971,55 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=0,
         help="Monte-Carlo seed (pass -1 for fresh randomness)",
     )
-    from repro.protocols.zoo import PROTOCOL_NAMES as _ZOO
-
-    avail_parser.add_argument(
-        "--protocol", choices=_ZOO, default=None,
-        help="evaluate a zoo protocol instead of a tree spec",
-    )
-    avail_parser.add_argument(
-        "--n", type=int, default=0,
-        help="replica count for --protocol (snapped to an admissible size)",
+    _add_protocol_arguments(
+        avail_parser, "evaluate a zoo protocol instead of a tree spec",
+        n_help="replica count for --protocol (snapped to an admissible size)",
     )
     avail_parser.add_argument(
         "--jobs", type=int, default=1,
         help="worker processes; > 1 shards the Monte-Carlo sampling",
     )
+    avail_parser.set_defaults(run=lambda args: _print_availability(
+        args.spec, args.protocol, args.n, args.p, args.samples,
+        seed=None if args.seed < 0 else args.seed, jobs=args.jobs,
+    ))
 
-    tune_parser = sub.add_parser("tune", help="recommend a tree shape")
+
+def _add_tune(sub, name: str) -> None:
+    tune_parser = sub.add_parser(name, help="recommend a tree shape")
     tune_parser.add_argument("--n", type=int, default=48)
     tune_parser.add_argument("--p", type=float, default=0.9)
     tune_parser.add_argument("--read-fraction", type=float, default=0.5)
+    tune_parser.set_defaults(
+        run=lambda args: _print_tuning(args.n, args.p, args.read_fraction)
+    )
 
-    sim_parser = sub.add_parser("simulate", help="run the simulator")
+
+def _add_simulate(sub, name: str) -> None:
+    sim_parser = sub.add_parser(name, help="run the simulator")
     sim_parser.add_argument("spec", nargs="?", default="1-3-5")
     sim_parser.add_argument("--operations", type=int, default=2000)
     sim_parser.add_argument("--read-fraction", type=float, default=0.5)
     sim_parser.add_argument("--p", type=float, default=1.0,
                             help="per-replica availability (1.0 = no failures)")
     sim_parser.add_argument("--seed", type=int, default=0)
-    from repro.protocols.zoo import PROTOCOL_NAMES
-
-    sim_parser.add_argument(
-        "--protocol", choices=PROTOCOL_NAMES, default=None,
-        help="simulate a zoo protocol instead of an explicit tree spec "
-             "(sized via --n, or to match the spec's replica count)",
+    _add_protocol_arguments(
+        sim_parser,
+        "simulate a zoo protocol instead of an explicit tree spec "
+        "(sized via --n, or to match the spec's replica count)",
+        n_help="replica count for --protocol (snapped to an admissible size)",
     )
-    sim_parser.add_argument(
-        "--n", type=int, default=0,
-        help="replica count for --protocol (snapped to an admissible size)",
-    )
-    sim_parser.add_argument(
-        "--repeats", type=int, default=1,
-        help="independently seeded repeats (merged measurements reported)",
-    )
-    sim_parser.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes to fan repeats across",
-    )
+    _add_repeat_arguments(sim_parser, "merged measurements reported")
     _add_fault_arguments(sim_parser)
     _add_reshape_arguments(sim_parser)
+    sim_parser.set_defaults(run=_print_simulation)
 
+
+def _add_shard(sub, name: str) -> None:
     from repro.shard import BALANCER_POLICIES, ROUTER_KINDS
 
     shard_parser = sub.add_parser(
-        "shard",
+        name,
         help="run a sharded multi-object keyspace over per-shard replica "
              "groups",
     )
@@ -1005,12 +1028,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-shard tree spec (every shard runs one replica group)",
     )
     shard_parser.add_argument("--shards", type=int, default=4)
-    shard_parser.add_argument(
-        "--protocol", choices=PROTOCOL_NAMES, default=None,
-        help="run shards on a zoo protocol instead of a tree spec",
+    _add_protocol_arguments(
+        shard_parser, "run shards on a zoo protocol instead of a tree spec"
     )
-    shard_parser.add_argument("--n", type=int, default=0,
-                              help="replica count for --protocol")
     shard_parser.add_argument("--operations", type=int, default=2000)
     shard_parser.add_argument("--read-fraction", type=float, default=0.5)
     shard_parser.add_argument(
@@ -1061,20 +1081,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-message replica processing time (adds queueing)",
     )
     shard_parser.add_argument("--seed", type=int, default=0)
-    shard_parser.add_argument(
-        "--repeats", type=int, default=1,
-        help="independently seeded repeats (merged shard-wise)",
-    )
-    shard_parser.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes to fan repeats across",
-    )
+    _add_repeat_arguments(shard_parser, "merged shard-wise")
     _add_fault_arguments(shard_parser)
+    shard_parser.set_defaults(run=_print_shard)
 
+
+def _add_chaos(sub, name: str) -> None:
     from repro.fault.scenarios import CHAOS_SCENARIOS
 
     chaos_parser = sub.add_parser(
-        "chaos",
+        name,
         help="run a chaos scenario with the safety invariant checker armed",
     )
     chaos_parser.add_argument("spec", nargs="?", default="1-3-5")
@@ -1094,24 +1110,20 @@ def build_parser() -> argparse.ArgumentParser:
         "--horizon", type=float, default=1000.0,
         help="simulated time the scenario keeps injecting failures for",
     )
-    chaos_parser.add_argument(
-        "--protocol", choices=PROTOCOL_NAMES, default=None,
-        help="run the chaos against a zoo protocol instead of a tree spec",
+    _add_protocol_arguments(
+        chaos_parser,
+        "run the chaos against a zoo protocol instead of a tree spec",
     )
-    chaos_parser.add_argument("--n", type=int, default=0,
-                              help="replica count for --protocol")
-    chaos_parser.add_argument(
-        "--repeats", type=int, default=1,
-        help="independently seeded repeats (merged measurements reported)",
-    )
-    chaos_parser.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes to fan repeats across",
-    )
+    _add_repeat_arguments(chaos_parser, "merged measurements reported")
     _add_fault_arguments(chaos_parser)
+    chaos_parser.set_defaults(run=_print_chaos)
+
+
+def _add_reconfigure(sub, name: str) -> None:
+    from repro.fault.scenarios import CHAOS_SCENARIOS
 
     reconf_parser = sub.add_parser(
-        "reconfigure",
+        name,
         help="change the tree shape mid-run (online dual-quorum epoch "
              "transition, or --stop-the-world) with invariants armed",
     )
@@ -1148,18 +1160,24 @@ def build_parser() -> argparse.ArgumentParser:
         help="simulated time the chaos scenario keeps injecting for",
     )
     _add_fault_arguments(reconf_parser)
+    reconf_parser.set_defaults(run=_print_reconfigure)
 
+
+def _add_trace(sub, name: str) -> None:
     trace_parser = sub.add_parser(
-        "trace", help="run a traced simulation and export JSONL spans"
+        name, help="run a traced simulation and export JSONL spans"
     )
     _add_trace_sim_arguments(trace_parser)
     trace_parser.add_argument(
         "--out", default="trace.jsonl",
         help="output path for the JSON Lines trace",
     )
+    trace_parser.set_defaults(run=_print_trace)
 
+
+def _add_profile(sub, name: str) -> None:
     profile_parser = sub.add_parser(
-        "profile",
+        name,
         help="cProfile hotspots + per-phase attribution of a saturated "
              "simulation (the inner-ring tuning loop)",
     )
@@ -1198,9 +1216,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-phases", action="store_true",
         help="skip the traced re-run and its per-phase attribution",
     )
+    profile_parser.set_defaults(run=_print_profile)
 
+
+def _add_report(sub, name: str) -> None:
     report_parser = sub.add_parser(
-        "report",
+        name,
         help="per-phase latency breakdown + flame summary of a traced run",
     )
     _add_trace_sim_arguments(report_parser)
@@ -1209,9 +1230,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="report on a previously exported JSONL trace instead of "
              "running a fresh simulation",
     )
+    report_parser.set_defaults(run=_print_report)
 
+
+def _add_serve(sub, name: str) -> None:
     serve_parser = sub.add_parser(
-        "serve",
+        name,
         help="run ONE replica site as a real TCP server (the runtime "
              "backend's per-process entry point)",
     )
@@ -1227,9 +1251,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--service-time", type=float, default=0.0,
         help="artificial per-message processing delay in seconds",
     )
+    serve_parser.set_defaults(run=_run_serve)
 
+
+def _add_cluster(sub, name: str) -> None:
     cluster_parser = sub.add_parser(
-        "cluster",
+        name,
         help="spawn N local site processes + a coordinator front-end, run "
              "smoke get/put traffic over real TCP, optionally kill -9 a "
              "site mid-run",
@@ -1266,70 +1293,72 @@ def build_parser() -> argparse.ArgumentParser:
         help="hard wall-clock cap on the whole run (orphan safety net)",
     )
 
-    all_parser = sub.add_parser("all", help="everything, default parameters")
+    cluster_parser.set_defaults(run=_run_cluster)
+
+
+def _print_all(args) -> None:
+    _print_example()
+    print()
+    for fig in ("fig2", "fig3", "fig4"):
+        _print_figure(fig, args.p)
+    _print_survey(121)
+
+
+def _add_all(sub, name: str) -> None:
+    all_parser = sub.add_parser(name, help="everything, default parameters")
     all_parser.add_argument("--p", type=float, default=0.7)
+    all_parser.set_defaults(run=_print_all)
+
+
+#: command -> registrar, in ``--help`` order.
+_COMMANDS = {
+    "example": _add_example,
+    "fig2": _add_figure,
+    "fig3": _add_figure,
+    "fig4": _add_figure,
+    "survey": _add_survey,
+    "analyse": _add_analyse,
+    "sweep": _add_sweep,
+    "availability": _add_availability,
+    "tune": _add_tune,
+    "simulate": _add_simulate,
+    "shard": _add_shard,
+    "chaos": _add_chaos,
+    "reconfigure": _add_reconfigure,
+    "trace": _add_trace,
+    "profile": _add_profile,
+    "report": _add_report,
+    "serve": _add_serve,
+    "cluster": _add_cluster,
+    "all": _add_all,
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``repro`` parser with every subcommand, or just ``command``.
+
+    ``main`` asks for the one it runs, so a ``repro serve`` child never
+    imports what other commands take their ``choices=`` from.
+    """
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="Arbitrary tree-structured replica control protocol "
+                    "(ICDCS 2008) — analysis and simulation toolkit",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, add in _COMMANDS.items():
+        if command is None or name == command:
+            add(sub, name)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.command == "example":
-        _print_example()
-    elif args.command in ("fig2", "fig3", "fig4"):
-        _print_figure(args.command, args.p)
-    elif args.command == "survey":
-        _print_survey(args.n)
-    elif args.command == "analyse":
-        _print_analysis(args.spec, args.p)
-    elif args.command == "sweep":
-        from repro.analysis.sweeps import DEFAULT_SIZES
-
-        _print_sweep(
-            args.quantities,
-            DEFAULT_SIZES if args.sizes is None else args.sizes,
-            args.p, args.jobs,
-        )
-    elif args.command == "availability":
-        _print_availability(
-            args.spec, args.protocol, args.n, args.p, args.samples,
-            seed=None if args.seed < 0 else args.seed, jobs=args.jobs,
-        )
-    elif args.command == "tune":
-        _print_tuning(args.n, args.p, args.read_fraction)
-    elif args.command == "simulate":
-        _print_simulation(
-            args.spec, args.operations, args.read_fraction, args.p, args.seed,
-            protocol=args.protocol, n=args.n, repeats=args.repeats,
-            jobs=args.jobs,
-            retry_policy=_retry_policy_spec(args.retry_policy, args.backoff),
-            detector=args.detector,
-            batch_window=args.batch_window, leases=args.leases,
-            reshape_at=args.reshape_at, reshape_spec=args.reshape_spec,
-            reshape_online=not args.reshape_stop_the_world,
-        )
-    elif args.command == "shard":
-        _print_shard(args)
-    elif args.command == "chaos":
-        _print_chaos(args)
-    elif args.command == "reconfigure":
-        _print_reconfigure(args)
-    elif args.command == "trace":
-        _print_trace(args)
-    elif args.command == "profile":
-        _print_profile(args)
-    elif args.command == "report":
-        _print_report(args)
-    elif args.command == "serve":
-        return _run_serve(args)
-    elif args.command == "cluster":
-        return _run_cluster(args)
-    elif args.command == "all":
-        _print_example()
-        print()
-        for fig in ("fig2", "fig3", "fig4"):
-            _print_figure(fig, args.p)
-        _print_survey(121)
-    return 0
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # The command comes first (the top level's only option is --help);
+    # anything else gets the full parser, for its help or usage error.
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
+    return args.run(args) or 0
 
 
 if __name__ == "__main__":  # pragma: no cover

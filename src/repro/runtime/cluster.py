@@ -30,14 +30,15 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import IO, Any
 
 import repro
 from repro.core.builder import from_spec
 from repro.core.protocol import ArbitraryProtocol
-from repro.runtime.codec import read_frame, write_frame
+from repro.runtime.codec import CodecError, read_frame, write_frame
 from repro.runtime.transport import TcpTransport
 from repro.sim.coordinator import OperationOutcome, QuorumCoordinator
 from repro.sim.locks import LockManager
@@ -67,9 +68,13 @@ class SiteProcess:
         self.service_time = service_time
         self.port: int | None = None
         self.proc: subprocess.Popen | None = None
+        self._stderr: IO[bytes] | None = None  # the child's, for diagnosis
 
     async def spawn(self, timeout: float = 10.0) -> None:
         """Start ``repro serve`` and scrape the announced ephemeral port."""
+        # An unnamed file, not a pipe: nothing drains a pipe, and a site
+        # that logged enough would block on it.
+        self._stderr = tempfile.TemporaryFile()
         self.proc = subprocess.Popen(
             [
                 sys.executable, "-m", "repro", "serve",
@@ -78,7 +83,7 @@ class SiteProcess:
             ],
             env=_site_env(),
             stdout=subprocess.PIPE,
-            stderr=subprocess.DEVNULL,
+            stderr=self._stderr,
             text=True,
         )
         loop = asyncio.get_running_loop()
@@ -88,9 +93,13 @@ class SiteProcess:
                 loop.run_in_executor(None, self.proc.stdout.readline), timeout
             )
             if not line:
+                returncode = await asyncio.wait_for(
+                    loop.run_in_executor(None, self.proc.wait), timeout
+                )
                 raise RuntimeError(
                     f"site {self.sid} exited before announcing its port "
-                    f"(rc={self.proc.poll()})"
+                    f"(rc={returncode}); its stderr ended:\n"
+                    f"{self._stderr_tail()}"
                 )
             if line.startswith(_ANNOUNCE_PREFIX):
                 fields = dict(
@@ -99,6 +108,13 @@ class SiteProcess:
                 )
                 self.port = int(fields["port"])
                 return
+
+    def _stderr_tail(self, lines: int = 12) -> str:
+        """The last ``lines`` lines the child wrote to stderr."""
+        assert self._stderr is not None
+        self._stderr.seek(0)
+        text = self._stderr.read().decode("utf-8", "replace")
+        return "\n".join(text.splitlines()[-lines:])
 
     @property
     def alive(self) -> bool:
@@ -126,6 +142,8 @@ class SiteProcess:
                 await loop.run_in_executor(None, self.proc.wait)
         if self.proc.stdout is not None:
             self.proc.stdout.close()
+        if self._stderr is not None:
+            self._stderr.close()
         return self.proc.returncode
 
 
@@ -369,6 +387,11 @@ class KVFrontend:
     ``{"kind": "result", "id": n, "ok": bool, "value": ..., "version":
     ...}`` reply.  ``{"kind": "stop"}`` asks the front-end to shut the
     cluster down (the kill-9 demo's clean exit).
+
+    Clients are outside the program: a frame that is not an object (a
+    protocol array, say) is answered with ``"ok": false``, and bytes that
+    are no frame at all (:class:`~repro.runtime.codec.CodecError`) close
+    the connection they came on — neither disturbs another client.
     """
 
     def __init__(
@@ -405,6 +428,13 @@ class KVFrontend:
                 frame = await read_frame(reader)
                 if frame is None:
                     return
+                if type(frame) is not dict:
+                    write_frame(
+                        writer,
+                        {"kind": "result", "ok": False,
+                         "error": "expected an object frame with a kind"},
+                    )
+                    continue
                 kind = frame.get("kind")
                 if kind == "stop":
                     write_frame(writer, {"kind": "result", "ok": True})
@@ -439,7 +469,7 @@ class KVFrontend:
                     },
                 )
                 await writer.drain()
-        except (ConnectionError, asyncio.CancelledError):
+        except (ConnectionError, CodecError, asyncio.CancelledError):
             return
         finally:
             writer.close()

@@ -20,70 +20,66 @@ availability, per-replica load) can also be *measured* end-to-end:
   metrics) via :mod:`repro.obs` — pass ``SimulationConfig(trace=True)``.
 """
 
-from repro.sim.coordinator import OperationOutcome, QuorumCoordinator
-from repro.sim.engine import (
-    ReplicaGroup,
-    SimulationConfig,
-    SimulationResult,
-    build_replica_group,
-    run_workload,
-    simulate,
-)
-from repro.sim.events import Scheduler
-from repro.sim.failures import BernoulliFailures, CrashRepairProcess, FailureInjector
-from repro.sim.locks import LockManager, LockMode
-from repro.sim.messages import (
-    AbortMessage,
-    CommitMessage,
-    PrepareMessage,
-    ReadReply,
-    ReadRequest,
-    VoteMessage,
-)
-from repro.sim.monitor import Monitor, ShardedMonitor
-from repro.sim.network import Network, PartitionSpec, RegionLatencyMatrix
-from repro.sim.reconfigure import ReconfigOutcome, ReconfigStatus, TreeReconfigurer
-from repro.sim.replica import Timestamp, VersionedStore
-from repro.sim.site import Site, SiteState
-from repro.sim.transactions import Operation, OperationType, Transaction
-from repro.sim.workload import Workload, WorkloadSpec
+from importlib import import_module
 
-__all__ = [
-    "AbortMessage",
-    "BernoulliFailures",
-    "CommitMessage",
-    "CrashRepairProcess",
-    "FailureInjector",
-    "LockManager",
-    "LockMode",
-    "Monitor",
-    "Network",
-    "Operation",
-    "OperationOutcome",
-    "OperationType",
-    "PartitionSpec",
-    "PrepareMessage",
-    "QuorumCoordinator",
-    "ReadReply",
-    "ReconfigOutcome",
-    "ReconfigStatus",
-    "TreeReconfigurer",
-    "ReadRequest",
-    "RegionLatencyMatrix",
-    "ReplicaGroup",
-    "Scheduler",
-    "ShardedMonitor",
-    "SimulationConfig",
-    "SimulationResult",
-    "Site",
-    "SiteState",
-    "Timestamp",
-    "Transaction",
-    "VersionedStore",
-    "VoteMessage",
-    "Workload",
-    "WorkloadSpec",
-    "build_replica_group",
-    "run_workload",
-    "simulate",
-]
+# name -> submodule that defines it.  A package ``__init__`` imports
+# nothing a ``repro serve`` child does not run (DESIGN §2.16): a replica
+# site imports ``repro.sim.site`` and so executes this file, but needs
+# neither the coordinator nor the engine.  Names resolve on first access
+# (PEP 562) and are cached in the module namespace; the hot modules import
+# from the submodules directly, so nothing is deferred into a measured
+# phase.
+_EXPORTS = {
+    "AbortMessage": "messages",
+    "BernoulliFailures": "failures",
+    "CommitMessage": "messages",
+    "CrashRepairProcess": "failures",
+    "FailureInjector": "failures",
+    "LockManager": "locks",
+    "LockMode": "locks",
+    "Monitor": "monitor",
+    "Network": "network",
+    "Operation": "transactions",
+    "OperationOutcome": "coordinator",
+    "OperationType": "transactions",
+    "PartitionSpec": "network",
+    "PrepareMessage": "messages",
+    "QuorumCoordinator": "coordinator",
+    "ReadReply": "messages",
+    "ReadRequest": "messages",
+    "ReconfigOutcome": "reconfigure",
+    "ReconfigStatus": "reconfigure",
+    "RegionLatencyMatrix": "network",
+    "ReplicaGroup": "engine",
+    "Scheduler": "events",
+    "ShardedMonitor": "monitor",
+    "SimulationConfig": "engine",
+    "SimulationResult": "engine",
+    "Site": "site",
+    "SiteState": "site",
+    "Timestamp": "replica",
+    "Transaction": "transactions",
+    "TreeReconfigurer": "reconfigure",
+    "VersionedStore": "replica",
+    "VoteMessage": "messages",
+    "Workload": "workload",
+    "WorkloadSpec": "workload",
+    "build_replica_group": "engine",
+    "run_workload": "engine",
+    "simulate": "engine",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    submodule = _EXPORTS.get(name)
+    if submodule is None:
+        raise AttributeError(f"module 'repro.sim' has no attribute {name!r}")
+    value = getattr(import_module(f"repro.sim.{submodule}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_EXPORTS))

@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.sim.messages import (
     AbortMessage,
@@ -32,8 +32,13 @@ from repro.sim.messages import (
     VersionRequest,
     VoteMessage,
 )
-from repro.sim.network import Network
 from repro.sim.replica import Timestamp, VersionedStore
+
+if TYPE_CHECKING:
+    # Annotation only: a site talks to whatever implements the transport
+    # seam, and a ``repro serve`` process must not load the simulated
+    # network (and through it ``repro.obs``) to annotate it.
+    from repro.sim.network import Network
 
 
 class SiteState(enum.Enum):
@@ -109,6 +114,11 @@ class Site:
         self._service_time = service_time
         self._queue: deque[Message] = deque()
         self._busy = False
+        #: When the message in service is due to complete.  The service
+        #: loop paces itself against this, not against when its timer
+        #: happened to fire, so a late timer delays one message instead of
+        #: every message after it.
+        self._due = 0.0
         self.store = VersionedStore()
         self._prepared: dict[int, _PreparedWrite] = {}
         self._prepared_keys: dict[Any, int] = {}
@@ -197,6 +207,7 @@ class Site:
             self._busy = False
             return
         self._busy = True
+        self._due = self._clock.now + self._service_time
         self._clock.call_later(
             self._service_time, self._service_done, queue.popleft()
         )
@@ -215,8 +226,24 @@ class Site:
             handler(self, message)
             queue = self._queue
             if queue:
+                # The next message is due one service time after this one
+                # *was due*: the timer's lateness and the handler's own
+                # run time come off the next delay.  A whole slot or more
+                # behind, the schedule restarts from now — never a burst,
+                # so the site still serves at most one message per
+                # service time.  The simulator fires on time (lag is
+                # exactly 0.0) and arms the very timer it always did.
+                service_time = self._service_time
+                now = self._clock.now
+                lag = now - self._due
+                if lag < service_time:
+                    self._due += service_time
+                    delay = service_time - lag
+                else:
+                    self._due = now + service_time
+                    delay = service_time
                 self._clock.call_later(
-                    self._service_time, self._service_done, queue.popleft()
+                    delay, self._service_done, queue.popleft()
                 )
                 return
         self._busy = False

@@ -8,14 +8,26 @@ orphan-free shutdown.
 """
 
 import asyncio
+import gc
+import os
+import shutil
+import struct
+from pathlib import Path
+from types import SimpleNamespace
 
+import pytest
+
+import repro
+from repro.runtime import cluster as cluster_module
 from repro.runtime.cluster import (
     KVFrontend,
     LocalCluster,
+    SiteProcess,
     kv_request,
     percentile,
     run_traffic,
 )
+from repro.runtime.codec import read_frame, write_frame
 
 
 def test_cluster_serves_sigkill_survives_and_shuts_down_clean():
@@ -111,3 +123,100 @@ def test_percentile_nearest_rank():
     assert percentile(samples, 100) == 100.0
     assert percentile([], 50) == 0.0
     assert percentile([42.0], 99) == 42.0
+
+
+class _StubCluster:
+    """What a :class:`KVFrontend` needs of a cluster: awaitable get/put."""
+
+    def __init__(self):
+        self.data = {}
+
+    async def get(self, key):
+        return SimpleNamespace(
+            success=True, value=self.data.get(key), timestamp=None
+        )
+
+    async def put(self, key, value):
+        self.data[key] = value
+        return SimpleNamespace(success=True, value=value, timestamp=None)
+
+
+def test_frontend_answers_garbage_without_an_unhandled_exception():
+    """A non-object frame and a non-UTF-8 payload used to leave
+    ``_on_connection`` as ``AttributeError`` / ``CodecError`` — task
+    exceptions nobody retrieved.  The first is answered, the second
+    closes its own connection, and another client is served throughout."""
+
+    async def main():
+        unhandled = []
+        asyncio.get_running_loop().set_exception_handler(
+            lambda _loop, context: unhandled.append(context)
+        )
+        frontend = KVFrontend(_StubCluster())
+        await frontend.start()
+        try:
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", frontend.port
+            )
+            write_frame(writer, [1, 2, 3])  # a frame, but no object
+            write_frame(writer, {"kind": "get", "id": 7, "key": "k"})
+            refusal = await read_frame(reader)
+            assert refusal["kind"] == "result" and refusal["ok"] is False
+            assert "object" in refusal["error"]
+            answer = await read_frame(reader)  # same connection, still up
+            assert answer["id"] == 7 and answer["ok"] is True
+
+            put, = await kv_request(
+                "127.0.0.1", frontend.port,
+                [{"kind": "put", "id": 1, "key": "k", "value": "v"}],
+            )
+            assert put["ok"] is True
+
+            writer.write(struct.pack(">I", 2) + b"\xff\xfe")  # not UTF-8
+            await writer.drain()
+            assert await reader.read() == b""  # that connection is closed
+            writer.close()
+
+            got, = await kv_request(
+                "127.0.0.1", frontend.port,
+                [{"kind": "get", "id": 2, "key": "k"}],
+            )
+            assert got["ok"] is True and got["value"] == "v"
+        finally:
+            await frontend.stop()
+        # An unretrieved task exception is reported when the task dies.
+        gc.collect()
+        await asyncio.sleep(0)
+        assert unhandled == []
+
+    asyncio.run(asyncio.wait_for(main(), 30.0))
+
+
+def test_a_site_that_dies_importing_says_why(tmp_path, monkeypatch):
+    """The child's stderr used to go to ``DEVNULL``: a site that could
+    not import reported ``rc=1`` and nothing else."""
+    shadow = tmp_path / "repro"
+    shutil.copytree(
+        Path(repro.__file__).parent, shadow,
+        ignore=shutil.ignore_patterns("__pycache__"),
+    )
+    (shadow / "runtime" / "siteserver.py").write_text(
+        "raise ImportError('shadowed siteserver: no such dependency')\n"
+    )
+    monkeypatch.setattr(
+        cluster_module, "_site_env",
+        lambda: {**os.environ, "PYTHONPATH": str(tmp_path)},
+    )
+
+    async def main():
+        site = SiteProcess(0)
+        try:
+            with pytest.raises(RuntimeError) as caught:
+                await site.spawn()
+        finally:
+            await site.stop()
+        return str(caught.value)
+
+    message = asyncio.run(asyncio.wait_for(main(), 30.0))
+    assert "exited before announcing its port (rc=1)" in message
+    assert "ImportError: shadowed siteserver: no such dependency" in message

@@ -1,0 +1,258 @@
+"""The import contract: a process loads what it runs (DESIGN §2.16).
+
+Every check runs in a fresh interpreter.  In this test process the whole
+package is long since imported, so a regression — a package ``__init__``
+importing a submodule again, a lazy import landing on the serving path, an
+export that only resolves because something else loaded it first — would
+be invisible here.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import repro
+from repro.cli import _COMMANDS, build_parser, main
+
+SRC = str(Path(repro.__file__).resolve().parents[1])
+
+#: What a ``repro serve`` child must never load.
+FORBIDDEN = (
+    "numpy",
+    "scipy",
+    "repro.analysis",
+    "repro.core",
+    "repro.quorums",
+    "repro.protocols",
+    "repro.sim.coordinator",
+    "repro.sim.engine",
+    "repro.sim.network",
+    "repro.obs",
+    "repro.shard",
+    "repro.fault",
+    "repro.runner",
+)
+
+
+def _python(*args: str) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": SRC}
+    return subprocess.run(
+        [sys.executable, *args],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+def _forbidden_among(modules) -> list[str]:
+    return sorted(
+        name for name in modules
+        if any(name == bad or name.startswith(bad + ".") for bad in FORBIDDEN)
+    )
+
+
+def test_serve_entry_point_imports_nothing_a_site_does_not_run():
+    done = _python("-X", "importtime", "-m", "repro", "serve", "--help")
+    assert done.returncode == 0, done.stderr
+    imported = [
+        line.rsplit("|", 1)[1].strip()
+        for line in done.stderr.splitlines()
+        if line.startswith("import time:")
+    ]
+    assert "repro.cli" in imported  # the parse worked
+    assert _forbidden_among(imported) == []
+
+
+#: Runs in the child: serve every request kind over a real socket using
+#: only ``runtime.connection`` + ``runtime.codec``, report module growth.
+_SERVING_CHILD = """
+import asyncio, json, sys
+from repro.runtime.siteserver import SiteServer
+from repro.runtime.codec import encode_frame, encode_message
+from repro.runtime.connection import Connection
+from repro.sim.messages import (
+    AbortMessage, AckMessage, CommitMessage, PrepareMessage, ReadReply,
+    ReadRequest, VersionReply, VersionRequest, VoteMessage,
+)
+from repro.sim.replica import Timestamp
+
+before = set(sys.modules)
+
+
+async def main():
+    loop = asyncio.get_running_loop()
+    server = SiteServer(0)
+    await server.start()
+    greeted = loop.create_future()
+    inbox = asyncio.Queue()
+    link = Connection(
+        lambda connection: greeted.set_result(connection.peer_sid),
+        inbox.put_nowait,
+        lambda connection: None,
+    )
+    await loop.create_connection(lambda: link, "127.0.0.1", server.port)
+    link.send_hello(-1)
+    assert await asyncio.wait_for(greeted, 5) == 0
+
+    async def ask(message):
+        link.send(encode_frame(encode_message(message)))
+        return await asyncio.wait_for(inbox.get(), 5)
+
+    reply = await ask(ReadRequest(-1, 0, "k", 1))
+    assert type(reply) is ReadReply and reply.value is None
+    reply = await ask(VersionRequest(-1, 0, "k", 2))
+    assert type(reply) is VersionReply
+    reply = await ask(PrepareMessage(-1, 0, 1, "k", "v", Timestamp(1, 0)))
+    assert type(reply) is VoteMessage and reply.vote_commit
+    reply = await ask(CommitMessage(-1, 0, 1))
+    assert type(reply) is AckMessage and reply.committed
+    reply = await ask(PrepareMessage(-1, 0, 2, "k", "w", Timestamp(2, 0)))
+    assert type(reply) is VoteMessage and reply.vote_commit
+    reply = await ask(AbortMessage(-1, 0, 2))
+    assert type(reply) is AckMessage and not reply.committed
+    reply = await ask(ReadRequest(-1, 0, "k", 3))
+    assert reply.value == "v" and reply.timestamp == Timestamp(1, 0)
+    link.close()
+    await server.stop()
+
+
+asyncio.run(main())
+print(json.dumps({
+    "loaded": sorted(sys.modules),
+    "late": sorted(set(sys.modules) - before),
+}))
+"""
+
+
+def test_serving_every_request_kind_imports_nothing_more():
+    done = _python("-c", _SERVING_CHILD)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert report["late"] == []  # nothing lazy on the serving path
+    assert _forbidden_among(report["loaded"]) == []
+
+
+#: Runs in the child: the two lazy ``__init__`` tables behave like the
+#: eager imports they replaced.
+_EXPORTS_CHILD = """
+import pickle
+import repro
+import repro.sim
+
+assert "core" not in vars(repro)  # nothing resolved yet: a real test
+for package in (repro, repro.sim):
+    listed = dir(package)
+    for name in package.__all__:
+        assert name in listed, (package.__name__, name)
+        namespace = {}
+        exec(f"from {package.__name__} import {name}", namespace)
+        assert namespace[name] is getattr(package, name)
+    assert sorted(package.__all__) == sorted(set(package.__all__))
+    try:
+        package.no_such_export
+    except AttributeError as error:
+        assert "no_such_export" in str(error)
+    else:
+        raise AssertionError(f"{package.__name__}.no_such_export resolved")
+
+# what the --jobs pool path pickles, by import path
+from repro.runner import SimParams
+from repro.sim import SimulationConfig
+
+params = SimParams(spec="1-3", operations=7)
+assert pickle.loads(pickle.dumps(params)) == params
+config = SimulationConfig(tree=repro.core.from_spec("1-3-5"), seed=11)
+clone = pickle.loads(pickle.dumps(config))
+assert type(clone) is SimulationConfig
+assert clone.seed == 11 and clone.tree.spec() == config.tree.spec()
+"""
+
+
+def test_lazy_package_exports_resolve_like_eager_ones():
+    done = _python("-c", _EXPORTS_CHILD)
+    assert done.returncode == 0, done.stderr
+
+
+#: One full argv per command: ``build_parser()`` accepts it, the
+#: per-command parser ``main`` builds accepts it, ``--help`` exits 0.
+_ARGV = {
+    "example": [],
+    "fig2": ["--p", "0.8"],
+    "fig3": ["--p", "0.8"],
+    "fig4": ["--p", "0.8"],
+    "survey": ["--n", "40"],
+    "analyse": ["1-3-5", "--p", "0.8"],
+    "sweep": ["--quantities", "read_cost", "--sizes", "8", "16", "--p",
+              "0.8", "--jobs", "2"],
+    "availability": ["1-3", "--p", "0.5", "0.9", "--samples", "100",
+                     "--seed", "3", "--protocol", "majority", "--n", "5",
+                     "--jobs", "2"],
+    "tune": ["--n", "16", "--p", "0.8", "--read-fraction", "0.9"],
+    "simulate": ["1-3", "--operations", "10", "--read-fraction", "0.5",
+                 "--p", "0.9", "--seed", "1", "--protocol", "grid", "--n",
+                 "9", "--repeats", "2", "--jobs", "2", "--retry-policy",
+                 "exponential", "--backoff", "base=1", "--detector",
+                 "--batch-window", "2", "--leases", "--reshape-at", "5",
+                 "--reshape-spec", "1-2", "--reshape-stop-the-world"],
+    "shard": ["1-3", "--shards", "2", "--protocol", "rowa", "--n", "4",
+              "--operations", "10", "--read-fraction", "0.5", "--keys",
+              "16", "--zipf", "1.1", "--rate", "0.5", "--diurnal-period",
+              "10", "--diurnal-amplitude", "0.5", "--router", "hash",
+              "--router-seed", "1", "--balancer", "round-robin",
+              "--clients-per-shard", "2", "--p", "0.9", "--regions", "2",
+              "--drop", "0.1", "--service-time", "0.5", "--seed", "1",
+              "--repeats", "2", "--jobs", "2", "--detector"],
+    "chaos": ["1-3", "--scenario", "all", "--operations", "10",
+              "--read-fraction", "0.5", "--p", "0.9", "--seed", "1",
+              "--max-attempts", "2", "--horizon", "50", "--protocol",
+              "hqc", "--n", "9", "--repeats", "2", "--jobs", "2",
+              "--leases"],
+    "reconfigure": ["1-3", "--target", "1-2", "--at", "5",
+                    "--stop-the-world", "--operations", "10",
+                    "--read-fraction", "0.5", "--p", "0.9", "--seed", "1",
+                    "--max-attempts", "2", "--scenario", "all",
+                    "--horizon", "50", "--detector"],
+    "trace": ["1-3", "--operations", "10", "--read-fraction", "0.5",
+              "--p", "0.9", "--drop", "0.1", "--max-attempts", "2",
+              "--seed", "1", "--protocol", "majority", "--n", "5", "--out",
+              "t.jsonl"],
+    "profile": ["1-3", "--operations", "10", "--read-fraction", "0.5",
+                "--keys", "8", "--rate", "2", "--zipf", "1.0", "--clients",
+                "2", "--service-time", "1", "--timeout", "50", "--seed",
+                "1", "--batch-window", "1", "--leases", "--sort", "cumtime",
+                "--limit", "5", "--no-phases"],
+    "report": ["1-3", "--operations", "10", "--seed", "1", "--trace-file",
+               "t.jsonl"],
+    "serve": ["--sid", "3", "--host", "127.0.0.1", "--port", "0",
+              "--service-time", "0.004"],
+    "cluster": ["1-3", "--operations", "10", "--read-fraction", "0.5",
+                "--keys", "4", "--seed", "1", "--timeout", "2",
+                "--max-attempts", "2", "--kill-after-ops", "5",
+                "--kill-site", "1", "--serve", "--serve-port", "0",
+                "--deadline", "30"],
+    "all": ["--p", "0.8"],
+}
+
+
+def test_every_command_has_an_argv_row():
+    assert list(_ARGV) == list(_COMMANDS)
+
+
+@pytest.mark.parametrize("command", list(_ARGV))
+def test_command_parses_alone_and_among_all(command, capsys):
+    argv = [command, *_ARGV[command]]
+    among_all = build_parser().parse_args(argv)
+    alone = build_parser(command).parse_args(argv)
+    # Same registrar either way, so the same namespace (``run`` included:
+    # a registrar's lambda is a new object per call, compare the rest).
+    assert among_all.command == command
+    assert {k: v for k, v in vars(alone).items() if k != "run"} == {
+        k: v for k, v in vars(among_all).items() if k != "run"
+    }
+    assert callable(alone.run)
+    with pytest.raises(SystemExit) as stop:
+        main([command, "--help"])
+    assert stop.value.code == 0
+    assert f"usage: repro {command}" in capsys.readouterr().out

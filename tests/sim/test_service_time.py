@@ -107,3 +107,84 @@ class TestServiceTime:
         (reply,) = client.received
         assert isinstance(reply, ReadReply)
         assert reply.value == "v" and reply.timestamp == Timestamp(4, 0)
+
+
+class LateClock:
+    """A wall clock whose timers all fire ``lateness`` after they are due.
+
+    asyncio's ``call_later`` runs a callback up to a millisecond past its
+    deadline; this is that clock, made deterministic.
+    """
+
+    def __init__(self, lateness):
+        self.now = 0.0
+        self.lateness = lateness
+        self._timers = []  # (fire time, sequence, callback, arg)
+
+    def call_later(self, delay, callback, arg):
+        assert delay >= 0.0
+        self._timers.append(
+            (self.now + delay + self.lateness, len(self._timers), callback, arg)
+        )
+
+    def run(self):
+        while self._timers:
+            timer = min(self._timers)
+            self._timers.remove(timer)
+            self.now, _, callback, arg = timer
+            callback(arg)
+
+
+class LateTransport:
+    """The seam a site needs, over a :class:`LateClock`."""
+
+    def __init__(self, clock):
+        self.clock = clock
+        self.sent_at = []
+
+    def register(self, sid, endpoint):
+        pass
+
+    def send(self, message):
+        self.sent_at.append(self.clock.now)
+
+
+class TestPacingOnALateClock:
+    """Timer lateness must delay one message, not accumulate over all."""
+
+    SERVICE_TIME = 0.004
+    LATENESS = 0.0008
+
+    def _drain(self, messages):
+        clock = LateClock(self.LATENESS)
+        transport = LateTransport(clock)
+        site = Site(0, transport, service_time=self.SERVICE_TIME)
+        for rid in range(messages):
+            site.receive(ReadRequest(src=-1, dst=0, key="k", request_id=rid))
+        clock.run()
+        assert len(transport.sent_at) == messages
+        return transport.sent_at
+
+    def test_hundred_messages_finish_one_lateness_past_the_bound(self):
+        sent_at = self._drain(100)
+        # 100 x 4 ms of service plus ONE timer's lateness (0.4008 s); the
+        # drifting loop took 100 x 4.8 ms = 0.48 s.
+        assert sent_at[-1] == pytest.approx(0.4 + self.LATENESS)
+
+    def test_never_faster_than_one_message_per_service_time(self):
+        sent_at = self._drain(100)
+        gaps = [b - a for a, b in zip(sent_at, sent_at[1:])]
+        assert min(gaps) >= self.SERVICE_TIME - 1e-12
+
+    def test_a_stall_restarts_the_schedule_without_a_burst(self):
+        clock = LateClock(0.0)
+        transport = LateTransport(clock)
+        site = Site(0, transport, service_time=self.SERVICE_TIME)
+        for rid in range(3):
+            site.receive(ReadRequest(src=-1, dst=0, key="k", request_id=rid))
+        clock.lateness = 0.010  # the loop stalls for 2.5 service times
+        clock.run()
+        # The second message is due at 8 ms and served at 18 ms; the
+        # schedule restarts there instead of serving the third, "owed"
+        # since 12 ms, back to back with it.
+        assert transport.sent_at == pytest.approx([0.004, 0.018, 0.032])
