@@ -20,8 +20,8 @@ Cases, all on the paper's canonical **1-3-5** tree (8 replica sites):
   cost) through a real crash, and gated on zero read failures.
 
 Each case reports wall-clock ops/sec and per-op p50/p99 latency
-(milliseconds, nearest-rank percentiles).  Numbers are machine- and
-load-dependent; the JSON stamps the host fingerprint, and the only
+(milliseconds, linear-interpolation percentiles).  Numbers are machine-
+and load-dependent; the JSON stamps the host fingerprint, and the only
 asserted gates are correctness-shaped (no failed operations outside the
 chaos case, no failed reads inside it).
 

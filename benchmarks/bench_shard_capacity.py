@@ -44,7 +44,6 @@ except ImportError:  # direct `python benchmarks/bench_shard_capacity.py`
     from perf_harness import write_bench_json
 
 from repro.runner import (
-    ShardParams,
     merge_sharded_monitors,
     parallel_shard_simulations,
 )
@@ -166,24 +165,25 @@ def hot_key_point(leases: bool, smoke: bool) -> dict:
 
 def jobs_bit_identity(smoke: bool) -> dict:
     """Serial vs ``--jobs 2`` repeated-seed sharded fan-out must agree."""
-    params = ShardParams(
+    config = ShardedConfig(
+        workload=WorkloadSpec(
+            operations=300 if smoke else 1000, keys=4096, zipf_s=1.0,
+            arrival="poisson", rate=1.0,
+        ),
         shards=4,
-        operations=300 if smoke else 1000,
-        keys=4096,
-        zipf_s=1.0,
-        rate=1.0,
         p=0.9,
+        timeout=8.0,
         seed=77,
     )
     repeats = 3
     started = time.perf_counter()
     serial = merge_sharded_monitors(
-        parallel_shard_simulations(params, repeats, jobs=1)
+        parallel_shard_simulations(config, repeats, jobs=1)
     )
     serial_seconds = time.perf_counter() - started
     started = time.perf_counter()
     fanned = merge_sharded_monitors(
-        parallel_shard_simulations(params, repeats, jobs=2)
+        parallel_shard_simulations(config, repeats, jobs=2)
     )
     fanned_seconds = time.perf_counter() - started
     identical = (

@@ -78,7 +78,7 @@ def main() -> None:
     read_tree = advice.tree
     print(f"workload flips to 90% reads; the advisor picks {read_tree.spec()}")
     outcome = driver.call(
-        lambda cb: driver.reconfigurer.reconfigure(read_tree, KEYS, cb)
+        lambda cb: driver.reconfigurer.reconfigure_online(read_tree, KEYS, cb)
     )
     print(f"  migration: {outcome.status.value}, "
           f"{outcome.keys_migrated}/{outcome.keys_total} keys, "

@@ -30,8 +30,7 @@
   failure-detector counters;
 * ``reconfigure`` — change the tree shape mid-run: epoch-based online
   reconfiguration serves reads and writes on dual quorums throughout the
-  transition (``--stop-the-world`` selects the legacy quiescent
-  migration), optionally under a chaos scenario, with the invariant
+  transition, optionally under a chaos scenario, with the invariant
   checker armed across the epoch boundary;
 * ``trace``     — run the simulator with tracing on and export the span
   stream (one JSON object per line) plus message counters;
@@ -278,26 +277,46 @@ def _retry_policy_spec(kind: str | None, backoff: str | None):
     return RetryPolicySpec(kind=kind, **fields)
 
 
+def _from_options(cls, args, **forced):
+    """Dataclass ``cls`` from the parsed options stored under its field names.
+
+    An option reaches a field through its ``dest`` (``--scenario`` is
+    stored as ``chaos``, ``--at`` as ``reshape_at``, ``--zipf`` as
+    ``zipf_s``, ...; values a command forces, such as ``trace``, are its
+    parser defaults), after ``--retry-policy`` / ``--backoff`` are folded
+    into the one ``retry_policy`` spec.  Fields the command has no option
+    for keep ``cls``'s default unless ``forced``.
+    """
+    from dataclasses import fields
+
+    retry_policy = _retry_policy_spec(
+        getattr(args, "retry_policy", None), getattr(args, "backoff", None)
+    )
+    given = vars(args) | {"retry_policy": retry_policy} | forced
+    return cls(**{
+        field.name: given[field.name]
+        for field in fields(cls) if field.name in given
+    })
+
+
+def _sim_params(args):
+    """The :class:`SimParams` record a parsed simulation command describes."""
+    from repro.runner.tasks import SimParams
+
+    return _from_options(SimParams, args)
+
+
 def _print_simulation(args) -> None:
     from repro.analysis.tables import format_table
     from repro.core import analyse
-    from repro.runner.tasks import SimParams, build_sim_config
+    from repro.runner.tasks import build_sim_config
     from repro.sim import simulate
 
     operations, p, seed = args.operations, args.p, args.seed
     protocol, repeats, jobs = args.protocol, args.repeats, args.jobs
     # build_sim_config is the single source of the simulation defaults, so
     # this run and the parallel runner's workers build identical configs.
-    params = SimParams(
-        spec=args.spec, operations=operations,
-        read_fraction=args.read_fraction, p=p, seed=seed,
-        protocol=protocol, n=args.n,
-        retry_policy=_retry_policy_spec(args.retry_policy, args.backoff),
-        detector=args.detector,
-        batch_window=args.batch_window, leases=args.leases,
-        reshape_at=args.reshape_at, reshape_spec=args.reshape_spec,
-        reshape_online=not args.reshape_stop_the_world,
-    )
+    params = _sim_params(args)
     config, label = build_sim_config(params)
     reconfiguration = None
     if repeats > 1:
@@ -375,7 +394,7 @@ def _print_simulation(args) -> None:
         window = "-" if availability is None else f"{availability:.4f}"
         print()
         print(
-            f"reconfiguration ({outcome.mode}) -> "
+            f"reconfiguration -> "
             f"{outcome.new_tree.spec()}: {outcome.status.value}, "
             f"epoch {outcome.epoch}, "
             f"{outcome.keys_migrated}/{outcome.keys_total} keys in "
@@ -384,47 +403,31 @@ def _print_simulation(args) -> None:
         )
 
 
-def _shard_params(args):
-    """Build the :class:`ShardParams` record a ``shard`` invocation describes."""
-    from repro.runner import ShardParams
+def _sharded_config(args):
+    """The :class:`ShardedConfig` a ``shard`` invocation describes."""
+    from repro.shard import ShardedConfig
+    from repro.sim.workload import WorkloadSpec
 
     if args.protocol is None or args.protocol == "arbitrary-spec":
         ref = ("tree", args.spec)
     else:
         ref = ("protocol", args.protocol, args.n or 16)
-    return ShardParams(
-        shards=args.shards,
-        systems=(ref,),
-        operations=args.operations,
-        read_fraction=args.read_fraction,
-        keys=args.keys,
-        zipf_s=args.zipf,
-        rate=args.rate,
-        diurnal_period=args.diurnal_period,
-        diurnal_amplitude=args.diurnal_amplitude,
-        router=args.router,
-        router_seed=args.router_seed,
-        balancer=args.balancer,
-        clients_per_shard=args.clients_per_shard,
-        p=args.p,
-        regions=args.regions,
-        drop=args.drop,
-        service_time=args.service_time,
-        seed=args.seed,
-        retry_policy=_retry_policy_spec(args.retry_policy, args.backoff),
-        detector=args.detector,
-        batch_window=args.batch_window,
-        leases=args.leases,
+    return _from_options(
+        ShardedConfig, args, systems=(ref,), timeout=8.0,
+        workload=_from_options(WorkloadSpec, args, arrival="poisson"),
     )
 
 
 def _print_shard(args) -> None:
     """``repro shard``: a sharded keyspace run with per-shard breakdown."""
     from repro.analysis.tables import format_table
-    from repro.runner import build_sharded_config
 
-    params = _shard_params(args)
-    config, label = build_sharded_config(params)
+    config = _sharded_config(args)
+    label = (
+        f"sharded simulation: {args.shards} shards of "
+        f"{'/'.join(str(part) for part in config.systems[0][1:])} "
+        f"({args.router} router, {args.keys} keys)"
+    )
     if args.repeats > 1:
         from repro.runner import (
             ProgressPrinter,
@@ -433,7 +436,7 @@ def _print_shard(args) -> None:
         )
 
         monitor = merge_sharded_monitors(parallel_shard_simulations(
-            params, args.repeats, jobs=args.jobs,
+            config, args.repeats, jobs=args.jobs,
             progress=ProgressPrinter("shard") if args.jobs > 1 else None,
         ))
         summary = monitor.summary()
@@ -483,18 +486,10 @@ def _print_shard(args) -> None:
 def _print_chaos(args) -> None:
     """``repro chaos``: a scenario run with the invariant checker armed."""
     from repro.analysis.tables import format_table
-    from repro.runner.tasks import SimParams, build_sim_config
+    from repro.runner.tasks import build_sim_config
     from repro.sim import simulate
 
-    params = SimParams(
-        spec=args.spec, operations=args.operations,
-        read_fraction=args.read_fraction, p=args.p, seed=args.seed,
-        protocol=args.protocol, n=args.n, max_attempts=args.max_attempts,
-        retry_policy=_retry_policy_spec(args.retry_policy, args.backoff),
-        detector=args.detector, chaos=args.scenario,
-        chaos_horizon=args.horizon, check_invariants=True,
-        batch_window=args.batch_window, leases=args.leases,
-    )
+    params = _sim_params(args)
     if args.repeats > 1:
         from repro.runner import (
             ProgressPrinter,
@@ -541,21 +536,10 @@ def _print_chaos(args) -> None:
 def _print_reconfigure(args) -> None:
     """``repro reconfigure``: a mid-run tree change with invariants armed."""
     from repro.analysis.tables import format_table
-    from repro.runner.tasks import SimParams, build_sim_config
+    from repro.runner.tasks import build_sim_config
     from repro.sim import simulate
 
-    params = SimParams(
-        spec=args.spec, operations=args.operations,
-        read_fraction=args.read_fraction, p=args.p, seed=args.seed,
-        max_attempts=args.max_attempts,
-        retry_policy=_retry_policy_spec(args.retry_policy, args.backoff),
-        detector=args.detector, chaos=args.scenario,
-        chaos_horizon=args.horizon, check_invariants=True,
-        batch_window=args.batch_window, leases=args.leases,
-        reshape_at=args.at, reshape_spec=args.target,
-        reshape_online=not args.stop_the_world,
-    )
-    config, label = build_sim_config(params)
+    config, label = build_sim_config(_sim_params(args))
     result = simulate(config)
     outcome = result.reconfiguration
     checker = result.invariants
@@ -566,7 +550,6 @@ def _print_reconfigure(args) -> None:
     )
     rows: list[list] = [
         ["status", outcome.status.value],
-        ["mode", outcome.mode],
         ["target tree", outcome.new_tree.spec()],
         ["epoch", outcome.epoch],
         ["rolled back", "yes" if outcome.rolled_back else "no"],
@@ -582,7 +565,8 @@ def _print_reconfigure(args) -> None:
     ]
     print(format_table(
         ["quantity", "value"], rows,
-        title=f"{label}: reconfigure at t = {args.at:g}, seed {args.seed}",
+        title=f"{label}: reconfigure at t = {args.reshape_at:g}, "
+              f"seed {args.seed}",
     ))
     for violation in checker.violations[:5]:
         print(f"  VIOLATION: {violation}")
@@ -590,15 +574,10 @@ def _print_reconfigure(args) -> None:
 
 def _run_traced(args) -> tuple:
     """Run one traced simulation from trace/report CLI arguments."""
-    from repro.runner.tasks import SimParams, build_sim_config
+    from repro.runner.tasks import build_sim_config
     from repro.sim import simulate
 
-    config, label = build_sim_config(SimParams(
-        spec=args.spec, operations=args.operations,
-        read_fraction=args.read_fraction, p=args.p, seed=args.seed,
-        protocol=args.protocol, n=args.n, drop=args.drop,
-        max_attempts=args.max_attempts, trace=True,
-    ))
+    config, label = build_sim_config(_sim_params(args))
     return simulate(config), label
 
 
@@ -764,11 +743,6 @@ def _add_reshape_arguments(parser) -> None:
         help="target tree spec for --reshape-at (default: a fault-aware "
              "plan from the tuning advisor and detector evidence)",
     )
-    parser.add_argument(
-        "--reshape-stop-the-world", action="store_true",
-        help="use the quiescent stop-the-world migration instead of the "
-             "epoch-based online transition",
-    )
 
 
 def _add_protocol_arguments(
@@ -797,6 +771,7 @@ def _add_repeat_arguments(parser, merged: str) -> None:
 
 def _add_trace_sim_arguments(parser) -> None:
     """Simulation options shared by ``trace`` and ``report``."""
+    parser.set_defaults(trace=True)
     parser.add_argument("spec", nargs="?", default="1-3-5")
     parser.add_argument("--operations", type=int, default=500)
     parser.add_argument("--read-fraction", type=float, default=0.5)
@@ -1038,7 +1013,7 @@ def _add_shard(sub, name: str) -> None:
         help="global keyspace size the router partitions",
     )
     shard_parser.add_argument(
-        "--zipf", type=float, default=0.0,
+        "--zipf", dest="zipf_s", type=float, default=0.0,
         help="Zipf skew of key popularity (0 = uniform)",
     )
     shard_parser.add_argument(
@@ -1074,8 +1049,10 @@ def _add_shard(sub, name: str) -> None:
         help="spread each shard's replicas over this many latency regions "
              "(0 = uniform latency)",
     )
-    shard_parser.add_argument("--drop", type=float, default=0.0,
-                              help="message drop probability in [0, 1]")
+    shard_parser.add_argument(
+        "--drop", dest="drop_probability", type=float, default=0.0,
+        help="message drop probability in [0, 1]",
+    )
     shard_parser.add_argument(
         "--service-time", type=float, default=0.0,
         help="per-message replica processing time (adds queueing)",
@@ -1095,8 +1072,8 @@ def _add_chaos(sub, name: str) -> None:
     )
     chaos_parser.add_argument("spec", nargs="?", default="1-3-5")
     chaos_parser.add_argument(
-        "--scenario", choices=CHAOS_SCENARIOS + ("all",), default="all",
-        help="which failure scenario to inject",
+        "--scenario", dest="chaos", choices=CHAOS_SCENARIOS + ("all",),
+        default="all", help="which failure scenario to inject",
     )
     chaos_parser.add_argument("--operations", type=int, default=1000)
     chaos_parser.add_argument("--read-fraction", type=float, default=0.5)
@@ -1107,7 +1084,7 @@ def _add_chaos(sub, name: str) -> None:
     chaos_parser.add_argument("--seed", type=int, default=0)
     chaos_parser.add_argument("--max-attempts", type=int, default=4)
     chaos_parser.add_argument(
-        "--horizon", type=float, default=1000.0,
+        "--horizon", dest="chaos_horizon", type=float, default=1000.0,
         help="simulated time the scenario keeps injecting failures for",
     )
     _add_protocol_arguments(
@@ -1116,7 +1093,7 @@ def _add_chaos(sub, name: str) -> None:
     )
     _add_repeat_arguments(chaos_parser, "merged measurements reported")
     _add_fault_arguments(chaos_parser)
-    chaos_parser.set_defaults(run=_print_chaos)
+    chaos_parser.set_defaults(run=_print_chaos, check_invariants=True)
 
 
 def _add_reconfigure(sub, name: str) -> None:
@@ -1125,23 +1102,18 @@ def _add_reconfigure(sub, name: str) -> None:
     reconf_parser = sub.add_parser(
         name,
         help="change the tree shape mid-run (online dual-quorum epoch "
-             "transition, or --stop-the-world) with invariants armed",
+             "transition) with invariants armed",
     )
     reconf_parser.add_argument("spec", nargs="?", default="1-3-5",
                                help="initial tree spec")
     reconf_parser.add_argument(
-        "--target", default=None, metavar="SPEC",
+        "--target", dest="reshape_spec", default=None, metavar="SPEC",
         help="target tree spec (default: a fault-aware plan from the "
              "tuning advisor and detector evidence)",
     )
     reconf_parser.add_argument(
-        "--at", type=float, default=200.0, metavar="T",
+        "--at", dest="reshape_at", type=float, default=200.0, metavar="T",
         help="simulated time at which the reconfiguration launches",
-    )
-    reconf_parser.add_argument(
-        "--stop-the-world", action="store_true",
-        help="use the legacy quiescent migration (pauses all "
-             "coordinators) instead of the online epoch transition",
     )
     reconf_parser.add_argument("--operations", type=int, default=1000)
     reconf_parser.add_argument("--read-fraction", type=float, default=0.5)
@@ -1152,15 +1124,15 @@ def _add_reconfigure(sub, name: str) -> None:
     reconf_parser.add_argument("--seed", type=int, default=0)
     reconf_parser.add_argument("--max-attempts", type=int, default=4)
     reconf_parser.add_argument(
-        "--scenario", choices=CHAOS_SCENARIOS + ("all",), default=None,
-        help="compose a chaos scenario under the reconfiguration",
+        "--scenario", dest="chaos", choices=CHAOS_SCENARIOS + ("all",),
+        default=None, help="compose a chaos scenario under the reconfiguration",
     )
     reconf_parser.add_argument(
-        "--horizon", type=float, default=1000.0,
+        "--horizon", dest="chaos_horizon", type=float, default=1000.0,
         help="simulated time the chaos scenario keeps injecting for",
     )
     _add_fault_arguments(reconf_parser)
-    reconf_parser.set_defaults(run=_print_reconfigure)
+    reconf_parser.set_defaults(run=_print_reconfigure, check_invariants=True)
 
 
 def _add_trace(sub, name: str) -> None:

@@ -324,9 +324,8 @@ class OnlineReshape(FailureInjector):
     """Reconfigure the tree *as a chaos event*, composable with the rest.
 
     At ``at``, the first registered coordinator pool starts an epoch-based
-    online reconfiguration (or the stop-the-world baseline with
-    ``online=False``) while whatever other injectors it is composed with
-    keep flapping partitions, crashing sites or dropping messages.  The
+    online reconfiguration while whatever other injectors it is composed
+    with keep flapping partitions, crashing sites or dropping messages.  The
     target comes from ``spec`` when given, else from
     :func:`repro.core.tuning.plan_reshape` over the driving coordinator's
     failure-detector evidence — the fault layer literally choosing the
@@ -343,7 +342,6 @@ class OnlineReshape(FailureInjector):
         spec: str | None = None,
         at: float = 200.0,
         keys: int = 16,
-        online: bool = True,
         read_fraction: float = 0.5,
     ) -> None:
         if at <= 0:
@@ -353,7 +351,6 @@ class OnlineReshape(FailureInjector):
         self._spec = spec
         self._at = at
         self._keys = keys
-        self._online = online
         self._read_fraction = read_fraction
         #: Completed :class:`~repro.sim.reconfigure.ReconfigOutcome`\ s
         #: (exposed for tests/benches driving the scheduler themselves).
@@ -394,14 +391,7 @@ class OnlineReshape(FailureInjector):
                 ).tree
             reconfigurer = TreeReconfigurer(driver)
             keys = [f"k{index}" for index in range(self._keys)]
-            if self._online:
-                reconfigurer.reconfigure_online(
-                    target, keys, self.outcomes.append
-                )
-            else:
-                reconfigurer.reconfigure(
-                    target, keys, self.outcomes.append, wait=True
-                )
+            reconfigurer.reconfigure_online(target, keys, self.outcomes.append)
 
         scheduler.schedule_at(self._at, launch)
 

@@ -31,11 +31,9 @@ from repro.runner.pool import derive_seeds, run_tasks
 from repro.runner.progress import ProgressPrinter, null_progress
 from repro.runner.tasks import (
     AvailabilityChunk,
-    ShardParams,
     SimParams,
     SweepTask,
     SystemRef,
-    build_sharded_config,
     build_sim_config,
     parallel_availability,
     parallel_shard_simulations,
@@ -47,11 +45,9 @@ from repro.runner.tasks import (
 __all__ = [
     "AvailabilityChunk",
     "ProgressPrinter",
-    "ShardParams",
     "SimParams",
     "SweepTask",
     "SystemRef",
-    "build_sharded_config",
     "build_sim_config",
     "derive_seeds",
     "merge_availability",

@@ -3,7 +3,9 @@
 Workers in a process pool receive tasks by pickling, so tasks carry only
 plain data: a sweep shard is (quantities, sizes, p, configs); a Monte-Carlo
 chunk is (system reference, op, p, samples, seed); a simulation repeat is a
-:class:`SimParams` record.  Quorum systems are never pickled — workers
+:class:`SimParams` record and a sharded one the
+:class:`~repro.shard.store.ShardedConfig` itself (its ``systems`` are
+references).  Quorum systems are never pickled — workers
 rebuild them from a :data:`SystemRef` (``("tree", spec)`` or
 ``("protocol", name, n)``), which is both cheaper than shipping a
 materialised system and immune to unpicklable caches.
@@ -15,11 +17,12 @@ order, so output is bit-identical across job counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from repro.fault.retry import RetryPolicySpec
+    from repro.shard.store import ShardedConfig
 
 from repro.analysis.sweeps import (
     DEFAULT_P,
@@ -218,7 +221,6 @@ class SimParams:
     leases: bool = False
     reshape_at: float = 0.0
     reshape_spec: str | None = None
-    reshape_online: bool = True
 
 
 def build_sim_config(params: SimParams):
@@ -227,7 +229,9 @@ def build_sim_config(params: SimParams):
     This is the single source of the CLI's simulation defaults (Poisson
     arrivals at rate 0.25 over 32 keys, timeout 8, Bernoulli failures
     resampled every 40 time units when ``p < 1``); ``repro.cli`` delegates
-    here so CLI runs and pool workers build byte-identical configs.
+    here so CLI runs and pool workers build byte-identical configs.  Every
+    field :class:`SimParams` shares by name with ``SimulationConfig``
+    (``seed``, ``leases``, ``reshape_at``, ...) is passed through as is.
     """
     from repro.protocols.zoo import quorum_system
     from repro.sim import BernoulliFailures, SimulationConfig, WorkloadSpec
@@ -269,19 +273,13 @@ def build_sim_config(params: SimParams):
             else CompositeFailures([failures, scenario])
         )
         label = f"{label} under {params.chaos} chaos"
+    shared = {f.name for f in fields(SimParams)} & {
+        f.name for f in fields(SimulationConfig)
+    }
     config = SimulationConfig(
         tree=tree, system=system, workload=workload,
-        failures=failures, drop_probability=params.drop,
-        max_attempts=params.max_attempts, timeout=8.0,
-        seed=params.seed, trace=params.trace,
-        retry_policy=params.retry_policy,
-        detector=params.detector,
-        check_invariants=params.check_invariants,
-        batch_window=params.batch_window,
-        leases=params.leases,
-        reshape_at=params.reshape_at,
-        reshape_spec=params.reshape_spec,
-        reshape_online=params.reshape_online,
+        failures=failures, drop_probability=params.drop, timeout=8.0,
+        **{name: getattr(params, name) for name in shared},
     )
     return config, label
 
@@ -322,103 +320,14 @@ def parallel_simulations(
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ShardParams:
-    """Plain-data sharded-simulation parameters (picklable).
-
-    ``systems`` carries :data:`SystemRef` tuples, never materialised
-    quorum systems — workers rebuild each shard's system from its
-    reference, exactly like the other task records.  One entry is
-    broadcast to every shard.
-    """
-
-    shards: int = 4
-    systems: tuple = (("tree", "1-3-5"),)
-    operations: int = 2000
-    read_fraction: float = 0.5
-    keys: int = 1024
-    zipf_s: float = 0.0
-    arrival: str = "poisson"
-    rate: float = 0.25
-    diurnal_period: float = 0.0
-    diurnal_amplitude: float = 0.0
-    router: str = "hash"
-    router_seed: int = 0
-    balancer: str = "round-robin"
-    clients_per_shard: int = 1
-    p: float = 1.0
-    regions: int = 0
-    local_latency: float = 1.0
-    remote_latency: float = 3.0
-    drop: float = 0.0
-    timeout: float = 8.0
-    max_attempts: int = 3
-    service_time: float = 0.0
-    seed: int = 0
-    retry_policy: "RetryPolicySpec | None" = None
-    detector: bool = False
-    batch_window: float = 0.0
-    leases: bool = False
-
-
-def build_sharded_config(params: ShardParams):
-    """The ``(ShardedConfig, label)`` pair a :class:`ShardParams` describes.
-
-    The single source of the ``shard`` CLI subcommand's defaults; workers
-    and CLI runs build byte-identical configs from the same record.
-    """
-    from repro.shard import ShardedConfig
-    from repro.sim import WorkloadSpec
-
-    workload = WorkloadSpec(
-        operations=params.operations,
-        read_fraction=params.read_fraction,
-        keys=params.keys,
-        arrival=params.arrival,
-        rate=params.rate,
-        zipf_s=params.zipf_s,
-        diurnal_period=params.diurnal_period,
-        diurnal_amplitude=params.diurnal_amplitude,
-    )
-    config = ShardedConfig(
-        workload=workload,
-        shards=params.shards,
-        systems=params.systems,
-        router=params.router,
-        router_seed=params.router_seed,
-        balancer=params.balancer,
-        clients_per_shard=params.clients_per_shard,
-        p=params.p,
-        regions=params.regions,
-        local_latency=params.local_latency,
-        remote_latency=params.remote_latency,
-        drop_probability=params.drop,
-        timeout=params.timeout,
-        max_attempts=params.max_attempts,
-        service_time=params.service_time,
-        seed=params.seed,
-        retry_policy=params.retry_policy,
-        detector=params.detector,
-        batch_window=params.batch_window,
-        leases=params.leases,
-    )
-    names = ", ".join("/".join(str(part) for part in ref[1:]) for ref in params.systems)
-    label = (
-        f"sharded simulation: {params.shards} shards of {names} "
-        f"({params.router} router, {params.keys} keys)"
-    )
-    return config, label
-
-
-def _run_shard_sim_task(params: ShardParams) -> ShardedMonitor:
+def _run_shard_sim_task(config: "ShardedConfig") -> ShardedMonitor:
     from repro.shard import simulate_sharded
 
-    config, _ = build_sharded_config(params)
     return simulate_sharded(config).monitor
 
 
 def parallel_shard_simulations(
-    params: ShardParams,
+    config: "ShardedConfig",
     repeats: int,
     master_seed: int | None = None,
     jobs: int = 1,
@@ -427,16 +336,16 @@ def parallel_shard_simulations(
     """Run ``repeats`` independently seeded sharded simulations.
 
     Same contract as :func:`parallel_simulations`: repeat k runs under the
-    k-th child seed of ``master_seed`` (default ``params.seed``) no matter
+    k-th child seed of ``master_seed`` (default ``config.seed``) no matter
     the job count, and the returned list folds shard-wise through
     :func:`~repro.runner.merge.merge_sharded_monitors` to bytes identical
     to a serial loop.
     """
     if repeats < 1:
         raise ValueError("need at least one repeat")
-    master = params.seed if master_seed is None else master_seed
+    master = config.seed if master_seed is None else master_seed
     tasks = [
-        replace(params, seed=child_seed)
+        replace(config, seed=child_seed)
         for child_seed in derive_seeds(master, repeats)
     ]
     return run_tasks(_run_shard_sim_task, tasks, jobs=jobs, progress=progress)

@@ -38,6 +38,7 @@ from typing import IO, Any
 import repro
 from repro.core.builder import from_spec
 from repro.core.protocol import ArbitraryProtocol
+from repro.obs.stats import linear_percentile
 from repro.runtime.codec import CodecError, read_frame, write_frame
 from repro.runtime.transport import TcpTransport
 from repro.sim.coordinator import OperationOutcome, QuorumCoordinator
@@ -280,7 +281,13 @@ class TrafficReport:
         return self.operations / self.elapsed if self.elapsed > 0 else 0.0
 
     def summary(self) -> dict[str, Any]:
-        """JSON-ready headline numbers."""
+        """JSON-ready headline numbers (a percentile of no samples is 0)."""
+
+        def ms(samples: list[float], fraction: float) -> float:
+            if not samples:
+                return 0.0
+            return round(linear_percentile(sorted(samples), fraction) * 1e3, 4)
+
         return {
             "operations": self.operations,
             "reads": self.reads,
@@ -289,28 +296,15 @@ class TrafficReport:
             "write_failures": self.write_failures,
             "elapsed_sec": round(self.elapsed, 6),
             "ops_per_sec": round(self.ops_per_sec, 3),
-            "read_p50_ms": round(percentile(self.read_latencies, 50) * 1e3, 4),
-            "read_p99_ms": round(percentile(self.read_latencies, 99) * 1e3, 4),
-            "write_p50_ms": round(
-                percentile(self.write_latencies, 50) * 1e3, 4
-            ),
-            "write_p99_ms": round(
-                percentile(self.write_latencies, 99) * 1e3, 4
-            ),
+            "read_p50_ms": ms(self.read_latencies, 0.5),
+            "read_p99_ms": ms(self.read_latencies, 0.99),
+            "write_p50_ms": ms(self.write_latencies, 0.5),
+            "write_p99_ms": ms(self.write_latencies, 0.99),
             "killed_site": self.killed_site,
             "kill_after_ops": self.kill_after_ops,
             "post_kill_reads": self.post_kill_reads,
             "post_kill_read_failures": self.post_kill_read_failures,
         }
-
-
-def percentile(samples: list[float], pct: float) -> float:
-    """Nearest-rank percentile (0.0 on an empty sample set)."""
-    if not samples:
-        return 0.0
-    ordered = sorted(samples)
-    rank = max(0, min(len(ordered) - 1, round(pct / 100 * len(ordered)) - 1))
-    return ordered[rank]
 
 
 async def run_traffic(

@@ -214,14 +214,12 @@ class ShardedStore:
         new_tree,
         keys: list[str],
         on_done,
-        online: bool = True,
         invariants=None,
     ):
         """Launch a tree change on one shard's replica group.
 
         Reconfiguration is naturally shard-local: only the chosen shard's
-        coordinator pool transitions (online dual-quorum epochs by
-        default, quiescent stop-the-world with ``online=False``) while
+        coordinator pool transitions (online dual-quorum epochs) while
         every other shard keeps serving untouched.  ``keys`` is the
         shard's own key list (see :meth:`shard_keys`).  Returns the
         :class:`~repro.sim.reconfigure.TreeReconfigurer` so callers can
@@ -233,10 +231,7 @@ class ShardedStore:
         reconfigurer = TreeReconfigurer(
             group.coordinators[0], invariants=invariants
         )
-        if online:
-            reconfigurer.reconfigure_online(new_tree, keys, on_done)
-        else:
-            reconfigurer.reconfigure(new_tree, keys, on_done, wait=True)
+        reconfigurer.reconfigure_online(new_tree, keys, on_done)
         return reconfigurer
 
     def network_stats(self) -> NetworkStats:

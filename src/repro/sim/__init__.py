@@ -11,8 +11,7 @@ availability, per-replica load) can also be *measured* end-to-end:
 * timestamps of (version, SID) and one-copy-equivalent reads
   (:mod:`repro.sim.replica`);
 * a centralised concurrency-control scheme (:mod:`repro.sim.locks`);
-* transactions executed atomically with 2PC (:mod:`repro.sim.transactions`,
-  :mod:`repro.sim.coordinator`);
+* writes executed atomically with 2PC (:mod:`repro.sim.coordinator`);
 * client workload generation and measurement (:mod:`repro.sim.workload`,
   :mod:`repro.sim.monitor`);
 * one-call experiment wiring (:mod:`repro.sim.engine`);
@@ -39,9 +38,7 @@ _EXPORTS = {
     "LockMode": "locks",
     "Monitor": "monitor",
     "Network": "network",
-    "Operation": "transactions",
     "OperationOutcome": "coordinator",
-    "OperationType": "transactions",
     "PartitionSpec": "network",
     "PrepareMessage": "messages",
     "QuorumCoordinator": "coordinator",
@@ -58,7 +55,6 @@ _EXPORTS = {
     "Site": "site",
     "SiteState": "site",
     "Timestamp": "replica",
-    "Transaction": "transactions",
     "TreeReconfigurer": "reconfigure",
     "VersionedStore": "replica",
     "VoteMessage": "messages",

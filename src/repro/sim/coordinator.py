@@ -201,8 +201,8 @@ class _OpContext:
         "op_type", "key", "on_done", "lock_token", "started_at", "value",
         "stage", "attempts", "request_id", "txid", "quorum",
         "version_quorum", "replies", "versions", "votes", "acks",
-        "write_timestamp", "timeout_handle", "finished", "write_system",
-        "lock_granted", "preselected", "preselected_epoch", "skip_version",
+        "write_timestamp", "timeout_handle", "finished", "lock_granted",
+        "preselected", "preselected_epoch", "skip_version",
         "copy_read", "trace_id", "op_span", "lock_span", "attempt_span",
         "phase_span",
     )
@@ -216,7 +216,6 @@ class _OpContext:
         started_at: float,
         value: Any = None,
         stage: _Stage = _Stage.READ,
-        write_system: QuorumSystem | None = None,
         copy_read: bool = False,
         skip_version: bool = False,
         # Batching: a pre-selected read quorum for the first attempt
@@ -250,7 +249,6 @@ class _OpContext:
         self.write_timestamp: Timestamp | None = None
         self.timeout_handle: "CancelHandle | None" = None
         self.finished = finished
-        self.write_system = write_system
         self.lock_granted = False
         self.preselected = preselected
         self.preselected_epoch = preselected_epoch
@@ -392,8 +390,11 @@ class QuorumCoordinator:
         self._tx_ids = tx_ids or TransactionIdSource()
         self._by_request: dict[int, _OpContext] = {}
         self._by_txid: dict[int, _OpContext] = {}
-        self._in_flight = 0
-        self._decisions: dict[int, bool] = {}
+        # 2PC decision log.  Aborts are presumed, so only commit decisions
+        # are kept, and only while some quorum member has yet to
+        # acknowledge: a member skipped as dead at completion will ask on
+        # recovery (see _on_decision_request).
+        self._decisions: set[int] = set()
         # The per-key version floor embodies the paper's centralised
         # concurrency-control point; multiple coordinators in one system
         # must SHARE it (pass the same dict) so versions stay monotone even
@@ -408,12 +409,6 @@ class QuorumCoordinator:
         self._batch: list[_BatchedOp] = []
         self._batch_handle: "CancelHandle | None" = None
         self._leases = leases
-        # Reconfiguration pause gate: while paused, public submissions are
-        # deferred (with their original submission time) and replayed in
-        # order at resume().  Deferred operations are NOT in flight — they
-        # have touched nothing — so quiescence polling only sees real ones.
-        self._paused = False
-        self._deferred: list[_BatchedOp] = []
         # receive() dispatch: type -> (context table, message-id getter,
         # required stage, handler).  One dict probe replaces the
         # isinstance chain on the hottest coordinator entry point; only a
@@ -583,19 +578,8 @@ class QuorumCoordinator:
             )
         return self._live_cache
 
-    def _select_quorum(
-        self, op: str, system: QuorumSystem | None = None
-    ) -> frozenset[int] | None:
-        """Select a live ``op`` quorum, via the packed index when possible.
-
-        ``system`` overrides the coordinator's own system (reconfiguration
-        state transfer); overrides always use their own structural selector
-        since they are rare and short-lived.
-        """
-        if system is not None and system is not self._system:
-            if op == "read":
-                return system.select_read_quorum(self._detector, self._rng)
-            return system.select_write_quorum(self._detector, self._rng)
+    def _select_quorum(self, op: str) -> frozenset[int] | None:
+        """Select a live ``op`` quorum, via the packed index when possible."""
         suspects = self._suspects
         avoid: frozenset[int] = (
             suspects.suspected(self._clock.now)
@@ -647,29 +631,9 @@ class QuorumCoordinator:
             )
         return frozenset(universe)
 
-    def is_quiescent(self) -> bool:
-        """True iff no operation is in flight on this coordinator.
-
-        Counts operations from submission (including lock waits) to their
-        ``on_done`` callback.
-        """
-        return self._in_flight == 0
-
     @property
     def clock(self) -> "Clock":
         """The transport-seam clock this coordinator times against."""
-        return self._clock
-
-    @property
-    def scheduler(self) -> "Clock":
-        """Legacy alias for :attr:`clock`.
-
-        On the simulator backend this is the event scheduler (the sim's
-        clock and delivery engine are one object), which is what existing
-        callers — reconfiguration, the engine — expect.  They only use
-        the :class:`~repro.runtime.interfaces.Clock` surface, so the
-        alias is exact on both backends.
-        """
         return self._clock
 
     # ------------------------------------------------------------------
@@ -683,154 +647,45 @@ class QuorumCoordinator:
         network — the cached value is delivered on the next scheduler
         tick (still asynchronously, so closed-loop callers never
         recurse).  Lease misses enter the batching window when one is
-        configured, the legacy immediate pipeline otherwise.  While the
-        coordinator is paused (a quiescent migration window), the
-        submission is deferred whole and replayed at :meth:`resume`.
+        configured, the legacy immediate pipeline otherwise.
         """
-        self._submit_read(key, on_done, self._clock.now)
-
-    def _submit_read(
-        self, key: Any, on_done: DoneCallback, submitted_at: float
-    ) -> None:
-        if self._paused:
-            self._deferred.append(
-                _BatchedOp("read", key, None, on_done, submitted_at)
-            )
+        if self._leases is not None and self._serve_leased(key, on_done):
             return
-        if self._leases is not None and self._serve_leased(
-            key, on_done, submitted_at
-        ):
-            return
+        now = self._clock.now
         if self._batch_window > 0.0:
-            self._enqueue(
-                _BatchedOp("read", key, None, on_done, submitted_at)
-            )
+            self._enqueue(_BatchedOp("read", key, None, on_done, now))
             return
-        self.read_now(key, on_done, started_at=submitted_at)
-
-    def read_now(
-        self,
-        key: Any,
-        on_done: DoneCallback,
-        started_at: float | None = None,
-    ) -> None:
-        """The immediate read pipeline: no pause gate, no lease, no batch.
-
-        Reconfiguration state transfer uses this directly so migration
-        reads run during the pause (legacy mode) and never sit in a
-        batching window; ``started_at`` preserves a deferred submission's
-        original time so latency/availability stay honestly measured.
-        """
-        self._in_flight += 1
         ctx = _OpContext(
             op_type="read",
             key=key,
             on_done=on_done,
             lock_token=self._tx_ids.next_id(),
-            started_at=(
-                self._clock.now if started_at is None else started_at
-            ),
+            started_at=now,
             stage=_Stage.READ,
         )
-        if self._trace_enabled:
-            self._trace_operation_start(ctx, LockMode.SHARED)
-        self._locks.acquire(
-            ctx.lock_token,
-            key,
-            LockMode.SHARED,
-            partial(self._lock_decided, ctx),
-        )
+        self._acquire(ctx, LockMode.SHARED)
 
     def write(self, key: Any, value: Any, on_done: DoneCallback) -> None:
         """Issue a quorum write; ``on_done`` fires exactly once."""
-        self._submit_write(key, value, on_done, self._clock.now)
-
-    def _submit_write(
-        self, key: Any, value: Any, on_done: DoneCallback, submitted_at: float
-    ) -> None:
-        if self._paused:
-            self._deferred.append(
-                _BatchedOp("write", key, value, on_done, submitted_at)
-            )
-            return
+        now = self._clock.now
         if self._batch_window > 0.0:
-            self._enqueue(
-                _BatchedOp("write", key, value, on_done, submitted_at)
-            )
+            self._enqueue(_BatchedOp("write", key, value, on_done, now))
             return
-        self._write(
-            key, value, on_done, write_system=None, started_at=submitted_at
-        )
+        self._issue_write(key, value, on_done, now)
 
-    def write_now(
-        self,
-        key: Any,
-        value: Any,
-        on_done: DoneCallback,
-        started_at: float | None = None,
-    ) -> None:
-        """The immediate write pipeline (see :meth:`read_now`)."""
-        self._write(
-            key, value, on_done, write_system=None, started_at=started_at
-        )
-
-    # ------------------------------------------------------------------
-    # reconfiguration pause gate
-    # ------------------------------------------------------------------
-
-    @property
-    def paused(self) -> bool:
-        """True while public submissions are being deferred."""
-        return self._paused
-
-    def pause(self) -> None:
-        """Defer public submissions until :meth:`resume` (idempotent).
-
-        This is the enforcement the quiescent migration's one-shot
-        ``is_quiescent()`` check lacked: traffic submitted *during* the
-        migration window is parked here instead of racing the per-key
-        state transfer on the old tree.
-        """
-        self._paused = True
-
-    def resume(self) -> None:
-        """Reopen the gate and replay deferred submissions in order.
-
-        Replays re-enter the full public pipeline (lease lookup, batching
-        window) under whatever quorum system is active *now* — after a
-        migration that is the new tree — keeping their original
-        submission times so the pause shows up in measured latency.
-        """
-        self._paused = False
-        while self._deferred and not self._paused:
-            op = self._deferred.pop(0)
-            if op.op_type == "read":
-                self._submit_read(op.key, op.on_done, op.submitted_at)
-            else:
-                self._submit_write(
-                    op.key, op.value, op.on_done, op.submitted_at
-                )
-
-    def copy_key(
-        self,
-        key: Any,
-        on_done: DoneCallback,
-        write_system: QuorumSystem | None = None,
-    ) -> None:
+    def copy_key(self, key: Any, on_done: DoneCallback) -> None:
         """Atomically re-write ``key``'s current value at a fresh version.
 
         The reconfiguration state-transfer primitive: one EXCLUSIVE lock
         covers both halves, so no client write can interleave between the
         read and the re-write (the split read-then-write pipeline let a
         concurrent write land in the gap and be resurrected-over at a
-        higher version).  The read phase runs through the *current*
-        system's read quorums; the 2PC write lands on ``write_system``'s
-        write quorums when given (quiescent migration writes the new
-        tree), on the current system's otherwise (online migration under
-        the dual system).  A never-written key (dominant value ``None``)
-        completes successfully without writing anything.
+        higher version).  Both halves run through the active system —
+        during a migration that is the dual system, so the read
+        intersects both trees' writes and the re-write lands on both
+        trees' write quorums.  A never-written key (dominant value
+        ``None``) completes successfully without writing anything.
         """
-        self._in_flight += 1
         ctx = _OpContext(
             op_type="write",
             key=key,
@@ -838,100 +693,38 @@ class QuorumCoordinator:
             lock_token=self._tx_ids.next_id(),
             started_at=self._clock.now,
             stage=_Stage.READ,
-            write_system=write_system,
             copy_read=True,
         )
-        if self._trace_enabled:
-            self._trace_operation_start(ctx, LockMode.EXCLUSIVE)
-        self._locks.acquire(
-            ctx.lock_token,
-            key,
-            LockMode.EXCLUSIVE,
-            partial(self._lock_decided, ctx),
-        )
-
-    def write_with_system(
-        self,
-        key: Any,
-        value: Any,
-        system: QuorumSystem,
-        on_done: DoneCallback,
-    ) -> None:
-        """A write whose *write quorum* comes from a different quorum system.
-
-        Versions are still obtained through the current system's read
-        quorums (which intersect every past write), while the data lands on
-        the override system's write quorum — the primitive tree
-        reconfiguration needs for state transfer.
-        """
-        self._write(key, value, on_done, write_system=system)
-
-    def _write(
-        self,
-        key: Any,
-        value: Any,
-        on_done: DoneCallback,
-        write_system: QuorumSystem | None,
-        started_at: float | None = None,
-    ) -> None:
-        self._in_flight += 1
-        ctx = _OpContext(
-            op_type="write",
-            key=key,
-            value=value,
-            on_done=on_done,
-            lock_token=self._tx_ids.next_id(),
-            started_at=(
-                self._clock.now if started_at is None else started_at
-            ),
-            stage=_Stage.VERSION,
-            write_system=write_system,
-        )
-        if self._trace_enabled:
-            self._trace_operation_start(ctx, LockMode.EXCLUSIVE)
-        self._locks.acquire(
-            ctx.lock_token,
-            key,
-            LockMode.EXCLUSIVE,
-            partial(self._lock_decided, ctx),
-        )
+        self._acquire(ctx, LockMode.EXCLUSIVE)
 
     # ------------------------------------------------------------------
     # read leases
     # ------------------------------------------------------------------
 
-    def _serve_leased(
-        self, key: Any, on_done: DoneCallback, started_at: float | None = None
-    ) -> bool:
+    def _serve_leased(self, key: Any, on_done: DoneCallback) -> bool:
         """Serve a read from the lease cache; False on a miss."""
         entry = self._leases.lookup(key)
         if entry is None:
             return False
-        self._in_flight += 1
-        now = self._clock.now
-        outcome = OperationOutcome(
+        outcome = self._leased_outcome(key, entry, self._clock.now)
+        self._clock.call_later(0.0, on_done, outcome)
+        return True
+
+    def _leased_outcome(
+        self, key: Any, entry: LeaseEntry, started_at: float, attempts: int = 0
+    ) -> OperationOutcome:
+        """A read answered by a lease: no quorum contacted, finished now."""
+        return OperationOutcome(
             op_type="read",
             key=key,
             success=True,
             value=entry.value,
             timestamp=entry.timestamp,
-            quorum=frozenset(),
-            version_quorum=frozenset(),
-            attempts=0,
-            started_at=now if started_at is None else started_at,
-            finished_at=now,
+            attempts=attempts,
+            started_at=started_at,
+            finished_at=self._clock.now,
             leased=True,
         )
-
-        self._clock.call_later(0.0, self._deliver_leased, (on_done, outcome))
-        return True
-
-    def _deliver_leased(
-        self, pending: tuple[DoneCallback, OperationOutcome]
-    ) -> None:
-        on_done, outcome = pending
-        self._in_flight -= 1
-        on_done(outcome)
 
     # ------------------------------------------------------------------
     # operation batching
@@ -939,7 +732,6 @@ class QuorumCoordinator:
 
     def _enqueue(self, op: _BatchedOp) -> None:
         """Queue a submission; the first one arms the flush timer."""
-        self._in_flight += 1
         self._batch.append(op)
         if self._batch_handle is None:
             self._batch_handle = self._clock.schedule(
@@ -987,7 +779,10 @@ class QuorumCoordinator:
                         preselected = self._select_quorum("read")
                     self._issue_read_group(key, reads, preselected, epoch)
             for index, op in enumerate(writes):
-                self._issue_batched_write(op, skip_version=index > 0)
+                self._issue_write(
+                    op.key, op.value, op.on_done, op.submitted_at,
+                    skip_version=index > 0,
+                )
 
     def _serve_group_leased(self, key: Any, reads: list[_BatchedOp]) -> bool:
         """Serve a whole read group from a lease (re-checked at flush).
@@ -998,24 +793,8 @@ class QuorumCoordinator:
         entry = self._leases.lookup(key)
         if entry is None:
             return False
-        now = self._clock.now
-        self._in_flight -= len(reads)
         for op in reads:
-            op.on_done(
-                OperationOutcome(
-                    op_type="read",
-                    key=key,
-                    success=True,
-                    value=entry.value,
-                    timestamp=entry.timestamp,
-                    quorum=frozenset(),
-                    version_quorum=frozenset(),
-                    attempts=0,
-                    started_at=op.submitted_at,
-                    finished_at=now,
-                    leased=True,
-                )
-            )
+            op.on_done(self._leased_outcome(key, entry, op.submitted_at))
         return True
 
     def _issue_read_group(
@@ -1028,12 +807,8 @@ class QuorumCoordinator:
         """One quorum read serving every queued read of ``key``."""
         callbacks = [op.on_done for op in reads]
         starts = [op.submitted_at for op in reads]
-        extra = len(reads) - 1
 
         def fan_out(outcome: OperationOutcome) -> None:
-            # The context's _finish decremented in-flight once (for the
-            # first waiter); settle the coalesced remainder here.
-            self._in_flight -= extra
             for on_done, started_at in zip(callbacks, starts):
                 on_done(outcome.with_started_at(started_at))
 
@@ -1047,35 +822,28 @@ class QuorumCoordinator:
             preselected=quorum,
             preselected_epoch=epoch,
         )
-        if self._trace_enabled:
-            self._trace_operation_start(ctx, LockMode.SHARED)
-        self._locks.acquire(
-            ctx.lock_token,
-            key,
-            LockMode.SHARED,
-            partial(self._lock_decided, ctx),
-        )
+        self._acquire(ctx, LockMode.SHARED)
 
-    def _issue_batched_write(self, op: _BatchedOp, skip_version: bool) -> None:
-        """Issue one queued write (in-flight was counted at enqueue)."""
+    def _issue_write(
+        self,
+        key: Any,
+        value: Any,
+        on_done: DoneCallback,
+        started_at: float,
+        skip_version: bool = False,
+    ) -> None:
+        """Start one write (a batched successor skips its version round)."""
         ctx = _OpContext(
             op_type="write",
-            key=op.key,
-            value=op.value,
-            on_done=op.on_done,
+            key=key,
+            value=value,
+            on_done=on_done,
             lock_token=self._tx_ids.next_id(),
-            started_at=op.submitted_at,
+            started_at=started_at,
             stage=_Stage.VERSION,
             skip_version=skip_version,
         )
-        if self._trace_enabled:
-            self._trace_operation_start(ctx, LockMode.EXCLUSIVE)
-        self._locks.acquire(
-            ctx.lock_token,
-            op.key,
-            LockMode.EXCLUSIVE,
-            partial(self._lock_decided, ctx),
-        )
+        self._acquire(ctx, LockMode.EXCLUSIVE)
 
     # ------------------------------------------------------------------
     # trace span helpers
@@ -1130,6 +898,14 @@ class QuorumCoordinator:
     # ------------------------------------------------------------------
     # lock handling
     # ------------------------------------------------------------------
+
+    def _acquire(self, ctx: _OpContext, mode: LockMode) -> None:
+        """Every operation starts here: open its trace, queue for its lock."""
+        if self._trace_enabled:
+            self._trace_operation_start(ctx, mode)
+        self._locks.acquire(
+            ctx.lock_token, ctx.key, mode, partial(self._lock_decided, ctx)
+        )
 
     def _lock_decided(self, ctx: _OpContext, granted: bool) -> None:
         ctx.lock_granted = granted
@@ -1348,7 +1124,6 @@ class QuorumCoordinator:
         if ctx.finished:
             return
         ctx.finished = True
-        self._in_flight -= 1
         self._cancel_timeout(ctx)
         self._unregister(ctx)
         if ctx.lock_granted:
@@ -1361,18 +1136,8 @@ class QuorumCoordinator:
                 attempts=ctx.attempts, quorum=0, version_quorum=0,
             )
         ctx.on_done(
-            OperationOutcome(
-                op_type="read",
-                key=ctx.key,
-                success=True,
-                value=entry.value,
-                timestamp=entry.timestamp,
-                quorum=frozenset(),
-                version_quorum=frozenset(),
-                attempts=ctx.attempts,
-                started_at=ctx.started_at,
-                finished_at=self._clock.now,
-                leased=True,
+            self._leased_outcome(
+                ctx.key, entry, ctx.started_at, attempts=ctx.attempts
             )
         )
 
@@ -1387,7 +1152,6 @@ class QuorumCoordinator:
         if ctx.finished:
             return
         ctx.finished = True
-        self._in_flight -= 1
         # _cancel_timeout + _unregister, inlined: this tail runs once per
         # operation and the two call frames are measurable at bench scale.
         handle = ctx.timeout_handle
@@ -1582,7 +1346,7 @@ class QuorumCoordinator:
     # ------------------------------------------------------------------
 
     def _start_prepare_phase(self, ctx: _OpContext) -> None:
-        quorum = self._select_quorum("write", ctx.write_system)
+        quorum = self._select_quorum("write")
         if quorum is None:
             self._defer_unavailable(ctx)
             return
@@ -1668,6 +1432,8 @@ class QuorumCoordinator:
         self._arm_timeout(ctx)
 
     def _complete_commit(self, ctx: _OpContext) -> None:
+        if len(ctx.acks) == len(ctx.quorum):
+            self._decisions.discard(ctx.txid)
         self._cancel_timeout(ctx)
         self._unregister(ctx)
         self._finish(
@@ -1675,7 +1441,8 @@ class QuorumCoordinator:
         )
 
     def _broadcast_decision(self, ctx: _OpContext, commit: bool) -> None:
-        self._decisions[ctx.txid] = commit
+        if commit:
+            self._decisions.add(ctx.txid)
         sid = self.sid
         txid = ctx.txid
         message_type = CommitMessage if commit else AbortMessage
@@ -1692,12 +1459,11 @@ class QuorumCoordinator:
     def _on_decision_request(self, message: DecisionRequest) -> None:
         """2PC termination: answer a recovered participant's in-doubt query.
 
-        Unknown transactions are answered with abort (presumed abort): if no
-        commit decision was logged, the transaction cannot have committed
-        anywhere.
+        Unknown transactions are answered with abort (presumed abort): a
+        participant can only be in doubt about a commit it has not
+        acknowledged, and those are exactly the decisions still logged.
         """
-        committed = self._decisions.get(message.txid, False)
-        if committed:
+        if message.txid in self._decisions:
             self._network.send(
                 CommitMessage(src=self.sid, dst=message.src, txid=message.txid)
             )

@@ -124,10 +124,6 @@ class SimulationConfig:
         from the live system instead: :func:`repro.core.tuning.plan_reshape`
         picks the shape for the workload's read fraction and demotes the
         failure detector's chronic suspects to the deepest level.
-    reshape_online:
-        True (default) runs the epoch-based online transition (dual
-        quorums, traffic flowing); False runs the stop-the-world baseline
-        (the pool pauses, drains, migrates, resumes).
     """
 
     tree: ArbitraryTree | None = None
@@ -152,7 +148,6 @@ class SimulationConfig:
     leases: bool = False
     reshape_at: float = 0.0
     reshape_spec: str | None = None
-    reshape_online: bool = True
 
     def resolve(self) -> tuple[QuorumSystem, int]:
         """The (quorum system, replica count) pair this config describes.
@@ -202,10 +197,9 @@ class SimulationResult:
         """Fraction of reads *submitted* in ``[start, end]`` that completed
         successfully within the window (``None`` if none were submitted).
 
-        The honest transition metric: a read deferred by a stop-the-world
-        pause keeps its original submission time, so it counts as started
-        inside the window and as unavailable if it only completed after
-        the window closed.
+        The honest transition metric: a read counts against the window
+        it was submitted in, and as unavailable if it only completed
+        after the window closed.
         """
         started = [
             outcome
@@ -465,7 +459,7 @@ def _reshape_target(
     n = len(coordinator.system_universe())
     suspects = coordinator.suspects
     suspected = (
-        suspects.chronic(coordinator.scheduler.now)
+        suspects.chronic(coordinator.clock.now)
         if suspects is not None
         else frozenset()
     )
@@ -492,11 +486,9 @@ def install_reshape(
     outbox: list[ReconfigOutcome] = []
 
     def launch() -> None:
-        target = _reshape_target(config, coordinator)
-        if config.reshape_online:
-            reconfigurer.reconfigure_online(target, keys, outbox.append)
-        else:
-            reconfigurer.reconfigure(target, keys, outbox.append, wait=True)
+        reconfigurer.reconfigure_online(
+            _reshape_target(config, coordinator), keys, outbox.append
+        )
 
     scheduler.schedule_at(config.reshape_at, launch)
     return outbox
@@ -523,10 +515,9 @@ def simulate(config: SimulationConfig, max_events: int = 5_000_000) -> Simulatio
         )
     run_workload(scheduler, workload, max_events)
     if reconfig_outbox is not None:
-        # The workload can complete while the migration (or a paused
-        # pool's drain poll) is still in flight; keep stepping until the
-        # reconfiguration reports — it always terminates (attempts are
-        # bounded, drain polls end when in-flight operations do).
+        # The workload can complete while the migration is still in
+        # flight; keep stepping until the reconfiguration reports — it
+        # always terminates (attempts are bounded).
         drained = 0
         while not reconfig_outbox and scheduler.step():
             drained += 1

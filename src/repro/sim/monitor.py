@@ -33,17 +33,6 @@ from repro.obs.stats import Histogram, linear_percentile
 from repro.sim.coordinator import OperationOutcome
 
 
-def _percentile(sorted_values: list[float], fraction: float) -> float:
-    """Linear-interpolation percentile of pre-sorted values.
-
-    The previous nearest-rank implementation used ``round()``, whose
-    banker's rounding misreported p50/p95 on small samples (e.g. the p50
-    of two values was the *lower* one); delegate to the canonical fixed
-    implementation.
-    """
-    return linear_percentile(sorted_values, fraction)
-
-
 @dataclass
 class OperationSummary:
     """Aggregates for one operation kind (read or write)."""
@@ -116,11 +105,11 @@ class OperationSummary:
 
     def latency_percentile(self, fraction: float) -> float:
         """Latency percentile (e.g. 0.5, 0.95) of successful operations."""
-        return _percentile(sorted(self.latencies), fraction)
+        return linear_percentile(sorted(self.latencies), fraction)
 
     def failure_latency_percentile(self, fraction: float) -> float:
         """Latency percentile of failed operations."""
-        return _percentile(sorted(self.failure_latencies), fraction)
+        return linear_percentile(sorted(self.failure_latencies), fraction)
 
     def latency_histogram(
         self, start: float = 1.0, factor: float = 2.0, buckets: int = 12

@@ -4,27 +4,19 @@
 just modifying the structure of the tree.  There is no need to implement a
 new protocol whenever the frequencies of read and write operations change."
 (Conclusion.)  The paper does not define a transition protocol, so this
-module supplies the missing piece — in two modes sharing one state-transfer
-core.
+module supplies the missing piece.
 
 The subtlety is that quorums of *different* trees need not intersect: a
 value written through an old-tree write quorum may be invisible to every
-new-tree read quorum.  Both modes therefore re-write every key through
-write quorums the *new* tree recognises before the switch, using an atomic
+new-tree read quorum.  Every key is therefore re-written through write
+quorums the *new* tree recognises before the switch, using an atomic
 per-key **copy** operation (:meth:`QuorumCoordinator.copy_key`: one
 exclusive lock covering the read and the re-write, so no client write can
 interleave and be resurrected-over).
 
-**Quiescent mode** (:meth:`TreeReconfigurer.reconfigure`) is the legacy
-stop-the-world path, now actually enforced: the whole coordinator *pool*
-(every coordinator sharing the driver's lock manager) is paused for the
-migration window — submissions arriving mid-migration are deferred whole
-and replayed, in order and against the new tree, at resume.  Quiescence is
-checked group-wide; ``wait=True`` pauses first and lets in-flight traffic
-drain instead of refusing.
-
-**Online mode** (:meth:`TreeReconfigurer.reconfigure_online`) never stops
-traffic.  It drives a per-group epoch state machine::
+:meth:`TreeReconfigurer.reconfigure_online` never stops traffic.  It
+drives a per-group epoch state machine over the whole coordinator *pool*
+(every coordinator sharing the driver's lock manager)::
 
     STABLE ──start──▶ TRANSITION ──commit──▶ STABLE (new tree)
                           │
@@ -49,7 +41,7 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from repro.core.protocol import ArbitraryProtocol
@@ -61,15 +53,11 @@ from repro.sim.coordinator import OperationOutcome, QuorumCoordinator
 if TYPE_CHECKING:
     from repro.fault.invariants import InvariantChecker
 
-#: Simulated-time interval between group-drain polls (``wait=True``).
-DRAIN_POLL = 1.0
-
 
 class ReconfigStatus(enum.Enum):
     """Terminal states of a reconfiguration run."""
 
     SUCCESS = "success"
-    NOT_QUIESCENT = "coordinator-not-quiescent"
     READ_FAILED = "key-read-failed"
     WRITE_FAILED = "key-write-failed"
     BAD_TREE = "tree-replica-mismatch"
@@ -95,11 +83,9 @@ class ReconfigOutcome:
     started_at: float = 0.0
     finished_at: float = 0.0
     operations_used: int = 0
-    #: ``"quiescent"`` (stop-the-world) or ``"online"`` (dual-quorum).
-    mode: str = "quiescent"
     #: The reconfiguration epoch this run drove (0 = never transitioned).
     epoch: int = 0
-    #: True when an online transition failed and the group was cleanly
+    #: True when the transition failed and the group was cleanly
     #: returned to the old tree.
     rolled_back: bool = False
 
@@ -124,14 +110,8 @@ class _MigrationState:
     keys: list
     on_done: DoneCallback
     outcome: ReconfigOutcome
-    online: bool
-    old_system: QuorumSystem | None = None
+    old_system: QuorumSystem
     index: int = 0
-    #: Quiescent-mode migration outcomes awaiting the commit decision:
-    #: fed to the invariant checker only if the migration succeeds (an
-    #: aborted quiescent migration leaves version-bumped copies on
-    #: new-tree levels that old-tree audits must not be judged against).
-    audited: list[OperationOutcome] = field(default_factory=list)
 
 
 class TreeReconfigurer:
@@ -148,8 +128,7 @@ class TreeReconfigurer:
     invariants:
         Optional :class:`~repro.fault.invariants.InvariantChecker`.  When
         attached it is notified of every epoch edge, and migration
-        outcomes are audited exactly like client traffic (buffered until
-        commit in quiescent mode).
+        outcomes are audited exactly like client traffic.
     """
 
     def __init__(
@@ -186,12 +165,6 @@ class TreeReconfigurer:
             if peer.locks is driver.locks
         ]
 
-    def _group_quiescent(self, group: list[QuorumCoordinator]) -> bool:
-        return (
-            all(peer.is_quiescent() for peer in group)
-            and self._coordinator.locks.idle
-        )
-
     def _swap_group(self, system: QuorumSystem) -> None:
         """Install ``system`` on every pool member and fence the caches.
 
@@ -219,98 +192,11 @@ class TreeReconfigurer:
         self._state = state
         if self._invariants is not None:
             self._invariants.note_epoch(
-                self._epoch, state.value, at=self._coordinator.scheduler.now
+                self._epoch, state.value, at=self._coordinator.clock.now
             )
 
-    def _precheck(
-        self, new_tree: ArbitraryTree, outcome: ReconfigOutcome
-    ) -> ReconfigStatus | None:
-        """Synchronous refusals, reported through ``on_done`` by callers."""
-        if self._active:
-            return ReconfigStatus.IN_PROGRESS
-        if new_tree.n != len(self._coordinator.system_universe()):
-            return ReconfigStatus.BAD_TREE
-        return None
-
     # ------------------------------------------------------------------
-    # quiescent (stop-the-world) mode
-    # ------------------------------------------------------------------
-
-    def reconfigure(
-        self,
-        new_tree: ArbitraryTree,
-        keys: Sequence,
-        on_done: DoneCallback,
-        wait: bool = False,
-    ) -> None:
-        """Stop-the-world migration to ``new_tree``; ``on_done`` fires once.
-
-        ``keys`` must cover every key whose latest value matters (the
-        engine's workload uses a known key space; a production system
-        would scan the keyspace).  The new tree must host the same
-        replica SIDs ``0..n-1`` — reconfiguration changes the *shape*,
-        not the fleet (a mismatch reports ``BAD_TREE``).
-
-        The pool is paused for the whole window: submissions arriving
-        mid-migration are deferred and replayed at completion, so the
-        one-shot quiescence check can no longer be raced.  With the
-        default ``wait=False`` a non-quiescent group is refused
-        synchronously (``NOT_QUIESCENT``); with ``wait=True`` the pool is
-        paused immediately and the migration starts once in-flight
-        traffic has drained.
-        """
-        now = self._coordinator.scheduler.now
-        outcome = ReconfigOutcome(
-            status=ReconfigStatus.SUCCESS,
-            new_tree=new_tree,
-            keys_total=len(keys),
-            started_at=now,
-            finished_at=now,
-            mode="quiescent",
-            epoch=self._epoch,
-        )
-        refusal = self._precheck(new_tree, outcome)
-        if refusal is not None:
-            outcome.status = refusal
-            on_done(outcome)
-            return
-        group = self.group()
-        if not wait and not self._group_quiescent(group):
-            outcome.status = ReconfigStatus.NOT_QUIESCENT
-            on_done(outcome)
-            return
-        self._active = True
-        for peer in group:
-            peer.pause()
-        state = _MigrationState(
-            new_tree=new_tree,
-            new_system=ArbitraryProtocol(new_tree),
-            keys=list(keys),
-            on_done=on_done,
-            outcome=outcome,
-            online=False,
-        )
-        if self._group_quiescent(group):
-            self._migrate_next(state)
-        else:
-            self._await_drain(state)
-
-    def _await_drain(self, state: _MigrationState) -> None:
-        """``wait=True``: poll until the paused pool has drained.
-
-        New submissions are already deferred by the pause, so the
-        in-flight count is strictly non-increasing and the poll always
-        terminates (lock waits time out, operations finish or fail).
-        """
-        if self._group_quiescent(self.group()):
-            self._migrate_next(state)
-            return
-        self._coordinator.scheduler.schedule(
-            DRAIN_POLL, lambda: self._await_drain(state)
-        )
-
-    # ------------------------------------------------------------------
-    # online (dual-quorum) mode
+    # the transition
     # ------------------------------------------------------------------
 
     def reconfigure_online(
@@ -320,6 +206,14 @@ class TreeReconfigurer:
         on_done: DoneCallback,
     ) -> None:
         """Migrate to ``new_tree`` with client traffic still flowing.
+
+        ``keys`` must cover every key whose latest value matters (the
+        engine's workload uses a known key space; a production system
+        would scan the keyspace).  The new tree must host the same
+        replica SIDs ``0..n-1`` — reconfiguration changes the *shape*,
+        not the fleet (a mismatch reports ``BAD_TREE`` through
+        ``on_done``, as does a second launch while one is running:
+        ``IN_PROGRESS``).
 
         The group enters the TRANSITION epoch on a
         :class:`DualQuorumSystem` over (current, new): every client read
@@ -331,19 +225,20 @@ class TreeReconfigurer:
         back to the old one on a per-key failure, reporting
         ``rolled_back=True`` with the failing stage's status.
         """
-        now = self._coordinator.scheduler.now
+        now = self._coordinator.clock.now
         outcome = ReconfigOutcome(
             status=ReconfigStatus.SUCCESS,
             new_tree=new_tree,
             keys_total=len(keys),
             started_at=now,
             finished_at=now,
-            mode="online",
             epoch=self._epoch,
         )
-        refusal = self._precheck(new_tree, outcome)
-        if refusal is not None:
-            outcome.status = refusal
+        if self._active:
+            outcome.status = ReconfigStatus.IN_PROGRESS
+        elif new_tree.n != len(self._coordinator.system_universe()):
+            outcome.status = ReconfigStatus.BAD_TREE
+        if not outcome.success:
             on_done(outcome)
             return
         self._active = True
@@ -359,14 +254,9 @@ class TreeReconfigurer:
             keys=list(keys),
             on_done=on_done,
             outcome=outcome,
-            online=True,
             old_system=old_system,
         )
         self._migrate_next(state)
-
-    # ------------------------------------------------------------------
-    # per-key state transfer (shared by both modes)
-    # ------------------------------------------------------------------
 
     def _migrate_next(self, state: _MigrationState) -> None:
         if state.index >= len(state.keys):
@@ -374,13 +264,8 @@ class TreeReconfigurer:
             return
         key = state.keys[state.index]
         state.outcome.operations_used += 1
-        # Online mode copies under the active (dual) system; quiescent
-        # mode reads through the old tree and re-writes through the new
-        # tree's write quorums — both as ONE exclusive-locked operation.
         self._coordinator.copy_key(
-            key,
-            lambda result: self._copy_done(state, key, result),
-            write_system=None if state.online else state.new_system,
+            key, lambda result: self._copy_done(state, key, result)
         )
 
     def _copy_done(
@@ -400,34 +285,17 @@ class TreeReconfigurer:
             # transferred and nothing is auditable.)
             state.outcome.keys_migrated += 1
             if self._invariants is not None:
-                if state.online:
-                    self._invariants.check(result)
-                else:
-                    state.audited.append(result)
+                self._invariants.check(result)
         state.index += 1
         self._migrate_next(state)
 
     def _finish(self, state: _MigrationState) -> None:
-        success = state.outcome.status is ReconfigStatus.SUCCESS
-        if state.online:
-            if success:
-                self._swap_group(state.new_system)
-            else:
-                assert state.old_system is not None
-                self._swap_group(state.old_system)
-                state.outcome.rolled_back = True
-            self._note_epoch(EpochState.STABLE)
+        if state.outcome.success:
+            self._swap_group(state.new_system)
         else:
-            if success:
-                self._swap_group(state.new_system)
-                if self._invariants is not None:
-                    for audited in state.audited:
-                        self._invariants.check(audited)
-            # A failed quiescent migration leaves the old tree active:
-            # migrated keys were *added* to new-tree levels, which never
-            # invalidates old-tree reads.
-            for peer in self.group():
-                peer.resume()
+            self._swap_group(state.old_system)
+            state.outcome.rolled_back = True
+        self._note_epoch(EpochState.STABLE)
         self._active = False
-        state.outcome.finished_at = self._coordinator.scheduler.now
+        state.outcome.finished_at = self._coordinator.clock.now
         state.on_done(state.outcome)

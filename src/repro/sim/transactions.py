@@ -1,81 +1,15 @@
-"""Transactions: partially ordered sets of read and write operations.
+"""The monotonic id source behind lock tokens, request ids and 2PC txids.
 
 Section 2.2: users interact with sites via transactions that execute
 atomically (commit or abort at all participants); transactions containing
 writes finish with two-phase commit, which :mod:`repro.sim.coordinator`
-drives.  This module holds the passive data model plus a monotonic
-transaction-id source.
+drives.  Every coordinator of a replica group draws from one shared
+source, so ids never collide across clients.
 """
 
 from __future__ import annotations
 
-import enum
 import itertools
-from dataclasses import dataclass, field
-from typing import Any
-
-
-class OperationType(enum.Enum):
-    """Read or write."""
-
-    READ = "read"
-    WRITE = "write"
-
-
-class TransactionStatus(enum.Enum):
-    """Lifecycle of a transaction."""
-
-    PENDING = "pending"
-    COMMITTED = "committed"
-    ABORTED = "aborted"
-
-
-@dataclass(frozen=True)
-class Operation:
-    """One read or write of a single key."""
-
-    op_type: OperationType
-    key: Any
-    value: Any = None
-
-    @classmethod
-    def read(cls, key: Any) -> "Operation":
-        """A read of ``key``."""
-        return cls(op_type=OperationType.READ, key=key)
-
-    @classmethod
-    def write(cls, key: Any, value: Any) -> "Operation":
-        """A write of ``value`` to ``key``."""
-        return cls(op_type=OperationType.WRITE, key=key, value=value)
-
-
-@dataclass
-class Transaction:
-    """A client transaction: an ordered list of operations.
-
-    The list order is one linear extension of the partial order the paper
-    allows; operations on distinct keys could run concurrently without
-    changing any result in this library.
-    """
-
-    txid: int
-    operations: list[Operation] = field(default_factory=list)
-    status: TransactionStatus = TransactionStatus.PENDING
-
-    @property
-    def has_writes(self) -> bool:
-        """True iff the transaction needs 2PC at commit."""
-        return any(
-            op.op_type is OperationType.WRITE for op in self.operations
-        )
-
-    def keys(self) -> list:
-        """All distinct keys touched, in first-use order."""
-        seen = []
-        for op in self.operations:
-            if op.key not in seen:
-                seen.append(op.key)
-        return seen
 
 
 class TransactionIdSource:

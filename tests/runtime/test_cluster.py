@@ -23,8 +23,8 @@ from repro.runtime.cluster import (
     KVFrontend,
     LocalCluster,
     SiteProcess,
+    TrafficReport,
     kv_request,
-    percentile,
     run_traffic,
 )
 from repro.runtime.codec import read_frame, write_frame
@@ -116,13 +116,19 @@ def test_service_time_reaches_the_site_processes():
     asyncio.run(asyncio.wait_for(main(), 60.0))
 
 
-def test_percentile_nearest_rank():
-    samples = [float(value) for value in range(1, 101)]
-    assert percentile(samples, 50) == 50.0
-    assert percentile(samples, 99) == 99.0
-    assert percentile(samples, 100) == 100.0
-    assert percentile([], 50) == 0.0
-    assert percentile([42.0], 99) == 42.0
+def test_traffic_report_summarises_the_median_of_five_samples():
+    """Regression: the nearest-rank ``round()`` percentile this report
+    used to carry put the p50 of five samples at the second one (banker's
+    rounding of 2.5); it now uses ``obs.stats.linear_percentile``."""
+    report = TrafficReport(
+        read_latencies=[0.005, 0.001, 0.004, 0.002, 0.003],
+        write_latencies=[0.001, 0.002],
+    )
+    summary = report.summary()
+    assert summary["read_p50_ms"] == 3.0
+    assert summary["write_p50_ms"] == 1.5
+    assert summary["write_p99_ms"] == 1.99
+    assert TrafficReport().summary()["read_p50_ms"] == 0.0
 
 
 class _StubCluster:

@@ -195,7 +195,7 @@ _ARGV = {
                  "9", "--repeats", "2", "--jobs", "2", "--retry-policy",
                  "exponential", "--backoff", "base=1", "--detector",
                  "--batch-window", "2", "--leases", "--reshape-at", "5",
-                 "--reshape-spec", "1-2", "--reshape-stop-the-world"],
+                 "--reshape-spec", "1-2"],
     "shard": ["1-3", "--shards", "2", "--protocol", "rowa", "--n", "4",
               "--operations", "10", "--read-fraction", "0.5", "--keys",
               "16", "--zipf", "1.1", "--rate", "0.5", "--diurnal-period",
@@ -210,10 +210,9 @@ _ARGV = {
               "hqc", "--n", "9", "--repeats", "2", "--jobs", "2",
               "--leases"],
     "reconfigure": ["1-3", "--target", "1-2", "--at", "5",
-                    "--stop-the-world", "--operations", "10",
-                    "--read-fraction", "0.5", "--p", "0.9", "--seed", "1",
-                    "--max-attempts", "2", "--scenario", "all",
-                    "--horizon", "50", "--detector"],
+                    "--operations", "10", "--read-fraction", "0.5", "--p",
+                    "0.9", "--seed", "1", "--max-attempts", "2",
+                    "--scenario", "all", "--horizon", "50", "--detector"],
     "trace": ["1-3", "--operations", "10", "--read-fraction", "0.5",
               "--p", "0.9", "--drop", "0.1", "--max-attempts", "2",
               "--seed", "1", "--protocol", "majority", "--n", "5", "--out",
@@ -256,3 +255,111 @@ def test_command_parses_alone_and_among_all(command, capsys):
         main([command, "--help"])
     assert stop.value.code == 0
     assert f"usage: repro {command}" in capsys.readouterr().out
+
+
+def _described():
+    """What each simulation command's ``_ARGV`` row must describe, written
+    down from the output of the commit before options reached their
+    fields by ``dest``: a mistyped ``dest=`` would otherwise fall back to
+    a default without a sound."""
+    from repro.fault.retry import RetryPolicySpec
+    from repro.runner.tasks import SimParams
+    from repro.shard import ShardedConfig
+    from repro.sim.workload import WorkloadSpec
+
+    return {
+        "simulate": SimParams(
+            spec="1-3", operations=10, read_fraction=0.5, p=0.9, seed=1,
+            protocol="grid", n=9, drop=0.0, max_attempts=1, trace=False,
+            retry_policy=RetryPolicySpec(
+                kind="exponential", base=1.0, factor=2.0, cap=60.0,
+                jitter=0.0,
+            ),
+            detector=True, chaos=None, chaos_horizon=1000.0,
+            check_invariants=False, batch_window=2.0, leases=True,
+            reshape_at=5.0, reshape_spec="1-2",
+        ),
+        "chaos": SimParams(
+            spec="1-3", operations=10, read_fraction=0.5, p=0.9, seed=1,
+            protocol="hqc", n=9, drop=0.0, max_attempts=2, trace=False,
+            retry_policy=None, detector=False, chaos="all",
+            chaos_horizon=50.0, check_invariants=True, batch_window=0.0,
+            leases=True, reshape_at=0.0, reshape_spec=None,
+        ),
+        "reconfigure": SimParams(
+            spec="1-3", operations=10, read_fraction=0.5, p=0.9, seed=1,
+            protocol=None, n=0, drop=0.0, max_attempts=2, trace=False,
+            retry_policy=None, detector=True, chaos="all",
+            chaos_horizon=50.0, check_invariants=True, batch_window=0.0,
+            leases=False, reshape_at=5.0, reshape_spec="1-2",
+        ),
+        "trace": SimParams(
+            spec="1-3", operations=10, read_fraction=0.5, p=0.9, seed=1,
+            protocol="majority", n=5, drop=0.1, max_attempts=2, trace=True,
+            retry_policy=None, detector=False, chaos=None,
+            chaos_horizon=1000.0, check_invariants=False, batch_window=0.0,
+            leases=False, reshape_at=0.0, reshape_spec=None,
+        ),
+        "report": SimParams(
+            spec="1-3", operations=10, read_fraction=0.5, p=1.0, seed=1,
+            protocol=None, n=0, drop=0.0, max_attempts=3, trace=True,
+            retry_policy=None, detector=False, chaos=None,
+            chaos_horizon=1000.0, check_invariants=False, batch_window=0.0,
+            leases=False, reshape_at=0.0, reshape_spec=None,
+        ),
+        "shard": ShardedConfig(
+            workload=WorkloadSpec(
+                operations=10, read_fraction=0.5, keys=16,
+                arrival="poisson", rate=0.5, zipf_s=1.1,
+                diurnal_period=10.0, diurnal_amplitude=0.5,
+            ),
+            shards=2, systems=(("protocol", "rowa", 4),), router="hash",
+            router_seed=1, balancer="round-robin", clients_per_shard=2,
+            p=0.9, latency=1.0, regions=2, local_latency=1.0,
+            remote_latency=3.0, latency_jitter=0.0, drop_probability=0.1,
+            duplicate_probability=0.0, timeout=8.0, max_attempts=3,
+            service_time=0.5, seed=1, retry_policy=None, detector=True,
+            probe_interval=30.0, suspect_threshold=1, batch_window=0.0,
+            leases=False,
+        ),
+    }
+
+
+@pytest.mark.parametrize(
+    "command", ["simulate", "chaos", "reconfigure", "trace", "report", "shard"]
+)
+def test_parsed_options_describe_the_same_run_as_before(command):
+    from repro.cli import _sharded_config, _sim_params
+
+    args = build_parser(command).parse_args([command, *_ARGV[command]])
+    build = _sharded_config if command == "shard" else _sim_params
+    assert build(args) == _described()[command]
+
+
+def test_every_field_simparams_shares_with_the_config_reaches_it():
+    """``build_sim_config`` passes shared names through by name: give each
+    a value no default has and find every one of them on the config."""
+    from dataclasses import fields
+
+    from repro.fault.retry import RetryPolicySpec
+    from repro.runner.tasks import SimParams, build_sim_config
+    from repro.sim.engine import SimulationConfig
+
+    shared = {field.name for field in fields(SimParams)} & {
+        field.name for field in fields(SimulationConfig)
+    }
+    assert shared == {
+        "seed", "max_attempts", "trace", "retry_policy", "detector",
+        "check_invariants", "batch_window", "leases", "reshape_at",
+        "reshape_spec",
+    }
+    params = SimParams(
+        seed=41, max_attempts=7, trace=True,
+        retry_policy=RetryPolicySpec(kind="fixed", base=2.0),
+        detector=True, check_invariants=True, batch_window=1.5, leases=True,
+        reshape_at=9.0, reshape_spec="1-2-2",
+    )
+    config, _label = build_sim_config(params)
+    for name in shared:
+        assert getattr(config, name) == getattr(params, name), name
+        assert getattr(params, name) != getattr(SimParams(), name), name

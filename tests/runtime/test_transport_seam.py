@@ -140,10 +140,10 @@ class TestLeasedReadDelivery:
 class TestSeamSurface:
     def test_coordinator_clock_and_legacy_alias(self):
         clock, transport, sites, coordinator = _build()
+        # The one time surface on any transport (the ``scheduler`` alias
+        # reconfiguration and the engine used to reach it by is gone).
         assert coordinator.clock is clock
-        # Legacy consumers (reconfiguration, the engine) use .scheduler;
-        # it must resolve to the same seam clock on any transport.
-        assert coordinator.scheduler is clock
+        assert not hasattr(coordinator, "scheduler")
 
     def test_sim_network_exposes_the_same_object_for_both(self):
         from repro.sim.network import Network

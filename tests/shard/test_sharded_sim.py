@@ -9,8 +9,6 @@ loop and a ``--jobs N`` process-pool fan-out.
 import pytest
 
 from repro.runner import (
-    ShardParams,
-    build_sharded_config,
     merge_sharded_monitors,
     parallel_shard_simulations,
 )
@@ -129,25 +127,32 @@ class TestShardedSimulation:
 
 class TestParallelEquivalence:
     def test_serial_and_jobs_fanout_bit_identical(self):
-        params = ShardParams(
-            shards=4, operations=200, keys=256, zipf_s=1.0,
-            p=0.9, seed=13,
+        config = ShardedConfig(
+            workload=WorkloadSpec(
+                operations=200, keys=256, zipf_s=1.0,
+                arrival="poisson", rate=0.25,
+            ),
+            shards=4, p=0.9, timeout=8.0, seed=13,
         )
         serial = merge_sharded_monitors(
-            parallel_shard_simulations(params, 4, jobs=1)
+            parallel_shard_simulations(config, 4, jobs=1)
         )
         fanned = merge_sharded_monitors(
-            parallel_shard_simulations(params, 4, jobs=2)
+            parallel_shard_simulations(config, 4, jobs=2)
         )
         assert serial.summary() == fanned.summary()
         assert serial.per_shard_summaries() == fanned.per_shard_summaries()
 
     def test_build_sharded_config_round_trip(self):
-        params = ShardParams(shards=2, systems=(("protocol", "grid", 16),))
-        config, label = build_sharded_config(params)
-        assert config.shards == 2
-        assert "2 shards" in label
-        systems = config.resolve_systems()
+        """Workers receive the config itself: it pickles as plain data
+        and rebuilds its systems from their references on the far side."""
+        import pickle
+
+        config = ShardedConfig(shards=2, systems=(("protocol", "grid", 16),))
+        received = pickle.loads(pickle.dumps(config))
+        assert received == config
+        systems = received.resolve_systems()
+        assert len(systems) == 2
         assert all(n == 16 for _system, n in systems)
 
 
@@ -174,7 +179,6 @@ class TestShardReconfiguration:
         ))
         run_workload(scheduler, workload, 5_000_000)
         assert outcomes and outcomes[0].success
-        assert outcomes[0].mode == "online"
         assert outcomes[0].epoch == 1
         # the reconfigured shard's pool is on the new tree ...
         for coordinator in store.groups[1].coordinators:

@@ -1,11 +1,11 @@
 """Edge-case tests for the coordinator: lock timeouts, stale replies,
-write_with_system, quiescence accounting."""
+what a finished operation leaves behind, the bounded 2PC decision log."""
 
 import random
 
 import pytest
 
-from repro.core.builder import from_spec, mostly_write
+from repro.core.builder import from_spec
 from repro.core.protocol import ArbitraryProtocol
 from repro.sim.coordinator import (
     FailureReason,
@@ -37,6 +37,15 @@ def make_rig(spec="1-3-5", lock_timeout=None, max_attempts=3, seed=0):
     return tree, scheduler, network, sites, locks, coordinator
 
 
+def at_rest(coordinator) -> bool:
+    """No operation holds or awaits a lock, a reply or a vote."""
+    return (
+        coordinator.locks.idle
+        and not coordinator._by_request
+        and not coordinator._by_txid
+    )
+
+
 class TestLockTimeout:
     def test_blocked_writer_times_out(self):
         tree, scheduler, network, sites, locks, coordinator = make_rig(
@@ -50,7 +59,9 @@ class TestLockTimeout:
         scheduler.run()
         assert outcomes and not outcomes[0].success
         assert outcomes[0].reason is FailureReason.LOCK_TIMEOUT
-        assert coordinator.is_quiescent()
+        # the denied request left nothing queued behind the foreign holder
+        locks.release(999_999, "k")
+        assert at_rest(coordinator)
 
 
 class TestStaleReplies:
@@ -68,41 +79,20 @@ class TestStaleReplies:
         scheduler.run()
         assert len(outcomes) == 1  # on_done fired exactly once
         assert outcomes[0].success
-        assert coordinator.is_quiescent()
-
-
-class TestWriteWithSystem:
-    def test_data_lands_on_override_quorum(self):
-        tree, scheduler, network, sites, locks, coordinator = make_rig()
-        override = ArbitraryProtocol(mostly_write(8))
-        outcomes = []
-        coordinator.write_with_system("k", "v", override, outcomes.append)
-        scheduler.run()
-        assert outcomes[0].success
-        assert outcomes[0].quorum in set(override.write_quorums())
-
-    def test_versions_still_come_from_current_system(self):
-        tree, scheduler, network, sites, locks, coordinator = make_rig()
-        outcomes = []
-        coordinator.write("k", "v1", outcomes.append)
-        scheduler.run()
-        override = ArbitraryProtocol(mostly_write(8))
-        coordinator.write_with_system("k", "v2", override, outcomes.append)
-        scheduler.run()
-        assert outcomes[1].timestamp.version == outcomes[0].timestamp.version + 1
+        assert at_rest(coordinator)
 
 
 class TestQuiescence:
     def test_counts_reads_and_writes(self):
         tree, scheduler, network, sites, locks, coordinator = make_rig()
         done = []
-        assert coordinator.is_quiescent()
+        assert at_rest(coordinator)
         coordinator.read("a", done.append)
         coordinator.write("b", 1, done.append)
-        assert not coordinator.is_quiescent()
+        assert not at_rest(coordinator)
         scheduler.run()
         assert len(done) == 2
-        assert coordinator.is_quiescent()
+        assert at_rest(coordinator)
 
     def test_quiescent_after_failures_too(self):
         tree, scheduler, network, sites, locks, coordinator = make_rig(
@@ -114,7 +104,56 @@ class TestQuiescence:
         coordinator.read("k", done.append)
         scheduler.run()
         assert done and not done[0].success
-        assert coordinator.is_quiescent()
+        assert at_rest(coordinator)
+
+
+class TestDecisionLog:
+    """The 2PC decision log holds only commits awaiting an acknowledgement."""
+
+    def test_empty_after_many_writes_on_a_healthy_group(self):
+        """Regression: the log gained one entry per write, for ever."""
+        tree, scheduler, network, sites, locks, coordinator = make_rig()
+        done = []
+        for index in range(500):
+            coordinator.write(f"k{index % 7}", index, done.append)
+        scheduler.run()
+        assert len(done) == 500 and all(outcome.success for outcome in done)
+        assert not coordinator._decisions
+
+    def test_aborts_are_presumed_not_logged(self):
+        tree, scheduler, network, sites, locks, coordinator = make_rig(
+            max_attempts=1
+        )
+        done = []
+        coordinator.write("k", "v", done.append)
+        scheduler.run(until=2.5)  # version round done, prepares in flight
+        for site in sites:
+            site.crash()  # nobody votes: the prepare phase times out
+        scheduler.run()
+        assert done and not done[0].success
+        assert done[0].failed_stage == "prepare"
+        assert not coordinator._decisions
+
+    def test_member_crashed_between_vote_and_commit_learns_the_decision(self):
+        """The commit completes by skipping the dead member, so its
+        decision stays logged until that member asks on recovery."""
+        tree, scheduler, network, sites, locks, coordinator = make_rig()
+        done = []
+        coordinator.write("k", "v", done.append)
+        # t=1 version requests land, t=2 replies, t=3 prepares land and
+        # are voted on, t=4 votes reach the coordinator.
+        scheduler.run(until=3.5)
+        voter = next(site for site in sites if site._prepared)
+        voter.crash()
+        scheduler.run()
+        assert done and done[0].success
+        assert voter.sid in done[0].quorum
+        assert len(coordinator._decisions) == 1
+        voter.recover()
+        scheduler.run()
+        entry = voter.store.read("k")
+        assert entry.value == "v"
+        assert entry.timestamp == done[0].timestamp
 
 
 class TestSystemIntrospection:

@@ -34,7 +34,9 @@ class Rig:
 
     def reconfigure(self, new_tree, keys):
         return self.run(
-            lambda cb: self.reconfigurer.reconfigure(new_tree, keys, cb)
+            lambda cb: self.reconfigurer.reconfigure_online(
+                new_tree, keys, cb
+            )
         )
 
 
@@ -82,55 +84,33 @@ class TestReconfiguration:
         """A shape for the wrong fleet reports BAD_TREE through on_done.
 
         Regression: this used to raise ``ValueError`` out of the
-        ``reconfigure`` call itself — one synchronous exception among
-        otherwise callback-reported failures, which event-driven callers
-        (the engine's scheduled reshape) would never catch.
+        call itself — one synchronous exception among otherwise
+        callback-reported failures, which event-driven callers (the
+        engine's scheduled reshape) would never catch.
         """
         rig = Rig()
+        old_system = rig.coordinator.system
         box = []
-        rig.reconfigurer.reconfigure(mostly_read(9), [], box.append)
+        rig.reconfigurer.reconfigure_online(mostly_read(9), [], box.append)
         assert box and box[0].status is ReconfigStatus.BAD_TREE
-        assert not box[0].success
-        # the online path reports it the same way
-        online = []
-        rig.reconfigurer.reconfigure_online(mostly_read(9), [], online.append)
-        assert online and online[0].status is ReconfigStatus.BAD_TREE
+        assert not box[0].success and not box[0].rolled_back
+        assert rig.coordinator.system is old_system  # never transitioned
 
     def test_concurrent_reconfigurations_refused(self):
         """A second reconfiguration while one runs reports IN_PROGRESS."""
         rig = Rig()
         rig.write("k", "v")
         first, second = [], []
-        rig.reconfigurer.reconfigure(mostly_write(8), ["k"], first.append)
-        rig.reconfigurer.reconfigure(mostly_read(8), ["k"], second.append)
+        rig.reconfigurer.reconfigure_online(
+            mostly_write(8), ["k"], first.append
+        )
+        rig.reconfigurer.reconfigure_online(
+            mostly_read(8), ["k"], second.append
+        )
         assert second and second[0].status is ReconfigStatus.IN_PROGRESS
         while not first:
             assert rig.scheduler.step(), "stalled"
         assert first[0].success
-
-    def test_wait_for_quiescence(self):
-        """``wait=True`` pauses the pool and migrates once traffic drains."""
-        rig = Rig()
-        rig.write("k", "v0")
-        wbox, box = [], []
-        rig.coordinator.write("k", "v1", wbox.append)  # in flight
-        rig.reconfigurer.reconfigure(
-            mostly_write(8), ["k"], box.append, wait=True
-        )
-        while not box:
-            assert rig.scheduler.step(), "stalled"
-        assert wbox and wbox[0].success
-        assert box[0].success
-        result = rig.read("k")
-        assert result.success and result.value == "v1"
-
-    def test_not_quiescent_refused(self):
-        rig = Rig()
-        rig.coordinator.write("k", "v", lambda _outcome: None)  # in flight
-        box = []
-        rig.reconfigurer.reconfigure(mostly_read(8), ["k"], box.append)
-        assert box and box[0].status is ReconfigStatus.NOT_QUIESCENT
-        rig.scheduler.run()  # drain the in-flight write
 
     def test_failed_read_aborts_migration_safely(self):
         rig = Rig()
@@ -142,19 +122,24 @@ class TestReconfiguration:
         assert not outcome.success
         assert outcome.status is ReconfigStatus.READ_FAILED
         assert outcome.failed_key == "k"
-        assert rig.coordinator.system is old_system  # no switch
+        assert outcome.rolled_back
+        assert rig.coordinator.system is old_system  # back on the old tree
 
     def test_failed_write_aborts_migration_safely(self):
         rig = Rig()
         rig.write("k", "v")
         # mostly_write(8) levels are (0,1),(2,3),(4,5),(6,7): killing one
-        # replica per pair breaks every NEW write quorum while the old tree
-        # stays readable (0 serves level {0,1,2}; 3,5,7 serve {3..7}).
+        # replica per pair breaks every NEW write quorum while both trees
+        # stay readable (0 serves level {0,1,2}; 3,5,7 serve {3..7}), so
+        # the copy's read half succeeds and its dual write cannot.
         for sid in (1, 2, 4, 6):
             rig.sites[sid].crash()
+        old_system = rig.coordinator.system
         outcome = rig.reconfigure(mostly_write(8), ["k"])
         assert not outcome.success
         assert outcome.status is ReconfigStatus.WRITE_FAILED
+        assert outcome.rolled_back
+        assert rig.coordinator.system is old_system
 
     def test_old_tree_still_consistent_after_aborted_migration(self):
         rig = Rig()
@@ -205,19 +190,22 @@ class TestReconfiguration:
             assert result.value == "v1", "stale read from a pool peer's write"
 
     def test_client_write_during_migration_not_lost(self):
-        """Regression (quiescence TOCTOU): traffic must stay paused.
+        """Regression (resurrection race): a write inside the window wins.
 
-        ``reconfigure()`` checks ``is_quiescent()`` once at the start.  A
-        client write submitted mid-migration used to race the per-key
+        A client write submitted mid-migration used to race the per-key
         re-write: it version-rounds on the old tree, then the migration
         re-writes the *old* value at a higher version through the new
-        tree, and the client's update is lost after the swap.
+        tree, and the client's update is lost after the swap.  The copy
+        is one exclusive-locked operation and the window's writes land
+        on both trees, so the later write survives.
         """
         rig = Rig()
         assert rig.write("k", "v0").success
         box, wbox = [], []
-        rig.reconfigurer.reconfigure(mostly_write(8), ["k"], box.append)
-        # the quiescence check has passed; this write sneaks into the window
+        rig.reconfigurer.reconfigure_online(
+            mostly_write(8), ["k"], box.append
+        )
+        # the transition has begun; this write lands inside the window
         rig.coordinator.write("k", "v1", wbox.append)
         while not (box and wbox):
             assert rig.scheduler.step(), "stalled"

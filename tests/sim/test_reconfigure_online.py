@@ -37,7 +37,6 @@ class TestOnlineTransition:
         result = simulate(_online_config())
         outcome = result.reconfiguration
         assert outcome is not None and outcome.success
-        assert outcome.mode == "online"
         assert outcome.epoch == 1
         assert not outcome.rolled_back
         availability = result.window_read_availability(
@@ -45,23 +44,6 @@ class TestOnlineTransition:
         )
         assert availability is not None and availability >= 0.95
         assert result.invariants is not None and result.invariants.ok
-
-    def test_stop_the_world_starves_the_window(self):
-        """The quiescent path defers every read past the window's end."""
-        result = simulate(_online_config(reshape_online=False))
-        outcome = result.reconfiguration
-        assert outcome is not None and outcome.success
-        assert outcome.mode == "quiescent"
-        assert outcome.epoch == 0
-        availability = result.window_read_availability(
-            outcome.started_at, outcome.finished_at
-        )
-        assert availability == 0.0
-        assert result.invariants is not None and result.invariants.ok
-        # deferred operations are replayed, not dropped
-        summary = result.summary()
-        assert summary["read_availability"] == 1.0
-        assert summary["write_availability"] == 1.0
 
     def test_epoch_bookkeeping_reaches_the_checker(self):
         """The checker sees both epoch edges and audits inside the window."""
@@ -161,7 +143,7 @@ class TestChaosComposition:
         )
         result = simulate(config)
         assert injector.outcomes and injector.outcomes[0].success
-        assert injector.outcomes[0].mode == "online"
+        assert injector.outcomes[0].epoch == 1
         assert result.invariants is not None and result.invariants.ok
 
 

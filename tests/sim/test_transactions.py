@@ -1,58 +1,6 @@
-"""Unit tests for the transaction data model."""
+"""Unit tests for the transaction-id source."""
 
-from repro.sim.transactions import (
-    Operation,
-    OperationType,
-    Transaction,
-    TransactionIdSource,
-    TransactionStatus,
-)
-
-
-class TestOperation:
-    def test_read_factory(self):
-        op = Operation.read("k")
-        assert op.op_type is OperationType.READ
-        assert op.key == "k" and op.value is None
-
-    def test_write_factory(self):
-        op = Operation.write("k", 42)
-        assert op.op_type is OperationType.WRITE
-        assert op.value == 42
-
-    def test_operations_are_immutable(self):
-        op = Operation.read("k")
-        try:
-            op.key = "other"  # type: ignore[misc]
-            raise AssertionError("Operation should be frozen")
-        except AttributeError:
-            pass
-
-
-class TestTransaction:
-    def test_starts_pending(self):
-        txn = Transaction(txid=1)
-        assert txn.status is TransactionStatus.PENDING
-
-    def test_has_writes(self):
-        read_only = Transaction(txid=1, operations=[Operation.read("a")])
-        assert not read_only.has_writes
-        mixed = Transaction(
-            txid=2,
-            operations=[Operation.read("a"), Operation.write("b", 1)],
-        )
-        assert mixed.has_writes
-
-    def test_keys_in_first_use_order(self):
-        txn = Transaction(
-            txid=3,
-            operations=[
-                Operation.read("b"),
-                Operation.write("a", 1),
-                Operation.read("b"),
-            ],
-        )
-        assert txn.keys() == ["b", "a"]
+from repro.sim.transactions import TransactionIdSource
 
 
 class TestTransactionIdSource:
