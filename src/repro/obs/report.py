@@ -17,6 +17,7 @@ Lines export (:mod:`repro.obs.export`).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from repro.obs.recorder import TraceRecorder
@@ -38,16 +39,22 @@ class PhaseStat:
     p50: float
     p95: float
     total: float
+    #: How many of the spans were overlapped rounds (a write's prepare
+    #: that carried its version round; see DESIGN §2.4).
+    overlapped: int = 0
 
 
 def phase_breakdown(spans: list[Span]) -> list[PhaseStat]:
     """Aggregate lock-wait/phase/defer spans into per-phase statistics."""
     durations: dict[tuple[str, str], list[float]] = {}
+    overlapped: Counter[tuple[str, str]] = Counter()
     for span in spans:
         if span.kind not in _TIMED_KINDS or not span.finished:
             continue
         key = (str(span.attributes.get("op", "?")), span.name)
         durations.setdefault(key, []).append(span.duration)
+        if span.attributes.get("overlapped"):
+            overlapped[key] += 1
     stats = []
     for (op, phase), values in sorted(durations.items()):
         values.sort()
@@ -60,6 +67,7 @@ def phase_breakdown(spans: list[Span]) -> list[PhaseStat]:
                 p50=linear_percentile(values, 0.5),
                 p95=linear_percentile(values, 0.95),
                 total=sum(values),
+                overlapped=overlapped[op, phase],
             )
         )
     return stats
@@ -87,14 +95,14 @@ def render_phase_breakdown(stats: list[PhaseStat]) -> str:
     """Text table of :func:`phase_breakdown` output."""
     header = (
         f"{'op':<7} {'phase':<20} {'count':>7} {'mean':>9} "
-        f"{'p50':>9} {'p95':>9} {'total':>11}"
+        f"{'p50':>9} {'p95':>9} {'total':>11} {'overlapped':>10}"
     )
     lines = [header, "-" * len(header)]
     for stat in stats:
         lines.append(
             f"{stat.op:<7} {stat.phase:<20} {stat.count:>7} "
             f"{stat.mean:>9.3f} {stat.p50:>9.3f} {stat.p95:>9.3f} "
-            f"{stat.total:>11.2f}"
+            f"{stat.total:>11.2f} {stat.overlapped or '':>10}"
         )
     if len(lines) == 2:
         lines.append("(no timed spans recorded)")

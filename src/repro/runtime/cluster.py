@@ -463,9 +463,13 @@ class KVFrontend:
                     },
                 )
                 await writer.drain()
-        except (ConnectionError, CodecError, asyncio.CancelledError):
+        except (ConnectionError, CodecError):
             return
         finally:
+            # Also the way out for a cancellation: the writer is closed
+            # and the CancelledError keeps propagating, so whoever
+            # cancelled this handler sees a cancelled task, not a clean
+            # return.
             writer.close()
 
 

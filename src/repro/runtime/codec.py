@@ -71,7 +71,7 @@ _FIELDS: dict[type, tuple[str, ...]] = {
     VersionRequest: ("key", "request_id"),
     VersionReply: ("key", "request_id", "timestamp"),
     PrepareMessage: ("txid", "key", "value", "timestamp"),
-    VoteMessage: ("txid", "vote_commit"),
+    VoteMessage: ("txid", "vote_commit", "timestamp"),
     CommitMessage: ("txid",),
     AbortMessage: ("txid",),
     AckMessage: ("txid", "committed"),

@@ -38,7 +38,7 @@ _EXPORTS = {
     "LockMode": "locks",
     "Monitor": "monitor",
     "Network": "network",
-    "OperationOutcome": "coordinator",
+    "OperationOutcome": "outcome",
     "PartitionSpec": "network",
     "PrepareMessage": "messages",
     "QuorumCoordinator": "coordinator",

@@ -10,7 +10,12 @@ protocol of Section 2.2:
 * **write(key, value)** — take an exclusive lock, obtain the highest
   version number from a read quorum and increment it (Section 3.2.2),
   assemble a write quorum, and run two-phase commit (prepare/vote then
-  commit/abort) across its members.
+  commit/abort) across its members.  Once the coordinator's version
+  floor knows the key, the version round and the prepare overlap: the
+  prepare leaves at the floor's successor while the read quorum's
+  members outside the write quorum are asked for their versions, the
+  voters report theirs on their votes, and nothing commits until the
+  whole read quorum has confirmed the floor — two round trips, not three.
 
 Failures are transient and *detectable* (Section 2.2), so quorum selection
 consults a liveness oracle; replicas that crash between selection and
@@ -78,99 +83,9 @@ from repro.sim.messages import (
     VoteMessage,
 )
 from repro.sim.network import Network
+from repro.sim.outcome import FailureReason, OperationOutcome
 from repro.sim.replica import ZERO_TIMESTAMP, Timestamp, dominant
 from repro.sim.transactions import TransactionIdSource
-
-
-class FailureReason(enum.Enum):
-    """Why an operation did not succeed."""
-
-    NONE = "none"
-    UNAVAILABLE = "no-quorum-available"
-    TIMEOUT = "quorum-timeout"
-    LOCK_TIMEOUT = "lock-timeout"
-    VOTE_REFUSED = "participant-refused"
-
-
-class OperationOutcome:
-    """The result of one read or write operation.
-
-    A hand-rolled slotted class, not a dataclass: one is allocated per
-    finished operation and retained by the monitor, so the flat
-    ``__init__`` and ``__slots__`` matter at throughput-bench scale.
-    Value equality is field-wise, matching the old dataclass semantics
-    (and, like a dataclass with ``eq=True``, instances are unhashable).
-    """
-
-    __slots__ = (
-        "op_type", "key", "success", "value", "timestamp", "quorum",
-        "version_quorum", "attempts", "started_at", "finished_at",
-        "reason", "leased", "failed_stage",
-    )
-
-    def __init__(
-        self,
-        op_type: str,
-        key: Any,
-        success: bool,
-        value: Any = None,
-        timestamp: Timestamp | None = None,
-        quorum: frozenset[int] = frozenset(),
-        version_quorum: frozenset[int] = frozenset(),
-        attempts: int = 1,
-        started_at: float = 0.0,
-        finished_at: float = 0.0,
-        reason: FailureReason = FailureReason.NONE,
-        leased: bool = False,
-        failed_stage: str = "",
-    ) -> None:
-        self.op_type = op_type
-        self.key = key
-        self.success = success
-        self.value = value
-        self.timestamp = timestamp
-        self.quorum = quorum
-        self.version_quorum = version_quorum
-        self.attempts = attempts
-        self.started_at = started_at
-        self.finished_at = finished_at
-        self.reason = reason
-        #: True when the read was served from the lease cache: no quorum
-        #: was contacted (``quorum`` is empty, ``attempts`` is 0) and the
-        #: invariant checker skips only the quorum-intersection audit.
-        self.leased = leased
-        #: Protocol stage the operation died in ("" on success): "read",
-        #: "version", "prepare" or "commit".  Reconfiguration uses this to
-        #: distinguish a copy that could not read the old tree from one
-        #: that could not write the new one.
-        self.failed_stage = failed_stage
-
-    @property
-    def latency(self) -> float:
-        """Wall-clock (simulated) duration of the operation."""
-        return self.finished_at - self.started_at
-
-    def _astuple(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not OperationOutcome:
-            return NotImplemented
-        return self._astuple() == other._astuple()
-
-    def __repr__(self) -> str:
-        fields = ", ".join(
-            f"{name}={getattr(self, name)!r}" for name in self.__slots__
-        )
-        return f"OperationOutcome({fields})"
-
-    def with_started_at(self, started_at: float) -> "OperationOutcome":
-        """A copy differing only in ``started_at`` (coalesced-read fan-out)."""
-        copy = OperationOutcome.__new__(OperationOutcome)
-        for name in self.__slots__:
-            setattr(copy, name, getattr(self, name))
-        copy.started_at = started_at
-        return copy
 
 
 DoneCallback = Callable[[OperationOutcome], None]
@@ -203,8 +118,8 @@ class _OpContext:
         "version_quorum", "replies", "versions", "votes", "acks",
         "write_timestamp", "timeout_handle", "finished", "lock_granted",
         "preselected", "preselected_epoch", "skip_version",
-        "copy_read", "trace_id", "op_span", "lock_span", "attempt_span",
-        "phase_span",
+        "copy_read", "speculative", "version_members", "trace_id", "op_span",
+        "lock_span", "attempt_span", "phase_span",
     )
 
     def __init__(
@@ -260,6 +175,11 @@ class _OpContext:
         # Reconfiguration copy: run a read phase under the exclusive lock
         # and re-write the dominant value, as ONE atomic operation.
         self.copy_read = copy_read
+        # Overlapped write round: True from when the prepare leaves at the
+        # floor's timestamp until all votes and version replies are in
+        # (``version_members`` replies: the read quorum outside the write).
+        self.speculative = False
+        self.version_members = 0
         # Trace span ids (0 = no span; only set when a recorder is enabled).
         self.trace_id = 0
         self.op_span = 0
@@ -862,7 +782,9 @@ class QuorumCoordinator:
             op=ctx.op_type, mode=mode.value,
         )
 
-    def _begin_phase(self, ctx: _OpContext, name: str, quorum_size: int) -> None:
+    def _begin_phase(
+        self, ctx: _OpContext, name: str, quorum_size: int, **attributes: Any
+    ) -> None:
         recorder = self._recorder
         if not recorder.enabled:
             return
@@ -876,7 +798,7 @@ class QuorumCoordinator:
         )
         ctx.phase_span = recorder.start_span(
             ctx.trace_id, ctx.attempt_span, f"phase/{name}", SpanKind.PHASE,
-            now, op=ctx.op_type, quorum=quorum_size,
+            now, op=ctx.op_type, quorum=quorum_size, **attributes,
         )
 
     def _end_phase(self, ctx: _OpContext, status: str = STATUS_OK) -> None:
@@ -956,6 +878,7 @@ class QuorumCoordinator:
             # from an earlier one would let ``_on_ack`` complete the
             # commit early.
             ctx.acks.clear()
+            ctx.speculative = False
         recorder = self._recorder
         if recorder.enabled:
             self._close_attempt(ctx)
@@ -973,12 +896,21 @@ class QuorumCoordinator:
             # exclusive lock was released, and this write's lock grant
             # happens-after that release — so the floor already dominates
             # every committed version a version round could observe.
-            floor = self._version_floor.get(ctx.key, ZERO_TIMESTAMP)
-            ctx.write_timestamp = floor.next_version(self._writer_id)
+            ctx.write_timestamp = self._next_timestamp(ctx.key, ZERO_TIMESTAMP)
             self._start_prepare_phase(ctx)
         else:
             ctx.stage = _Stage.VERSION
-            self._start_version_phase(ctx)
+            floor = self._version_floor.get(ctx.key)
+            if floor is None:
+                self._start_version_phase(ctx)
+                return
+            # Known floor: prepare at it *while* a read quorum verifies it
+            # (see _start_prepare_phase).  No read quorum assemblable: the
+            # write quorum verifies alone, as in _start_version_phase.
+            ctx.write_timestamp = floor.next_version(self._writer_id)
+            ctx.version_quorum = self._select_quorum("read") or frozenset()
+            ctx.speculative = True
+            self._start_prepare_phase(ctx)
 
     def _defer_unavailable(self, ctx: _OpContext) -> None:
         """No quorum is currently live: report/retry after a detection delay.
@@ -1081,7 +1013,10 @@ class QuorumCoordinator:
         if stage is _Stage.VERSION:
             return set(ctx.version_quorum) - ctx.versions.keys()
         if stage is _Stage.PREPARE:
-            return set(ctx.quorum) - ctx.votes.keys()
+            pending = set(ctx.quorum) - ctx.votes.keys()
+            if ctx.speculative:
+                pending |= set(ctx.version_quorum) - ctx.versions.keys()
+            return pending
         return set(ctx.quorum) - ctx.acks
 
     def _on_timeout(self, ctx: _OpContext, attempt: int, stage: _Stage) -> None:
@@ -1278,13 +1213,7 @@ class QuorumCoordinator:
             return
         ctx.value = best.value
         ctx.version_quorum = ctx.quorum
-        floor = self._version_floor.get(ctx.key, ZERO_TIMESTAMP)
-        current = (
-            best.timestamp
-            if best.timestamp.version >= floor.version
-            else floor
-        )
-        ctx.write_timestamp = current.next_version(self._writer_id)
+        ctx.write_timestamp = self._next_timestamp(ctx.key, best.timestamp)
         # Pre-stage so an unavailable write-quorum selection is reported
         # against the write half, not the already-complete read half.
         ctx.stage = _Stage.PREPARE
@@ -1329,23 +1258,43 @@ class QuorumCoordinator:
 
     def _on_version_reply(self, ctx: _OpContext, message: VersionReply) -> None:
         ctx.versions[message.src] = message.timestamp
+        if ctx.speculative:
+            self._settle_overlapped(ctx)
+            return
         if len(ctx.versions) < len(ctx.version_quorum):
             return
         self._cancel_timeout(ctx)
         if ctx.phase_span:
             self._end_phase(ctx)
-        observed = dominant(list(ctx.versions.values()))
-        floor = self._version_floor.get(ctx.key, ZERO_TIMESTAMP)
-        current = observed if observed.version >= floor.version else floor
-        ctx.write_timestamp = current.next_version(self._writer_id)
+        ctx.write_timestamp = self._next_timestamp(
+            ctx.key, dominant(list(ctx.versions.values()))
+        )
         self._by_request.pop(ctx.request_id, None)
         self._start_prepare_phase(ctx)
+
+    def _next_timestamp(self, key: Any, observed: Timestamp) -> Timestamp:
+        """What a write stamps having observed ``observed``: one past the
+        higher of it and the shared version floor."""
+        floor = self._version_floor.get(key, ZERO_TIMESTAMP)
+        current = observed if observed.version >= floor.version else floor
+        return current.next_version(self._writer_id)
 
     # ------------------------------------------------------------------
     # write: 2PC
     # ------------------------------------------------------------------
 
     def _start_prepare_phase(self, ctx: _OpContext) -> None:
+        """Prepare ``ctx.write_timestamp`` on a write quorum W.
+
+        While ``ctx.speculative`` the round is *overlapped*: the timestamp
+        is the floor's guess, not yet what the read quorum R in
+        ``ctx.version_quorum`` reported, so in the same tick the members of
+        R outside W are asked for their versions (those inside report
+        theirs on their votes — every R meets every W) and
+        :meth:`_settle_overlapped` decides once all of R ∪ W has answered.
+        One round trip and |R ∩ W| messages fewer than version-then-prepare,
+        over the same quorums.
+        """
         quorum = self._select_quorum("write")
         if quorum is None:
             self._defer_unavailable(ctx)
@@ -1353,8 +1302,19 @@ class QuorumCoordinator:
         assert ctx.write_timestamp is not None
         ctx.stage = _Stage.PREPARE
         ctx.quorum = quorum
+        outside: list[int] | tuple[()] = ()
+        if ctx.speculative:
+            ctx.version_quorum = ctx.version_quorum or quorum
+            outside = sorted(ctx.version_quorum - quorum)
+            ctx.version_members = len(outside)
         if self._trace_enabled:
-            self._begin_phase(ctx, "prepare", len(quorum))
+            attributes = {}
+            if ctx.speculative:
+                attributes = dict(overlapped=True, version_members=len(outside))
+            self._begin_phase(ctx, "prepare", len(quorum), **attributes)
+        if outside:
+            ctx.request_id = self._tx_ids.next_id()
+            self._by_request[ctx.request_id] = ctx
         ctx.txid = self._tx_ids.next_id()
         self._by_txid[ctx.txid] = ctx
         self._arm_timeout(ctx)
@@ -1363,12 +1323,45 @@ class QuorumCoordinator:
         if members is None:
             members = self._sorted_members[quorum] = sorted(quorum)
         # Positional: (src, dst, txid, key, value, timestamp).
-        self._network.broadcast([
+        messages: list[Message] = [
             PrepareMessage(
                 sid, member, ctx.txid, ctx.key, ctx.value, ctx.write_timestamp
             )
             for member in members
-        ])
+        ]
+        for member in outside:
+            messages.append(
+                VersionRequest(sid, member, ctx.key, ctx.request_id)
+            )
+        self._network.broadcast(messages)
+
+    def _settle_overlapped(self, ctx: _OpContext) -> None:
+        """A vote or version reply of an overlapped round arrived: once
+        all of R ∪ W has answered, commit if the floor's guess held."""
+        if (
+            len(ctx.votes) < len(ctx.quorum)
+            or len(ctx.versions) < len(ctx.quorum) + ctx.version_members
+        ):
+            return
+        ctx.speculative = False
+        self._by_request.pop(ctx.request_id, None)
+        observed = dominant(list(ctx.versions.values()))
+        timestamp = self._next_timestamp(ctx.key, observed)
+        if timestamp == ctx.write_timestamp:
+            self._decide_commit(ctx)
+            return
+        # Someone committed past the floor (a coordinator with a floor of
+        # its own): abort the stale txid, remember what was seen, and
+        # prepare once more at what the version round would have stamped.
+        # The aborted txid's votes must not count towards the new one.
+        self._cancel_timeout(ctx)
+        self._by_txid.pop(ctx.txid, None)
+        self._broadcast_decision(ctx, commit=False)
+        ctx.votes.clear()
+        ctx.versions.clear()
+        self._version_floor[ctx.key] = observed
+        ctx.write_timestamp = timestamp
+        self._start_prepare_phase(ctx)
 
     def _on_vote(self, ctx: _OpContext, message: VoteMessage) -> None:
         ctx.votes[message.src] = message.vote_commit
@@ -1378,8 +1371,15 @@ class QuorumCoordinator:
             self._broadcast_decision(ctx, commit=False)
             self._retry_or_fail(ctx, FailureReason.VOTE_REFUSED)
             return
+        if ctx.speculative:
+            ctx.versions[message.src] = message.timestamp
+            self._settle_overlapped(ctx)
+            return
         if len(ctx.votes) < len(ctx.quorum):
             return
+        self._decide_commit(ctx)
+
+    def _decide_commit(self, ctx: _OpContext) -> None:
         # Decision reached: the write is now durable (commit logged), but the
         # exclusive lock is held until every live quorum member has applied
         # it, so no later read can observe a pre-commit value.
@@ -1500,7 +1500,13 @@ class QuorumCoordinator:
             )
         table, message_id, stage, handler = entry
         ctx = table.get(message_id(message))
-        if ctx is None or ctx.stage is not stage:
+        if ctx is None:
+            return
+        # An overlapped round takes its version replies in PREPARE, and
+        # only until it has settled.
+        if ctx.stage is not stage and not (
+            stage is _Stage.VERSION and ctx.speculative
+        ):
             return
         if self._suspects is not None and message.src >= 0:
             self._suspects.exonerate(message.src, self._clock.now)

@@ -163,19 +163,30 @@ class PrepareMessage(Message):
 
 
 class VoteMessage(Message):
-    """2PC phase 1 answer: the participant's commit vote."""
+    """2PC phase 1 answer: the participant's commit vote.
 
-    __slots__ = ("txid", "vote_commit")
+    A yes-vote also carries the voter's committed ``timestamp`` of the
+    key, so a write quorum answers the version question for its own
+    members while it votes (the coordinator's overlapped write round).
+    """
+
+    __slots__ = ("txid", "vote_commit", "timestamp")
     type_name = "VoteMessage"
 
     def __init__(
-        self, src: int, dst: int, txid: int = 0, vote_commit: bool = True
+        self,
+        src: int,
+        dst: int,
+        txid: int = 0,
+        vote_commit: bool = True,
+        timestamp: Timestamp = ZERO_TIMESTAMP,
     ) -> None:
         self.src = src
         self.dst = dst
         self.msg_id = _next_message_id()
         self.txid = txid
         self.vote_commit = vote_commit
+        self.timestamp = timestamp
 
 
 class CommitMessage(Message):

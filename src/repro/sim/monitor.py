@@ -293,8 +293,10 @@ class Monitor:
         """A flat dict of the headline measured quantities.
 
         ``write_cost`` is the data quorum alone (comparable to the
-        analytical m(W)); ``write_cost_total`` adds the version round's
-        quorum, i.e. every replica the write actually contacted.
+        analytical m(W)); ``write_cost_total`` adds the read quorum that
+        vouched for the version.  An overlapped write reaches the members
+        the two share once, on the prepare, so it sends |R ∩ W| fewer
+        requests than that sum.
         """
         return {
             "reads": self.reads.attempted,

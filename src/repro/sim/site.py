@@ -113,7 +113,10 @@ class Site:
         self._clock = network.clock
         self._service_time = service_time
         self._queue: deque[Message] = deque()
-        self._busy = False
+        #: The message in service (``None`` = idle).  Its completion timer
+        #: carries the message itself, so a timer armed before a crash —
+        #: which empties this — is recognisably stale when it fires.
+        self._serving: Message | None = None
         #: When the message in service is due to complete.  The service
         #: loop paces itself against this, not against when its timer
         #: happened to fire, so a late timer delays one message instead of
@@ -150,7 +153,7 @@ class Site:
             self.up = False
             self.stats.crashes += 1
             self._queue.clear()
-            self._busy = False
+            self._serving = None
             self._network.bump_liveness_epoch()
 
     def recover(self) -> None:
@@ -198,55 +201,54 @@ class Site:
         depth = len(queue)
         if depth > stats.max_queue_depth:
             stats.max_queue_depth = depth
-        if not self._busy:
+        if self._serving is None:
             self._serve_next()
 
     def _serve_next(self) -> None:
-        queue = self._queue
-        if not queue or not self.up:
-            self._busy = False
-            return
-        self._busy = True
+        """Put the head of the queue into service (the unit was idle)."""
+        message = self._serving = self._queue.popleft()
         self._due = self._clock.now + self._service_time
         self._clock.call_later(
-            self._service_time, self._service_done, queue.popleft()
+            self._service_time, self._service_done, message
         )
 
     def _service_done(self, message: Message) -> None:
         # _handle and _serve_next inlined: this is the saturated
         # replica's per-message hot path, and the two extra call frames
-        # are measurable.  Behaviour is identical — a crash mid-service
-        # drops the message (``up`` is false) and parks the loop.
-        if self.up:
-            handler = _HANDLERS.get(message.__class__)
-            if handler is None:
-                raise TypeError(
-                    f"site {self.sid} cannot handle {type(message).__name__}"
-                )
-            handler(self, message)
-            queue = self._queue
-            if queue:
-                # The next message is due one service time after this one
-                # *was due*: the timer's lateness and the handler's own
-                # run time come off the next delay.  A whole slot or more
-                # behind, the schedule restarts from now — never a burst,
-                # so the site still serves at most one message per
-                # service time.  The simulator fires on time (lag is
-                # exactly 0.0) and arms the very timer it always did.
-                service_time = self._service_time
-                now = self._clock.now
-                lag = now - self._due
-                if lag < service_time:
-                    self._due += service_time
-                    delay = service_time - lag
-                else:
-                    self._due = now + service_time
-                    delay = service_time
-                self._clock.call_later(
-                    delay, self._service_done, queue.popleft()
-                )
-                return
-        self._busy = False
+        # are measurable.  A crash mid-service drops the message and
+        # parks the loop; the timer still fires, finds another message
+        # (or none) in service, and must not start a second chain beside
+        # the one a recovery inside the service period has begun.
+        if message is not self._serving:
+            return
+        handler = _HANDLERS.get(message.__class__)
+        if handler is None:
+            raise TypeError(
+                f"site {self.sid} cannot handle {type(message).__name__}"
+            )
+        handler(self, message)
+        queue = self._queue
+        if queue:
+            # The next message is due one service time after this one
+            # *was due*: the timer's lateness and the handler's own
+            # run time come off the next delay.  A whole slot or more
+            # behind, the schedule restarts from now — never a burst,
+            # so the site still serves at most one message per
+            # service time.  The simulator fires on time (lag is
+            # exactly 0.0) and arms the very timer it always did.
+            service_time = self._service_time
+            now = self._clock.now
+            lag = now - self._due
+            if lag < service_time:
+                self._due += service_time
+                delay = service_time - lag
+            else:
+                self._due = now + service_time
+                delay = service_time
+            message = self._serving = queue.popleft()
+            self._clock.call_later(delay, self._service_done, message)
+            return
+        self._serving = None
 
     def _handle(self, message: Message) -> None:
         handler = _HANDLERS.get(message.__class__)
@@ -304,8 +306,13 @@ class Site:
             coordinator=message.src,
         )
         self._prepared_keys[message.key] = message.txid
+        # Positional: (src, dst, txid, vote_commit, timestamp) — the
+        # committed version, not the one being prepared.
         self._network.send(
-            VoteMessage(self.sid, message.src, message.txid, True)
+            VoteMessage(
+                self.sid, message.src, message.txid, True,
+                self.store.version_of(message.key),
+            )
         )
 
     def _on_commit(self, message: CommitMessage) -> None:

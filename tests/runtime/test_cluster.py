@@ -198,6 +198,32 @@ def test_frontend_answers_garbage_without_an_unhandled_exception():
     asyncio.run(asyncio.wait_for(main(), 30.0))
 
 
+def test_a_cancelled_frontend_handler_closes_its_writer_and_stays_cancelled():
+    """``_on_connection`` used to catch ``CancelledError`` and return, so
+    whoever cancelled the handler saw a task that finished cleanly."""
+
+    class Writer:
+        closed = False
+
+        def close(self):
+            self.closed = True
+
+    async def main():
+        frontend = KVFrontend(_StubCluster())
+        writer = Writer()
+        handler = asyncio.ensure_future(
+            # A reader nobody feeds: the handler blocks awaiting a frame.
+            frontend._on_connection(asyncio.StreamReader(), writer)
+        )
+        await asyncio.sleep(0)
+        handler.cancel()
+        with pytest.raises(asyncio.CancelledError):
+            await handler
+        assert handler.cancelled() and writer.closed
+
+    asyncio.run(asyncio.wait_for(main(), 30.0))
+
+
 def test_a_site_that_dies_importing_says_why(tmp_path, monkeypatch):
     """The child's stderr used to go to ``DEVNULL``: a site that could
     not import reported ``rc=1`` and nothing else."""

@@ -33,7 +33,7 @@ ALL_MESSAGES = [
     VersionRequest(-1, 0, "k2", 19),
     VersionReply(0, -1, "k2", 19, Timestamp(7, 9)),
     PrepareMessage(-1, 2, 101, "k2", "payload", Timestamp(8, 8)),
-    VoteMessage(2, -1, 101, True),
+    VoteMessage(2, -1, 101, True, Timestamp(7, 9)),
     VoteMessage(2, -1, 102, False),
     CommitMessage(-1, 2, 101),
     AbortMessage(-1, 2, 102),
@@ -72,6 +72,21 @@ def test_timestamp_travels_as_version_sid_pair():
     decoded = decode_message(obj)
     assert decoded.timestamp == Timestamp(5, 2)
     assert decoded.timestamp.dominates(Timestamp(4, 0))
+
+
+def test_a_vote_carries_the_voters_version():
+    """ISSUE 16: a vote answers the version question for its sender, so
+    the frame grows by the two trailing timestamp ints (33 -> 38 B for
+    the ledger's sample vote).  Callers that build a vote positionally
+    without one keep working and send the zero timestamp."""
+    vote = VoteMessage(2, -1, 101, True, Timestamp(6, 8))
+    assert encode_message(vote) == ["VoteMessage", 2, -1, 101, True, 6, 8]
+    assert decode_message(encode_message(vote)).timestamp == Timestamp(6, 8)
+    legacy = VoteMessage(3, -1, 777, True)
+    assert legacy.timestamp == ZERO_TIMESTAMP
+    assert len(encode_frame(encode_message(legacy))) == 38
+    with pytest.raises(CodecError, match="malformed"):
+        decode_message(["VoteMessage", 3, -1, 777, True])  # the old frame
 
 
 def test_unknown_type_rejected():

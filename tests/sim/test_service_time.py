@@ -141,12 +141,17 @@ class LateTransport:
     def __init__(self, clock):
         self.clock = clock
         self.sent_at = []
+        self.sent = []
 
     def register(self, sid, endpoint):
         pass
 
+    def bump_liveness_epoch(self):
+        pass
+
     def send(self, message):
         self.sent_at.append(self.clock.now)
+        self.sent.append(message)
 
 
 class TestPacingOnALateClock:
@@ -188,3 +193,29 @@ class TestPacingOnALateClock:
         # schedule restarts there instead of serving the third, "owed"
         # since 12 ms, back to back with it.
         assert transport.sent_at == pytest.approx([0.004, 0.018, 0.032])
+
+    def test_a_crash_and_recovery_inside_one_service_period_leaves_one_chain(self):
+        """The timer armed before the crash still fires.  It used to find
+        the site up again, answer the message the crash had lost and pull
+        the next one off the queue — a second service chain beside the
+        one the recovery started, so the site served two messages per
+        service time."""
+        clock = LateClock(0.0)
+        transport = LateTransport(clock)
+        site = Site(0, transport, service_time=self.SERVICE_TIME)
+
+        def ask(rid):
+            site.receive(ReadRequest(src=-1, dst=0, key="k", request_id=rid))
+
+        def bounce(_):
+            site.crash()
+            site.recover()
+            for rid in (2, 3, 4):
+                ask(rid)
+
+        ask(0)  # in service until 4 ms
+        ask(1)  # queued; both are lost in the crash
+        clock.call_later(0.001, bounce, None)
+        clock.run()
+        assert [reply.request_id for reply in transport.sent] == [2, 3, 4]
+        assert transport.sent_at == pytest.approx([0.005, 0.009, 0.013])
