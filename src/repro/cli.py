@@ -687,8 +687,8 @@ def _print_profile(args) -> None:
         f"wall {report.wall_seconds:.2f}s under cProfile — "
         f"{report.events_per_sec:,.0f} events/sec, "
         f"{report.ops_per_sec:,.0f} ops/sec "
-        f"(profiler overhead included; see BENCH_simcore.json for "
-        f"uninstrumented rates)"
+        f"(profiler overhead included; the ledger's sim-saturated "
+        f"workload has uninstrumented rates)"
     )
     print(report.hotspots)
     if report.phase_breakdown is not None:
@@ -718,8 +718,8 @@ def _add_fault_arguments(parser) -> None:
         "--batch-window", type=float, default=0.0, metavar="W",
         help="coordinator batching window in simulated time units: "
              "operations arriving within W of the first are coalesced "
-             "per key — same-key reads share one quorum read, batched "
-             "writes skip redundant version rounds (0 = off, the "
+             "per key — same-key reads share one quorum read, writes "
+             "issue in submission order at flush (0 = off, the "
              "legacy per-operation path)",
     )
     parser.add_argument(

@@ -2,7 +2,7 @@
 
 The coordinator's original retry loop was hard-wired: an attempt that
 timed out (or had a vote refused) was retried immediately, and an attempt
-that found no live quorum waited a fixed ``unavailable_delay``.  Under
+that found no live quorum waited one phase ``timeout``.  Under
 churn that is the worst possible shape — every client hammers the system
 in lockstep the instant a timeout fires, and keeps hammering at the same
 cadence while the failure persists.
@@ -25,8 +25,8 @@ Policies answer two questions, both in simulated time units:
   attempts already made);
 * :meth:`RetryPolicy.unavailable_delay` — wait before re-probing when no
   live quorum exists at all (the detection delay of an unavailability
-  probe round).  ``None`` defers to the coordinator's configured
-  ``unavailable_delay``.
+  probe round).  ``None`` defers to the coordinator's phase
+  ``timeout``.
 
 :class:`RetryPolicySpec` is the picklable plain-data form carried by
 simulation configs and the parallel runner; ``spec.build(seed)``

@@ -33,17 +33,26 @@ a uniform pick would change their measured costs and loads.
 the agreement tests and benchmarks: filter the quorum list by the live set,
 draw one ``randrange``.  Index and reference consume identical RNG streams,
 so selections agree bit-for-bit under the same seed.
+
+:class:`QuorumChooser` is the strategy layer on top: the one place that
+decides *which* live quorum an operation uses, so the coordinator that
+executes the operation only asks ``choose(op)``.
 """
 
 from __future__ import annotations
 
 import random
-from collections.abc import Collection, Sequence
+from collections.abc import Callable, Collection, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.quorums.bitset import PackedQuorums, mask_to_words, try_pack
-from repro.quorums.liveness import Liveness, as_oracle
+from repro.quorums.liveness import Liveness, LivenessOracle, as_oracle
+
+if TYPE_CHECKING:  # annotation-only: neither package is needed to select
+    from repro.fault.detector import SuspectList
+    from repro.runtime.interfaces import Clock
 
 #: Materialisation guard: systems with more quorums than this keep their
 #: structural selectors (enumeration would cost more than it saves).
@@ -204,7 +213,7 @@ class SelectionIndex:
         :meth:`select_masked` cannot be used.  Both operations' packed
         tables index the same sorted universe, so one mask serves read
         and write selections alike — callers caching the live set per
-        liveness epoch (the coordinator) can cache its mask right next
+        liveness epoch (:class:`QuorumChooser`) can cache its mask right next
         to it and skip the per-selection packing loop entirely.
         """
         packed = self._tables("read") or self._tables("write")
@@ -266,50 +275,155 @@ class SelectionIndex:
         # same integer, same underlying getrandbits stream.
         return quorums[rows[rng.randrange(len(rows))]]
 
-    def select_avoiding(
-        self,
-        op: str,
-        live: Collection[int],
-        avoid: Collection[int],
-        rng: random.Random | None = None,
-    ) -> tuple[frozenset[int] | None, bool]:
-        """Prefer viable quorums that dodge ``avoid``; fall back blind.
-
-        The failure detector's entry point: ``avoid`` is the suspected
-        set.  Returns ``(quorum, avoided)`` where ``avoided`` is True iff
-        the quorum was chosen from the suspected-free candidates — i.e.
-        the preference actually both narrowed the live set and still
-        found a quorum.  When no suspected-free quorum exists the blind
-        selection runs so suspicion can only redirect load, never
-        manufacture unavailability.  Preferred masks share the per-mask
-        viable-row cache with blind ones (a restricted live set is just
-        another mask).
-        """
-        if avoid:
-            live_tuple = tuple(live)
-            preferred = tuple(sid for sid in live_tuple if sid not in avoid)
-            if len(preferred) != len(live_tuple):
-                quorum = self.select(op, preferred, rng)
-                if quorum is not None:
-                    return quorum, True
-            live = live_tuple
-        return self.select(op, live, rng), False
-
-    def select_read(
-        self, live: Collection[int], rng: random.Random | None = None
-    ) -> frozenset[int] | None:
-        """A uniformly chosen viable read quorum, or ``None``."""
-        return self.select("read", live, rng)
-
-    def select_write(
-        self, live: Collection[int], rng: random.Random | None = None
-    ) -> frozenset[int] | None:
-        """A uniformly chosen viable write quorum, or ``None``."""
-        return self.select("write", live, rng)
-
     def __repr__(self) -> str:
         name = getattr(self._system, "name", type(self._system).__name__)
         return (
             f"SelectionIndex({name!r}, packed={self.packed_selects}, "
             f"fallback={self.fallback_selects}, hits={self.cache_hits})"
         )
+
+
+class QuorumChooser:
+    """Which live quorum an operation uses: a coordinator's strategy layer.
+
+    The coordinator executing an operation asks :meth:`choose` and knows
+    nothing else.  Decided here:
+
+    * **Index or structural selector.**  Only a system declaring
+      ``uniform_selection`` is served from a :class:`SelectionIndex`: the
+      index picks uniformly among viable quorums, so substituting it for a
+      selector that prefers primary quorums (tree-quorum paths, HQC's
+      recursion, ...) would change the measured distribution, not just its
+      speed.  Any other system keeps its own ``select_read_quorum`` /
+      ``select_write_quorum`` over the detector.
+    * **The live view.**  With a ``liveness_epoch`` source (the network
+      advances it on every crash, recovery, partition install and heal)
+      the detector is probed over the universe once per epoch and the
+      result packed into the index's bit mask, so between bumps the probe
+      loop — the dominant cost for large ``n`` — is skipped.  Without one,
+      every selection probes afresh.
+    * **Suspicion.**  With ``suspects`` (a
+      :class:`~repro.fault.detector.SuspectList`, consulted at
+      ``clock.now``) a quorum avoiding the currently suspected sites is
+      preferred and counted (``note_avoided``); when none stands the blind
+      selection runs, so suspicion can only redirect load, never
+      manufacture unavailability.
+
+    ``index`` shares one :class:`SelectionIndex` of ``system`` across a
+    replica group instead of building private packed tables and viable-row
+    caches; selections are identical either way (the cache only memoises,
+    ``rng`` still drives the pick).
+    """
+
+    def __init__(
+        self,
+        system,
+        detector: LivenessOracle,
+        rng: random.Random,
+        clock: "Clock",
+        liveness_epoch: Callable[[], int] | None = None,
+        suspects: "SuspectList | None" = None,
+        index: SelectionIndex | None = None,
+    ) -> None:
+        self._detector = detector
+        self._rng = rng
+        self._clock = clock
+        self._liveness_epoch = liveness_epoch
+        self._suspects = suspects
+        self.set_system(system, index)
+
+    @property
+    def system(self):
+        """The active quorum system."""
+        return self._system
+
+    @property
+    def index(self) -> SelectionIndex | None:
+        """The bitset selection index, if the active system qualifies."""
+        return self._index
+
+    def set_system(self, system, index: SelectionIndex | None = None) -> None:
+        """Swap the active system, dropping the cached live view.
+
+        ``index`` is adopted only if it indexes ``system``; otherwise a
+        qualifying system gets a fresh one.
+        """
+        self._system = system
+        self._index: SelectionIndex | None = None
+        self._universe: tuple[int, ...] = ()
+        self._live: tuple[int, ...] | None = None
+        self._live_epoch: int | None = None
+        self._mask: int | None = None
+        if not getattr(system, "uniform_selection", False):
+            return
+        universe = getattr(system, "universe", None)
+        if universe is None:
+            return
+        try:
+            self._universe = tuple(sorted(universe))
+        except TypeError:
+            return
+        if index is None or index.system is not system:
+            index = SelectionIndex(system)
+        self._index = index
+
+    def choose(self, op: str) -> frozenset[int] | None:
+        """A live ``op`` (``"read"`` / ``"write"``) quorum, or ``None``."""
+        suspects = self._suspects
+        avoid: frozenset[int] = (
+            suspects.suspected(self._clock.now)
+            if suspects is not None
+            else frozenset()
+        )
+        index = self._index
+        if index is None:
+            return self._choose_structural(op, avoid)
+        live = self._live_view()
+        if avoid:
+            preferred = tuple(sid for sid in live if sid not in avoid)
+            if len(preferred) != len(live):
+                quorum = index.select(op, preferred, self._rng)
+                if quorum is not None:
+                    suspects.note_avoided()
+                    return quorum
+        mask = self._mask
+        if mask is not None and index.supported(op):
+            # Same rows, same single randrange as select() — only the
+            # per-call packing loop is skipped.
+            return index.select_masked(op, mask, self._rng)
+        return index.select(op, live, self._rng)
+
+    def _live_view(self) -> tuple[int, ...]:
+        """The detector's view of the universe (and its mask), per epoch."""
+        epoch_fn = self._liveness_epoch
+        epoch = epoch_fn() if epoch_fn is not None else None
+        if self._live is None or epoch is None or epoch != self._live_epoch:
+            detector = self._detector
+            self._live = tuple(sid for sid in self._universe if detector(sid))
+            self._live_epoch = epoch
+            # None when the active system has no packed tables.
+            self._mask = self._index.live_mask(self._live)
+        return self._live
+
+    def _choose_structural(
+        self, op: str, avoid: frozenset[int]
+    ) -> frozenset[int] | None:
+        """The system's own selector, over the detector as the oracle."""
+        system, detector, rng = self._system, self._detector, self._rng
+        if avoid and any(detector(sid) for sid in avoid):
+            # Run it once over an oracle that also rules out suspected
+            # sites; fall back to the plain liveness oracle when no
+            # suspect-free quorum stands.
+            def preferred(sid: int) -> bool:
+                return sid not in avoid and detector(sid)
+
+            if op == "read":
+                quorum = system.select_read_quorum(preferred, rng)
+            else:
+                quorum = system.select_write_quorum(preferred, rng)
+            if quorum is not None:
+                self._suspects.note_avoided()
+                return quorum
+        if op == "read":
+            return system.select_read_quorum(detector, rng)
+        return system.select_write_quorum(detector, rng)

@@ -13,8 +13,8 @@ On top of the coordinator sit:
   transport discovers the death through the dropped connection;
 * a closed-loop traffic runner (:func:`run_traffic`) measuring
   wall-clock ops/sec and latency percentiles, with an optional mid-run
-  kill; the CI runtime job and ``benchmarks/bench_runtime.py`` are both
-  thin wrappers around it;
+  kill; ``repro cluster`` (and so the CI runtime job) is a thin wrapper
+  around it;
 * a KV front-end (:class:`KVFrontend`) serving the get/put API to
   external clients as ``get``/``put``/``result`` control frames.
 

@@ -17,34 +17,35 @@ protocol of Section 2.2:
   voters report theirs on their votes, and nothing commits until the
   whole read quorum has confirmed the floor — two round trips, not three.
 
-Failures are transient and *detectable* (Section 2.2), so quorum selection
-consults a liveness oracle; replicas that crash between selection and
+Failures are transient and *detectable* (Section 2.2), so quorums are
+chosen among live replicas; replicas that crash between selection and
 delivery simply never answer, the attempt times out, and the coordinator
 retries with a fresh quorum up to ``max_attempts`` times.  Every completed
 operation is reported as an :class:`OperationOutcome`.
 
-The coordinator is protocol-agnostic: it drives any
-:class:`~repro.quorums.system.QuorumSystem` through the unified
-``select_read_quorum(live, rng)`` / ``select_write_quorum(live, rng)``
-interface — the paper's arbitrary protocol and all six comparison protocols
-alike, with no per-protocol adaptation.
+The coordinator is protocol-agnostic and runs the protocol only: *which*
+live quorum an operation uses — the active
+:class:`~repro.quorums.system.QuorumSystem`, packed index or structural
+selector, the live view, suspect avoidance — is
+:class:`~repro.quorums.selection.QuorumChooser`'s decision, and the
+coordinator asks it ``choose("read")`` / ``choose("write")``.
 
-Two optional throughput features sit in front of the legacy pipeline and
-leave its RNG/event streams byte-identical when disabled:
+Two optional throughput features sit in front of the protocol and leave
+its RNG/event streams byte-identical when disabled; neither has a
+protocol path of its own:
 
-* **read leases** (``leases=LeaseCache(...)``) — reads of a leased key
-  are served from the cache without touching the lock manager or the
-  network; see :mod:`repro.sim.leases` for the invalidation rules;
+* **read leases** (``leases=LeaseCache(...)``) — a read looks its key's
+  lease up twice, at submission and again when its shared lock is
+  granted, and a hit is served from the cache without contacting any
+  replica; see :mod:`repro.sim.leases` for the invalidation rules;
 * **operation batching** (``batch_window > 0``) — submissions are
   queued for a window and flushed together: same-key reads coalesce
-  into one quorum round whose result fans out to every waiter, every
-  read group in a flush shares one pre-selected read quorum, and
-  same-key writes after the first skip the version round by deriving
-  their timestamp from the shared version floor (the floor is updated
-  at every commit decision *before* the exclusive lock is released, so
-  it dominates every committed version the skipped round could have
-  observed).  Within one window, coalesced reads order before that
-  window's writes to the same key.
+  into one ordinary quorum read whose result fans out to every waiter,
+  and writes are ordinary writes issued in submission order (a same-key
+  successor finds the version floor its predecessor's commit advanced,
+  so it takes the two-round overlapped path like any other known-floor
+  write).  Within one window, coalesced reads order before that window's
+  writes to the same key.
 """
 
 from __future__ import annotations
@@ -65,9 +66,9 @@ if TYPE_CHECKING:  # annotation-only: repro.fault type-hints this module back
 from repro.obs.recorder import NULL_RECORDER, NullRecorder
 from repro.obs.spans import STATUS_OK, SpanKind
 from repro.quorums.liveness import LivenessOracle
-from repro.quorums.selection import SelectionIndex
+from repro.quorums.selection import QuorumChooser, SelectionIndex
 from repro.quorums.system import QuorumSystem
-from repro.sim.leases import LeaseCache, LeaseEntry
+from repro.sim.leases import LeaseCache
 from repro.sim.locks import LockManager, LockMode
 from repro.sim.messages import (
     AbortMessage,
@@ -117,7 +118,6 @@ class _OpContext:
         "stage", "attempts", "request_id", "txid", "quorum",
         "version_quorum", "replies", "versions", "votes", "acks",
         "write_timestamp", "timeout_handle", "finished", "lock_granted",
-        "preselected", "preselected_epoch", "skip_version",
         "copy_read", "speculative", "version_members", "trace_id", "op_span",
         "lock_span", "attempt_span", "phase_span",
     )
@@ -132,12 +132,6 @@ class _OpContext:
         value: Any = None,
         stage: _Stage = _Stage.READ,
         copy_read: bool = False,
-        skip_version: bool = False,
-        # Batching: a pre-selected read quorum for the first attempt
-        # (shared across a flush), valid only while the liveness epoch is
-        # unchanged.
-        preselected: frozenset[int] | None = None,
-        preselected_epoch: int | None = None,
         finished: bool = False,
     ) -> None:
         self.op_type = op_type
@@ -165,13 +159,6 @@ class _OpContext:
         self.timeout_handle: "CancelHandle | None" = None
         self.finished = finished
         self.lock_granted = False
-        self.preselected = preselected
-        self.preselected_epoch = preselected_epoch
-        # Batching: derive the write timestamp from the shared version
-        # floor instead of running the version round (safe for every
-        # same-key write after the first in a flush — see the module
-        # docstring).
-        self.skip_version = skip_version
         # Reconfiguration copy: run a read phase under the exclusive lock
         # and re-write the dominant value, as ONE atomic operation.
         self.copy_read = copy_read
@@ -242,7 +229,7 @@ class QuorumCoordinator:
         Optional :class:`~repro.fault.retry.RetryPolicy` governing the
         delay before each retry and before unavailability re-probes.
         ``None`` keeps the legacy shape: immediate retry after a timeout
-        or refused vote, ``unavailable_delay`` after finding no quorum.
+        or refused vote, one ``timeout`` after finding no quorum.
     suspects:
         Optional :class:`~repro.fault.detector.SuspectList`.  When
         present, every quorum member that stays silent past a timeout is
@@ -263,7 +250,6 @@ class QuorumCoordinator:
         max_attempts: int = 3,
         writer_id: int = 0,
         tx_ids: TransactionIdSource | None = None,
-        unavailable_delay: float | None = None,
         version_floor: dict | None = None,
         recorder: NullRecorder = NULL_RECORDER,
         liveness_epoch: Callable[[], int] | None = None,
@@ -291,14 +277,10 @@ class QuorumCoordinator:
         #: everything time-related below goes through this Clock, never
         #: through simulator-only attributes like ``network.scheduler``.
         self._clock = network.clock
-        self._system = system
         self._locks = locks
         self._detector = detector
         self._rng = rng
         self._timeout = timeout
-        self._unavailable_delay = (
-            timeout if unavailable_delay is None else unavailable_delay
-        )
         self._max_attempts = max_attempts
         self._writer_id = writer_id
         self._recorder = recorder
@@ -322,7 +304,6 @@ class QuorumCoordinator:
         self._version_floor: dict[Any, Timestamp] = (
             version_floor if version_floor is not None else {}
         )
-        self._liveness_epoch = liveness_epoch
         self._retry_policy = retry_policy
         self._suspects = suspects
         self._batch_window = batch_window
@@ -352,17 +333,10 @@ class QuorumCoordinator:
                 _Stage.COMMIT, self._on_ack,
             ),
         }
-        # A shared SelectionIndex (one per replica group/shard) lets every
-        # coordinator of the group reuse the same packed quorum tables and
-        # per-(op, live-mask) viable-row cache instead of building private
-        # copies; selection results are identical either way (the cache
-        # only memoises, the caller's RNG still drives the pick).
-        self._shared_selector = selector
-        self._selector: SelectionIndex | None = None
-        self._universe: tuple[int, ...] = ()
-        self._live_cache: tuple[int, ...] | None = None
-        self._live_cache_epoch: int | None = None
-        self._live_mask: int | None = None
+        self._chooser = QuorumChooser(
+            system, detector, rng, self._clock,
+            liveness_epoch=liveness_epoch, suspects=suspects, index=selector,
+        )
         # Quorum -> sorted members.  Selected quorums are flyweights (the
         # selection index materialises each one once), so fan-outs hit
         # this cache instead of re-sorting the same frozenset on every
@@ -370,21 +344,15 @@ class QuorumCoordinator:
         # quorums ever selected; sorted order never changes, so entries
         # survive reconfiguration unharmed.
         self._sorted_members: dict[frozenset[int], list[int]] = {}
-        self._rebuild_selector()
         network.register(sid, self)
 
     #: Endpoint-protocol liveness: coordinators do not fail in this model.
     up = True
 
     @property
-    def is_up(self) -> bool:
-        """Coordinators do not fail in this model."""
-        return True
-
-    @property
     def system(self) -> QuorumSystem:
         """The active quorum system."""
-        return self._system
+        return self._chooser.system
 
     @property
     def network(self) -> Network:
@@ -406,25 +374,17 @@ class QuorumCoordinator:
         :class:`SelectionIndex` across a coordinator pool instead of every
         peer rebuilding identical packed tables; it must index ``system``.
         """
-        if selector is not None:
-            self._shared_selector = selector
-        self._system = system
-        self._rebuild_selector()
+        self._chooser.set_system(system, selector)
 
     @property
     def selector(self) -> SelectionIndex | None:
         """The bitset selection index, if the active system qualifies."""
-        return self._selector
+        return self._chooser.index
 
     @property
     def suspects(self) -> "SuspectList | None":
         """The attached failure detector (``None`` = blind selection)."""
         return self._suspects
-
-    @property
-    def retry_policy(self) -> "RetryPolicy | None":
-        """The attached retry policy (``None`` = legacy immediate retry)."""
-        return self._retry_policy
 
     @property
     def leases(self) -> LeaseCache | None:
@@ -436,118 +396,12 @@ class QuorumCoordinator:
         """The batching window (0 = every submission issues immediately)."""
         return self._batch_window
 
-    # ------------------------------------------------------------------
-    # quorum selection fast path
-    # ------------------------------------------------------------------
-
-    def _rebuild_selector(self) -> None:
-        """(Re)attach a :class:`SelectionIndex` to the active system.
-
-        Only systems that declare ``uniform_selection`` may be dispatched
-        onto the packed kernel: the index picks uniformly among viable
-        quorums, so substituting it for a structural selector that prefers
-        primary quorums (tree-quorum paths, HQC's recursion, ...) would
-        change the measured distribution, not just its speed.
-        """
-        self._selector = None
-        self._live_cache = None
-        self._live_cache_epoch = None
-        self._live_mask = None
-        if not getattr(self._system, "uniform_selection", False):
-            return
-        universe = getattr(self._system, "universe", None)
-        if universe is None:
-            return
-        try:
-            self._universe = tuple(sorted(universe))
-        except TypeError:
-            return
-        shared = self._shared_selector
-        if shared is not None and shared.system is self._system:
-            self._selector = shared
-            return
-        self._selector = SelectionIndex(self._system)
-
-    def _live_replicas(self) -> tuple[int, ...]:
-        """The detector's live view of the universe, cached per epoch.
-
-        The network's liveness epoch advances on every crash, recovery,
-        partition install and heal, so between bumps the probe loop can be
-        skipped entirely — the dominant saving for large ``n``.
-        """
-        epoch_fn = self._liveness_epoch
-        epoch = epoch_fn() if epoch_fn is not None else None
-        if (
-            self._live_cache is None
-            or epoch is None
-            or epoch != self._live_cache_epoch
-        ):
-            detector = self._detector
-            self._live_cache = tuple(
-                sid for sid in self._universe if detector(sid)
-            )
-            self._live_cache_epoch = epoch
-            # Pack the live set once per epoch alongside the tuple, so
-            # packed selections skip the per-call mask-building loop
-            # (None when the active system has no packed tables).
-            selector = self._selector
-            self._live_mask = (
-                selector.live_mask(self._live_cache)
-                if selector is not None
-                else None
-            )
-        return self._live_cache
-
-    def _select_quorum(self, op: str) -> frozenset[int] | None:
-        """Select a live ``op`` quorum, via the packed index when possible."""
-        suspects = self._suspects
-        avoid: frozenset[int] = (
-            suspects.suspected(self._clock.now)
-            if suspects is not None
-            else frozenset()
-        )
-        selector = self._selector
-        if selector is not None:
-            if avoid:
-                quorum, avoided = selector.select_avoiding(
-                    op, self._live_replicas(), avoid, self._rng
-                )
-                if avoided:
-                    suspects.note_avoided()
-                return quorum
-            live = self._live_replicas()
-            mask = self._live_mask
-            if mask is not None and selector.supported(op):
-                # Same rows, same single randrange as select() — only
-                # the per-call packing loop is skipped.
-                return selector.select_masked(op, mask, self._rng)
-            return selector.select(op, live, self._rng)
-        if avoid and any(self._detector(sid) for sid in avoid):
-            # Structural selector: run it once over an oracle that also
-            # rules out suspected sites; fall back to the plain liveness
-            # oracle when no suspect-free quorum stands.
-            detector = self._detector
-
-            def preferred(sid: int) -> bool:
-                return sid not in avoid and detector(sid)
-
-            if op == "read":
-                quorum = self._system.select_read_quorum(preferred, self._rng)
-            else:
-                quorum = self._system.select_write_quorum(preferred, self._rng)
-            if quorum is not None:
-                suspects.note_avoided()
-                return quorum
-        if op == "read":
-            return self._system.select_read_quorum(self._detector, self._rng)
-        return self._system.select_write_quorum(self._detector, self._rng)
-
     def system_universe(self) -> frozenset[int]:
         """The replica SIDs the active system spans (if it reports them)."""
-        universe = getattr(self._system, "universe", None)
+        universe = getattr(self.system, "universe", None)
         if universe is None:
             raise TypeError(
-                f"{type(self._system).__name__} does not expose a universe"
+                f"{type(self.system).__name__} does not expose a universe"
             )
         return frozenset(universe)
 
@@ -622,29 +476,24 @@ class QuorumCoordinator:
     # ------------------------------------------------------------------
 
     def _serve_leased(self, key: Any, on_done: DoneCallback) -> bool:
-        """Serve a read from the lease cache; False on a miss."""
+        """Serve a read from the lease cache at submission; False on a miss."""
         entry = self._leases.lookup(key)
         if entry is None:
             return False
-        outcome = self._leased_outcome(key, entry, self._clock.now)
-        self._clock.call_later(0.0, on_done, outcome)
-        return True
-
-    def _leased_outcome(
-        self, key: Any, entry: LeaseEntry, started_at: float, attempts: int = 0
-    ) -> OperationOutcome:
-        """A read answered by a lease: no quorum contacted, finished now."""
-        return OperationOutcome(
+        now = self._clock.now
+        outcome = OperationOutcome(
             op_type="read",
             key=key,
             success=True,
             value=entry.value,
             timestamp=entry.timestamp,
-            attempts=attempts,
-            started_at=started_at,
-            finished_at=self._clock.now,
+            attempts=0,
+            started_at=now,
+            finished_at=now,
             leased=True,
         )
+        self._clock.call_later(0.0, on_done, outcome)
+        return True
 
     # ------------------------------------------------------------------
     # operation batching
@@ -663,14 +512,11 @@ class QuorumCoordinator:
 
         Per key (insertion order, so flushes are deterministic): all
         queued reads collapse into **one** quorum read whose outcome
-        fans out to every waiter; writes issue in submission order, the
-        first through the full version-round pipeline and the rest with
-        ``skip_version`` (their timestamps derive from the version floor
-        the predecessors' commits will have advanced — the lock manager
-        serialises them).  All read groups in the flush share a single
-        pre-selected read quorum, amortising quorum selection across the
-        batch; the pre-selection is epoch-stamped and re-validated at
-        lock grant.
+        fans out to every waiter, then the writes issue in submission
+        order (the lock manager serialises them).  Both are the ordinary
+        operations: the read group selects its quorum and re-checks its
+        lease at lock grant like any read, and each write reads its path
+        off the version floor like any write.
         """
         self._batch_handle = None
         batch = self._batch
@@ -678,52 +524,15 @@ class QuorumCoordinator:
         by_key: dict[Any, list[_BatchedOp]] = {}
         for op in batch:
             by_key.setdefault(op.key, []).append(op)
-        preselected: frozenset[int] | None = None
-        epoch = (
-            self._liveness_epoch()
-            if self._liveness_epoch is not None
-            else None
-        )
         for key, ops in by_key.items():
             reads = [op for op in ops if op.op_type == "read"]
             writes = [op for op in ops if op.op_type == "write"]
             if reads:
-                if self._leases is not None and self._serve_group_leased(
-                    key, reads
-                ):
-                    pass
-                else:
-                    if preselected is None:
-                        # One selection for every read group in the
-                        # flush (the batch's shared quorum).
-                        preselected = self._select_quorum("read")
-                    self._issue_read_group(key, reads, preselected, epoch)
-            for index, op in enumerate(writes):
-                self._issue_write(
-                    op.key, op.value, op.on_done, op.submitted_at,
-                    skip_version=index > 0,
-                )
+                self._issue_read_group(key, reads)
+            for op in writes:
+                self._issue_write(op.key, op.value, op.on_done, op.submitted_at)
 
-    def _serve_group_leased(self, key: Any, reads: list[_BatchedOp]) -> bool:
-        """Serve a whole read group from a lease (re-checked at flush).
-
-        A lease granted *during* the window (say, by a write-through
-        commit) can satisfy reads that missed at submission time.
-        """
-        entry = self._leases.lookup(key)
-        if entry is None:
-            return False
-        for op in reads:
-            op.on_done(self._leased_outcome(key, entry, op.submitted_at))
-        return True
-
-    def _issue_read_group(
-        self,
-        key: Any,
-        reads: list[_BatchedOp],
-        quorum: frozenset[int] | None,
-        epoch: int | None,
-    ) -> None:
+    def _issue_read_group(self, key: Any, reads: list[_BatchedOp]) -> None:
         """One quorum read serving every queued read of ``key``."""
         callbacks = [op.on_done for op in reads]
         starts = [op.submitted_at for op in reads]
@@ -739,8 +548,6 @@ class QuorumCoordinator:
             lock_token=self._tx_ids.next_id(),
             started_at=starts[0],
             stage=_Stage.READ,
-            preselected=quorum,
-            preselected_epoch=epoch,
         )
         self._acquire(ctx, LockMode.SHARED)
 
@@ -750,9 +557,8 @@ class QuorumCoordinator:
         value: Any,
         on_done: DoneCallback,
         started_at: float,
-        skip_version: bool = False,
     ) -> None:
-        """Start one write (a batched successor skips its version round)."""
+        """Start one write, timed from ``started_at`` (its submission)."""
         ctx = _OpContext(
             op_type="write",
             key=key,
@@ -761,7 +567,6 @@ class QuorumCoordinator:
             lock_token=self._tx_ids.next_id(),
             started_at=started_at,
             stage=_Stage.VERSION,
-            skip_version=skip_version,
         )
         self._acquire(ctx, LockMode.EXCLUSIVE)
 
@@ -850,7 +655,12 @@ class QuorumCoordinator:
             # lease lookup per reader.
             entry = self._leases.lookup(ctx.key)
             if entry is not None:
-                self._finish_leased(ctx, entry)
+                # No attempt ever started: the outcome's quorum is empty
+                # and its attempt count 0, as for a hit at submission.
+                self._finish(
+                    ctx, success=True, value=entry.value,
+                    timestamp=entry.timestamp, leased=True,
+                )
                 return
         if ctx.op_type == "write" and self._leases is not None:
             # Revoke the key's lease the moment the writer owns the
@@ -890,14 +700,6 @@ class QuorumCoordinator:
             # Copy operations restart from their read phase on every
             # retry: the previous attempt's dominant value may be stale.
             self._start_read_phase(ctx)
-        elif ctx.skip_version:
-            # Batched same-key successor write: the predecessor's commit
-            # decision advanced the shared version floor before its
-            # exclusive lock was released, and this write's lock grant
-            # happens-after that release — so the floor already dominates
-            # every committed version a version round could observe.
-            ctx.write_timestamp = self._next_timestamp(ctx.key, ZERO_TIMESTAMP)
-            self._start_prepare_phase(ctx)
         else:
             ctx.stage = _Stage.VERSION
             floor = self._version_floor.get(ctx.key)
@@ -908,7 +710,7 @@ class QuorumCoordinator:
             # (see _start_prepare_phase).  No read quorum assemblable: the
             # write quorum verifies alone, as in _start_version_phase.
             ctx.write_timestamp = floor.next_version(self._writer_id)
-            ctx.version_quorum = self._select_quorum("read") or frozenset()
+            ctx.version_quorum = self._chooser.choose("read") or frozenset()
             ctx.speculative = True
             self._start_prepare_phase(ctx)
 
@@ -928,7 +730,7 @@ class QuorumCoordinator:
         if ctx.finished:
             return
         self._cancel_timeout(ctx)
-        delay = self._unavailable_delay
+        delay = self._timeout
         if self._retry_policy is not None:
             policy_delay = self._retry_policy.unavailable_delay(ctx.attempts)
             if policy_delay is not None:
@@ -1048,34 +850,6 @@ class QuorumCoordinator:
         self._by_request.pop(ctx.request_id, None)
         self._by_txid.pop(ctx.txid, None)
 
-    def _finish_leased(self, ctx: _OpContext, entry: "LeaseEntry") -> None:
-        """Complete a read context from a lease (no quorum was contacted).
-
-        Reached only from the shared-lock grant re-check; the lease was
-        (re)granted while the reader queued, so no attempt ever started —
-        there is no timeout to race and no request to unregister, but both
-        cleanups stay for symmetry with :meth:`_finish`.
-        """
-        if ctx.finished:
-            return
-        ctx.finished = True
-        self._cancel_timeout(ctx)
-        self._unregister(ctx)
-        if ctx.lock_granted:
-            self._locks.release(ctx.lock_token, ctx.key)
-        recorder = self._recorder
-        if recorder.enabled:
-            self._close_attempt(ctx)
-            recorder.end_span(
-                ctx.op_span, self._clock.now, status=STATUS_OK,
-                attempts=ctx.attempts, quorum=0, version_quorum=0,
-            )
-        ctx.on_done(
-            self._leased_outcome(
-                ctx.key, entry, ctx.started_at, attempts=ctx.attempts
-            )
-        )
-
     def _finish(
         self,
         ctx: _OpContext,
@@ -1083,6 +857,7 @@ class QuorumCoordinator:
         reason: FailureReason = FailureReason.NONE,
         value: Any = None,
         timestamp: Timestamp | None = None,
+        leased: bool = False,
     ) -> None:
         if ctx.finished:
             return
@@ -1109,10 +884,11 @@ class QuorumCoordinator:
                 attempts=ctx.attempts, quorum=len(ctx.quorum),
                 version_quorum=len(ctx.version_quorum),
             )
-        if success and self._leases is not None:
+        if success and self._leases is not None and not leased:
             # A completed read quorum proves the dominant value current;
             # a committed write *is* the current value (write-through).
-            # Either way the key's lease can be (re)granted.
+            # Either way the key's lease can be (re)granted (a read the
+            # lease itself answered proves nothing new).
             self._leases.grant(ctx.key, value, timestamp, ctx.quorum)
         outcome = OperationOutcome(
             op_type=ctx.op_type,
@@ -1127,6 +903,7 @@ class QuorumCoordinator:
             finished_at=self._clock.now,
             reason=reason if not success else FailureReason.NONE,
             failed_stage="" if success else ctx.stage.value,
+            leased=leased,
         )
         ctx.on_done(outcome)
 
@@ -1135,22 +912,7 @@ class QuorumCoordinator:
     # ------------------------------------------------------------------
 
     def _start_read_phase(self, ctx: _OpContext) -> None:
-        quorum: frozenset[int] | None = None
-        if ctx.preselected is not None:
-            # The flush's shared pre-selected quorum serves the first
-            # attempt — but only while the liveness epoch it was chosen
-            # under still holds (the lock wait may span crashes).
-            # Retries always select fresh.
-            epoch = (
-                self._liveness_epoch()
-                if self._liveness_epoch is not None
-                else None
-            )
-            if epoch == ctx.preselected_epoch:
-                quorum = ctx.preselected
-            ctx.preselected = None
-        if quorum is None:
-            quorum = self._select_quorum("read")
+        quorum = self._chooser.choose("read")
         if quorum is None:
             self._defer_unavailable(ctx)
             return
@@ -1224,7 +986,7 @@ class QuorumCoordinator:
     # ------------------------------------------------------------------
 
     def _start_version_phase(self, ctx: _OpContext) -> None:
-        quorum = self._select_quorum("read")
+        quorum = self._chooser.choose("read")
         if quorum is None:
             # The paper's write availability depends only on the write
             # quorum (Section 3.2.2): obtain the version numbers from the
@@ -1233,7 +995,7 @@ class QuorumCoordinator:
             # concurrency-control point of Section 2.2, so every write's
             # version passes through it) keeps versions monotone even when
             # the fallback quorum missed the latest committed write.
-            quorum = self._select_quorum("write")
+            quorum = self._chooser.choose("write")
         if quorum is None:
             self._defer_unavailable(ctx)
             return
@@ -1295,7 +1057,7 @@ class QuorumCoordinator:
         One round trip and |R ∩ W| messages fewer than version-then-prepare,
         over the same quorums.
         """
-        quorum = self._select_quorum("write")
+        quorum = self._chooser.choose("write")
         if quorum is None:
             self._defer_unavailable(ctx)
             return

@@ -105,9 +105,9 @@ class SimulationConfig:
         default) keeps the legacy issue-immediately pipeline and its
         byte-identical RNG/event streams; positive values queue
         submissions per coordinator and flush them together (same-key
-        reads coalesce into one quorum round, read groups share one
-        selected quorum, same-key successor writes skip the version
-        round).  See :mod:`repro.sim.coordinator`.
+        reads coalesce into one quorum round; writes stay ordinary
+        writes, issued in submission order).  See
+        :mod:`repro.sim.coordinator`.
     leases:
         When True, every coordinator of the group shares one
         :class:`~repro.sim.leases.LeaseCache`: reads of a leased key are

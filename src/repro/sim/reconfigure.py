@@ -170,9 +170,9 @@ class TreeReconfigurer:
 
         The driver builds the (possibly shared) selection index once and
         peers adopt it; the liveness-epoch bump drops every epoch-stamped
-        lease, batched pre-selected quorum and cached live set, and the
-        lease flush is belt-and-braces on top (no lease granted against
-        one tree may ever answer under another).
+        lease and cached live set, and the lease flush is belt-and-braces
+        on top (no lease granted against one tree may ever answer under
+        another).
         """
         driver = self._coordinator
         driver.set_system(system)

@@ -1,4 +1,5 @@
-"""SelectionIndex unit tests: dispatch, caching, fallback, epoch reuse."""
+"""SelectionIndex and QuorumChooser tests: dispatch, caching, fallback,
+epoch reuse, suspect avoidance."""
 
 import random
 
@@ -6,8 +7,13 @@ import pytest
 
 from repro.core import from_spec
 from repro.core.protocol import ArbitraryProtocol
+from repro.fault.detector import SuspectList
 from repro.protocols.zoo import quorum_system
-from repro.quorums.selection import SelectionIndex, select_uniform_reference
+from repro.quorums.selection import (
+    QuorumChooser,
+    SelectionIndex,
+    select_uniform_reference,
+)
 from repro.sim import SimulationConfig, WorkloadSpec
 from repro.sim.engine import build_simulation
 
@@ -92,17 +98,130 @@ def test_callable_liveness_routes_to_fallback(system):
     assert index.fallback_selects == 1
 
 
-def test_select_read_write_helpers_and_validation(system):
+def test_unknown_op_and_non_positive_limits_are_rejected(system):
     index = SelectionIndex(system)
     live = tuple(sorted(system.universe))
-    assert index.select_read(live) == index.select("read", live)
-    assert index.select_write(live) == index.select("write", live)
     with pytest.raises(ValueError):
         index.select("commit", live)
     with pytest.raises(ValueError):
         SelectionIndex(system, max_quorums=0)
     with pytest.raises(ValueError):
         SelectionIndex(system, cache_limit=0)
+
+
+# ----------------------------------------------------------------------
+# QuorumChooser: which live quorum an operation uses
+# ----------------------------------------------------------------------
+
+
+class StructuralTwin(ArbitraryProtocol):
+    """The arbitrary protocol's quorums behind a structural-only selector:
+    what a protocol declaring ``uniform_selection = False`` looks like to
+    the chooser, with quorum shapes the tests can reason about."""
+
+    uniform_selection = False
+
+
+class _Clock:
+    now = 0.0
+
+
+def _probing_detector(down=()):
+    probes = []
+
+    def detector(sid):
+        probes.append(sid)
+        return sid not in down
+
+    return detector, probes
+
+
+def test_chooser_probes_the_detector_once_per_liveness_epoch(system):
+    n = len(system.universe)
+    down, epoch = set(), [0]
+    detector, probes = _probing_detector(down)
+    chooser = QuorumChooser(
+        system, detector, random.Random(1), _Clock(),
+        liveness_epoch=lambda: epoch[0],
+    )
+    for _ in range(20):
+        assert chooser.choose("read") and chooser.choose("write")
+    assert len(probes) == n  # one sweep of the universe served all forty
+    down.add(0)
+    chooser.choose("read")
+    assert len(probes) == n  # no bump, no probe: the epoch is the signal
+    epoch[0] += 1
+    picks = [chooser.choose("read") for _ in range(30)]
+    assert len(probes) == 2 * n
+    assert all(0 not in quorum for quorum in picks)
+
+
+def test_chooser_without_an_epoch_source_probes_every_selection(system):
+    detector, probes = _probing_detector()
+    chooser = QuorumChooser(system, detector, random.Random(1), _Clock())
+    for _ in range(3):
+        chooser.choose("read")
+    assert len(probes) == 3 * len(system.universe)
+
+
+@pytest.mark.parametrize("protocol", [ArbitraryProtocol, StructuralTwin])
+def test_chooser_avoids_suspects_and_falls_back_blind(protocol):
+    # 1-3-5: sites 0-2 are level 1, 3-7 level 2; a read takes one site of
+    # each level, a write one whole level.
+    suspects = SuspectList(threshold=1)
+    chooser = QuorumChooser(
+        protocol(from_spec("1-3-5")), lambda sid: True, random.Random(4),
+        _Clock(), suspects=suspects,
+    )
+    suspects.record_timeout([0], 0.0)
+    picks = [chooser.choose("read") for _ in range(40)]
+    assert all(0 not in quorum for quorum in picks)
+    assert chooser.choose("write") == frozenset({3, 4, 5, 6, 7})
+    assert suspects.selection_avoided == 41
+    # A suspect on every level: no write quorum avoids them all, so the
+    # blind selection runs — suspicion must not manufacture unavailability.
+    suspects.record_timeout([3], 0.0)
+    assert chooser.choose("write") is not None
+    assert suspects.selection_avoided == 41
+
+
+@pytest.mark.parametrize("protocol", [ArbitraryProtocol, StructuralTwin])
+def test_chooser_ignores_suspects_the_detector_already_excludes(protocol):
+    suspects = SuspectList(threshold=1)
+    suspects.record_timeout([0], 0.0)
+    chooser = QuorumChooser(
+        protocol(from_spec("1-3-5")), lambda sid: sid != 0,
+        random.Random(4), _Clock(), suspects=suspects,
+    )
+    assert 0 not in chooser.choose("read")
+    assert suspects.selection_avoided == 0  # liveness did the narrowing
+
+
+def test_chooser_never_touches_an_index_for_non_uniform_systems(system):
+    structural = StructuralTwin(from_spec("1-3-5"))
+    offered = SelectionIndex(structural)
+    chooser = QuorumChooser(
+        structural, lambda sid: True, random.Random(2), _Clock(),
+        index=offered,
+    )
+    assert chooser.index is None
+    for _ in range(10):
+        assert chooser.choose("read") and chooser.choose("write")
+    assert offered.packed_selects == offered.fallback_selects == 0
+    # Swapping systems swaps the strategy with it, both ways.
+    chooser.set_system(system)
+    assert chooser.system is system and chooser.index.system is system
+    chooser.set_system(structural, index=chooser.index)
+    assert chooser.index is None
+
+
+def test_chooser_adopts_only_an_index_of_its_own_system(system):
+    shared = SelectionIndex(system)
+    args = (lambda sid: True, random.Random(2), _Clock())
+    assert QuorumChooser(system, *args, index=shared).index is shared
+    other = ArbitraryProtocol(from_spec("1-3-5"))
+    private = QuorumChooser(other, *args, index=shared).index
+    assert private is not shared and private.system is other
 
 
 # ----------------------------------------------------------------------
@@ -179,7 +298,9 @@ def test_selection_dispatch_preserves_measured_distribution():
         seed=11, workload=workload_spec
     )
     for coordinator in workload.coordinators:
-        coordinator._selector = None  # force the structural fallback
+        # Same tree, structural selector: no index to dispatch onto.
+        coordinator.set_system(StructuralTwin(from_spec("1-3-5")))
+        assert coordinator.selector is None
     _drain(scheduler, workload, 600)
 
     assert fast_monitor.reads.mean_cost == pytest.approx(
