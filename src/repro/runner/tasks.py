@@ -228,7 +228,7 @@ def build_sim_config(params: SimParams):
 
     This is the single source of the CLI's simulation defaults (Poisson
     arrivals at rate 0.25 over 32 keys, timeout 8, Bernoulli failures
-    resampled every 40 time units when ``p < 1``); ``repro.cli`` delegates
+    resampled every 40 time units when ``p < 1``); the commands delegate
     here so CLI runs and pool workers build byte-identical configs.  Every
     field :class:`SimParams` shares by name with ``SimulationConfig``
     (``seed``, ``leases``, ``reshape_at``, ...) is passed through as is.
@@ -250,7 +250,7 @@ def build_sim_config(params: SimParams):
         arrival="poisson",
         rate=0.25,
     )
-    if params.protocol is None or params.protocol == "arbitrary-spec":
+    if params.protocol is None:
         tree = from_spec(params.spec)
         system = None
         n = tree.n

@@ -14,9 +14,7 @@ type:
   :class:`~repro.sim.replica.Timestamp` is always the last field and
   travels flattened as two trailing ints ``…, version, sid]``.  Field
   names are not carried: at 83–147 bytes a keyed object spent most of
-  its encode, decode and wire bytes on the keys.  ``msg_id`` is *not*
-  carried either: it exists for tracing only, and each process stamps
-  decoded messages from its own counter.
+  its encode, decode and wire bytes on the keys.
 * **control frames** are JSON *objects* with a ``kind`` — connection
   handshakes (``hello``) and the KV front-end API (``get`` / ``put`` /
   ``result`` / ``stop``).  These never reach the protocol layer; the
@@ -111,7 +109,7 @@ def encode_message(message: Message) -> list[Any]:
 
 
 def decode_message(frame: list[Any]) -> Message:
-    """JSON array -> message instance (fresh local ``msg_id``)."""
+    """JSON array -> message instance."""
     if type(frame) is not list or not frame:
         raise CodecError(f"malformed protocol frame: {frame!r}")
     type_name = frame[0]

@@ -2,9 +2,9 @@
 
 A :class:`SiteServer` owns a *real* :class:`repro.sim.site.Site` — the
 same class the simulator runs, with its versioned store, 2PC prepare log
-and recovery protocol — and exposes it on a listening socket.  The site
-itself is wired to a :class:`_SitePeerTransport`, a seam implementation
-whose ``send`` routes outbound messages (replies, votes, acks, recovery
+and recovery protocol — and exposes it on a listening socket.  The
+server is itself the transport the site registers on: its ``send``
+routes outbound messages (replies, votes, acks, recovery
 ``DecisionRequest``\\ s) to whichever connection the destination SID
 arrived on.
 
@@ -31,49 +31,19 @@ from typing import Any
 from repro.runtime.clock import AsyncClock
 from repro.runtime.codec import CodecError, encode_frame, encode_message
 from repro.runtime.connection import Connection
-from repro.runtime.interfaces import Clock, Endpoint
+from repro.runtime.interfaces import Clock
 from repro.sim.site import Site
 
 
-class _SitePeerTransport:
-    """The seam as seen from inside one site process.
-
-    Outbound routing is by destination SID -> live connection; liveness
-    epochs are a local counter (each process observes its own site's
-    transitions — remote liveness is the coordinator transport's job).
-    """
-
-    def __init__(self, clock: Clock, server: "SiteServer") -> None:
-        self._clock = clock
-        self._server = server
-        self._endpoints: dict[int, Endpoint] = {}
-        self._liveness_epoch = 0
-
-    @property
-    def clock(self) -> Clock:
-        return self._clock
-
-    def register(self, sid: int, endpoint: Endpoint) -> None:
-        if sid in self._endpoints:
-            raise ValueError(f"SID {sid} already registered")
-        self._endpoints[sid] = endpoint
-
-    def current_liveness_epoch(self) -> int:
-        return self._liveness_epoch
-
-    def bump_liveness_epoch(self) -> None:
-        self._liveness_epoch += 1
-
-    def send(self, message: Any) -> None:
-        self._server.route(message)
-
-    def broadcast(self, messages: list) -> None:
-        for message in messages:
-            self.send(message)
-
-
 class SiteServer:
-    """Serve one replica site on a TCP port."""
+    """Serve one replica site on a TCP port.
+
+    Also the seam as seen from inside one site process (``clock``,
+    ``register``, ``send``, ``broadcast``, the liveness epoch): outbound
+    routing is by destination SID -> live connection, and liveness epochs
+    are a local counter (each process observes its own site's transitions
+    — remote liveness is the coordinator transport's job).
+    """
 
     def __init__(
         self,
@@ -93,7 +63,8 @@ class SiteServer:
         self._peers: dict[int | None, Connection] = {}
         self._accepting = True
         self.site: Site | None = None
-        self.transport: _SitePeerTransport | None = None
+        self.clock: Clock | None = None
+        self._liveness_epoch = 0
 
     @property
     def port(self) -> int:
@@ -101,12 +72,9 @@ class SiteServer:
         return self._port
 
     async def start(self) -> None:
-        """Bind the socket and wire the site to the peer transport."""
-        clock = AsyncClock(asyncio.get_running_loop())
-        self.transport = _SitePeerTransport(clock, self)
-        self.site = Site(
-            self.sid, self.transport, service_time=self._service_time
-        )
+        """Bind the socket and wire the site to this server."""
+        self.clock = AsyncClock(asyncio.get_running_loop())
+        self.site = Site(self.sid, self, service_time=self._service_time)
         self._server = await asyncio.get_running_loop().create_server(
             self._accept, self._host, self._port
         )
@@ -146,9 +114,18 @@ class SiteServer:
             connection.close()
         self._peers.clear()
 
-    # -- outbound ------------------------------------------------------
+    # -- the site's transport ------------------------------------------
 
-    def route(self, message: Any) -> None:
+    def register(self, sid: int, endpoint: Site) -> None:
+        """Nothing to record: the one endpoint here is :attr:`site`."""
+
+    def current_liveness_epoch(self) -> int:
+        return self._liveness_epoch
+
+    def bump_liveness_epoch(self) -> None:
+        self._liveness_epoch += 1
+
+    def send(self, message: Any) -> None:
         """Deliver an outbound protocol message to its peer connection."""
         connection = self._peers.get(message.dst)
         if connection is None or connection.is_closing():
@@ -157,6 +134,10 @@ class SiteServer:
             connection.send(encode_frame(encode_message(message)))
         except CodecError:
             pass  # unencodable or oversized: dropped like any lost message
+
+    def broadcast(self, messages: list) -> None:
+        for message in messages:
+            self.send(message)
 
     # -- inbound -------------------------------------------------------
 

@@ -1221,15 +1221,15 @@ class QuorumCoordinator:
     def _on_decision_request(self, message: DecisionRequest) -> None:
         """2PC termination: answer a recovered participant's in-doubt query.
 
-        Unknown transactions are answered with abort (presumed abort): a
-        participant can only be in doubt about a commit it has not
-        acknowledged, and those are exactly the decisions still logged.
+        Commit while the decision is logged, abort for a transaction unknown
+        here (aborts are presumed).  One still collecting votes gets no
+        answer: "abort" is wrong if the rest arrive; the broadcast follows.
         """
         if message.txid in self._decisions:
             self._network.send(
                 CommitMessage(src=self.sid, dst=message.src, txid=message.txid)
             )
-        else:
+        elif message.txid not in self._by_txid:
             self._network.send(
                 AbortMessage(src=self.sid, dst=message.src, txid=message.txid)
             )

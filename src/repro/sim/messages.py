@@ -26,19 +26,15 @@ on the hot path.
 
 from __future__ import annotations
 
-import itertools
 from typing import Any
 
 from repro.sim.replica import ZERO_TIMESTAMP, Timestamp
 
-_MESSAGE_IDS = itertools.count()
-_next_message_id = _MESSAGE_IDS.__next__
-
 
 class Message:
-    """Base class: addressing plus a unique id for tracing."""
+    """Base class: addressing."""
 
-    __slots__ = ("src", "dst", "msg_id")
+    __slots__ = ("src", "dst")
 
     #: Class name, precomputed for per-message-type counters.
     type_name = "Message"
@@ -46,7 +42,6 @@ class Message:
     def __init__(self, src: int, dst: int) -> None:
         self.src = src
         self.dst = dst
-        self.msg_id = _next_message_id()
 
     def __repr__(self) -> str:
         names = [
@@ -71,7 +66,6 @@ class ReadRequest(Message):
     ) -> None:
         self.src = src
         self.dst = dst
-        self.msg_id = _next_message_id()
         self.key = key
         self.request_id = request_id
 
@@ -93,7 +87,6 @@ class ReadReply(Message):
     ) -> None:
         self.src = src
         self.dst = dst
-        self.msg_id = _next_message_id()
         self.key = key
         self.request_id = request_id
         self.value = value
@@ -111,7 +104,6 @@ class VersionRequest(Message):
     ) -> None:
         self.src = src
         self.dst = dst
-        self.msg_id = _next_message_id()
         self.key = key
         self.request_id = request_id
 
@@ -132,7 +124,6 @@ class VersionReply(Message):
     ) -> None:
         self.src = src
         self.dst = dst
-        self.msg_id = _next_message_id()
         self.key = key
         self.request_id = request_id
         self.timestamp = timestamp
@@ -155,7 +146,6 @@ class PrepareMessage(Message):
     ) -> None:
         self.src = src
         self.dst = dst
-        self.msg_id = _next_message_id()
         self.txid = txid
         self.key = key
         self.value = value
@@ -183,7 +173,6 @@ class VoteMessage(Message):
     ) -> None:
         self.src = src
         self.dst = dst
-        self.msg_id = _next_message_id()
         self.txid = txid
         self.vote_commit = vote_commit
         self.timestamp = timestamp
@@ -198,7 +187,6 @@ class CommitMessage(Message):
     def __init__(self, src: int, dst: int, txid: int = 0) -> None:
         self.src = src
         self.dst = dst
-        self.msg_id = _next_message_id()
         self.txid = txid
 
 
@@ -211,7 +199,6 @@ class AbortMessage(Message):
     def __init__(self, src: int, dst: int, txid: int = 0) -> None:
         self.src = src
         self.dst = dst
-        self.msg_id = _next_message_id()
         self.txid = txid
 
 
@@ -226,7 +213,6 @@ class AckMessage(Message):
     ) -> None:
         self.src = src
         self.dst = dst
-        self.msg_id = _next_message_id()
         self.txid = txid
         self.committed = committed
 
@@ -241,5 +227,4 @@ class DecisionRequest(Message):
     def __init__(self, src: int, dst: int, txid: int = 0) -> None:
         self.src = src
         self.dst = dst
-        self.msg_id = _next_message_id()
         self.txid = txid

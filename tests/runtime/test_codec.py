@@ -47,13 +47,13 @@ def _fields(message):
         name
         for cls in reversed(type(message).__mro__)
         for name in getattr(cls, "__slots__", ())
-        if name != "msg_id"  # regenerated locally, deliberately not carried
     ]
     return {name: getattr(message, name) for name in names}
 
 
 @pytest.mark.parametrize(
-    "message", ALL_MESSAGES, ids=lambda m: f"{m.type_name}-{m.msg_id}"
+    "message", ALL_MESSAGES,
+    ids=[f"{m.type_name}-{index}" for index, m in enumerate(ALL_MESSAGES)],
 )
 def test_roundtrip_every_message_type(message):
     decoded = decode_message(encode_message(message))

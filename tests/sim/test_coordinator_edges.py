@@ -155,6 +155,41 @@ class TestDecisionLog:
         assert entry.value == "v"
         assert entry.timestamp == done[0].timestamp
 
+    def test_member_asking_while_votes_are_still_coming_is_not_told_abort(self):
+        """Termination hole (d): site 0 votes, crashes, recovers and asks
+        while the straggler's vote is still in flight.  Answered "abort",
+        it dropped its prepare and then acknowledged the commit without
+        applying it: an acknowledged write one quorum member never saw."""
+        tree = from_spec("1-2")
+        scheduler = Scheduler()
+        network = Network(scheduler, random.Random(0), latency=1.0)
+        sites = [Site(sid, network) for sid in range(tree.n)]
+        coordinator = QuorumCoordinator(
+            sid=-1, network=network, system=ArbitraryProtocol(tree),
+            locks=LockManager(scheduler),
+            detector=lambda sid: sites[sid].is_up, rng=random.Random(1),
+            timeout=50.0, max_attempts=1, writer_id=tree.n,
+        )
+        network.set_site_latency_factor(1, 5.0)
+        done = []
+        coordinator.write("k", "v1", done.append)
+        scheduler.run(until=3.5)
+        assert sites[0]._prepared and not coordinator._decisions
+        sites[0].crash()
+        scheduler.run(until=5.0)
+        sites[0].recover()  # asks at t=5; site 1's vote lands later
+        scheduler.run()
+        assert done[0].success and done[0].quorum == frozenset({0, 1})
+        for site in sites:
+            assert site.store.read("k").value == "v1"
+            assert site.store.read("k").timestamp == done[0].timestamp
+        reads = []
+        for _ in range(6):
+            coordinator.read("k", reads.append)
+            scheduler.run()
+        assert [read.value for read in reads] == ["v1"] * 6
+        assert at_rest(coordinator) and not coordinator._decisions
+
 
 class TestSystemIntrospection:
     def test_system_universe(self):
