@@ -6,10 +6,13 @@ module is its real-time twin.  ``now`` is the event loop's monotonic
 timeout of ``2.0`` means two wall seconds and retry backoff sleeps real
 time — no protocol code can tell which clock it is running on.
 
-Ordering contract: asyncio's ready queue is FIFO, so two callbacks
-scheduled with the same delay fire in scheduling order — the same
-guarantee the simulator's (time, sequence) heap gives, which the
-coordinator's zero-delay completion deliveries rely on.
+Ordering contract: zero-delay callbacks fire in scheduling order — the
+same guarantee the simulator's (time, sequence) heap gives, which the
+coordinator's zero-delay completion deliveries rely on.  They go on
+asyncio's ready queue (``loop.call_soon``), which is FIFO by
+construction; the loop's timer heap orders by fire time alone, so under
+a clock coarser than the callbacks, timers due at the same instant fire
+in no particular order.
 """
 
 from __future__ import annotations
@@ -26,14 +29,14 @@ _NO_ARG = object()
 class AsyncTimerHandle:
     """Cancellable handle for :meth:`AsyncClock.schedule` events.
 
-    Wraps the loop's :class:`asyncio.TimerHandle`; satisfies the seam's
+    Wraps the loop's :class:`asyncio.Handle`; satisfies the seam's
     :class:`~repro.runtime.interfaces.CancelHandle` protocol and exposes
     the absolute fire time like the simulator's ``EventHandle`` does.
     """
 
     __slots__ = ("_handle", "_time")
 
-    def __init__(self, handle: asyncio.TimerHandle, time: float) -> None:
+    def __init__(self, handle: asyncio.Handle, time: float) -> None:
         self._handle = handle
         self._time = time
 
@@ -60,6 +63,17 @@ class AsyncClock:
         """Monotonic wall-clock seconds (``loop.time()``)."""
         return self._loop.time()
 
+    def _arm(
+        self, delay: float, callback: Callable[..., Any], arg: Any
+    ) -> asyncio.Handle:
+        """The loop handle running ``callback`` after ``delay`` seconds."""
+        if delay < 0:
+            raise ValueError(f"cannot schedule into the past (delay={delay})")
+        args = () if arg is _NO_ARG else (arg,)
+        if delay == 0.0:
+            return self._loop.call_soon(callback, *args)
+        return self._loop.call_later(delay, callback, *args)
+
     def call_later(
         self,
         delay: float,
@@ -67,12 +81,7 @@ class AsyncClock:
         arg: Any = _NO_ARG,
     ) -> None:
         """Fire-and-forget: run ``callback`` after ``delay`` wall seconds."""
-        if delay < 0:
-            raise ValueError(f"cannot schedule into the past (delay={delay})")
-        if arg is _NO_ARG:
-            self._loop.call_later(delay, callback)
-        else:
-            self._loop.call_later(delay, callback, arg)
+        self._arm(delay, callback, arg)
 
     def call_at(
         self,
@@ -90,12 +99,7 @@ class AsyncClock:
         arg: Any = _NO_ARG,
     ) -> AsyncTimerHandle:
         """Like :meth:`call_later` but returns a cancellable handle."""
-        if delay < 0:
-            raise ValueError(f"cannot schedule into the past (delay={delay})")
-        if arg is _NO_ARG:
-            handle = self._loop.call_later(delay, callback)
-        else:
-            handle = self._loop.call_later(delay, callback, arg)
+        handle = self._arm(delay, callback, arg)
         return AsyncTimerHandle(handle, self._loop.time() + delay)
 
     def schedule_at(

@@ -39,7 +39,12 @@ import repro
 from repro.core.builder import from_spec
 from repro.core.protocol import ArbitraryProtocol
 from repro.obs.stats import linear_percentile
-from repro.runtime.codec import CodecError, read_frame, write_frame
+from repro.runtime.codec import (
+    CodecError,
+    check_wire_exact,
+    read_frame,
+    write_frame,
+)
 from repro.runtime.transport import TcpTransport
 from repro.sim.coordinator import OperationOutcome, QuorumCoordinator
 from repro.sim.locks import LockManager
@@ -56,6 +61,15 @@ def _site_env() -> dict[str, str]:
         src_dir if not existing else src_dir + os.pathsep + existing
     )
     return env
+
+
+def _check_key(key: Any) -> None:
+    """Refuse a key the wire would change or a site could not index."""
+    check_wire_exact(key)
+    try:
+        hash(key)
+    except TypeError as exc:
+        raise CodecError(f"{key!r} cannot key a site's store") from exc
 
 
 class SiteProcess:
@@ -176,22 +190,29 @@ class LocalCluster:
 
     async def start(self) -> None:
         """Spawn every site, dial them all, wire the coordinator."""
-        self.transport = TcpTransport(local_sid=-1)
         self.sites = [
             SiteProcess(sid, self.host, self.service_time)
             for sid in range(self.n)
         ]
         try:
             await asyncio.gather(*(site.spawn() for site in self.sites))
-            await asyncio.gather(
-                *(
-                    self.transport.connect(site.sid, site.host, site.port)
-                    for site in self.sites
-                )
+            await self.dial(
+                [(site.sid, site.host, site.port) for site in self.sites]
             )
         except BaseException:
             await self.stop()
             raise
+
+    async def dial(self, addresses: list[tuple[int, str, int]]) -> None:
+        """Connect to sites already serving at ``(sid, host, port)``
+        addresses and wire the coordinator to them."""
+        self.transport = TcpTransport(local_sid=-1)
+        await asyncio.gather(
+            *(
+                self.transport.connect(sid, host, port)
+                for sid, host, port in addresses
+            )
+        )
         self.locks = LockManager(self.transport.clock)
         self.coordinator = QuorumCoordinator(
             sid=-1,
@@ -245,11 +266,24 @@ class LocalCluster:
         return future
 
     async def get(self, key: Any) -> OperationOutcome:
-        """Quorum read of ``key`` over the live cluster."""
+        """Quorum read of ``key`` over the live cluster.
+
+        Raises :class:`~repro.runtime.codec.CodecError`, sending nothing,
+        for a key the wire would not carry exactly or a site could not
+        index (a list or an object).
+        """
+        _check_key(key)
         return await self._submit("read", key, None)
 
     async def put(self, key: Any, value: Any) -> OperationOutcome:
-        """Quorum write ``key := value`` (2PC) over the live cluster."""
+        """Quorum write ``key := value`` (2PC) over the live cluster.
+
+        Raises :class:`~repro.runtime.codec.CodecError`, before any lock
+        is taken, for a key or value the wire would not carry exactly or
+        a key a site could not index.
+        """
+        _check_key(key)
+        check_wire_exact(value)
         return await self._submit("write", key, value)
 
 
@@ -383,7 +417,8 @@ class KVFrontend:
     cluster down (the kill-9 demo's clean exit).
 
     Clients are outside the program: a frame that is not an object (a
-    protocol array, say) is answered with ``"ok": false``, and bytes that
+    protocol array, say) or a key no site could index (a list, an
+    object) is answered with ``"ok": false``, and bytes that
     are no frame at all (:class:`~repro.runtime.codec.CodecError`) close
     the connection they came on — neither disturbs another client.
     """
@@ -442,12 +477,20 @@ class KVFrontend:
                          "error": f"unknown kind {kind!r}"},
                     )
                     continue
-                if kind == "get":
-                    outcome = await self._cluster.get(frame.get("key"))
-                else:
-                    outcome = await self._cluster.put(
-                        frame.get("key"), frame.get("value")
+                try:
+                    if kind == "get":
+                        outcome = await self._cluster.get(frame.get("key"))
+                    else:
+                        outcome = await self._cluster.put(
+                            frame.get("key"), frame.get("value")
+                        )
+                except CodecError as exc:  # refused before anything was sent
+                    write_frame(
+                        writer,
+                        {"kind": "result", "id": frame.get("id"), "ok": False,
+                         "error": str(exc)},
                     )
+                    continue
                 write_frame(
                     writer,
                     {

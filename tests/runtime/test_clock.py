@@ -45,16 +45,28 @@ def test_call_later_fires_with_and_without_arg():
 def test_same_delay_fires_in_scheduling_order():
     # The ordering contract the coordinator's zero-delay completion
     # deliveries rely on — asyncio's ready queue is FIFO, like the
-    # simulator's (time, sequence) heap order.
-    async def main():
-        clock = AsyncClock(asyncio.get_running_loop())
+    # simulator's (time, sequence) heap order.  Second input: a frozen
+    # clock, coarser than the callbacks, under which zero-delay timers
+    # shared one fire time and the loop's heap fired them as
+    # [0, 2, 6, 5, 7, 4, 1, 3].
+    async def main(frozen):
+        loop = asyncio.get_running_loop()
+        if frozen:
+            now = loop.time()
+            loop.time = lambda: now
+        clock = AsyncClock(loop)
         fired = []
         for tag in range(8):
             clock.call_later(0.0, fired.append, tag)
-        await asyncio.sleep(0.05)
+        if frozen:
+            for _ in range(8):  # a timed sleep never ends on a frozen clock
+                await asyncio.sleep(0)
+        else:
+            await asyncio.sleep(0.05)
         assert fired == list(range(8))
 
-    asyncio.run(main())
+    for frozen in (False, True):
+        asyncio.run(main(frozen))
 
 
 def test_schedule_returns_cancellable_handle():

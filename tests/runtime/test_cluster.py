@@ -27,7 +27,8 @@ from repro.runtime.cluster import (
     kv_request,
     run_traffic,
 )
-from repro.runtime.codec import read_frame, write_frame
+from repro.runtime.codec import CodecError, read_frame, write_frame
+from repro.runtime.siteserver import SiteServer
 
 
 def test_cluster_serves_sigkill_survives_and_shuts_down_clean():
@@ -114,6 +115,69 @@ def test_service_time_reaches_the_site_processes():
         assert put_s >= 3 * service_time
 
     asyncio.run(asyncio.wait_for(main(), 60.0))
+
+
+def test_a_value_the_wire_cannot_carry_is_refused_and_no_site_link_drops():
+    """``put("k", object())`` used to raise ``TypeError`` out of
+    ``TcpTransport.send`` while a version reply was being handled inside
+    ``Connection.buffer_updated``: asyncio closed the connection to a
+    live site (one disconnect, never redialled) and the put failed
+    ``UNAVAILABLE``.  Now the put is refused before it takes a lock, and
+    a frame the coordinator cannot encode all the same is dropped like a
+    lost message.  In-process sites, real sockets."""
+
+    async def main():
+        unhandled = []
+        asyncio.get_running_loop().set_exception_handler(
+            lambda _loop, context: unhandled.append(context)
+        )
+        cluster = LocalCluster(spec="1-3", timeout=0.2, max_attempts=2)
+        servers = [SiteServer(sid) for sid in range(cluster.n)]
+        try:
+            for server in servers:
+                await server.start()
+            await cluster.dial(
+                [(server.sid, "127.0.0.1", server.port) for server in servers]
+            )
+            for value in (object(), 2**64, (1, 2), float("nan")):
+                with pytest.raises(CodecError):
+                    await cluster.put("k", value)
+            with pytest.raises(CodecError):
+                await cluster.put(("k",), "v")
+            with pytest.raises(CodecError):
+                await cluster.get(("k",))
+            # A list key crosses the wire intact but no site can index by
+            # it; from an external client it is answered, not fatal.
+            frontend = KVFrontend(cluster)
+            await frontend.start()
+            refused = await kv_request(
+                "127.0.0.1", frontend.port,
+                [{"kind": "get", "id": 1, "key": ["k"]},
+                 {"kind": "put", "id": 2, "key": {"k": 1}, "value": "v"}],
+            )
+            await frontend.stop()
+            assert [(r["id"], r["ok"]) for r in refused] == [(1, False), (2, False)]
+            assert cluster.locks.stats.granted == 0  # refused before a lock
+            assert (await cluster.put("k", "v")).success
+
+            # Past the refusal, with the key's version floor known: the
+            # prepare cannot be encoded, so it is lost, and the write
+            # fails on its timeouts.
+            done = asyncio.get_running_loop().create_future()
+            cluster.coordinator.write("k", object(), done.set_result)
+            assert not (await asyncio.wait_for(done, 10.0)).success
+            assert cluster.transport.stats.dropped_dead > 0
+            assert cluster.transport.stats.disconnects == 0
+            assert cluster.transport.live_sids() == list(range(cluster.n))
+            got = await cluster.get("k")
+            assert got.success and got.value == "v"
+        finally:
+            await cluster.stop()
+            for server in servers:
+                await server.stop()
+        assert unhandled == []
+
+    asyncio.run(asyncio.wait_for(main(), 30.0))
 
 
 def test_traffic_report_summarises_the_median_of_five_samples():

@@ -1,15 +1,21 @@
 """Wire codec: every protocol message survives the frame roundtrip."""
 
 import asyncio
+import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.runtime.codec import (
+    _FIELDS,
     MAX_FRAME_BYTES,
     CodecError,
+    check_wire_exact,
     decode_message,
     encode_frame,
     encode_message,
+    parse_frame,
     read_frame,
 )
 from repro.sim.messages import (
@@ -157,3 +163,111 @@ def test_non_object_payload_rejected():
             decode_message([])
 
     asyncio.run(main())
+
+
+# -- the wire format itself ----------------------------------------------
+
+#: What the frames were before the codec moved onto orjson: the stdlib's
+#: compact encoder, ``ensure_ascii`` left on.
+_STDLIB_COMPACT = json.JSONEncoder(separators=(",", ":")).encode
+
+#: ASCII without DEL (0x7f): the one ASCII character the stdlib escapes
+#: and orjson writes raw — both are valid JSON for the same string.
+_ASCII = st.text(st.characters(max_codepoint=0x7E), max_size=12)
+_INT64 = st.integers(-(2**63), 2**63 - 1)
+_SCALAR = st.one_of(st.none(), st.booleans(), _INT64, _ASCII)
+
+
+@st.composite
+def _protocol_frames(draw):
+    cls = draw(st.sampled_from(sorted(_FIELDS, key=lambda c: c.type_name)))
+    fields = [
+        Timestamp(draw(_INT64), draw(_INT64)) if name == "timestamp"
+        else draw(_SCALAR)
+        for name in _FIELDS[cls]
+    ]
+    return encode_message(cls(draw(_INT64), draw(_INT64), *fields))
+
+
+_KV_VALUE = st.recursive(
+    _SCALAR,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(_ASCII, inner, max_size=3),
+    ),
+    max_leaves=6,
+)
+_CONTROL_FRAMES = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("hello"), "sid": _INT64}),
+    st.fixed_dictionaries(
+        {"kind": st.just("get"), "id": _INT64, "key": _ASCII}
+    ),
+    st.fixed_dictionaries(
+        {"kind": st.just("put"), "id": _INT64, "key": _ASCII,
+         "value": _KV_VALUE}
+    ),
+    st.fixed_dictionaries(
+        {"kind": st.just("result"), "id": _INT64, "ok": st.booleans(),
+         "value": _KV_VALUE, "version": st.one_of(st.none(), _INT64)}
+    ),
+    st.just({"kind": "stop"}),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_protocol_frames(), _CONTROL_FRAMES))
+def test_frames_are_the_stdlib_compact_encoding_byte_for_byte(payload):
+    """The codec moved onto orjson without changing a frame: the payload
+    is what ``JSONEncoder(separators=(",", ":"))`` wrote, so anything
+    that reads frames with the stdlib ``json.loads`` (the performance
+    ledger's codec rows do) reads the same bytes, and ``frame_bytes``
+    cannot move."""
+    frame = encode_frame(payload)
+    assert frame[4:] == _STDLIB_COMPACT(payload).encode("ascii")
+    assert json.loads(frame[4:]) == parse_frame(frame)[0] == payload
+
+
+def test_non_ascii_travels_as_raw_utf8_and_stdlib_still_reads_it():
+    payload = encode_message(ReadReply(3, -1, "clé", 1, "日本", Timestamp(2, 0)))
+    frame = encode_frame(payload)
+    assert "clé".encode() in frame and "日本".encode() in frame
+    assert len(frame) - 4 < len(_STDLIB_COMPACT(payload))  # no \u escapes
+    assert json.loads(frame[4:]) == parse_frame(frame)[0] == payload
+
+
+@pytest.mark.parametrize(
+    "value",
+    [object(), 2**64, -(2**63) - 1, {1: "v"}, "\ud800"],
+    ids=["object", "int-2^64", "int-below-int64", "int-dict-key",
+         "lone-surrogate"],
+)
+def test_an_unencodable_payload_is_a_codec_error(value):
+    """A ``TypeError`` out of the encoder used to escape ``send`` — inside
+    a connection's receive callback that tore the connection down."""
+    with pytest.raises(CodecError, match="unencodable"):
+        encode_frame(["PrepareMessage", -1, 0, 1, "k", value, 1, -1])
+    with pytest.raises(CodecError):
+        check_wire_exact(value)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [(1, 2), float("nan"), float("inf"), -float("inf"), ["ok", float("nan")],
+     {"k": (1,)}],
+    ids=["tuple", "nan", "inf", "-inf", "nested-nan", "nested-tuple"],
+)
+def test_a_value_the_wire_would_change_is_refused(value):
+    """orjson writes these without complaint — a tuple as an array, NaN
+    and ±inf as ``null`` — so only the round trip shows the change."""
+    encode_frame([value])
+    with pytest.raises(CodecError, match="unchanged"):
+        check_wire_exact(value)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [None, True, 0, 2**64 - 1, -(2**63), 1.5, -0.0, "", "clé",
+     ["a", 1, None], {"a": [1, {"b": False}]}],
+)
+def test_a_value_the_wire_carries_exactly_is_accepted(value):
+    check_wire_exact(value)

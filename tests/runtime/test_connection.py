@@ -88,7 +88,9 @@ def run(coroutine):
 sids = st.integers(-3, 12)
 ints = st.integers(0, 2**40)
 keys = st.text(max_size=12)
-values = st.one_of(st.none(), st.text(max_size=40), st.integers(), st.booleans())
+# Ints the wire carries: [-2**63, 2**64) (runtime/codec.py).
+wire_ints = st.integers(-(2**63), 2**64 - 1)
+values = st.one_of(st.none(), st.text(max_size=40), wire_ints, st.booleans())
 stamps = st.builds(Timestamp, ints, sids)
 
 messages = st.one_of(
