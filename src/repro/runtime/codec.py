@@ -182,7 +182,14 @@ def parse_frame(data: bytes, start: int = 0) -> tuple[Any, int]:
 
 
 def check_wire_exact(value: Any) -> None:
-    """Raise :class:`CodecError` unless ``value`` crosses the wire equal."""
+    """Raise :class:`CodecError` unless ``value`` crosses the wire equal.
+
+    An ASCII ``str`` always does, and every ledger key is one, so it
+    skips the encode + decode round trip; anything else — a non-ASCII
+    ``str`` or a lone surrogate included — takes the full check.
+    """
+    if type(value) is str and value.isascii():
+        return
     try:
         exact = orjson.loads(orjson.dumps(value)) == value
     except orjson.JSONEncodeError as exc:

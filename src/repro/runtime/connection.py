@@ -21,8 +21,10 @@ can be added to it cheaply:
   when that callback returns: one write for k replies, in the same loop
   iteration, so a lone request is answered exactly as soon as before;
 * a frame sent *from anywhere else* — another connection's callback, a
-  client task, a timer — schedules one ``call_soon`` flush, and every
-  further frame for this peer in the same loop iteration rides with it.
+  client task, a timer — joins the owner's clock drain (the
+  :class:`~repro.runtime.clock.AsyncClock` FIFO of zero-delay
+  callbacks, one ``call_soon`` for all of them), and every further
+  frame for this peer in the same loop iteration rides with it.
 
 Which case applies is read off the connection's own state (is its
 receive callback on the stack; is the pending list empty), so there is
@@ -43,6 +45,7 @@ import asyncio
 from collections.abc import Callable
 from typing import Any
 
+from repro.runtime.clock import AsyncClock
 from repro.runtime.codec import (
     MAX_FRAME_BYTES,
     CodecError,
@@ -70,7 +73,8 @@ class Connection(asyncio.BufferedProtocol):
     the peer's ``hello`` has set :attr:`peer_sid` (close the connection
     there to refuse the peer), ``on_message(message)`` for each protocol
     message after it, and ``on_lost(connection)`` when the socket is
-    gone, whichever side closed it.
+    gone, whichever side closed it.  ``clock`` is the owner's (a
+    connection built without one drains on a clock of its own).
     """
 
     def __init__(
@@ -78,11 +82,12 @@ class Connection(asyncio.BufferedProtocol):
         on_hello: Callable[[Connection], None],
         on_message: Callable[[Any], None],
         on_lost: Callable[[Connection], None],
+        clock: AsyncClock | None = None,
     ) -> None:
         self._on_hello = on_hello
         self._on_message = on_message
         self._on_lost = on_lost
-        self._loop = asyncio.get_running_loop()
+        self._clock = clock if clock is not None else AsyncClock()
         self._transport: asyncio.Transport | None = None
         #: SID the peer announced in its ``hello`` (``None`` until then).
         self.peer_sid: int | None = None
@@ -134,7 +139,7 @@ class Connection(asyncio.BufferedProtocol):
         if not pending:
             self._queued = transport.get_write_buffer_size()
             if not self._receiving:
-                self._loop.call_soon(self._flush)
+                self._clock.call_later(0.0, self._flush)
         pending.append(frame)
         self._queued += len(frame)
         if self._queued > MAX_QUEUED_BYTES:

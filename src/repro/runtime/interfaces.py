@@ -48,8 +48,8 @@ class Clock(Protocol):
 
     ``now`` must be monotone non-decreasing.  Callbacks scheduled with
     equal delays must fire in scheduling order (both backends guarantee
-    it: the simulator by its (time, sequence) heap order, asyncio by the
-    event loop's FIFO ready queue).
+    it with the same (time, sequence) heap of the simulator's entries;
+    the asyncio clock also drains zero-delay callbacks as one FIFO).
     """
 
     @property

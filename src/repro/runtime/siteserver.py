@@ -31,7 +31,6 @@ from typing import Any
 from repro.runtime.clock import AsyncClock
 from repro.runtime.codec import CodecError, encode_frame, encode_message
 from repro.runtime.connection import Connection
-from repro.runtime.interfaces import Clock
 from repro.sim.site import Site
 
 
@@ -63,7 +62,7 @@ class SiteServer:
         self._peers: dict[int | None, Connection] = {}
         self._accepting = True
         self.site: Site | None = None
-        self.clock: Clock | None = None
+        self.clock: AsyncClock | None = None
         self._liveness_epoch = 0
 
     @property
@@ -73,7 +72,7 @@ class SiteServer:
 
     async def start(self) -> None:
         """Bind the socket and wire the site to this server."""
-        self.clock = AsyncClock(asyncio.get_running_loop())
+        self.clock = AsyncClock()
         self.site = Site(self.sid, self, service_time=self._service_time)
         self._server = await asyncio.get_running_loop().create_server(
             self._accept, self._host, self._port
@@ -142,7 +141,9 @@ class SiteServer:
     # -- inbound -------------------------------------------------------
 
     def _accept(self) -> Connection:
-        connection = Connection(self._on_hello, self._on_message, self._on_lost)
+        connection = Connection(
+            self._on_hello, self._on_message, self._on_lost, self.clock
+        )
         self._connections.add(connection)
         return connection
 

@@ -49,7 +49,7 @@ class TcpTransport:
     """The transport seam over one-connection-per-site TCP."""
 
     def __init__(self, local_sid: int = -1) -> None:
-        self._clock = AsyncClock(asyncio.get_event_loop())
+        self._clock = AsyncClock()
         #: SID announced in the ``hello`` handshake; sites route replies
         #: addressed to it back on this transport's connection.
         self.local_sid = local_sid
@@ -148,7 +148,9 @@ class TcpTransport:
         while True:
             try:
                 _, connection = await loop.create_connection(
-                    lambda: Connection(on_hello, self._deliver, on_lost),
+                    lambda: Connection(
+                        on_hello, self._deliver, on_lost, self._clock
+                    ),
                     host,
                     port,
                 )

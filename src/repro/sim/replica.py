@@ -9,21 +9,43 @@ obtains the current highest version number and increments it by one
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
 
 
-@dataclass(frozen=True)
 class Timestamp:
     """A (version, SID) timestamp with the paper's dominance order.
 
     ``a.dominates(b)`` iff ``a`` has a strictly higher version, or an equal
     version and a strictly *lower* SID — the value a reader must prefer.
     The zero timestamp ``Timestamp(0, -1)`` predates every write.
+
+    A slotted class with a plain ``__init__``, like the messages that
+    carry it (:mod:`repro.sim.messages`): the frozen dataclass's
+    generated one paid two ``object.__setattr__`` calls per timestamp,
+    and every decoded reply, ``next_version`` and applied write builds
+    one.  Equality, hash, ``repr`` and pickling are the dataclass's;
+    there is still no ordering, and it is immutable by convention.
     """
 
-    version: int
-    sid: int
+    __slots__ = ("version", "sid")
+
+    def __init__(self, version: int, sid: int) -> None:
+        self.version = version
+        self.sid = sid
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is Timestamp:
+            return (self.version, self.sid) == (other.version, other.sid)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.version, self.sid))
+
+    def __repr__(self) -> str:
+        return f"Timestamp(version={self.version!r}, sid={self.sid!r})"
+
+    def __reduce__(self) -> tuple:
+        return Timestamp, (self.version, self.sid)
 
     def dominates(self, other: "Timestamp") -> bool:
         """True iff this timestamp should be preferred over ``other``."""
@@ -37,14 +59,14 @@ class Timestamp:
 
     def next_version(self, writer_sid: int) -> "Timestamp":
         """The timestamp a writer stamps after reading this one."""
-        return Timestamp(version=self.version + 1, sid=writer_sid)
+        return Timestamp(self.version + 1, writer_sid)
 
     def __str__(self) -> str:
         return f"v{self.version}@{self.sid}"
 
 
 #: The timestamp of never-written data.
-ZERO_TIMESTAMP = Timestamp(version=0, sid=-1)
+ZERO_TIMESTAMP = Timestamp(0, -1)
 
 
 def dominant(timestamps: list[Timestamp]) -> Timestamp:
@@ -54,12 +76,39 @@ def dominant(timestamps: list[Timestamp]) -> Timestamp:
     return max(timestamps, key=Timestamp.sort_key)
 
 
-@dataclass
 class StoredValue:
-    """One versioned datum held by a replica."""
+    """One versioned datum held by a replica (slotted, like
+    :class:`Timestamp`; equality and ``repr`` are the dataclass's, and
+    like it a ``StoredValue`` is unhashable)."""
 
-    value: Any
-    timestamp: Timestamp
+    __slots__ = ("value", "timestamp")
+
+    def __init__(self, value: Any, timestamp: Timestamp) -> None:
+        self.value = value
+        self.timestamp = timestamp
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is StoredValue:
+            return (self.value, self.timestamp) == (
+                other.value, other.timestamp
+            )
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return (
+            f"StoredValue(value={self.value!r}, "
+            f"timestamp={self.timestamp!r})"
+        )
+
+    def __reduce__(self) -> tuple:
+        return StoredValue, (self.value, self.timestamp)
+
+
+#: What :meth:`VersionedStore.read` returns for a key never written
+#: (shared: nothing mutates a stored value).
+_NEVER_WRITTEN = StoredValue(None, ZERO_TIMESTAMP)
 
 
 class VersionedStore:
@@ -78,10 +127,7 @@ class VersionedStore:
 
     def read(self, key: Any) -> StoredValue:
         """Current value+timestamp, or the zero timestamp if never written."""
-        entry = self._data.get(key)
-        if entry is None:
-            return StoredValue(value=None, timestamp=ZERO_TIMESTAMP)
-        return entry
+        return self._data.get(key, _NEVER_WRITTEN)
 
     def version_of(self, key: Any) -> Timestamp:
         """Current timestamp of ``key``."""
@@ -97,7 +143,7 @@ class VersionedStore:
         if not timestamp.dominates(current):
             self._ignored_writes += 1
             return False
-        self._data[key] = StoredValue(value=value, timestamp=timestamp)
+        self._data[key] = StoredValue(value, timestamp)
         self._applied_writes += 1
         return True
 

@@ -267,7 +267,16 @@ def test_a_value_the_wire_would_change_is_refused(value):
 @pytest.mark.parametrize(
     "value",
     [None, True, 0, 2**64 - 1, -(2**63), 1.5, -0.0, "", "clé",
-     ["a", 1, None], {"a": [1, {"b": False}]}],
+     ["a", 1, None], {"a": [1, {"b": False}]}, "k\x7f"],
 )
 def test_a_value_the_wire_carries_exactly_is_accepted(value):
     check_wire_exact(value)
+
+
+def test_the_ascii_fast_path_still_refuses_a_lone_surrogate():
+    """A ``str`` skips the round trip only when it is ASCII; a lone
+    surrogate, alone or inside an otherwise ASCII key, is not."""
+    check_wire_exact("plain-ascii-key")
+    for value in ("\ud800", "k\udfff"):
+        with pytest.raises(CodecError, match="cannot cross the wire"):
+            check_wire_exact(value)

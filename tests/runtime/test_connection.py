@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.runtime.clock import AsyncClock
 from repro.runtime.codec import (
     MAX_FRAME_BYTES,
     decode_message,
@@ -294,6 +295,46 @@ def test_sends_from_two_callbacks_in_one_tick_share_one_write():
         connection.send(frames[2])  # a later tick: its own write
         await asyncio.sleep(0)
         assert transport.writes == [frames[0] + frames[1], frames[2]]
+
+    asyncio.run(main())
+
+
+def test_flushes_and_zero_delay_callbacks_share_one_clock_drain():
+    """Frames for two peers and a zero-delay callback, all queued
+    outside any receive callback, cost the loop one ``call_soon``."""
+
+    async def main():
+        loop = asyncio.get_running_loop()
+        clock = AsyncClock(loop)
+        transports = [RecordingTransport(), RecordingTransport()]
+        connections = []
+        for transport in transports:
+            connection = Connection(
+                lambda c: None, lambda m: None, lambda c: None, clock
+            )
+            connection.connection_made(transport)
+            connections.append(connection)
+        soon = []
+        real_call_soon = loop.call_soon
+
+        def counting_call_soon(*args, **kwargs):
+            soon.append(args)
+            return real_call_soon(*args, **kwargs)
+
+        loop.call_soon = counting_call_soon
+        try:
+            fired = []
+            frame = encode_frame(encode_message(ReadRequest(-1, 0, "k", 1)))
+            connections[0].send(frame)
+            clock.call_later(0.0, fired.append, "callback")
+            connections[1].send(frame)
+            connections[0].send(frame)
+        finally:
+            del loop.call_soon
+        assert len(soon) == 1
+        await asyncio.sleep(0)
+        assert fired == ["callback"]
+        assert [t.writes for t in transports] == [[frame + frame], [frame]]
 
     asyncio.run(main())
 

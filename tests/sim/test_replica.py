@@ -1,9 +1,12 @@
 """Unit tests for timestamps and versioned storage."""
 
+import pickle
+
 import pytest
 
 from repro.sim.replica import (
     ZERO_TIMESTAMP,
+    StoredValue,
     Timestamp,
     VersionedStore,
     dominant,
@@ -102,3 +105,40 @@ class TestVersionedStore:
         store.apply_write("b", 2, Timestamp(1, 0))
         assert sorted(store.keys()) == ["a", "b"]
         assert len(store) == 2
+
+
+class TestValueSemantics:
+    """What the frozen dataclasses gave, kept by the slotted classes."""
+
+    def test_timestamp_equality_hash_repr_and_str(self):
+        ts = Timestamp(3, 1)
+        assert ts == Timestamp(version=3, sid=1)
+        assert ts != Timestamp(3, 2) and ts != (3, 1)
+        assert hash(ts) == hash((3, 1))
+        assert {ts: "v"}[Timestamp(3, 1)] == "v"
+        assert repr(ts) == "Timestamp(version=3, sid=1)"
+        assert str(ts) == "v3@1"
+
+    def test_timestamps_have_no_order(self):
+        with pytest.raises(TypeError):
+            Timestamp(1, 0) < Timestamp(2, 0)
+
+    def test_stored_value_equality_repr_and_no_hash(self):
+        entry = StoredValue("v", Timestamp(1, 0))
+        assert entry == StoredValue(value="v", timestamp=Timestamp(1, 0))
+        assert entry != StoredValue("w", Timestamp(1, 0))
+        assert repr(entry) == (
+            "StoredValue(value='v', timestamp=Timestamp(version=1, sid=0))"
+        )
+        with pytest.raises(TypeError):
+            hash(entry)
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickling_round_trips(self, protocol):
+        for value in (Timestamp(2, 5), StoredValue([1], Timestamp(2, 5))):
+            assert pickle.loads(pickle.dumps(value, protocol)) == value
+
+    def test_a_miss_reads_as_never_written(self):
+        store = VersionedStore()
+        assert store.read("a") == StoredValue(None, ZERO_TIMESTAMP)
+        assert store.read("a") is store.read("b")  # one shared entry
