@@ -49,13 +49,14 @@ except ImportError:  # direct `python benchmarks/bench_reconfig.py`
     sys.path.insert(0, str(Path(__file__).parent))
     from perf_harness import write_bench_json
 
+from repro.cli import build_parser
+from repro.commands.options import simulation_config
 from repro.core.builder import (
     from_spec,
     mostly_read,
     mostly_write,
     recommended_tree,
 )
-from repro.runner.tasks import SimParams, build_sim_config
 from repro.sim.engine import SimulationConfig, build_simulation, simulate
 from repro.sim.reconfigure import TreeReconfigurer
 from repro.sim.workload import WorkloadSpec
@@ -92,11 +93,13 @@ def _config(operations: int) -> SimulationConfig:
 
 
 def _chaos_config(operations: int) -> SimulationConfig:
-    config, _label = build_sim_config(SimParams(
-        spec=SPEC, operations=operations, read_fraction=READ_FRACTION,
-        seed=CHAOS_SEED, max_attempts=4, detector=True, chaos="flapping",
-        check_invariants=True, reshape_at=RESHAPE_AT,
-    ))
+    """``repro reconfigure`` with the planned target under flapping."""
+    config, _label = simulation_config(build_parser("reconfigure").parse_args([
+        "reconfigure", SPEC, "--operations", str(operations),
+        "--read-fraction", str(READ_FRACTION), "--seed", str(CHAOS_SEED),
+        "--max-attempts", "4", "--detector", "--scenario", "flapping",
+        "--at", str(RESHAPE_AT),
+    ]))
     return config
 
 

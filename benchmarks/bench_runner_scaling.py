@@ -38,6 +38,7 @@ import os
 import random
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 try:
@@ -46,16 +47,13 @@ except ImportError:  # direct `python benchmarks/bench_runner_scaling.py`
     sys.path.insert(0, str(Path(__file__).parent))
     from perf_harness import Case, run_suite, write_bench_json
 
+from repro.cli import build_parser
+from repro.commands.options import simulated_monitor
 from repro.core import from_spec
 from repro.core.protocol import ArbitraryProtocol
 from repro.protocols.zoo import quorum_system
 from repro.quorums.selection import SelectionIndex, select_uniform_reference
-from repro.runner import (
-    SimParams,
-    parallel_availability,
-    parallel_simulations,
-    parallel_sweep,
-)
+from repro.runner import parallel_availability, parallel_runs, parallel_sweep
 
 JOBS_LADDER = (1, 2, 4)
 
@@ -102,13 +100,17 @@ def _availability_workload(smoke: bool):
 
 
 def _simulation_workload(smoke: bool):
-    params = SimParams(
-        spec="1-3-5", operations=150 if smoke else 500, p=0.9, seed=11
-    )
+    """``repro simulate 1-3-5 --p 0.9 --seed 11 --repeats R``'s fan-out."""
+    args = build_parser("simulate").parse_args([
+        "simulate", "1-3-5", "--operations", "150" if smoke else "500",
+        "--p", "0.9", "--seed", "11",
+    ])
     repeats = 4 if smoke else 8
 
     def run(jobs: int):
-        monitors = parallel_simulations(params, repeats, jobs=jobs)
+        monitors = parallel_runs(
+            partial(simulated_monitor, args), repeats, args.seed, jobs=jobs
+        )
         return [
             (m.reads, m.writes, m.outcomes) for m in monitors
         ]

@@ -35,6 +35,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 try:
@@ -43,10 +44,7 @@ except ImportError:  # direct `python benchmarks/bench_shard_capacity.py`
     sys.path.insert(0, str(Path(__file__).parent))
     from perf_harness import write_bench_json
 
-from repro.runner import (
-    merge_sharded_monitors,
-    parallel_shard_simulations,
-)
+from repro.runner import merge_sharded_monitors, parallel_runs
 from repro.shard import ShardedConfig, simulate_sharded
 from repro.sim import WorkloadSpec
 
@@ -163,9 +161,9 @@ def hot_key_point(leases: bool, smoke: bool) -> dict:
     }
 
 
-def jobs_bit_identity(smoke: bool) -> dict:
-    """Serial vs ``--jobs 2`` repeated-seed sharded fan-out must agree."""
-    config = ShardedConfig(
+def _identity_repeat(smoke: bool, seed: int):
+    """One repeat of the bit-identity run, built whole at ``seed``."""
+    return simulate_sharded(ShardedConfig(
         workload=WorkloadSpec(
             operations=300 if smoke else 1000, keys=4096, zipf_s=1.0,
             arrival="poisson", rate=1.0,
@@ -173,18 +171,19 @@ def jobs_bit_identity(smoke: bool) -> dict:
         shards=4,
         p=0.9,
         timeout=8.0,
-        seed=77,
-    )
+        seed=seed,
+    )).monitor
+
+
+def jobs_bit_identity(smoke: bool) -> dict:
+    """Serial vs ``--jobs 2`` repeated-seed sharded fan-out must agree."""
+    run = partial(_identity_repeat, smoke)
     repeats = 3
     started = time.perf_counter()
-    serial = merge_sharded_monitors(
-        parallel_shard_simulations(config, repeats, jobs=1)
-    )
+    serial = merge_sharded_monitors(parallel_runs(run, repeats, 77))
     serial_seconds = time.perf_counter() - started
     started = time.perf_counter()
-    fanned = merge_sharded_monitors(
-        parallel_shard_simulations(config, repeats, jobs=2)
-    )
+    fanned = merge_sharded_monitors(parallel_runs(run, repeats, 77, jobs=2))
     fanned_seconds = time.perf_counter() - started
     identical = (
         serial.summary() == fanned.summary()

@@ -12,16 +12,14 @@ from repro.commands import options
 
 def _print_chaos(args) -> None:
     from repro.analysis.tables import format_table
-    from repro.runner.tasks import build_sim_config
     from repro.sim import simulate
 
-    params = options.sim_params(args)
-    config, label = build_sim_config(params)
+    config, label = options.simulation_config(args)
     if args.repeats > 1:
-        from repro.runner import merge_monitors, parallel_simulations
+        from repro.runner import merge_monitors
 
         summary = options.run_repeats(
-            args, parallel_simulations, params, merge_monitors
+            args, options.simulated_monitor, merge_monitors
         ).summary()
         title = (f"{label}: {args.operations} ops x {args.repeats} repeats, "
                  f"master seed {args.seed}, jobs {args.jobs}")

@@ -93,8 +93,8 @@ OPTIONS = {
         "--horizon", dest="chaos_horizon", type=float, default=1000.0,
         help="simulated time the scenario keeps injecting failures for",
     ),
-    "drop": _option("--drop", type=float, default=0.0,
-                    help="message drop probability in [0, 1]"),
+    "drop": _option("--drop", dest="drop_probability", type=float,
+                    default=0.0, help="message drop probability in [0, 1]"),
     "keys": _option("--keys", type=int, help="keyspace size"),
     "zipf": _option("--zipf", dest="zipf_s", type=float, default=0.0,
                     help="Zipf skew of key popularity (0 = uniform)"),
@@ -194,21 +194,69 @@ def from_options(cls, args, **forced):
     })
 
 
-def sim_params(args):
-    """The :class:`SimParams` record a parsed simulation command describes
-    (``build_sim_config`` resolves its ``spec`` / ``protocol`` / ``n``)."""
-    from repro.runner.tasks import SimParams
+def simulation_config(args, seed: int | None = None) -> tuple:
+    """The ``(SimulationConfig, label)`` a parsed simulation command
+    describes, at ``seed`` (default ``--seed``).
 
-    return from_options(SimParams, args)
+    The one place the simulation commands' run is built, failure
+    injector and chaos scenario included, so a repeat at seed k and a
+    serial run at seed k are the same run.  What no command has a flag
+    for is fixed here: Poisson arrivals at rate 0.25 over 32 keys,
+    timeout 8, and Bernoulli failures resampled every 40 time units when
+    ``--p`` is below 1.
+    """
+    from repro.core import from_spec
+    from repro.sim.engine import SimulationConfig
+    from repro.sim.failures import (
+        BernoulliFailures,
+        CompositeFailures,
+        NoFailures,
+    )
+    from repro.sim.workload import WorkloadSpec
+
+    seed = args.seed if seed is None else seed
+    failures = (
+        NoFailures() if args.p >= 1.0
+        else BernoulliFailures(p=args.p, seed=seed, resample_every=40.0)
+    )
+    # Not every simulation command takes --protocol or --scenario.
+    if getattr(args, "protocol", None) is None:
+        tree, system = from_spec(args.spec), None
+        n, label = tree.n, f"simulation of {args.spec}"
+    else:
+        from repro.protocols.zoo import quorum_system
+
+        tree = None
+        system = quorum_system(args.protocol, args.n or from_spec(args.spec).n)
+        n, label = system.n, f"simulation of {system.name} (n = {system.n})"
+    chaos = getattr(args, "chaos", None)
+    if chaos is not None:
+        from repro.fault.scenarios import chaos_injector
+
+        scenario = chaos_injector(
+            chaos, n, seed=seed, horizon=args.chaos_horizon
+        )
+        failures = (
+            scenario if isinstance(failures, NoFailures)
+            else CompositeFailures([failures, scenario])
+        )
+        label = f"{label} under {chaos} chaos"
+    config = from_options(
+        SimulationConfig, args, tree=tree, system=system, failures=failures,
+        timeout=8.0, seed=seed,
+        workload=from_options(
+            WorkloadSpec, args, keys=32, arrival="poisson", rate=0.25
+        ),
+    )
+    return config, label
 
 
-def run_simulation(args) -> tuple:
-    """Run the one simulation parsed options describe: ``(result, label)``."""
-    from repro.runner.tasks import build_sim_config
+def simulated_monitor(args, seed: int):
+    """One ``--repeats`` copy: the run ``args`` describe, built at
+    ``seed`` and simulated; its monitor."""
     from repro.sim import simulate
 
-    config, label = build_sim_config(sim_params(args))
-    return simulate(config), label
+    return simulate(simulation_config(args, seed)[0]).monitor
 
 
 def system_ref(args) -> tuple:
@@ -219,10 +267,16 @@ def system_ref(args) -> tuple:
     return ("protocol", args.protocol, args.n or 16)
 
 
-def run_repeats(args, run, task, merge):
-    """The ``--repeats R --jobs N`` fan-out: ``run`` R independently seeded
-    copies of ``task`` on N worker processes, ``merge`` their monitors."""
-    from repro.runner import ProgressPrinter
+def run_repeats(args, run, merge):
+    """The ``--repeats R --jobs N`` fan-out on N worker processes: repeat
+    k is ``run(args, seed)`` at the k-th child seed of ``--seed`` (``run``
+    module-level, so it pickles), and ``merge`` folds their monitors."""
+    from functools import partial
+
+    from repro.runner import ProgressPrinter, parallel_runs
 
     progress = ProgressPrinter(args.command) if args.jobs > 1 else None
-    return merge(run(task, args.repeats, jobs=args.jobs, progress=progress))
+    return merge(parallel_runs(
+        partial(run, args), args.repeats, args.seed, jobs=args.jobs,
+        progress=progress,
+    ))

@@ -12,8 +12,10 @@ from repro.commands import options
 
 def _print_reconfigure(args) -> None:
     from repro.analysis.tables import format_table
+    from repro.sim import simulate
 
-    result, label = options.run_simulation(args)
+    config, label = options.simulation_config(args)
+    result = simulate(config)
     outcome = result.reconfiguration
     checker = result.invariants
     assert outcome is not None and checker is not None

@@ -12,15 +12,24 @@ from __future__ import annotations
 from repro.commands import options
 
 
-def _sharded_config(args):
-    """The :class:`ShardedConfig` a ``shard`` invocation describes."""
+def _sharded_config(args, seed: int | None = None):
+    """The :class:`ShardedConfig` a ``shard`` invocation describes, at
+    ``seed`` (default ``--seed``)."""
     from repro.shard import ShardedConfig
     from repro.sim.workload import WorkloadSpec
 
     return options.from_options(
         ShardedConfig, args, systems=(options.system_ref(args),), timeout=8.0,
         workload=options.from_options(WorkloadSpec, args, arrival="poisson"),
+        seed=args.seed if seed is None else seed,
     )
+
+
+def _sharded_monitor(args, seed: int):
+    """One ``--repeats`` copy, built at ``seed`` and simulated."""
+    from repro.shard import simulate_sharded
+
+    return simulate_sharded(_sharded_config(args, seed)).monitor
 
 
 def _print_shard(args) -> None:
@@ -33,13 +42,10 @@ def _print_shard(args) -> None:
         f"({args.router} router, {args.keys} keys)"
     )
     if args.repeats > 1:
-        from repro.runner import (
-            merge_sharded_monitors,
-            parallel_shard_simulations,
-        )
+        from repro.runner import merge_sharded_monitors
 
         monitor = options.run_repeats(
-            args, parallel_shard_simulations, config, merge_sharded_monitors
+            args, _sharded_monitor, merge_sharded_monitors
         )
         summary = monitor.summary()
         throughput: object = "-"
@@ -122,7 +128,6 @@ def register(sub, name: str) -> None:
     options.add_options(
         parser, "spec", "zoo", "operations", "read_fraction", "keys",
         "zipf", "rate", "p", "service_time", "seed", "fan-out", "fault",
-        keys=1024,
+        "drop", keys=1024,
     )
-    options.add_option(parser, "drop", dest="drop_probability")
     parser.set_defaults(run=_print_shard)

@@ -14,20 +14,16 @@ from repro.commands import options
 def _print_simulation(args) -> None:
     from repro.analysis.tables import format_table
     from repro.core import analyse
-    from repro.runner.tasks import build_sim_config
     from repro.sim import simulate
 
     operations, p, seed = args.operations, args.p, args.seed
-    # build_sim_config is the single source of the simulation defaults, so
-    # this run and the parallel runner's workers build identical configs.
-    params = options.sim_params(args)
-    config, label = build_sim_config(params)
+    config, label = options.simulation_config(args)
     reconfiguration = None
     if args.repeats > 1:
-        from repro.runner import merge_monitors, parallel_simulations
+        from repro.runner import merge_monitors
 
         summary = options.run_repeats(
-            args, parallel_simulations, params, merge_monitors
+            args, options.simulated_monitor, merge_monitors
         ).summary()
         messages: object = "-"
         run_title = (f"{label}: {operations} ops x {args.repeats} repeats, "
@@ -108,4 +104,5 @@ def register(sub, name: str) -> None:
         help="target tree spec for --reshape-at (default: a fault-aware "
              "plan from the tuning advisor and detector evidence)",
     )
-    parser.set_defaults(run=_print_simulation)
+    # One attempt per operation measures raw availability.
+    parser.set_defaults(run=_print_simulation, max_attempts=1)

@@ -13,8 +13,10 @@ from repro.commands import options
 
 def _print_trace(args) -> None:
     from repro.obs import export_trace
+    from repro.sim import simulate
 
-    result, label = options.run_simulation(args)
+    config, label = options.simulation_config(args)
+    result = simulate(config)
     recorder = result.recorder
     path = export_trace(recorder, args.out)
     traces = recorder.traces()
@@ -42,7 +44,10 @@ def _print_report(args) -> None:
         recorder = load_trace(args.trace_file)
         print(f"trace report for {args.trace_file}")
     else:
-        result, label = options.run_simulation(args)
+        from repro.sim import simulate
+
+        config, label = options.simulation_config(args)
+        result = simulate(config)
         recorder = result.recorder
         summary = result.summary()
         print(f"{label}: {args.operations} ops, p = {args.p}, "

@@ -71,11 +71,6 @@ class ArbitraryTreeModel(ProtocolModel):
         """The underlying tree."""
         return self._tree
 
-    @property
-    def protocol(self) -> ArbitraryProtocol:
-        """The operational protocol object (quorum selection etc.)."""
-        return self._protocol
-
     def read_cost(self) -> float:
         """One replica per physical level."""
         return float(metrics.read_cost(self._tree))

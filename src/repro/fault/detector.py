@@ -16,10 +16,11 @@ accurate, evidence-driven detector in the Chandra–Toueg mould:
 * **rehabilitation** — suspicion expires after ``probe_interval`` (the
   site gets probed again by simply becoming selectable); a reply from a
   suspected site exonerates it immediately and clears its evidence;
-* **selection preference** — :meth:`preferred` filters a live set down
-  to the unsuspected members.  Callers *prefer* quorums inside that set
-  and fall back to blind selection when none exists, so suspicion can
-  only redirect load, never manufacture unavailability.
+* **selection preference** — :meth:`suspected` is the set quorum
+  selection (:class:`~repro.quorums.selection.QuorumChooser`) steers
+  around.  It *prefers* quorums outside that set and falls back to blind
+  selection when none exists, so suspicion can only redirect load, never
+  manufacture unavailability.
 
 Every transition emits a span event on the recorder's ``failure_detector``
 singleton trace, and the ``fault.suspect`` counters (``suspected`` /
@@ -90,11 +91,6 @@ class SuspectList:
         self.rehabilitations_total = 0
         self.exonerations_total = 0
         self.selection_avoided = 0
-
-    @property
-    def probe_interval(self) -> float:
-        """How long a suspicion lasts."""
-        return self._probe_interval
 
     @property
     def suspects_active(self) -> int:
@@ -186,23 +182,6 @@ class SuspectList:
             for sid in self._suspected_until
             if self._evidence.get(sid, 0) >= min_evidence
         )
-
-    def preferred(
-        self, live: Iterable[int], now: float
-    ) -> tuple[tuple[int, ...], bool]:
-        """``(live minus suspected, anything_filtered)``.
-
-        The second element tells the caller whether preference actually
-        narrowed the candidate set — when False the preferred selection
-        *is* the blind selection and no fallback pass is needed.
-        """
-        self._sweep(now)
-        live_tuple = tuple(live)
-        if not self._suspected_until:
-            return live_tuple, False
-        suspected = self._suspected_until
-        kept = tuple(sid for sid in live_tuple if sid not in suspected)
-        return kept, len(kept) != len(live_tuple)
 
     def note_avoided(self) -> None:
         """Count one selection that successfully avoided suspected sites."""

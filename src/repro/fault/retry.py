@@ -47,10 +47,10 @@ class RetryPolicy(abc.ABC):
     def retry_delay(self, attempt: int) -> float:
         """Delay before the next attempt, after ``attempt`` attempts failed."""
 
+    @abc.abstractmethod
     def unavailable_delay(self, attempt: int) -> float | None:
         """Delay before re-probing an unavailable system (``None`` =
         use the coordinator's configured unavailability delay)."""
-        return None
 
 
 @dataclass(frozen=True)

@@ -22,9 +22,10 @@ and plug into :class:`~repro.sim.engine.SimulationConfig` unchanged:
   instant and recovers on a stagger, the recovery-time benchmark
   scenario.
 
-All randomness is drawn from constructor-seeded ``random.Random``
-streams at install time, so a scenario's entire schedule is a pure
-function of its parameters — two same-seed chaos runs are bit-identical.
+All randomness is drawn at install time from a ``random.Random`` seeded
+there with the constructor's seed, so a scenario's entire schedule is a
+pure function of its parameters — two same-seed chaos runs are
+bit-identical, and so are two runs of one config.
 
 :func:`chaos_injector` builds the named scenarios the CLI / runner /
 benchmarks share, and :data:`CHAOS_SCENARIOS` lists their names.
@@ -76,7 +77,7 @@ class FlakyLinkBursts(FailureInjector):
         self._duration = duration
         self._start = start
         self._horizon = horizon
-        self._rng = random.Random(seed)
+        self._seed = seed
 
     def install(
         self,
@@ -85,11 +86,12 @@ class FlakyLinkBursts(FailureInjector):
         network: Network,
     ) -> None:
         """Schedule every burst (and its settling) inside the horizon."""
+        rng = random.Random(self._seed)
         sids = sorted(site.sid for site in sites)
         count = min(self._count, len(sids))
         at = self._start
         while at < self._horizon:
-            flaky = tuple(self._rng.sample(sids, count))
+            flaky = tuple(rng.sample(sids, count))
 
             def begin(chosen: tuple[int, ...] = flaky) -> None:
                 for sid in chosen:
@@ -175,7 +177,7 @@ class StragglerSites(FailureInjector):
         self._count = count
         self._start = start
         self._duration = duration
-        self._rng = random.Random(seed)
+        self._seed = seed
         # Explicit sids pin the stragglers (benchmarks want them disjoint
         # from crash victims); None samples ``count`` from the seed.
         self._sids = tuple(sids) if sids is not None else None
@@ -193,9 +195,9 @@ class StragglerSites(FailureInjector):
             self.chosen = self._sids
         else:
             sids = sorted(site.sid for site in sites)
-            self.chosen = tuple(
-                self._rng.sample(sids, min(self._count, len(sids)))
-            )
+            self.chosen = tuple(random.Random(self._seed).sample(
+                sids, min(self._count, len(sids))
+            ))
 
         def slow_down() -> None:
             for sid in self.chosen:
@@ -283,7 +285,7 @@ class MassCrash(FailureInjector):
         self._fraction = fraction
         self._recover_after = recover_after
         self._stagger = stagger
-        self._rng = random.Random(seed)
+        self._seed = seed
         # Explicit sids pin the victims (benchmarks keep the read-critical
         # sites alive); None samples ``fraction`` of the fleet from the seed.
         self._sids = tuple(sids) if sids is not None else None
@@ -303,7 +305,7 @@ class MassCrash(FailureInjector):
             chosen = [by_sid[sid] for sid in self._sids]
         else:
             count = max(1, round(self._fraction * len(ordered)))
-            chosen = self._rng.sample(ordered, count)
+            chosen = random.Random(self._seed).sample(ordered, count)
         self.victims = tuple(site.sid for site in chosen)
 
         def crash_all() -> None:

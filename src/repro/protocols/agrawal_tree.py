@@ -67,21 +67,6 @@ class AgrawalTreeProtocol(ProtocolModel):
         self._branching = 2 * d + 1
         super().__init__(complete_tree_size(self._branching, height))
 
-    @property
-    def d(self) -> int:
-        """The majority parameter (children per node = 2d + 1)."""
-        return self._d
-
-    @property
-    def height(self) -> int:
-        """Tree height."""
-        return self._height
-
-    @property
-    def branching(self) -> int:
-        """Children per interior node: ``2d + 1``."""
-        return self._branching
-
     def children(self, sid: int) -> tuple[int, ...]:
         """Child SIDs of a node (empty for leaves)."""
         first = sid * self._branching + 1

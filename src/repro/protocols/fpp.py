@@ -18,13 +18,11 @@ exercise).
 
 from __future__ import annotations
 
-import random
 from collections.abc import Iterator
 from itertools import product
 
 from repro.protocols.base import ProtocolModel, check_probability
 from repro.quorums.availability import system_availability
-from repro.quorums.liveness import Liveness, as_oracle
 
 
 def is_prime(value: int) -> bool:
@@ -108,31 +106,6 @@ class FiniteProjectivePlaneProtocol(ProtocolModel):
     def write_quorums(self) -> Iterator[frozenset[int]]:
         """The lines of the plane (reads and writes share them)."""
         return iter(self._quorums)
-
-    def _select_line(
-        self, live: Liveness, rng: random.Random | None
-    ) -> frozenset[int] | None:
-        """A fully-live line (rng-uniform among the viable ones)."""
-        oracle = as_oracle(live)
-        viable = [
-            line for line in self._quorums
-            if all(oracle(sid) for sid in line)
-        ]
-        if not viable:
-            return None
-        return rng.choice(viable) if rng is not None else viable[0]
-
-    def select_read_quorum(
-        self, live: Liveness, rng: random.Random | None = None
-    ) -> frozenset[int] | None:
-        """A fully-live line of the plane, or ``None``."""
-        return self._select_line(live, rng)
-
-    def select_write_quorum(
-        self, live: Liveness, rng: random.Random | None = None
-    ) -> frozenset[int] | None:
-        """Identical to reads (one quorum set)."""
-        return self._select_line(live, rng)
 
     def read_cost(self) -> float:
         """``q + 1 ~ sqrt(n)``."""

@@ -75,11 +75,6 @@ class HQCProtocol(ProtocolModel):
         super().__init__(n)
         self._depth = ternary_depth(n)
 
-    @property
-    def depth(self) -> int:
-        """The depth ``l`` of the ternary hierarchy (``n = 3^l``)."""
-        return self._depth
-
     # ------------------------------------------------------------------
     # quorum construction
     # ------------------------------------------------------------------

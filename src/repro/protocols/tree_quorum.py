@@ -72,11 +72,6 @@ class TreeQuorumProtocol(ProtocolModel):
         super().__init__(n)
         self._height = complete_binary_height(n)
 
-    @property
-    def height(self) -> int:
-        """The height ``h`` of the binary tree."""
-        return self._height
-
     # ------------------------------------------------------------------
     # tree topology (implicit heap layout)
     # ------------------------------------------------------------------

@@ -42,16 +42,18 @@ WORD_BITS = 64
 _BATCH_BYTES = 1 << 24
 
 
-if hasattr(np, "bitwise_count"):
-    _popcount = np.bitwise_count
-else:  # pragma: no cover - numpy < 2.0 fallback
-    _POPCOUNT_TABLE = np.array(
-        [bin(i).count("1") for i in range(256)], dtype=np.uint8
-    )
+_POPCOUNT_TABLE = np.array(
+    [bin(i).count("1") for i in range(256)], dtype=np.uint8
+)
 
-    def _popcount(words: np.ndarray) -> np.ndarray:
-        as_bytes = words.view(np.uint8).reshape(*words.shape, 8)
-        return _POPCOUNT_TABLE[as_bytes].sum(axis=-1)
+
+def _popcount_by_table(words: np.ndarray) -> np.ndarray:
+    """Set bits per uint64 word, for numpy < 2.0 (no ``bitwise_count``)."""
+    as_bytes = words.view(np.uint8).reshape(*words.shape, 8)
+    return _POPCOUNT_TABLE[as_bytes].sum(axis=-1)
+
+
+_popcount = getattr(np, "bitwise_count", _popcount_by_table)
 
 
 def mask_of(elements: Iterable[int], index: Mapping[int, int]) -> int:

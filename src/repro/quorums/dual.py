@@ -58,16 +58,6 @@ class DualQuorumSystem(QuorumSystem):
         self.name = f"dual({old.name} -> {new.name})"
 
     @property
-    def old(self) -> QuorumSystem:
-        """The outgoing (pre-transition) system."""
-        return self._old
-
-    @property
-    def new(self) -> QuorumSystem:
-        """The incoming (post-transition) system."""
-        return self._new
-
-    @property
     def universe(self) -> frozenset[int]:
         return self._old.universe
 

@@ -35,9 +35,3 @@ def live_members(members: Iterable[int], live: Liveness) -> list[int]:
     """The members reported live by the oracle, in iteration order."""
     oracle = as_oracle(live)
     return [sid for sid in members if oracle(sid)]
-
-
-def all_live(members: Iterable[int], live: Liveness) -> bool:
-    """True iff every member is reported live."""
-    oracle = as_oracle(live)
-    return all(oracle(sid) for sid in members)

@@ -2,7 +2,7 @@
 
 The runner shards the repository's three embarrassingly parallel workloads
 — parameter sweeps, Monte-Carlo availability estimation and repeated-seed
-simulation runs — across a process pool, with three invariants:
+runs (simulated or sharded) — across a process pool, with three invariants:
 
 * **determinism** — every task's seed is derived from the master seed by
   ``getrandbits(64)`` child streams (:func:`~repro.runner.pool.derive_seeds`),
@@ -28,16 +28,13 @@ from repro.runner.merge import (
     merge_sharded_monitors,
 )
 from repro.runner.pool import derive_seeds, run_tasks
-from repro.runner.progress import ProgressPrinter, null_progress
+from repro.runner.progress import ProgressPrinter
 from repro.runner.tasks import (
     AvailabilityChunk,
-    SimParams,
     SweepTask,
     SystemRef,
-    build_sim_config,
     parallel_availability,
-    parallel_shard_simulations,
-    parallel_simulations,
+    parallel_runs,
     parallel_sweep,
     resolve_system,
 )
@@ -45,19 +42,15 @@ from repro.runner.tasks import (
 __all__ = [
     "AvailabilityChunk",
     "ProgressPrinter",
-    "SimParams",
     "SweepTask",
     "SystemRef",
-    "build_sim_config",
     "derive_seeds",
     "merge_availability",
     "merge_monitors",
     "merge_series",
     "merge_sharded_monitors",
-    "null_progress",
     "parallel_availability",
-    "parallel_shard_simulations",
-    "parallel_simulations",
+    "parallel_runs",
     "parallel_sweep",
     "resolve_system",
     "run_tasks",

@@ -12,10 +12,6 @@ import sys
 from typing import TextIO
 
 
-def null_progress(done: int, total: int) -> None:
-    """A no-op progress callback."""
-
-
 class ProgressPrinter:
     """Render ``k/total`` completion ticks in place on a terminal stream."""
 

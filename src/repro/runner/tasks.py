@@ -2,27 +2,22 @@
 
 Workers in a process pool receive tasks by pickling, so tasks carry only
 plain data: a sweep shard is (quantities, sizes, p, configs); a Monte-Carlo
-chunk is (system reference, op, p, samples, seed); a simulation repeat is a
-:class:`SimParams` record and a sharded one the
-:class:`~repro.shard.store.ShardedConfig` itself (its ``systems`` are
-references).  Quorum systems are never pickled — workers
+chunk is (system reference, op, p, samples, seed); a repeated run is its
+child seed, handed to a picklable ``run`` that builds the whole run from
+it.  Quorum systems are never pickled — workers
 rebuild them from a :data:`SystemRef` (``("tree", spec)`` or
 ``("protocol", name, n)``), which is both cheaper than shipping a
 materialised system and immune to unpicklable caches.
 
 Each orchestrator derives its per-task seeds from the master seed with
-:func:`~repro.runner.pool.derive_seeds` and folds shard results in task
+:func:`~repro.runner.pool.derive_seeds` and returns shard results in task
 order, so output is bit-identical across job counts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    from repro.fault.retry import RetryPolicySpec
-    from repro.shard.store import ShardedConfig
+from collections.abc import Callable
+from dataclasses import dataclass
 
 from repro.analysis.sweeps import (
     DEFAULT_P,
@@ -36,8 +31,12 @@ from repro.core.protocol import ArbitraryProtocol
 from repro.quorums.availability import estimate_availability_monte_carlo
 from repro.quorums.system import DEFAULT_MAX_QUORUMS, QuorumSystem
 from repro.runner.merge import merge_availability, merge_series
-from repro.runner.pool import ProgressCallback, derive_seeds, run_tasks
-from repro.sim.monitor import Monitor, ShardedMonitor
+from repro.runner.pool import (
+    ProgressCallback,
+    Result,
+    derive_seeds,
+    run_tasks,
+)
 
 #: Plain-data reference to a quorum system: ``("tree", "1-3-5")`` or
 #: ``("protocol", "majority", 15)``.
@@ -185,167 +184,28 @@ def parallel_availability(
 
 
 # ----------------------------------------------------------------------
-# repeated-seed simulations
+# repeated-seed runs
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SimParams:
-    """Plain-data simulation parameters (the CLI's knobs, picklable).
-
-    The fault-layer fields all default to off, so a legacy record builds a
-    byte-identical configuration: ``retry_policy`` is a picklable
-    :class:`~repro.fault.retry.RetryPolicySpec` (workers rebuild the
-    policy object per coordinator), ``chaos`` names a scenario from
-    :data:`~repro.fault.scenarios.CHAOS_SCENARIOS` (or ``"all"``)
-    composed onto the ``p``-driven failures, and ``chaos_horizon`` bounds
-    the scenario's schedule.
-    """
-
-    spec: str = "1-3-5"
-    operations: int = 2000
-    read_fraction: float = 0.5
-    p: float = 1.0
-    seed: int = 0
-    protocol: str | None = None
-    n: int = 0
-    drop: float = 0.0
-    max_attempts: int = 1
-    trace: bool = False
-    retry_policy: "RetryPolicySpec | None" = None
-    detector: bool = False
-    chaos: str | None = None
-    chaos_horizon: float = 1000.0
-    check_invariants: bool = False
-    batch_window: float = 0.0
-    leases: bool = False
-    reshape_at: float = 0.0
-    reshape_spec: str | None = None
-
-
-def build_sim_config(params: SimParams):
-    """The ``(SimulationConfig, label)`` pair a :class:`SimParams` describes.
-
-    This is the single source of the CLI's simulation defaults (Poisson
-    arrivals at rate 0.25 over 32 keys, timeout 8, Bernoulli failures
-    resampled every 40 time units when ``p < 1``); the commands delegate
-    here so CLI runs and pool workers build byte-identical configs.  Every
-    field :class:`SimParams` shares by name with ``SimulationConfig``
-    (``seed``, ``leases``, ``reshape_at``, ...) is passed through as is.
-    """
-    from repro.protocols.zoo import quorum_system
-    from repro.sim import BernoulliFailures, SimulationConfig, WorkloadSpec
-    from repro.sim.failures import CompositeFailures, NoFailures
-
-    failures = (
-        NoFailures() if params.p >= 1.0
-        else BernoulliFailures(
-            p=params.p, seed=params.seed, resample_every=40.0
-        )
-    )
-    workload = WorkloadSpec(
-        operations=params.operations,
-        read_fraction=params.read_fraction,
-        keys=32,
-        arrival="poisson",
-        rate=0.25,
-    )
-    if params.protocol is None:
-        tree = from_spec(params.spec)
-        system = None
-        n = tree.n
-        label = f"simulation of {params.spec}"
-    else:
-        tree = None
-        system = quorum_system(
-            params.protocol, params.n or from_spec(params.spec).n
-        )
-        n = system.n
-        label = f"simulation of {system.name} (n = {system.n})"
-    if params.chaos is not None:
-        from repro.fault.scenarios import chaos_injector
-
-        scenario = chaos_injector(
-            params.chaos, n, seed=params.seed, horizon=params.chaos_horizon
-        )
-        failures = (
-            scenario if isinstance(failures, NoFailures)
-            else CompositeFailures([failures, scenario])
-        )
-        label = f"{label} under {params.chaos} chaos"
-    shared = {f.name for f in fields(SimParams)} & {
-        f.name for f in fields(SimulationConfig)
-    }
-    config = SimulationConfig(
-        tree=tree, system=system, workload=workload,
-        failures=failures, drop_probability=params.drop, timeout=8.0,
-        **{name: getattr(params, name) for name in shared},
-    )
-    return config, label
-
-
-def _run_sim_task(params: SimParams) -> Monitor:
-    from repro.sim import simulate
-
-    config, _ = build_sim_config(params)
-    return simulate(config).monitor
-
-
-def parallel_simulations(
-    params: SimParams,
+def parallel_runs(
+    run: Callable[[int], Result],
     repeats: int,
-    master_seed: int | None = None,
+    master_seed: int,
     jobs: int = 1,
     progress: ProgressCallback | None = None,
-) -> list[Monitor]:
-    """Run ``repeats`` independently seeded simulations of one config.
+) -> list[Result]:
+    """``run(seed)`` at each of ``repeats`` child seeds of ``master_seed``.
 
-    Repeat k always simulates under the k-th child seed of ``master_seed``
-    (default: ``params.seed``), so the monitor list — and any
-    :func:`~repro.runner.merge.merge_monitors` fold over it — is identical
-    at every job count.
+    ``run`` builds its whole run from the seed it is given, failure
+    schedule included, with the code the serial run uses, so no two
+    repeats share a schedule; with ``jobs > 1`` it must pickle (a
+    module-level function, or a ``functools.partial`` of one).  Repeat k
+    always runs at the k-th child seed, so the result list, and any merge
+    fold over it, is identical at every job count.
     """
     if repeats < 1:
         raise ValueError("need at least one repeat")
-    master = params.seed if master_seed is None else master_seed
-    tasks = [
-        replace(params, seed=child_seed)
-        for child_seed in derive_seeds(master, repeats)
-    ]
-    return run_tasks(_run_sim_task, tasks, jobs=jobs, progress=progress)
-
-
-# ----------------------------------------------------------------------
-# repeated-seed sharded simulations
-# ----------------------------------------------------------------------
-
-
-def _run_shard_sim_task(config: "ShardedConfig") -> ShardedMonitor:
-    from repro.shard import simulate_sharded
-
-    return simulate_sharded(config).monitor
-
-
-def parallel_shard_simulations(
-    config: "ShardedConfig",
-    repeats: int,
-    master_seed: int | None = None,
-    jobs: int = 1,
-    progress: ProgressCallback | None = None,
-) -> list[ShardedMonitor]:
-    """Run ``repeats`` independently seeded sharded simulations.
-
-    Same contract as :func:`parallel_simulations`: repeat k runs under the
-    k-th child seed of ``master_seed`` (default ``config.seed``) no matter
-    the job count, and the returned list folds shard-wise through
-    :func:`~repro.runner.merge.merge_sharded_monitors` to bytes identical
-    to a serial loop.
-    """
-    if repeats < 1:
-        raise ValueError("need at least one repeat")
-    master = config.seed if master_seed is None else master_seed
-    tasks = [
-        replace(config, seed=child_seed)
-        for child_seed in derive_seeds(master, repeats)
-    ]
-    return run_tasks(_run_shard_sim_task, tasks, jobs=jobs, progress=progress)
+    return run_tasks(
+        run, derive_seeds(master_seed, repeats), jobs=jobs, progress=progress
+    )

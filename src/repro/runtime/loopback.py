@@ -46,19 +46,10 @@ class LoopbackTransport:
             raise ValueError(f"SID {sid} already registered")
         self._endpoints[sid] = endpoint
 
-    def endpoint(self, sid: int) -> Endpoint:
-        """Look up a registered endpoint."""
-        return self._endpoints[sid]
-
     # -- liveness epochs ----------------------------------------------
 
-    @property
-    def liveness_epoch(self) -> int:
-        """Counter bumped whenever any endpoint's liveness can change."""
-        return self._liveness_epoch
-
     def current_liveness_epoch(self) -> int:
-        """Bound-method accessor for :attr:`liveness_epoch`."""
+        """Counter bumped whenever any endpoint's liveness can change."""
         return self._liveness_epoch
 
     def bump_liveness_epoch(self) -> None:

@@ -38,10 +38,10 @@ class SiteServer:
     """Serve one replica site on a TCP port.
 
     Also the seam as seen from inside one site process (``clock``,
-    ``register``, ``send``, ``broadcast``, the liveness epoch): outbound
-    routing is by destination SID -> live connection, and liveness epochs
-    are a local counter (each process observes its own site's transitions
-    — remote liveness is the coordinator transport's job).
+    ``register``, ``send``, ``bump_liveness_epoch``: what a :class:`Site`
+    calls): outbound routing is by destination SID -> live connection,
+    and a site process keeps no liveness view (remote liveness is the
+    coordinator transport's job).
     """
 
     def __init__(
@@ -63,7 +63,6 @@ class SiteServer:
         self._accepting = True
         self.site: Site | None = None
         self.clock: AsyncClock | None = None
-        self._liveness_epoch = 0
 
     @property
     def port(self) -> int:
@@ -118,11 +117,9 @@ class SiteServer:
     def register(self, sid: int, endpoint: Site) -> None:
         """Nothing to record: the one endpoint here is :attr:`site`."""
 
-    def current_liveness_epoch(self) -> int:
-        return self._liveness_epoch
-
     def bump_liveness_epoch(self) -> None:
-        self._liveness_epoch += 1
+        """Nothing here reads a liveness epoch: the site's own crash and
+        recovery change no view in this process."""
 
     def send(self, message: Any) -> None:
         """Deliver an outbound protocol message to its peer connection."""
@@ -133,10 +130,6 @@ class SiteServer:
             connection.send(encode_frame(encode_message(message)))
         except CodecError:
             pass  # unencodable or oversized: dropped like any lost message
-
-    def broadcast(self, messages: list) -> None:
-        for message in messages:
-            self.send(message)
 
     # -- inbound -------------------------------------------------------
 

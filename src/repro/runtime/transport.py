@@ -71,10 +71,6 @@ class TcpTransport:
             raise ValueError(f"SID {sid} already registered")
         self._endpoints[sid] = endpoint
 
-    def endpoint(self, sid: int) -> Endpoint:
-        """Look up a registered local endpoint."""
-        return self._endpoints[sid]
-
     # -- liveness ------------------------------------------------------
 
     def is_live(self, sid: int) -> bool:
@@ -86,13 +82,8 @@ class TcpTransport:
         """Every currently connected site SID, sorted."""
         return sorted(sid for sid in self._connections if self.is_live(sid))
 
-    @property
-    def liveness_epoch(self) -> int:
-        """Counter bumped on every connect/disconnect."""
-        return self._liveness_epoch
-
     def current_liveness_epoch(self) -> int:
-        """Bound-method accessor for :attr:`liveness_epoch`."""
+        """Counter bumped on every connect/disconnect."""
         return self._liveness_epoch
 
     def bump_liveness_epoch(self) -> None:

@@ -172,11 +172,6 @@ class ShardedStore:
         self.monitor = monitor
 
     @property
-    def shards(self) -> int:
-        """Number of shards."""
-        return self.router.shards
-
-    @property
     def coordinators(self) -> list[QuorumCoordinator]:
         """Every coordinator, shard-major (shard 0's pool first)."""
         return [
@@ -222,8 +217,7 @@ class ShardedStore:
         coordinator pool transitions (online dual-quorum epochs) while
         every other shard keeps serving untouched.  ``keys`` is the
         shard's own key list (see :meth:`shard_keys`).  Returns the
-        :class:`~repro.sim.reconfigure.TreeReconfigurer` so callers can
-        watch its epoch state.
+        :class:`~repro.sim.reconfigure.TreeReconfigurer` driving it.
         """
         from repro.sim.reconfigure import TreeReconfigurer
 

@@ -279,7 +279,6 @@ class QuorumCoordinator:
         self._clock = network.clock
         self._locks = locks
         self._detector = detector
-        self._rng = rng
         self._timeout = timeout
         self._max_attempts = max_attempts
         self._writer_id = writer_id

@@ -13,7 +13,9 @@ Three injectors cover the paper's failure model:
   same partition communicate).
 
 Injectors expose ``install(scheduler, sites, network)``; the engine calls
-this before the workload starts.
+this before the workload starts.  A seeded injector keeps its seed and
+draws a fresh generator from it at every install, so one config runs the
+same failure schedule every time it is simulated.
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ class BernoulliFailures(FailureInjector):
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"p must be in [0, 1], got {value}")
         self._p = p
-        self._rng = random.Random(seed)
+        self._seed = seed
         self._resample_every = resample_every
 
     def _probability(self, sid: int) -> float:
@@ -103,23 +105,24 @@ class BernoulliFailures(FailureInjector):
                     "BernoulliFailures p mapping must cover every site; "
                     f"missing SIDs {missing}"
                 )
-        self._apply(sites)
+        rng = random.Random(self._seed)
+        self._apply(sites, rng)
         if self._resample_every is not None:
-            self._schedule_resample(scheduler, sites)
+            self._schedule_resample(scheduler, sites, rng)
 
-    def _apply(self, sites: Sequence[Site]) -> None:
+    def _apply(self, sites: Sequence[Site], rng: random.Random) -> None:
         for site in sites:
-            if self._rng.random() < self._probability(site.sid):
+            if rng.random() < self._probability(site.sid):
                 site.recover()
             else:
                 site.crash()
 
     def _schedule_resample(
-        self, scheduler: Scheduler, sites: Sequence[Site]
+        self, scheduler: Scheduler, sites: Sequence[Site], rng: random.Random
     ) -> None:
         def resample() -> None:
-            self._apply(sites)
-            self._schedule_resample(scheduler, sites)
+            self._apply(sites, rng)
+            self._schedule_resample(scheduler, sites, rng)
 
         assert self._resample_every is not None
         scheduler.schedule(self._resample_every, resample)
@@ -144,7 +147,7 @@ class CrashRepairProcess(FailureInjector):
             raise ValueError("mean up/down times must be positive")
         self._mean_uptime = mean_uptime
         self._mean_downtime = mean_downtime
-        self._rng = random.Random(seed)
+        self._seed = seed
         self._horizon = horizon
 
     @property
@@ -159,25 +162,30 @@ class CrashRepairProcess(FailureInjector):
         network: Network,
     ) -> None:
         """Schedule the first crash of every site."""
+        rng = random.Random(self._seed)
         for site in sites:
-            self._schedule_crash(scheduler, site)
+            self._schedule_crash(scheduler, site, rng)
 
     def _within_horizon(self, scheduler: Scheduler, delay: float) -> bool:
         return self._horizon is None or scheduler.now + delay <= self._horizon
 
-    def _schedule_crash(self, scheduler: Scheduler, site: Site) -> None:
-        delay = self._rng.expovariate(1.0 / self._mean_uptime)
+    def _schedule_crash(
+        self, scheduler: Scheduler, site: Site, rng: random.Random
+    ) -> None:
+        delay = rng.expovariate(1.0 / self._mean_uptime)
         if not self._within_horizon(scheduler, delay):
             return
 
         def crash() -> None:
             site.crash()
-            self._schedule_recovery(scheduler, site)
+            self._schedule_recovery(scheduler, site, rng)
 
         scheduler.schedule(delay, crash)
 
-    def _schedule_recovery(self, scheduler: Scheduler, site: Site) -> None:
-        delay = self._rng.expovariate(1.0 / self._mean_downtime)
+    def _schedule_recovery(
+        self, scheduler: Scheduler, site: Site, rng: random.Random
+    ) -> None:
+        delay = rng.expovariate(1.0 / self._mean_downtime)
         # Recoveries are NOT horizon-gated: the horizon stops new *crashes*
         # (the next crash gates itself in _schedule_crash), but every crash
         # must still pair with its repair (transient failures, Section 2.2).
@@ -187,7 +195,7 @@ class CrashRepairProcess(FailureInjector):
 
         def recover() -> None:
             site.recover()
-            self._schedule_crash(scheduler, site)
+            self._schedule_crash(scheduler, site, rng)
 
         scheduler.schedule(delay, recover)
 

@@ -39,10 +39,6 @@ class Message:
     #: Class name, precomputed for per-message-type counters.
     type_name = "Message"
 
-    def __init__(self, src: int, dst: int) -> None:
-        self.src = src
-        self.dst = dst
-
     def __repr__(self) -> str:
         names = [
             name

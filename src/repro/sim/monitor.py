@@ -16,20 +16,20 @@ and aggregates the quantities the paper analyses:
 * latency percentiles (linear interpolation) and attempt counts, with
   failed operations' latencies tracked separately so timeout/retry cost
   stays visible;
-* when a trace recorder is attached, a per-phase latency breakdown and
-  phase-duration histograms built from the span stream.
+* the run's trace recorder (``recorder``), whose span stream
+  :func:`repro.obs.report.phase_breakdown` turns into a per-phase
+  latency breakdown.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.obs.recorder import NULL_RECORDER, NullRecorder
-from repro.obs.report import PhaseStat, phase_breakdown, phase_histograms
-from repro.obs.stats import Histogram, linear_percentile
+from repro.obs.stats import linear_percentile
 from repro.sim.coordinator import OperationOutcome
 
 
@@ -106,18 +106,6 @@ class OperationSummary:
     def latency_percentile(self, fraction: float) -> float:
         """Latency percentile (e.g. 0.5, 0.95) of successful operations."""
         return linear_percentile(sorted(self.latencies), fraction)
-
-    def failure_latency_percentile(self, fraction: float) -> float:
-        """Latency percentile of failed operations."""
-        return linear_percentile(sorted(self.failure_latencies), fraction)
-
-    def latency_histogram(
-        self, start: float = 1.0, factor: float = 2.0, buckets: int = 12
-    ) -> Histogram:
-        """Histogram of successful-operation latencies."""
-        return Histogram.exponential(start, factor, buckets).extend(
-            self.latencies
-        )
 
     def merge(self, other: "OperationSummary") -> "OperationSummary":
         """Fold ``other``'s aggregates into this summary (returns self).
@@ -247,15 +235,6 @@ class Monitor:
             for sid in self._replica_ids
         }
 
-    def per_replica_write_load(self) -> dict[int, float]:
-        """Write-quorum participation fraction per replica."""
-        if self.writes.succeeded == 0:
-            return {sid: math.nan for sid in self._replica_ids}
-        return {
-            sid: self._write_touches.get(sid, 0) / self.writes.succeeded
-            for sid in self._replica_ids
-        }
-
     # ------------------------------------------------------------------
     # convenience
     # ------------------------------------------------------------------
@@ -272,22 +251,6 @@ class Monitor:
         if not latencies:
             return math.nan
         return sum(latencies) / len(latencies)
-
-    def phase_breakdown(self) -> list[PhaseStat]:
-        """Per-phase latency statistics from the trace stream.
-
-        Requires the run to have been traced (``recorder.enabled``);
-        returns an empty list otherwise.
-        """
-        if not self.recorder.enabled:
-            return []
-        return phase_breakdown(self.recorder.finished_spans())
-
-    def phase_histograms(self) -> dict[tuple[str, str], Histogram]:
-        """Phase-duration histograms from the trace stream (see above)."""
-        if not self.recorder.enabled:
-            return {}
-        return phase_histograms(self.recorder.finished_spans())
 
     def summary(self) -> dict[str, float]:
         """A flat dict of the headline measured quantities.
@@ -342,14 +305,6 @@ class ShardedMonitor:
 
     def __len__(self) -> int:
         return len(self.shards)
-
-    def record(self, shard: int, outcome: OperationOutcome) -> None:
-        """Ingest one finished operation into its shard's monitor."""
-        self.shards[shard].record(outcome)
-
-    def sink(self, shard: int) -> "Callable[[OperationOutcome], None]":
-        """A bound per-shard outcome callback (the workload dispatcher's)."""
-        return self.shards[shard].record
 
     def _fold(self, op: str) -> OperationSummary:
         fresh = OperationSummary()

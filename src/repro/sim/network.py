@@ -12,8 +12,8 @@ here:
   (fail-stop sites do not process input while down).
 
 Endpoints register under their SID and must expose ``receive(message)`` and
-``is_up`` — both replicas (:class:`repro.sim.site.Site`) and coordinators
-qualify.
+an ``up`` attribute (:class:`Endpoint`) — both replicas
+(:class:`repro.sim.site.Site`) and coordinators qualify.
 """
 
 from __future__ import annotations
@@ -352,18 +352,6 @@ class Network:
     # ------------------------------------------------------------------
     # runtime link degradation (chaos scenarios)
     # ------------------------------------------------------------------
-
-    @property
-    def drop_probability(self) -> float:
-        """The current global i.i.d. message-loss probability."""
-        return self._drop_probability
-
-    def set_drop_probability(self, probability: float) -> None:
-        """Change the global loss probability mid-run (chaos bursts)."""
-        if not 0.0 <= probability <= 1.0:
-            raise ValueError("drop probability must be in [0, 1]")
-        self._drop_probability = probability
-        self._invalidate_links()
 
     def set_site_drop(self, sid: int, probability: float) -> None:
         """Extra loss on every link touching ``sid`` (0 restores it).

@@ -140,17 +140,6 @@ class TreeReconfigurer:
         self._invariants = invariants
         self._active = False
         self._epoch = 0
-        self._state = EpochState.STABLE
-
-    @property
-    def epoch(self) -> int:
-        """Completed-or-attempted transitions so far."""
-        return self._epoch
-
-    @property
-    def state(self) -> EpochState:
-        """The group's current epoch state."""
-        return self._state
 
     # ------------------------------------------------------------------
     # group plumbing
@@ -189,7 +178,6 @@ class TreeReconfigurer:
                 cache.flush()
 
     def _note_epoch(self, state: EpochState) -> None:
-        self._state = state
         if self._invariants is not None:
             self._invariants.note_epoch(
                 self._epoch, state.value, at=self._coordinator.clock.now

@@ -72,11 +72,6 @@ class SiteStats:
     crashes: int = 0
     recoveries: int = 0
 
-    @property
-    def quorum_touches(self) -> int:
-        """How many quorum memberships this site served (read + prepare)."""
-        return self.reads_served + self.prepares
-
 
 class Site:
     """One replica site.
@@ -131,11 +126,6 @@ class Site:
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-
-    @property
-    def is_up(self) -> bool:
-        """Whether the site currently processes messages."""
-        return self.up
 
     @property
     def state(self) -> SiteState:

@@ -14,6 +14,16 @@ def protocol():
     return ArbitraryProtocol(from_spec("1-3-5"))
 
 
+@pytest.mark.parametrize("op", ["read", "write"])
+def test_closed_form_availability_is_the_exact_one(protocol, op):
+    from repro.quorums.system import QuorumSystem
+
+    for p in (0.5, 0.9):
+        assert protocol.availability(p, op) == pytest.approx(
+            QuorumSystem.availability(protocol, p, op)
+        )
+
+
 class TestQuorumCounts:
     def test_fact_321_read_count(self, protocol):
         assert protocol.num_read_quorums == 15

@@ -68,25 +68,9 @@ class TestSuspicion:
 
 
 class TestPreferred:
-    def test_no_suspects_returns_live_unchanged(self):
-        suspects = SuspectList()
-        kept, narrowed = suspects.preferred([1, 2, 3], now=0.0)
-        assert kept == (1, 2, 3)
-        assert narrowed is False
-
-    def test_suspected_sites_filtered(self):
-        suspects = SuspectList(probe_interval=10.0)
-        suspects.record_timeout([2], now=0.0)
-        kept, narrowed = suspects.preferred([1, 2, 3], now=1.0)
-        assert kept == (1, 3)
-        assert narrowed is True
-
-    def test_irrelevant_suspects_do_not_narrow(self):
-        suspects = SuspectList(probe_interval=10.0)
-        suspects.record_timeout([99], now=0.0)
-        kept, narrowed = suspects.preferred([1, 2, 3], now=1.0)
-        assert kept == (1, 2, 3)
-        assert narrowed is False
+    """What quorum selection reads off the list.  Steering around the
+    suspects is the chooser's job, tested in
+    ``tests/quorums/test_selection_fastpath.py``."""
 
     def test_counters_snapshot(self):
         suspects = SuspectList(probe_interval=5.0)

@@ -1,36 +1,36 @@
 """End-to-end tests: the fault layer wired through the full simulator.
 
 Covers the determinism contract (same seed → bit-identical summaries,
-serial ≡ parallel), the detector actually steering quorum selection, the
-invariant auditor riding along on chaos runs, and the
-``_defer_unavailable`` finished-context regression.
+one config → the same run every time, serial ≡ parallel), the detector
+actually steering quorum selection, the invariant auditor riding along on
+chaos runs, and the ``_defer_unavailable`` finished-context regression.
 """
 
 from dataclasses import replace
+from functools import partial
 
 import pytest
 
+from repro.cli import build_parser
+from repro.commands.options import simulated_monitor, simulation_config
 from repro.core.tree import ArbitraryTree
 from repro.fault.invariants import InvariantChecker, InvariantViolation
 from repro.fault.retry import RetryPolicySpec
-from repro.runner.merge import merge_monitors
-from repro.runner.tasks import SimParams, build_sim_config, parallel_simulations
+from repro.runner import merge_monitors, parallel_runs
 from repro.sim.coordinator import OperationOutcome, _OpContext
 from repro.sim.engine import SimulationConfig, build_simulation, simulate
+from repro.sim.failures import BernoulliFailures, CrashRepairProcess
 from repro.sim.replica import Timestamp
 from repro.sim.workload import WorkloadSpec
 
 BACKOFF = RetryPolicySpec(kind="exponential", base=0.5, jitter=0.4)
 
-CHAOS_PARAMS = SimParams(
-    spec="1-3-5",
-    operations=200,
-    max_attempts=4,
-    chaos="all",
-    detector=True,
-    retry_policy=BACKOFF,
-    check_invariants=True,
-)
+#: ``repro chaos`` with every scenario, the detector and jittered backoff.
+CHAOS_ARGS = build_parser("chaos").parse_args([
+    "chaos", "1-3-5", "--operations", "200", "--scenario", "all",
+    "--detector", "--retry-policy", "exponential",
+    "--backoff", "base=0.5,jitter=0.4",
+])
 
 
 def chaos_config(**overrides):
@@ -67,41 +67,52 @@ class TestDeterminism:
         assert a.monitor.summary() != b.monitor.summary()
 
     def test_backoff_jitter_is_reproducible(self):
-        # Configs are single-use (injector RNG streams are consumed at
-        # install), so reproducibility means: same parameters → same run.
+        # Every chaos scenario, composed: the same config twice.
+        config = chaos_config(seed=3)
         assert (
-            simulate(chaos_config(seed=3)).monitor.summary()
-            == simulate(chaos_config(seed=3)).monitor.summary()
+            simulate(config).monitor.summary()
+            == simulate(config).monitor.summary()
         )
 
+    @pytest.mark.parametrize("failures", [
+        BernoulliFailures(p=0.8, seed=3, resample_every=40.0),
+        CrashRepairProcess(mean_uptime=60.0, mean_downtime=15.0, seed=3),
+    ])
+    def test_a_config_runs_the_same_failures_every_time(self, failures):
+        # Injectors draw their schedule at install: one seeded at
+        # construction and consumed there gave the second simulate() of
+        # the same config a different failure schedule.
+        config = replace(chaos_config(seed=3), failures=failures)
+        first = simulate(config).monitor
+        assert simulate(config).monitor.outcomes == first.outcomes
+
     def test_serial_matches_parallel_under_chaos(self):
-        serial = merge_monitors(
-            parallel_simulations(CHAOS_PARAMS, 4, jobs=1)
-        )
+        run = partial(simulated_monitor, CHAOS_ARGS)
+        serial = merge_monitors(parallel_runs(run, 4, CHAOS_ARGS.seed))
         parallel = merge_monitors(
-            parallel_simulations(CHAOS_PARAMS, 4, jobs=2)
+            parallel_runs(run, 4, CHAOS_ARGS.seed, jobs=2)
         )
         assert serial.summary() == parallel.summary()
 
     def test_fault_fields_off_preserve_legacy_streams(self):
         # A config with every fault knob at its default must replay the
-        # exact pre-fault-layer RNG streams.
-        legacy = SimParams(operations=150, p=0.9, max_attempts=2, seed=5)
-        config, _ = build_sim_config(legacy)
+        # exact pre-fault-layer RNG streams, immediate retries included.
+        config, _ = simulation_config(build_parser("simulate").parse_args([
+            "simulate", "--operations", "150", "--p", "0.9", "--seed", "5",
+        ]))
+        config = replace(config, max_attempts=2)
         assert config.retry_policy is None
-        rerun, _ = build_sim_config(legacy)
         assert simulate(config).monitor.summary() == simulate(
-            rerun
+            config
         ).monitor.summary()
 
 
 class TestDetectorIntegration:
     def test_stragglers_feed_the_detector(self):
-        params = SimParams(
-            operations=300, max_attempts=4, chaos="stragglers",
-            detector=True, seed=1,
-        )
-        config, _ = build_sim_config(params)
+        config, _ = simulation_config(build_parser("chaos").parse_args([
+            "chaos", "--operations", "300", "--scenario", "stragglers",
+            "--detector", "--seed", "1",
+        ]))
         result = simulate(config)
         counters = result.suspects.counters()
         assert counters["suspicions_total"] > 0

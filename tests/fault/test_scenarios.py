@@ -75,7 +75,7 @@ class TestRollingRestarts:
         )
         scheduler.run()
         assert all(site.stats.crashes == 1 for site in sites)
-        assert all(site.is_up for site in sites)
+        assert all(site.up for site in sites)
 
     def test_at_most_one_site_down_at_once(self, rig):
         scheduler, network, sites = rig
@@ -85,7 +85,7 @@ class TestRollingRestarts:
         max_down = 0
         while scheduler.step():
             max_down = max(
-                max_down, sum(not site.is_up for site in sites)
+                max_down, sum(not site.up for site in sites)
             )
         assert max_down == 1
 
@@ -118,7 +118,7 @@ class TestStragglerSites:
         scenario = StragglerSites(seed=0)
         scenario.install(scheduler, sites, network)
         scheduler.run(until=100.0)
-        assert all(site.is_up for site in sites)
+        assert all(site.up for site in sites)
 
 
 class TestPartitionFlapping:
@@ -147,14 +147,14 @@ class TestMassCrash:
         scenario.install(scheduler, sites, network)
         scheduler.run(until=60.0)
         assert len(scenario.victims) == round(0.5 * 9)
-        assert all(not sites[sid].is_up for sid in scenario.victims)
+        assert all(not sites[sid].up for sid in scenario.victims)
         scheduler.run(until=151.0)
         # recoveries are staggered: the first victim is back, the last not
-        up_victims = [sid for sid in scenario.victims if sites[sid].is_up]
+        up_victims = [sid for sid in scenario.victims if sites[sid].up]
         assert up_victims
         assert len(up_victims) < len(scenario.victims)
         scheduler.run()
-        assert all(site.is_up for site in sites)
+        assert all(site.up for site in sites)
 
     def test_explicit_sids_pin_the_victims(self, rig):
         scheduler, network, sites = rig
@@ -162,14 +162,14 @@ class TestMassCrash:
         scenario.install(scheduler, sites, network)
         scheduler.run()
         assert scenario.victims == (3, 7, 8)
-        assert all(sites[sid].is_up == (sid not in {3, 7, 8}) for sid in range(9))
+        assert all(sites[sid].up == (sid not in {3, 7, 8}) for sid in range(9))
 
     def test_no_recovery_when_disabled(self, rig):
         scheduler, network, sites = rig
         scenario = MassCrash(at=10.0, fraction=0.3, recover_after=None, seed=0)
         scenario.install(scheduler, sites, network)
         scheduler.run()
-        assert all(not sites[sid].is_up for sid in scenario.victims)
+        assert all(not sites[sid].up for sid in scenario.victims)
 
 
 class TestFactory:
@@ -181,7 +181,7 @@ class TestFactory:
         scheduler.run()
         # Whatever happened, the fleet must end the run fully recovered
         # and the network fully healed — chaos is transient by contract.
-        assert all(site.is_up for site in sites)
+        assert all(site.up for site in sites)
         assert not network.partitioned
 
     def test_all_composes_every_scenario(self, rig):
@@ -190,7 +190,7 @@ class TestFactory:
         assert isinstance(injector, CompositeFailures)
         injector.install(scheduler, sites, network)
         scheduler.run()
-        assert all(site.is_up for site in sites)
+        assert all(site.up for site in sites)
 
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ValueError, match="unknown chaos scenario"):

@@ -21,6 +21,7 @@ class TestNullRecorder:
         NULL_RECORDER.event(0, 0, "timeout", 1.0)
         NULL_RECORDER.count("message.sent", "ReadRequest")
         NULL_RECORDER.observe("lock.wait", 1.0)
+        assert NULL_RECORDER.singleton_trace("failure_detector") == 0
 
 
 class TestTraceRecorder:

@@ -143,6 +143,12 @@ class TestFppQuorums:
                 counts[sid] += 1
         assert set(counts.values()) == {4}
 
+    def test_writes_use_the_same_lines(self):
+        protocol = FiniteProjectivePlaneProtocol(7)
+        lines = list(protocol.read_quorums())
+        assert list(protocol.write_quorums()) == lines
+        assert protocol.select_write_quorum(set(range(7)) - {0}) in lines
+
     def test_load_is_lp_optimal_sqrt_n(self):
         protocol = FiniteProjectivePlaneProtocol(13)
         lp = optimal_load(list(protocol.read_quorums()), universe=range(13))

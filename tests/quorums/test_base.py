@@ -33,6 +33,11 @@ class TestIsIntersecting:
     def test_one_disjoint_pair_among_many(self):
         assert not is_intersecting([{1, 2}, {2, 3}, {4, 5}])
 
+    def test_non_integer_elements_take_the_set_path(self):
+        # Only integer universes pack onto the bitset kernel.
+        assert is_intersecting([{"a", "b"}, {"b", "c"}])
+        assert not is_intersecting([{"a"}, {"b"}])
+
 
 class TestIsAntichain:
     def test_incomparable_sets(self):
@@ -46,6 +51,10 @@ class TestIsAntichain:
 
     def test_single_set(self):
         assert is_antichain([{1, 2, 3}])
+
+    def test_non_integer_elements_take_the_set_path(self):
+        assert is_antichain([{"a", "b"}, {"b", "c"}])
+        assert not is_antichain([{"a"}, {"a", "b"}])
 
 
 class TestIsCrossIntersecting:

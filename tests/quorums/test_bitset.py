@@ -7,6 +7,7 @@ import pytest
 
 from repro.quorums.bitset import (
     PackedQuorums,
+    _popcount_by_table,
     mask_of,
     mask_to_words,
     pack_bool_matrix,
@@ -57,6 +58,16 @@ class TestKernelOps:
         quorums = [set(range(i + 1)) for i in range(70)]
         packed = PackedQuorums.from_quorums(quorums, universe=range(70))
         assert packed.popcounts().tolist() == [len(q) for q in quorums]
+
+    def test_table_popcount_counts_every_bit(self):
+        # The numpy < 2.0 path: no ``np.bitwise_count`` there.
+        rng = random.Random(5)
+        values = [rng.getrandbits(64) for _ in range(40)] + [0, 2**64 - 1]
+        words = np.array(values, dtype=np.uint64).reshape(6, 7)
+        assert _popcount_by_table(words).tolist() == [
+            [bin(value).count("1") for value in values[row:row + 7]]
+            for row in range(0, 42, 7)
+        ]
 
     def test_membership_matrix_matches_cells(self):
         quorums = [{0, 2}, {1, 2}, {2}]

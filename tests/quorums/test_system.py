@@ -160,3 +160,40 @@ class TestCachedQuorumSystem:
         assert cached.enumerations == 1
         # closed-form extras pass through __getattr__
         assert cached.average_cost() == TreeQuorumProtocol(7).average_cost()
+
+    def test_selection_contract_sampling_and_masks_are_the_wrapped(self):
+        from repro.core import from_spec
+        from repro.core.protocol import ArbitraryProtocol
+        from repro.protocols.zoo import quorum_system
+
+        tree = ArbitraryProtocol(from_spec("1-3-5"))
+        cached = CachedQuorumSystem(tree)
+        assert cached.uniform_selection is tree.uniform_selection
+        assert list(cached.write_quorums()) == list(tree.write_quorums())
+        for sample in ("sample_read_quorum", "sample_write_quorum"):
+            assert getattr(cached, sample)(random.Random(3)) == getattr(
+                tree, sample
+            )(random.Random(3))
+        grid = quorum_system("grid", 9)
+        assert CachedQuorumSystem(grid).quorum_masks("write") == (
+            grid.quorum_masks("write")
+        )
+
+
+def test_dual_quorums_meet_both_epochs():
+    """Every dual read quorum meets every write quorum of the old tree,
+    the new tree and the dual system, and every dual write quorum every
+    read quorum of the three: why reads stay one-copy mid-transition."""
+    from repro.core import from_spec
+    from repro.core.protocol import ArbitraryProtocol
+    from repro.quorums.base import is_cross_intersecting
+    from repro.quorums.dual import DualQuorumSystem
+
+    old, new = (ArbitraryProtocol(from_spec(s)) for s in ("1-3-5", "1-4-4"))
+    dual = DualQuorumSystem(old, new)
+    reads, writes = dual.materialise("read"), dual.materialise("write")
+    assert len(reads) == 15 * 16 and len(writes) == 2 * 2
+    for system in (old, new, dual):
+        assert is_cross_intersecting(reads, system.materialise("write"))
+        assert is_cross_intersecting(system.materialise("read"), writes)
+    assert dual.bicoterie().universe == old.universe

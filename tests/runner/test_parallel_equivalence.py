@@ -3,21 +3,26 @@
 The runner's whole correctness claim: task layout, per-task seeds and the
 merge fold never depend on ``--jobs``, so sharded runs reproduce the serial
 (and the unsharded library) results exactly — including the merged obs
-counters of traced runs.
+counters of traced runs.  A repeat is the run the command would make
+alone at its child seed, so repeats never share a failure schedule.
 """
 
 from collections import Counter
+from functools import partial
 
 import pytest
 
 from repro.analysis.sweeps import sweep_configurations
+from repro.cli import build_parser
+from repro.commands.options import simulated_monitor, simulation_config
 from repro.runner import (
-    SimParams,
+    derive_seeds,
     merge_monitors,
     parallel_availability,
-    parallel_simulations,
+    parallel_runs,
     parallel_sweep,
 )
+from repro.sim import simulate
 
 JOBS = [2, 4]
 
@@ -67,11 +72,23 @@ def _monitor_key(monitor):
     return (monitor.reads, monitor.writes, monitor.outcomes, monitor.summary())
 
 
+def _args(*argv):
+    return build_parser(argv[0]).parse_args(list(argv))
+
+
+def _repeats(args, repeats, jobs=1, master_seed=None):
+    master = args.seed if master_seed is None else master_seed
+    return parallel_runs(
+        partial(simulated_monitor, args), repeats, master, jobs=jobs
+    )
+
+
 @pytest.mark.parametrize("jobs", JOBS)
-def test_parallel_simulations_bit_identical(jobs):
-    params = SimParams(spec="1-3-5", operations=120, p=0.9, seed=21)
-    serial = parallel_simulations(params, repeats=5, jobs=1)
-    sharded = parallel_simulations(params, repeats=5, jobs=jobs)
+def test_parallel_runs_bit_identical(jobs):
+    args = _args("simulate", "1-3-5", "--operations", "120", "--p", "0.9",
+                 "--seed", "21")
+    serial = _repeats(args, 5)
+    sharded = _repeats(args, 5, jobs=jobs)
     assert len(serial) == len(sharded) == 5
     for a, b in zip(serial, sharded):
         assert _monitor_key(a) == _monitor_key(b)
@@ -84,9 +101,10 @@ def test_parallel_simulations_bit_identical(jobs):
 
 @pytest.mark.parametrize("jobs", JOBS)
 def test_parallel_traced_simulations_merge_identical_obs_counters(jobs):
-    params = SimParams(spec="1-3", operations=60, p=0.85, seed=5, trace=True)
-    serial = merge_monitors(parallel_simulations(params, repeats=3, jobs=1))
-    sharded = merge_monitors(parallel_simulations(params, repeats=3, jobs=jobs))
+    args = _args("trace", "1-3", "--operations", "60", "--p", "0.85",
+                 "--seed", "5")
+    serial = merge_monitors(_repeats(args, 3))
+    sharded = merge_monitors(_repeats(args, 3, jobs=jobs))
     assert serial.recorder.enabled and sharded.recorder.enabled
     assert serial.recorder.counters.keys() == sharded.recorder.counters.keys()
     for group, counts in serial.recorder.counters.items():
@@ -96,9 +114,28 @@ def test_parallel_traced_simulations_merge_identical_obs_counters(jobs):
 
 
 def test_master_seed_changes_every_repeat():
-    params = SimParams(spec="1-3-5", operations=80, p=0.9, seed=21)
-    base = parallel_simulations(params, repeats=3, jobs=1)
-    other = parallel_simulations(params, repeats=3, master_seed=99, jobs=1)
+    args = _args("simulate", "1-3-5", "--operations", "80", "--p", "0.9",
+                 "--seed", "21")
+    base = _repeats(args, 3)
+    other = _repeats(args, 3, master_seed=99)
     assert all(
         a.outcomes != b.outcomes for a, b in zip(base, other)
     )
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "1-3-5", "--operations", "150", "--p", "0.9"),
+    ("chaos", "1-3-5", "--scenario", "all", "--operations", "150",
+     "--p", "0.9"),
+], ids=["bernoulli", "chaos-all"])
+def test_repeat_k_is_the_single_run_at_the_kth_child_seed(argv):
+    """The failure injector and the chaos scenario are rebuilt from each
+    repeat's own seed: a repeat that reused one schedule would differ
+    from the single run at its seed, and match its siblings' schedule."""
+    args = _args(*argv, "--seed", "7", "--repeats", "3")
+    repeats = _repeats(args, 3)
+    for seed, repeat in zip(derive_seeds(7, 3), repeats):
+        alone, _label = simulation_config(_args(*argv, "--seed", str(seed)))
+        assert _monitor_key(simulate(alone).monitor) == _monitor_key(repeat)
+    first, second, third = (repeat.outcomes for repeat in repeats)
+    assert first != second != third != first

@@ -89,6 +89,18 @@ def test_cluster_serves_sigkill_survives_and_shuts_down_clean():
     asyncio.run(asyncio.wait_for(main(), 90.0))
 
 
+def test_cluster_command_reads_through_a_kill_and_exits_clean(capsys):
+    from repro.cli import main
+
+    assert main([
+        "cluster", "1-3", "--operations", "30", "--read-fraction", "1.0",
+        "--keys", "4", "--seed", "7", "--kill-after-ops", "10",
+    ]) == 0
+    out = capsys.readouterr().out
+    assert "SIGKILLed site" in out
+    assert "cluster shut down cleanly (no orphans)" in out
+
+
 def test_service_time_reaches_the_site_processes():
     """``LocalCluster(service_time=...)`` used to be stored and dropped:
     ``SiteProcess.spawn`` never passed ``--service-time``, so the sites

@@ -179,12 +179,18 @@ for package in (repro, repro.sim):
     else:
         raise AssertionError(f"{package.__name__}.no_such_export resolved")
 
-# what the --jobs pool path pickles, by import path
-from repro.runner import SimParams
+# what the --jobs pool path pickles: the parsed options, bound to the
+# module-level function that builds and runs one repeat from a seed
+from functools import partial
+from repro.cli import build_parser
+from repro.commands.options import simulated_monitor
 from repro.sim import SimulationConfig
 
-params = SimParams(spec="1-3", operations=7)
-assert pickle.loads(pickle.dumps(params)) == params
+args = build_parser("chaos").parse_args(["chaos", "1-3", "--operations", "7"])
+run = partial(simulated_monitor, args)
+clone = pickle.loads(pickle.dumps(run))
+assert clone.func is simulated_monitor and clone.args == (args,)
+assert clone(5).outcomes == run(5).outcomes
 config = SimulationConfig(tree=repro.core.from_spec("1-3-5"), seed=11)
 clone = pickle.loads(pickle.dumps(config))
 assert type(clone) is SimulationConfig
@@ -286,50 +292,60 @@ def _described():
     a default without a sound."""
     from repro.core import from_spec
     from repro.fault.retry import RetryPolicySpec
-    from repro.runner.tasks import SimParams
+    from repro.fault.scenarios import chaos_injector
+    from repro.protocols.zoo import quorum_system
     from repro.shard import ShardedConfig
     from repro.sim.engine import SimulationConfig
+    from repro.sim.failures import (
+        BernoulliFailures,
+        CompositeFailures,
+        NoFailures,
+    )
     from repro.sim.workload import WorkloadSpec
 
+    # What the simulation commands fix rather than parse.
+    workload = WorkloadSpec(
+        operations=10, read_fraction=0.5, keys=32, arrival="poisson",
+        rate=0.25,
+    )
+    # --p 0.9 --seed 1: Bernoulli failures, resampled every 40.
+    bernoulli = BernoulliFailures(0.9, seed=1, resample_every=40.0)
     return {
-        "simulate": SimParams(
-            spec="1-3", operations=10, read_fraction=0.5, p=0.9, seed=1,
-            protocol="grid", n=9, drop=0.0, max_attempts=1, trace=False,
+        "simulate": SimulationConfig(
+            system=quorum_system("grid", 9), workload=workload,
+            failures=bernoulli, timeout=8.0, max_attempts=1, seed=1,
             retry_policy=RetryPolicySpec(
                 kind="exponential", base=1.0, factor=2.0, cap=60.0,
                 jitter=0.0,
             ),
-            detector=True, chaos=None, chaos_horizon=1000.0,
-            check_invariants=False, batch_window=2.0, leases=True,
-            reshape_at=5.0, reshape_spec="1-2",
+            detector=True, batch_window=2.0, leases=True, reshape_at=5.0,
+            reshape_spec="1-2",
         ),
-        "chaos": SimParams(
-            spec="1-3", operations=10, read_fraction=0.5, p=0.9, seed=1,
-            protocol="hqc", n=9, drop=0.0, max_attempts=2, trace=False,
-            retry_policy=None, detector=False, chaos="all",
-            chaos_horizon=50.0, check_invariants=True, batch_window=0.0,
-            leases=True, reshape_at=0.0, reshape_spec=None,
+        # --scenario all --horizon 50 on the 9 and the 3 replicas.
+        "chaos": SimulationConfig(
+            system=quorum_system("hqc", 9), workload=workload,
+            failures=CompositeFailures([
+                bernoulli, chaos_injector("all", 9, seed=1, horizon=50.0),
+            ]),
+            timeout=8.0, max_attempts=2, seed=1, check_invariants=True,
+            leases=True,
         ),
-        "reconfigure": SimParams(
-            spec="1-3", operations=10, read_fraction=0.5, p=0.9, seed=1,
-            protocol=None, n=0, drop=0.0, max_attempts=2, trace=False,
-            retry_policy=None, detector=True, chaos="all",
-            chaos_horizon=50.0, check_invariants=True, batch_window=0.0,
-            leases=False, reshape_at=5.0, reshape_spec="1-2",
+        "reconfigure": SimulationConfig(
+            tree=from_spec("1-3"), workload=workload,
+            failures=CompositeFailures([
+                bernoulli, chaos_injector("all", 3, seed=1, horizon=50.0),
+            ]),
+            timeout=8.0, max_attempts=2, seed=1, detector=True,
+            check_invariants=True, reshape_at=5.0, reshape_spec="1-2",
         ),
-        "trace": SimParams(
-            spec="1-3", operations=10, read_fraction=0.5, p=0.9, seed=1,
-            protocol="majority", n=5, drop=0.1, max_attempts=2, trace=True,
-            retry_policy=None, detector=False, chaos=None,
-            chaos_horizon=1000.0, check_invariants=False, batch_window=0.0,
-            leases=False, reshape_at=0.0, reshape_spec=None,
+        "trace": SimulationConfig(
+            system=quorum_system("majority", 5), workload=workload,
+            failures=bernoulli, drop_probability=0.1, timeout=8.0,
+            max_attempts=2, seed=1, trace=True,
         ),
-        "report": SimParams(
-            spec="1-3", operations=10, read_fraction=0.5, p=1.0, seed=1,
-            protocol=None, n=0, drop=0.0, max_attempts=3, trace=True,
-            retry_policy=None, detector=False, chaos=None,
-            chaos_horizon=1000.0, check_invariants=False, batch_window=0.0,
-            leases=False, reshape_at=0.0, reshape_spec=None,
+        "report": SimulationConfig(
+            tree=from_spec("1-3"), workload=workload, failures=NoFailures(),
+            timeout=8.0, max_attempts=3, seed=1, trace=True,
         ),
         "shard": ShardedConfig(
             workload=WorkloadSpec(
@@ -363,24 +379,42 @@ def _described():
     ["simulate", "chaos", "reconfigure", "trace", "report", "shard", "profile"],
 )
 def test_parsed_options_describe_the_same_run_as_before(command):
-    from repro.commands.options import sim_params
+    from repro.commands.options import simulation_config
     from repro.commands.profile import _profile_config
     from repro.commands.shard import _sharded_config
 
     args = build_parser(command).parse_args([command, *_ARGV[command]])
     build = {"shard": _sharded_config, "profile": _profile_config}.get(
-        command, sim_params
+        command, lambda args: simulation_config(args)[0]
     )
     built, described = build(args), _described()[command]
-    if command == "profile":
-        # A tree and a failure injector compare by identity: compare what
-        # they describe, then everything else.
+    if command != "shard":
+        # A tree, a quorum system and a failure injector compare by
+        # identity: compare what they describe, then everything else.
         from dataclasses import replace
 
-        assert built.tree.spec() == described.tree.spec()
-        assert type(built.failures) is type(described.failures)
-        built = replace(built, tree=None, failures=None)
-        described = replace(described, tree=None, failures=None)
+        def injector(failures):
+            # Its type and what it was built from, children included.
+            state = vars(failures)
+            if "_injectors" in state:
+                state = {"_injectors": [injector(child) for child in (
+                    state["_injectors"]
+                )]}
+            return type(failures), state
+
+        def shape(config):
+            tree, system = config.tree, config.system
+            return (
+                None if tree is None else tree.spec(),
+                None if system is None else (system.name, system.n),
+                injector(config.failures),
+            )
+
+        assert shape(built) == shape(described)
+        built, described = (
+            replace(config, tree=None, system=None, failures=None)
+            for config in (built, described)
+        )
     assert built == described
 
 
@@ -413,7 +447,7 @@ _DEFAULTS = {
         "spec": "1-3-5", "operations": 2000, "read_fraction": 0.5,
         "p": 1.0, "seed": 0, "protocol": None, "n": 0, "repeats": 1,
         "jobs": 1, **_FAULT_DEFAULTS, "reshape_at": 0.0,
-        "reshape_spec": None,
+        "reshape_spec": None, "max_attempts": 1,
     },
     "shard": {
         "spec": "1-3-5", "shards": 4, "protocol": None, "n": 0,
@@ -438,8 +472,8 @@ _DEFAULTS = {
     },
     "trace": {
         "spec": "1-3-5", "operations": 500, "read_fraction": 0.5, "p": 1.0,
-        "drop": 0.0, "max_attempts": 3, "seed": 0, "protocol": None,
-        "n": 0, "out": "trace.jsonl", "trace": True,
+        "drop_probability": 0.0, "max_attempts": 3, "seed": 0,
+        "protocol": None, "n": 0, "out": "trace.jsonl", "trace": True,
     },
     "profile": {
         "spec": "1-3-5", "operations": 5000, "read_fraction": 0.9,
@@ -450,8 +484,8 @@ _DEFAULTS = {
     },
     "report": {
         "spec": "1-3-5", "operations": 500, "read_fraction": 0.5, "p": 1.0,
-        "drop": 0.0, "max_attempts": 3, "seed": 0, "protocol": None,
-        "n": 0, "trace_file": None, "trace": True,
+        "drop_probability": 0.0, "max_attempts": 3, "seed": 0,
+        "protocol": None, "n": 0, "trace_file": None, "trace": True,
     },
     "serve": {
         "sid": 0, "host": "127.0.0.1", "port": 0, "service_time": 0.0,
@@ -475,30 +509,33 @@ def test_every_command_parses_the_defaults_it_always_had():
         assert parsed == {"command": command, **defaults}, command
 
 
-def test_every_field_simparams_shares_with_the_config_reaches_it():
-    """``build_sim_config`` passes shared names through by name: give each
-    a value no default has and find every one of them on the config."""
+#: What a simulation command reads itself instead of passing it on to
+#: the records it builds: the tree or zoo system and the failure model
+#: (``p``, the chaos scenario) become objects, ``--backoff`` folds into
+#: ``retry_policy``, and the rest drive the command, not the run.
+_CLI_ONLY = {
+    "command", "run", "spec", "protocol", "n", "p", "chaos",
+    "chaos_horizon", "backoff", "repeats", "jobs", "out", "trace_file",
+    "sort", "limit", "no_phases",
+}
+
+
+def test_every_option_a_simulation_command_parses_reaches_a_record():
+    """``from_options`` drops a name no record has without a sound, so
+    each parsed ``dest`` must be a field of what the command builds or a
+    name the command reads itself."""
     from dataclasses import fields
 
-    from repro.fault.retry import RetryPolicySpec
-    from repro.runner.tasks import SimParams, build_sim_config
+    from repro.shard import ShardedConfig
     from repro.sim.engine import SimulationConfig
+    from repro.sim.workload import WorkloadSpec
 
-    shared = {field.name for field in fields(SimParams)} & {
-        field.name for field in fields(SimulationConfig)
-    }
-    assert shared == {
-        "seed", "max_attempts", "trace", "retry_policy", "detector",
-        "check_invariants", "batch_window", "leases", "reshape_at",
-        "reshape_spec",
-    }
-    params = SimParams(
-        seed=41, max_attempts=7, trace=True,
-        retry_policy=RetryPolicySpec(kind="fixed", base=2.0),
-        detector=True, check_invariants=True, batch_window=1.5, leases=True,
-        reshape_at=9.0, reshape_spec="1-2-2",
-    )
-    config, _label = build_sim_config(params)
-    for name in shared:
-        assert getattr(config, name) == getattr(params, name), name
-        assert getattr(params, name) != getattr(SimParams(), name), name
+    for command in ("simulate", "chaos", "reconfigure", "trace", "report",
+                    "shard", "profile"):
+        config = ShardedConfig if command == "shard" else SimulationConfig
+        names = {field.name for record in (config, WorkloadSpec)
+                 for field in fields(record)}
+        parsed = vars(build_parser(command).parse_args(
+            [command, *_ARGV[command]]
+        ))
+        assert set(parsed) - names - _CLI_ONLY == set(), command

@@ -6,12 +6,11 @@ that folds cleanly, and bit-identical results between a serial repeat
 loop and a ``--jobs N`` process-pool fan-out.
 """
 
+from functools import partial
+
 import pytest
 
-from repro.runner import (
-    merge_sharded_monitors,
-    parallel_shard_simulations,
-)
+from repro.runner import merge_sharded_monitors, parallel_runs
 from repro.shard import (
     HashRouter,
     ShardedConfig,
@@ -125,27 +124,28 @@ class TestShardedSimulation:
             assert result.store.balancer.outstanding(shard) == (0, 0, 0)
 
 
+def _sharded_repeat(operations: int, seed: int):
+    """One repeat, built whole at its seed (module-level, so it pickles)."""
+    return simulate_sharded(ShardedConfig(
+        workload=WorkloadSpec(
+            operations=operations, keys=256, zipf_s=1.0,
+            arrival="poisson", rate=0.25,
+        ),
+        shards=4, p=0.9, timeout=8.0, seed=seed,
+    )).monitor
+
+
 class TestParallelEquivalence:
     def test_serial_and_jobs_fanout_bit_identical(self):
-        config = ShardedConfig(
-            workload=WorkloadSpec(
-                operations=200, keys=256, zipf_s=1.0,
-                arrival="poisson", rate=0.25,
-            ),
-            shards=4, p=0.9, timeout=8.0, seed=13,
-        )
-        serial = merge_sharded_monitors(
-            parallel_shard_simulations(config, 4, jobs=1)
-        )
-        fanned = merge_sharded_monitors(
-            parallel_shard_simulations(config, 4, jobs=2)
-        )
+        run = partial(_sharded_repeat, 200)
+        serial = merge_sharded_monitors(parallel_runs(run, 4, 13))
+        fanned = merge_sharded_monitors(parallel_runs(run, 4, 13, jobs=2))
         assert serial.summary() == fanned.summary()
         assert serial.per_shard_summaries() == fanned.per_shard_summaries()
 
     def test_build_sharded_config_round_trip(self):
-        """Workers receive the config itself: it pickles as plain data
-        and rebuilds its systems from their references on the far side."""
+        """A config is plain data: it pickles and rebuilds its systems
+        from their references on the far side."""
         import pickle
 
         config = ShardedConfig(shards=2, systems=(("protocol", "grid", 16),))

@@ -27,8 +27,11 @@ def _config(clients: int, operations: int = 60) -> SimulationConfig:
 
 def _coordinator_rng_states(config: SimulationConfig) -> list[tuple]:
     _, workload, _, _, _ = build_simulation(config)
+    # A coordinator hands its stream to its quorum chooser, the one
+    # consumer of it.
     return [
-        coordinator._rng.getstate() for coordinator in workload.coordinators
+        coordinator._chooser._rng.getstate()
+        for coordinator in workload.coordinators
     ]
 
 

@@ -30,7 +30,7 @@ class Rig:
             network=self.network,
             system=ArbitraryProtocol(self.tree),
             locks=self.locks,
-            detector=lambda sid: self.sites[sid].is_up,
+            detector=lambda sid: self.sites[sid].up,
             rng=random.Random(seed + 1),
             timeout=timeout,
             max_attempts=max_attempts,

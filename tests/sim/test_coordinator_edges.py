@@ -28,7 +28,7 @@ def make_rig(spec="1-3-5", lock_timeout=None, max_attempts=3, seed=0):
         network=network,
         system=ArbitraryProtocol(tree),
         locks=locks,
-        detector=lambda sid: sites[sid].is_up,
+        detector=lambda sid: sites[sid].up,
         rng=random.Random(seed + 1),
         timeout=8.0,
         max_attempts=max_attempts,
@@ -167,7 +167,7 @@ class TestDecisionLog:
         coordinator = QuorumCoordinator(
             sid=-1, network=network, system=ArbitraryProtocol(tree),
             locks=LockManager(scheduler),
-            detector=lambda sid: sites[sid].is_up, rng=random.Random(1),
+            detector=lambda sid: sites[sid].up, rng=random.Random(1),
             timeout=50.0, max_attempts=1, writer_id=tree.n,
         )
         network.set_site_latency_factor(1, 5.0)

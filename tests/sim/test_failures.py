@@ -29,25 +29,25 @@ class TestNoFailures:
         scheduler, network, sites = rig
         NoFailures().install(scheduler, sites, network)
         scheduler.run()
-        assert all(site.is_up for site in sites)
+        assert all(site.up for site in sites)
 
 
 class TestBernoulli:
     def test_initial_snapshot_roughly_p(self, rig):
         scheduler, network, sites = rig
         BernoulliFailures(p=0.5, seed=0).install(scheduler, sites, network)
-        up = sum(site.is_up for site in sites)
+        up = sum(site.up for site in sites)
         assert 3 <= up <= 17  # loose binomial band for n=20
 
     def test_p_one_keeps_everyone_up(self, rig):
         scheduler, network, sites = rig
         BernoulliFailures(p=1.0, seed=0).install(scheduler, sites, network)
-        assert all(site.is_up for site in sites)
+        assert all(site.up for site in sites)
 
     def test_p_zero_crashes_everyone(self, rig):
         scheduler, network, sites = rig
         BernoulliFailures(p=0.0, seed=0).install(scheduler, sites, network)
-        assert not any(site.is_up for site in sites)
+        assert not any(site.up for site in sites)
 
     def test_invalid_p_rejected(self):
         with pytest.raises(ValueError):
@@ -57,7 +57,7 @@ class TestBernoulli:
         scheduler, network, sites = rig
         p = {site.sid: (1.0 if site.sid % 2 == 0 else 0.0) for site in sites}
         BernoulliFailures(p=p, seed=0).install(scheduler, sites, network)
-        assert all(site.is_up == (site.sid % 2 == 0) for site in sites)
+        assert all(site.up == (site.sid % 2 == 0) for site in sites)
 
     def test_mapping_p_must_cover_every_site(self, rig):
         """Regression: a partial mapping used to die with a bare KeyError
@@ -79,7 +79,7 @@ class TestBernoulli:
         states = []
         for window in range(1, 6):
             scheduler.run(until=window * 10.0 + 0.5)
-            states.append(tuple(site.is_up for site in sites))
+            states.append(tuple(site.up for site in sites))
         assert len(set(states)) > 1
 
     def test_long_run_fraction_matches_p(self, rig):
@@ -91,7 +91,7 @@ class TestBernoulli:
         samples = 200
         for window in range(1, samples + 1):
             scheduler.run(until=window * 5.0 + 0.5)
-            total_up += sum(site.is_up for site in sites)
+            total_up += sum(site.up for site in sites)
         assert total_up / (samples * len(sites)) == pytest.approx(0.7, abs=0.04)
 
 
@@ -123,7 +123,7 @@ class TestCrashRepair:
         total = 0
         for tick in range(1, 2000):
             scheduler.run(until=tick * 10.0)
-            up_samples += sum(site.is_up for site in sites)
+            up_samples += sum(site.up for site in sites)
             total += len(sites)
         assert up_samples / total == pytest.approx(
             process.long_run_availability, abs=0.05
@@ -155,7 +155,7 @@ class TestCrashRepair:
         scheduler.run()
         for site in sites:
             assert site.stats.crashes == site.stats.recoveries
-            assert site.is_up
+            assert site.up
 
 
 class TestPartitionSchedule:
@@ -184,6 +184,6 @@ class TestComposite:
             PartitionSchedule(PartitionSpec.split({0}, {1}), 5.0, 10.0),
         ])
         composite.install(scheduler, sites, network)
-        assert not any(site.is_up for site in sites)
+        assert not any(site.up for site in sites)
         scheduler.run(until=7.0)
         assert network.partitioned

@@ -170,7 +170,7 @@ class CoordinatorRig:
             network=self.network,
             system=ArbitraryProtocol(self.tree),
             locks=self.locks,
-            detector=lambda sid: self.sites[sid].is_up,
+            detector=lambda sid: self.sites[sid].up,
             rng=random.Random(1),
             timeout=8.0,
             writer_id=self.tree.n,

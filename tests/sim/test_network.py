@@ -22,10 +22,6 @@ class Sink:
         self.up = up
         self.received = []
 
-    @property
-    def is_up(self) -> bool:
-        return self.up
-
     def receive(self, message) -> None:
         self.received.append(message)
 

@@ -68,7 +68,7 @@ class Rig:
             network=self.network,
             system=self.system,
             locks=self.locks,
-            detector=lambda member: self.sites[member].is_up,
+            detector=lambda member: self.sites[member].up,
             rng=random.Random(-sid),
             timeout=8.0,
             max_attempts=self.max_attempts,

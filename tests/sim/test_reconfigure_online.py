@@ -6,10 +6,11 @@ dual-quorum transition epoch under a running workload, rollback on
 mid-migration failure, chaos composition, and the fault-planned target.
 """
 
+from repro.cli import build_parser
+from repro.commands.options import simulation_config
 from repro.core.builder import from_spec, mostly_write
 from repro.fault.invariants import InvariantChecker
 from repro.fault.scenarios import OnlineReshape
-from repro.runner.tasks import SimParams, build_sim_config
 from repro.sim.engine import SimulationConfig, build_simulation, simulate
 from repro.sim.reconfigure import ReconfigStatus, TreeReconfigurer
 from repro.sim.workload import WorkloadSpec
@@ -118,12 +119,13 @@ class TestRollback:
 class TestChaosComposition:
     def test_reconfigure_during_partition_flapping(self):
         """The ISSUE's survivability case: flapping across the epoch."""
-        params = SimParams(
-            spec="1-3-5", operations=800, seed=5, max_attempts=4,
-            detector=True, chaos="flapping", check_invariants=True,
-            reshape_at=200.0,
-        )
-        config, _label = build_sim_config(params)
+        config, _label = simulation_config(build_parser(
+            "reconfigure"
+        ).parse_args([
+            "reconfigure", "1-3-5", "--operations", "800", "--seed", "5",
+            "--max-attempts", "4", "--detector", "--scenario", "flapping",
+            "--at", "200",
+        ]))
         result = simulate(config)
         outcome = result.reconfiguration
         checker = result.invariants

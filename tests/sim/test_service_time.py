@@ -16,10 +16,6 @@ class Client:
     def __init__(self):
         self.received = []
 
-    @property
-    def is_up(self):
-        return True
-
     def receive(self, message):
         self.received.append(message)
 

@@ -31,10 +31,6 @@ class Client:
     def __init__(self):
         self.received = []
 
-    @property
-    def is_up(self) -> bool:
-        return True
-
     def receive(self, message) -> None:
         self.received.append(message)
 
@@ -55,14 +51,14 @@ def rig():
 class TestLifecycle:
     def test_starts_up(self, rig):
         *_rest, site = rig
-        assert site.is_up and site.state is SiteState.UP
+        assert site.up and site.state is SiteState.UP
 
     def test_crash_and_recover(self, rig):
         *_rest, site = rig
         site.crash()
-        assert not site.is_up
+        assert not site.up
         site.recover()
-        assert site.is_up
+        assert site.up
         assert site.stats.crashes == 1
         assert site.stats.recoveries == 1
 

@@ -77,6 +77,19 @@ class TestWorkloadExecution:
         workload.start()
         assert finished == [True]
 
+    def test_completion_hooks_chain_in_order(self):
+        config = SimulationConfig(
+            tree=from_spec("1-3-5"), workload=WorkloadSpec(operations=5)
+        )
+        scheduler, workload, *_ = build_simulation(config)
+        fired = []
+        workload.add_on_complete(lambda: fired.append("first"))
+        workload.add_on_complete(lambda: fired.append("second"))
+        workload.start()
+        while scheduler.step():
+            pass
+        assert fired == ["first", "second"]
+
     def test_zipf_skews_keys(self):
         _workload, monitor = _run_workload(
             WorkloadSpec(operations=400, keys=8, zipf_s=1.5, read_fraction=1.0)
