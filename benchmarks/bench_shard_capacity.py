@@ -44,9 +44,9 @@ except ImportError:  # direct `python benchmarks/bench_shard_capacity.py`
     sys.path.insert(0, str(Path(__file__).parent))
     from perf_harness import write_bench_json
 
-from repro.runner import merge_sharded_monitors, parallel_runs
+from repro.runner import merge_monitors, parallel_runs
 from repro.shard import ShardedConfig, simulate_sharded
-from repro.sim import WorkloadSpec
+from repro.sim import SimulationConfig, WorkloadSpec
 
 SHARD_COUNTS = (1, 4, 16)
 
@@ -95,15 +95,17 @@ def _config(
     leases: bool = False,
 ) -> ShardedConfig:
     return ShardedConfig(
-        workload=_workload(smoke, zipf_s=zipf_s),
+        group=SimulationConfig(
+            workload=_workload(smoke, zipf_s=zipf_s),
+            clients=2,
+            service_time=SERVICE_TIME,
+            timeout=400.0,  # queueing delay must not read as failure
+            seed=2024,
+            leases=leases,
+        ),
         shards=shards,
         systems=(("tree", "1-3-5"),),
         router="hash",
-        clients_per_shard=2,
-        service_time=SERVICE_TIME,
-        timeout=400.0,  # queueing delay must not read as failure
-        seed=2024,
-        leases=leases,
     )
 
 
@@ -164,14 +166,16 @@ def hot_key_point(leases: bool, smoke: bool) -> dict:
 def _identity_repeat(smoke: bool, seed: int):
     """One repeat of the bit-identity run, built whole at ``seed``."""
     return simulate_sharded(ShardedConfig(
-        workload=WorkloadSpec(
-            operations=300 if smoke else 1000, keys=4096, zipf_s=1.0,
-            arrival="poisson", rate=1.0,
+        group=SimulationConfig(
+            workload=WorkloadSpec(
+                operations=300 if smoke else 1000, keys=4096, zipf_s=1.0,
+                arrival="poisson", rate=1.0,
+            ),
+            timeout=8.0,
+            seed=seed,
         ),
         shards=4,
         p=0.9,
-        timeout=8.0,
-        seed=seed,
     )).monitor
 
 
@@ -180,10 +184,10 @@ def jobs_bit_identity(smoke: bool) -> dict:
     run = partial(_identity_repeat, smoke)
     repeats = 3
     started = time.perf_counter()
-    serial = merge_sharded_monitors(parallel_runs(run, repeats, 77))
+    serial = merge_monitors(parallel_runs(run, repeats, 77))
     serial_seconds = time.perf_counter() - started
     started = time.perf_counter()
-    fanned = merge_sharded_monitors(parallel_runs(run, repeats, 77, jobs=2))
+    fanned = merge_monitors(parallel_runs(run, repeats, 77, jobs=2))
     fanned_seconds = time.perf_counter() - started
     identical = (
         serial.summary() == fanned.summary()

@@ -14,14 +14,18 @@ from repro.commands import options
 
 def _sharded_config(args, seed: int | None = None):
     """The :class:`ShardedConfig` a ``shard`` invocation describes, at
-    ``seed`` (default ``--seed``)."""
+    ``seed`` (default ``--seed``): timeout 8, as every simulation command."""
     from repro.shard import ShardedConfig
+    from repro.sim.engine import SimulationConfig
     from repro.sim.workload import WorkloadSpec
 
-    return options.from_options(
-        ShardedConfig, args, systems=(options.system_ref(args),), timeout=8.0,
+    group = options.from_options(
+        SimulationConfig, args, timeout=8.0,
         workload=options.from_options(WorkloadSpec, args, arrival="poisson"),
         seed=args.seed if seed is None else seed,
+    )
+    return options.from_options(
+        ShardedConfig, args, group=group, systems=(options.system_ref(args),)
     )
 
 
@@ -42,11 +46,9 @@ def _print_shard(args) -> None:
         f"({args.router} router, {args.keys} keys)"
     )
     if args.repeats > 1:
-        from repro.runner import merge_sharded_monitors
+        from repro.runner import merge_monitors
 
-        monitor = options.run_repeats(
-            args, _sharded_monitor, merge_sharded_monitors
-        )
+        monitor = options.run_repeats(args, _sharded_monitor, merge_monitors)
         summary = monitor.summary()
         throughput: object = "-"
         title = (f"{label}: {args.operations} ops x {args.repeats} repeats, "
@@ -119,7 +121,8 @@ def register(sub, name: str) -> None:
         "--balancer", choices=BALANCER_POLICIES, default="round-robin",
         help="per-shard coordinator-pool policy",
     )
-    parser.add_argument("--clients-per-shard", type=int, default=1)
+    parser.add_argument("--clients-per-shard", dest="clients", type=int,
+                        default=1)
     parser.add_argument(
         "--regions", type=int, default=0,
         help="spread each shard's replicas over this many latency regions "

@@ -28,7 +28,9 @@ pure function of its parameters — two same-seed chaos runs are
 bit-identical, and so are two runs of one config.
 
 :func:`chaos_injector` builds the named scenarios the CLI / runner /
-benchmarks share, and :data:`CHAOS_SCENARIOS` lists their names.
+benchmarks share, and :data:`CHAOS_SCENARIOS` lists their names.  A
+tree change is not a scenario: ``SimulationConfig.reshape_at`` /
+``reshape_spec`` reshape a run, under any of these.
 """
 
 from __future__ import annotations
@@ -36,8 +38,6 @@ from __future__ import annotations
 import random
 from collections.abc import Sequence
 
-from repro.core.builder import from_spec
-from repro.core.tuning import plan_reshape
 from repro.sim.events import Scheduler
 from repro.sim.failures import CompositeFailures, FailureInjector
 from repro.sim.network import Network, PartitionSpec
@@ -320,82 +320,6 @@ class MassCrash(FailureInjector):
                 self._at + self._recover_after + index * self._stagger,
                 site.recover,
             )
-
-
-class OnlineReshape(FailureInjector):
-    """Reconfigure the tree *as a chaos event*, composable with the rest.
-
-    At ``at``, the first registered coordinator pool starts an epoch-based
-    online reconfiguration while whatever other injectors it is composed
-    with keep flapping partitions, crashing sites or dropping messages.  The
-    target comes from ``spec`` when given, else from
-    :func:`repro.core.tuning.plan_reshape` over the driving coordinator's
-    failure-detector evidence — the fault layer literally choosing the
-    next tree.
-
-    Deliberately **not** part of :data:`CHAOS_SCENARIOS` / ``"all"``:
-    reconfiguration changes what a run measures, so it must be requested
-    explicitly (``SimulationConfig.reshape_at`` or this injector), never
-    smuggled into existing chaos suites.
-    """
-
-    def __init__(
-        self,
-        spec: str | None = None,
-        at: float = 200.0,
-        keys: int = 16,
-        read_fraction: float = 0.5,
-    ) -> None:
-        if at <= 0:
-            raise ValueError("reshape time must be positive")
-        if keys < 0:
-            raise ValueError("key count cannot be negative")
-        self._spec = spec
-        self._at = at
-        self._keys = keys
-        self._read_fraction = read_fraction
-        #: Completed :class:`~repro.sim.reconfigure.ReconfigOutcome`\ s
-        #: (exposed for tests/benches driving the scheduler themselves).
-        self.outcomes: list = []
-
-    def install(
-        self,
-        scheduler: Scheduler,
-        sites: Sequence[Site],
-        network: Network,
-    ) -> None:
-        """Schedule the reconfiguration launch (coordinators resolved then).
-
-        Injectors are installed before any traffic runs but *after* the
-        coordinators registered on the network, so the pool lookup at
-        launch time always sees the full group.
-        """
-        from repro.sim.reconfigure import TreeReconfigurer
-
-        def launch() -> None:
-            coordinators = network.coordinators()
-            if not coordinators:
-                return
-            driver = coordinators[0]
-            if self._spec is not None:
-                target = from_spec(self._spec)
-            else:
-                suspects = driver.suspects
-                suspected = (
-                    suspects.chronic(scheduler.now)
-                    if suspects is not None
-                    else frozenset()
-                )
-                target = plan_reshape(
-                    len(driver.system_universe()),
-                    suspected,
-                    read_fraction=self._read_fraction,
-                ).tree
-            reconfigurer = TreeReconfigurer(driver)
-            keys = [f"k{index}" for index in range(self._keys)]
-            reconfigurer.reconfigure_online(target, keys, self.outcomes.append)
-
-        scheduler.schedule_at(self._at, launch)
 
 
 #: The scenario names :func:`chaos_injector` understands ("all" composes

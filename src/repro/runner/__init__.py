@@ -25,7 +25,6 @@ from repro.runner.merge import (
     merge_availability,
     merge_monitors,
     merge_series,
-    merge_sharded_monitors,
 )
 from repro.runner.pool import derive_seeds, run_tasks
 from repro.runner.progress import ProgressPrinter
@@ -48,7 +47,6 @@ __all__ = [
     "merge_availability",
     "merge_monitors",
     "merge_series",
-    "merge_sharded_monitors",
     "parallel_availability",
     "parallel_runs",
     "parallel_sweep",

@@ -15,28 +15,16 @@ from repro.analysis.sweeps import FigureSeries
 from repro.sim.monitor import Monitor, ShardedMonitor
 
 
-def merge_monitors(monitors: Sequence[Monitor]) -> Monitor:
-    """Fold shard monitors into the first one (in place; returns it)."""
-    if not monitors:
-        raise ValueError("need at least one monitor to merge")
-    merged = monitors[0]
-    for monitor in monitors[1:]:
-        merged.merge(monitor)
-    return merged
+def merge_monitors(
+    monitors: Sequence[Monitor | ShardedMonitor],
+) -> Monitor | ShardedMonitor:
+    """Fold repeat monitors into the first one (in place; returns it).
 
-
-def merge_sharded_monitors(
-    monitors: Sequence[ShardedMonitor],
-) -> ShardedMonitor:
-    """Fold repeat :class:`ShardedMonitor` results into the first one.
-
-    The fold is shard-wise and in task order (repeat 0's shard k absorbs
-    repeat 1's shard k, then repeat 2's, ...), exactly the order a serial
-    loop would produce — so a ``--jobs N`` sharded fan-out merges to the
-    bytes of the serial run.
+    A :class:`ShardedMonitor` folds shard-wise (repeat 0's shard k absorbs
+    repeat 1's shard k, then repeat 2's, ...).
     """
     if not monitors:
-        raise ValueError("need at least one sharded monitor to merge")
+        raise ValueError("need at least one monitor to merge")
     merged = monitors[0]
     for monitor in monitors[1:]:
         merged.merge(monitor)

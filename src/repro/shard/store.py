@@ -3,18 +3,18 @@
 The paper's protocol replicates a *single* object; a production keyspace
 serves millions of keys.  This module composes the two: a
 :class:`~repro.shard.router.ShardRouter` partitions the key indices onto
-``shards`` shards, each shard runs its own complete replica group — any
-:mod:`repro.protocols.zoo` quorum system, heterogeneous shapes allowed —
-on a shared discrete-event scheduler, and a
-:class:`~repro.shard.balancer.LoadBalancer` spreads the client stream
-over each shard's coordinator pool.  The
+``shards`` shards, each shard runs its own complete replica group — the
+one :attr:`ShardedConfig.group` over any :mod:`repro.protocols.zoo`
+quorum system, heterogeneous shapes allowed — on a shared discrete-event
+scheduler, and a :class:`~repro.shard.balancer.LoadBalancer` spreads
+the client stream over each shard's coordinator pool.  The
 :class:`~repro.sim.workload.Workload` drives the whole thing through its
 dispatcher hook: every picked key is routed to its shard's coordinator
 instead of an assumed single object.
 
 Determinism contract (mirrors the engine's): one master RNG seeded with
-``seed`` derives, in order, a ``(network, coordinator, failure)`` seed
-triple per shard (shard order), then the workload seed — so a run is a
+``group.seed`` derives, in order, a ``(network, coordinator, failure)``
+seed triple per shard (shard order), then the workload seed — so a run is a
 pure function of its config, and repeated-seed fan-outs merge
 bit-identically through :class:`~repro.sim.monitor.ShardedMonitor`'s
 shard-wise folds.
@@ -23,10 +23,9 @@ shard-wise folds.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any
 
-from repro.fault.retry import RetryPolicySpec
 from repro.quorums.system import QuorumSystem
 from repro.shard.balancer import LoadBalancer
 from repro.shard.router import ShardRouter, make_router
@@ -41,19 +40,39 @@ from repro.sim.events import Scheduler
 from repro.sim.failures import BernoulliFailures, NoFailures
 from repro.sim.monitor import Monitor, ShardedMonitor
 from repro.sim.network import NetworkStats, RegionLatencyMatrix
-from repro.sim.workload import Workload, WorkloadSpec
+from repro.sim.workload import Workload
 from repro.obs.recorder import NULL_RECORDER
+
+
+#: Group fields the sharded build sets per shard or does not run, each
+#: with what to use instead.
+_NOT_PER_GROUP = {
+    "tree": "ShardedConfig.systems",
+    "system": "ShardedConfig.systems",
+    "failures": "ShardedConfig.p",
+    "trace": "an unsharded SimulationConfig",
+    "check_invariants": "an unsharded SimulationConfig",
+    "reshape_at": "ShardedStore.reconfigure_shard",
+    "reshape_spec": "ShardedStore.reconfigure_shard",
+}
 
 
 @dataclass
 class ShardedConfig:
-    """Everything a sharded simulation run needs.
+    """Everything a sharded simulation run needs: the replica group every
+    shard runs, and what sharding adds to it.
 
     Attributes
     ----------
-    workload:
-        The client stream (mix, arrivals, key popularity).  ``keys`` is
-        the size of the *global* keyspace the router partitions.
+    group:
+        The :class:`~repro.sim.engine.SimulationConfig` each shard runs:
+        workload, seed, latency, loss, timeout, attempts, ``clients``
+        (coordinators per shard, which the balancer spreads traffic
+        over), service time, retry policy, failure detector, batching and
+        leases.  ``workload.keys`` is the size of the *global* keyspace
+        the router partitions.  The build gives each shard its own
+        system, failures and (with ``regions``) latency, so a group that
+        sets a field of :data:`_NOT_PER_GROUP` is refused.
     shards:
         Number of shards (replica groups).
     systems:
@@ -71,44 +90,24 @@ class ShardedConfig:
     balancer:
         Coordinator-pool policy per shard (``"round-robin"`` or
         ``"least-outstanding"``).
-    clients_per_shard:
-        Coordinators per shard; the balancer spreads traffic over them.
     p:
         Per-replica Bernoulli availability per shard (1.0 = no
         failures), resampled every 40 time units like the CLI default.
-    regions / local_latency / remote_latency / latency_jitter:
+    regions:
         When ``regions > 0``, each shard's sites are assigned round-robin
         to that many regions and messages pay a
-        :class:`~repro.sim.network.RegionLatencyMatrix` cost
-        (``local_latency`` intra-region, ``remote_latency`` across).
-        ``latency`` is used as the scalar model when ``regions == 0``.
+        :class:`~repro.sim.network.RegionLatencyMatrix` cost (1
+        intra-region, 3 across) instead of the group's ``latency``.
     """
 
-    workload: WorkloadSpec = field(default_factory=WorkloadSpec)
+    group: SimulationConfig = field(default_factory=SimulationConfig)
     shards: int = 4
     systems: tuple = (("tree", "1-3-5"),)
     router: str = "hash"
     router_seed: int = 0
     balancer: str = "round-robin"
-    clients_per_shard: int = 1
     p: float = 1.0
-    latency: Any = 1.0
     regions: int = 0
-    local_latency: float = 1.0
-    remote_latency: float = 3.0
-    latency_jitter: float = 0.0
-    drop_probability: float = 0.0
-    duplicate_probability: float = 0.0
-    timeout: float = 16.0
-    max_attempts: int = 3
-    service_time: float = 0.0
-    seed: int = 0
-    retry_policy: RetryPolicySpec | None = None
-    detector: bool = False
-    probe_interval: float = 30.0
-    suspect_threshold: int = 1
-    batch_window: float = 0.0
-    leases: bool = False
 
     def __post_init__(self) -> None:
         if self.shards < 1:
@@ -120,7 +119,13 @@ class ShardedConfig:
                 f"systems must have 1 or {self.shards} entries, "
                 f"got {len(self.systems)}"
             )
-        if self.clients_per_shard < 1:
+        unset = SimulationConfig()
+        for name, instead in _NOT_PER_GROUP.items():
+            if getattr(self.group, name) != getattr(unset, name):
+                raise ValueError(
+                    f"a sharded run sets no group {name}; use {instead}"
+                )
+        if self.group.clients < 1:
             raise ValueError("need at least one client per shard")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError("p must be in [0, 1]")
@@ -245,13 +250,9 @@ class ShardedStore:
 def _shard_latency(config: ShardedConfig, n: int) -> Any:
     """The latency model one shard's network runs under."""
     if config.regions <= 0:
-        return config.latency
+        return config.group.latency
     return RegionLatencyMatrix.round_robin(
-        range(n),
-        config.regions,
-        local=config.local_latency,
-        remote=config.remote_latency,
-        jitter=config.latency_jitter,
+        range(n), config.regions, local=1.0, remote=3.0
     )
 
 
@@ -260,15 +261,16 @@ def build_sharded_simulation(
 ) -> tuple[Scheduler, Workload, ShardedStore]:
     """Wire a sharded simulation without running it.
 
-    Seed derivation order (the determinism contract): for each shard in
-    shard order, a ``(network, coordinator, failure)`` 64-bit triple off
-    the master stream — the failure seed is drawn even when ``p == 1`` so
+    Shard k runs ``config.group`` with its own system, failures and
+    latency.  Seed derivation order (the determinism contract): for each
+    shard in shard order, a ``(network, coordinator, failure)`` 64-bit
+    triple off the ``group.seed`` master stream — the failure seed is drawn even when ``p == 1`` so
     turning failures on never reshuffles another shard's streams — then
     one workload seed.
     """
     resolved = config.resolve_systems()
     scheduler = Scheduler()
-    master = random.Random(config.seed)
+    master = random.Random(config.group.seed)
     groups: list[ReplicaGroup] = []
     monitors: list[Monitor] = []
     for system, n in resolved:
@@ -282,34 +284,21 @@ def build_sharded_simulation(
                 p=config.p, seed=failure_seed, resample_every=40.0
             )
         )
-        shard_config = SimulationConfig(
-            system=system,
-            workload=config.workload,
-            failures=failures,
+        shard = replace(
+            config.group, system=system, failures=failures,
             latency=_shard_latency(config, n),
-            drop_probability=config.drop_probability,
-            duplicate_probability=config.duplicate_probability,
-            timeout=config.timeout,
-            max_attempts=config.max_attempts,
-            clients=config.clients_per_shard,
-            service_time=config.service_time,
-            retry_policy=config.retry_policy,
-            detector=config.detector,
-            probe_interval=config.probe_interval,
-            suspect_threshold=config.suspect_threshold,
-            batch_window=config.batch_window,
-            leases=config.leases,
         )
         groups.append(
             build_replica_group(
-                shard_config, system, n, scheduler, NULL_RECORDER,
+                shard, system, n, scheduler, NULL_RECORDER,
                 network_seed, coordinator_seed,
             )
         )
         monitors.append(Monitor(replica_ids=tuple(range(n))))
     workload_seed = master.getrandbits(64)
     router = make_router(
-        config.router, config.shards, config.workload.keys, config.router_seed
+        config.router, config.shards, config.group.workload.keys,
+        config.router_seed,
     )
     balancer = LoadBalancer(
         [group.coordinators for group in groups], policy=config.balancer
@@ -321,7 +310,7 @@ def build_sharded_simulation(
         monitor=ShardedMonitor(monitors),
     )
     workload = Workload(
-        spec=config.workload,
+        spec=config.group.workload,
         coordinator=store.coordinators,
         scheduler=scheduler,
         rng=random.Random(workload_seed),

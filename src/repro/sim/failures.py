@@ -43,7 +43,14 @@ class FailureInjector(abc.ABC):
 
 
 class NoFailures(FailureInjector):
-    """The failure-free baseline."""
+    """The failure-free baseline.  It holds no state, so any two are
+    equal (and a config holding one equals its own copy)."""
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is NoFailures
+
+    def __hash__(self) -> int:
+        return hash(NoFailures)
 
     def install(
         self,

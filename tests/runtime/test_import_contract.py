@@ -348,19 +348,20 @@ def _described():
             timeout=8.0, max_attempts=3, seed=1, trace=True,
         ),
         "shard": ShardedConfig(
-            workload=WorkloadSpec(
-                operations=10, read_fraction=0.5, keys=16,
-                arrival="poisson", rate=0.5, zipf_s=1.1,
-                diurnal_period=10.0, diurnal_amplitude=0.5,
+            group=SimulationConfig(
+                workload=WorkloadSpec(
+                    operations=10, read_fraction=0.5, keys=16,
+                    arrival="poisson", rate=0.5, zipf_s=1.1,
+                    diurnal_period=10.0, diurnal_amplitude=0.5,
+                ),
+                latency=1.0, drop_probability=0.1,
+                duplicate_probability=0.0, timeout=8.0, max_attempts=3,
+                clients=2, service_time=0.5, seed=1, retry_policy=None,
+                detector=True, probe_interval=30.0, suspect_threshold=1,
+                batch_window=0.0, leases=False,
             ),
             shards=2, systems=(("protocol", "rowa", 4),), router="hash",
-            router_seed=1, balancer="round-robin", clients_per_shard=2,
-            p=0.9, latency=1.0, regions=2, local_latency=1.0,
-            remote_latency=3.0, latency_jitter=0.0, drop_probability=0.1,
-            duplicate_probability=0.0, timeout=8.0, max_attempts=3,
-            service_time=0.5, seed=1, retry_policy=None, detector=True,
-            probe_interval=30.0, suspect_threshold=1, batch_window=0.0,
-            leases=False,
+            router_seed=1, balancer="round-robin", p=0.9, regions=2,
         ),
         "profile": SimulationConfig(
             tree=from_spec("1-3"),
@@ -454,7 +455,7 @@ _DEFAULTS = {
         "operations": 2000, "read_fraction": 0.5, "keys": 1024,
         "zipf_s": 0.0, "rate": 0.25, "diurnal_period": 0.0,
         "diurnal_amplitude": 0.0, "router": "hash", "router_seed": 0,
-        "balancer": "round-robin", "clients_per_shard": 1, "p": 1.0,
+        "balancer": "round-robin", "clients": 1, "p": 1.0,
         "regions": 0, "drop_probability": 0.0, "service_time": 0.0,
         "seed": 0, "repeats": 1, "jobs": 1, **_FAULT_DEFAULTS,
     },
@@ -532,8 +533,11 @@ def test_every_option_a_simulation_command_parses_reaches_a_record():
 
     for command in ("simulate", "chaos", "reconfigure", "trace", "report",
                     "shard", "profile"):
-        config = ShardedConfig if command == "shard" else SimulationConfig
-        names = {field.name for record in (config, WorkloadSpec)
+        # ``shard`` builds the replica group every shard runs, too.
+        records = (SimulationConfig, WorkloadSpec) + (
+            (ShardedConfig,) if command == "shard" else ()
+        )
+        names = {field.name for record in records
                  for field in fields(record)}
         parsed = vars(build_parser(command).parse_args(
             [command, *_ARGV[command]]

@@ -31,6 +31,20 @@ class TestNoFailures:
         scheduler.run()
         assert all(site.up for site in sites)
 
+    def test_a_config_equals_itself_and_its_pickled_copy(self):
+        """The default injector is stateless: two compare (and hash)
+        equal, so a default ``SimulationConfig`` equals its copies."""
+        import pickle
+
+        from repro.sim.engine import SimulationConfig
+
+        assert NoFailures() == NoFailures()
+        assert hash(NoFailures()) == hash(NoFailures())
+        assert NoFailures() != CompositeFailures([])
+        config = SimulationConfig()
+        assert config == SimulationConfig()
+        assert pickle.loads(pickle.dumps(config)) == config
+
 
 class TestBernoulli:
     def test_initial_snapshot_roughly_p(self, rig):

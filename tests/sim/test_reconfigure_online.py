@@ -10,7 +10,6 @@ from repro.cli import build_parser
 from repro.commands.options import simulation_config
 from repro.core.builder import from_spec, mostly_write
 from repro.fault.invariants import InvariantChecker
-from repro.fault.scenarios import OnlineReshape
 from repro.sim.engine import SimulationConfig, build_simulation, simulate
 from repro.sim.reconfigure import ReconfigStatus, TreeReconfigurer
 from repro.sim.workload import WorkloadSpec
@@ -35,16 +34,28 @@ def _online_config(**overrides):
 class TestOnlineTransition:
     def test_reads_served_throughout_the_transition(self):
         """The headline property: the epoch boundary is invisible to reads."""
-        result = simulate(_online_config())
+        config = _online_config()
+        result = simulate(config)
         outcome = result.reconfiguration
         assert outcome is not None and outcome.success
         assert outcome.epoch == 1
         assert not outcome.rolled_back
+        assert outcome.keys_total == config.workload.keys
         availability = result.window_read_availability(
             outcome.started_at, outcome.finished_at
         )
         assert availability is not None and availability >= 0.95
         assert result.invariants is not None and result.invariants.ok
+
+        # Every key moves, whatever the keyspace, and no read fails or
+        # goes stale while they do.
+        config = _online_config(workload=_workload(keys=32))
+        result = simulate(config)
+        outcome = result.reconfiguration
+        assert outcome is not None and outcome.success
+        assert outcome.keys_total == config.workload.keys == 32
+        assert result.invariants is not None and result.invariants.ok
+        assert result.summary()["read_availability"] == 1.0
 
     def test_epoch_bookkeeping_reaches_the_checker(self):
         """The checker sees both epoch edges and audits inside the window."""
@@ -135,18 +146,6 @@ class TestChaosComposition:
         assert outcome.success or outcome.rolled_back
         assert checker.ok, checker.violations[:3]
         assert result.summary()["read_availability"] > 0.8
-
-    def test_online_reshape_injector(self):
-        """The fault-layer injector drives the same transition."""
-        injector = OnlineReshape(spec="1-4-4", at=120.0, keys=8)
-        config = SimulationConfig(
-            tree=from_spec("1-3-5"), workload=_workload(operations=300),
-            failures=injector, seed=3, check_invariants=True,
-        )
-        result = simulate(config)
-        assert injector.outcomes and injector.outcomes[0].success
-        assert injector.outcomes[0].epoch == 1
-        assert result.invariants is not None and result.invariants.ok
 
 
 class TestPlannedTarget:
