@@ -15,7 +15,6 @@ from repro.core.tuning import recommend
 from repro.protocols.hqc import HQCProtocol
 from repro.protocols.tree_quorum import TreeQuorumProtocol
 from repro.protocols.zoo import quorum_systems
-from repro.quorums.system import CachedQuorumSystem
 
 
 def test_select_read_quorum_speed(benchmark):
@@ -95,25 +94,3 @@ def test_zoo_selection_round_speed(benchmark):
             assert not (read & dead), name
         if write is not None:
             assert not (write & dead), name
-
-
-def test_cached_system_memoises_analyses(benchmark):
-    """Repeated load()/availability() calls reuse one enumeration per op."""
-    system = CachedQuorumSystem(TreeQuorumProtocol(15))
-
-    def analyses():
-        return (
-            system.load("read"),
-            system.load("write"),
-            system.availability(0.9, "read"),
-            system.availability(0.9, "write"),
-        )
-
-    first = analyses()
-    enumerations_after_warmup = system.enumerations
-    results = benchmark(analyses)
-    assert results == first
-    # reads and writes share one quorum set here, but the wrapper caches
-    # per-op: at most two enumerations ever happen, however often the
-    # benchmark loop re-queried the analyses
-    assert system.enumerations == enumerations_after_warmup

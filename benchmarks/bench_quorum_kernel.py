@@ -1,8 +1,8 @@
 """Perf trajectory of the bitset quorum kernel vs. the frozenset reference.
 
 Times enumeration+packing, exact availability (2^n live-set enumeration),
-Monte-Carlo availability, bi-coterie verification, failure-aware selection,
-and the LP membership-matrix build across the protocol zoo at several
+Monte-Carlo availability, bi-coterie verification and the LP
+membership-matrix build across the protocol zoo at several
 sizes, on both the pure-Python reference paths and the packed kernel, and
 writes ``benchmarks/results/BENCH_quorum_kernel.json`` — the baseline that
 future performance PRs regress against.
@@ -24,7 +24,6 @@ Run directly::
 from __future__ import annotations
 
 import argparse
-import random
 import sys
 from pathlib import Path
 
@@ -147,46 +146,9 @@ def _bicoterie_case(protocol: str, n: int, repeat: int) -> Case:
     )
 
 
-def _selection_case(protocol: str, n: int, rounds: int = 20) -> Case:
-    # The kernel side times the steady-state selection loop: the collection
-    # is packed ONCE outside the timed region (exactly how SelectionIndex
-    # amortises it across a simulation) and each round pays only the
-    # live-mask pack plus the reservoir pick.  Re-packing per call — the
-    # old shape of this case — benchmarked the pack cost, not selection,
-    # and lost to the reference scan on every dense collection.
-    system, reads, _ = _materialised(protocol, n)
-    universe = sorted(system.universe)
-    live_sets = [
-        set(universe) - set(universe[k :: max(3, len(universe) // 4)])
-        for k in range(rounds)
-    ]
-    packed = PackedQuorums.from_quorums(reads, universe=system.universe)
-
-    def reference():
-        rng = random.Random(0)
-        return [
-            QuorumSystem._select_by_scan(iter(reads), live, rng)
-            for live in live_sets
-        ]
-
-    def kernel():
-        rng = random.Random(0)
-        picks = []
-        for live in live_sets:
-            row = packed.select(packed.pack_live(live), rng)
-            picks.append(None if row is None else reads[row])
-        return picks
-
-    return Case(
-        f"selection/{system.name}/n={system.n}/m={len(reads)}",
-        reference,
-        kernel,
-    )
-
-
 def _lp_membership_case(protocol: str, n: int) -> Case:
-    # Kernel side extracts from the packed collection a CachedQuorumSystem
-    # holds; the one-time pack cost is reported by the enumerate+pack cases.
+    # Kernel side extracts from a collection packed outside the timed
+    # region; the one-time pack cost is reported by the enumerate+pack cases.
     system, reads, _ = _materialised(protocol, n)
     set_system = SetSystem(reads, universe=system.universe)
     packed = PackedQuorums.from_quorums(reads, universe=system.universe)
@@ -211,8 +173,6 @@ def build_cases(quick: bool) -> list[Case]:
         _bicoterie_case("majority", 13, repeat=3),
         _bicoterie_case("grid", 16, repeat=3),
         _bicoterie_case("tree-quorum", 15, repeat=3),
-        _selection_case("majority", 13),
-        _selection_case("grid", 16),
         _lp_membership_case("majority", 13),
         _lp_membership_case("hqc", 27),
     ]
@@ -228,10 +188,8 @@ def build_cases(quick: bool) -> list[Case]:
             _bicoterie_case("grid", 25, repeat=1),
             # Multi-word (n = 256 -> four 64-bit words) kernels.
             _monte_carlo_case("striped", 256, samples=100_000),
-            _selection_case("striped", 256),
             _bicoterie_case("striped", 256, repeat=3),
             _monte_carlo_case("hqc", 27, samples=100_000),
-            _selection_case("arbitrary", 64, rounds=3),
         ]
     return cases
 

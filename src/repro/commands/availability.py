@@ -18,13 +18,14 @@ def _print_availability(args) -> None:
     from functools import partial
 
     from repro.analysis.tables import format_table
-    from repro.quorums.system import CachedQuorumSystem
+    from repro.quorums.availability import system_availability
+    from repro.quorums.bitset import PackedQuorums
     from repro.runner import parallel_availability, resolve_system
 
     samples, jobs = args.samples, args.jobs
     seed = None if args.seed < 0 else args.seed
     ref = options.system_ref(args)
-    system = CachedQuorumSystem(resolve_system(ref))
+    system = resolve_system(ref)
     if ref[0] == "tree":
         label = f"availability of {args.spec}"
     else:
@@ -39,7 +40,23 @@ def _print_availability(args) -> None:
         title = (f"{label} (Monte-Carlo, samples = {samples}, "
                  f"seed = {master}, jobs = {jobs})")
     else:
-        estimate = partial(system.availability, samples=samples, seed=seed)
+        # Each collection is enumerated and packed once for every p.  Not
+        # the system's own ``availability``: that is the closed form for
+        # the tree and zoo protocols, and this command reports the
+        # enumerated (exact or Monte-Carlo) value.
+        packed = {
+            op: PackedQuorums.from_quorums(
+                system.materialise(op), universe=system.universe
+            )
+            for op in ("read", "write")
+        }
+
+        def estimate(p: float, op: str) -> float:
+            return system_availability(
+                packed[op], p, universe=system.universe,
+                samples=samples, seed=seed,
+            )
+
         title = f"{label} (samples = {samples}, seed = {seed})"
     rows = [
         [p, round(estimate(p, "read"), 6), round(estimate(p, "write"), 6)]

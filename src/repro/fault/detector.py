@@ -1,4 +1,4 @@
-"""Suspicion-based failure detection from timeout/drop evidence.
+"""Suspicion-based failure detection from timeout evidence.
 
 The simulator's liveness oracle is *perfect* about crashes (Section 2.2
 makes failures detectable), but plenty of real trouble is invisible to
@@ -49,7 +49,7 @@ class SuspectList:
         How long (simulated time) a suspicion lasts before the site is
         rehabilitated and probed again.
     threshold:
-        Pieces of evidence (missed replies / drops) required before a
+        Pieces of evidence (missed replies) required before a
         site becomes suspected.  1 = suspect on first miss.
     recorder:
         Trace recorder for transition events and counters (the no-op
@@ -83,7 +83,7 @@ class SuspectList:
         self._threshold = threshold
         self._recorder = recorder
         self._trace = 0
-        #: sid -> accumulated evidence (missed replies, drops).
+        #: sid -> accumulated evidence (missed replies).
         self._evidence: dict[int, int] = {}
         #: sid -> simulated time the suspicion expires.
         self._suspected_until: dict[int, float] = {}
@@ -117,22 +117,15 @@ class SuspectList:
     def record_timeout(self, sids: Iterable[int], now: float) -> None:
         """Charge every silent quorum member one piece of evidence."""
         for sid in sids:
-            self._record_evidence(sid, now)
-
-    def record_drop(self, sid: int, now: float) -> None:
-        """Charge one site for a message known to have been dropped."""
-        self._record_evidence(sid, now)
-
-    def _record_evidence(self, sid: int, now: float) -> None:
-        count = self._evidence.get(sid, 0) + 1
-        self._evidence[sid] = count
-        if count < self._threshold:
-            return
-        already = sid in self._suspected_until
-        self._suspected_until[sid] = now + self._probe_interval
-        if not already:
-            self.suspicions_total += 1
-            self._transition("suspected", sid, now)
+            count = self._evidence.get(sid, 0) + 1
+            self._evidence[sid] = count
+            if count < self._threshold:
+                continue
+            already = sid in self._suspected_until
+            self._suspected_until[sid] = now + self._probe_interval
+            if not already:
+                self.suspicions_total += 1
+                self._transition("suspected", sid, now)
 
     def exonerate(self, sid: int, now: float) -> None:
         """A reply arrived from ``sid``: clear its evidence and suspicion."""

@@ -18,8 +18,7 @@ over a finite universe of replica identifiers and analysed with these tools.
 On top of the classical machinery sits the unified read/write layer of
 :mod:`repro.quorums.system`: the abstract :class:`QuorumSystem` every
 protocol implements and every consumer (simulator, analysis, CLI,
-benchmarks) programs against, plus the memoizing
-:class:`CachedQuorumSystem` wrapper.  (The *intersecting set system* of
+benchmarks) programs against.  (The *intersecting set system* of
 Definition 2.1 keeps its historical name at
 :class:`repro.quorums.base.QuorumSystem`; the package-level export is the
 read/write interface.)
@@ -52,11 +51,10 @@ from repro.quorums.load import (
     verify_load_witness,
 )
 from repro.quorums.strategy import Strategy, induced_loads, system_load
-from repro.quorums.system import CachedQuorumSystem, QuorumSystem
+from repro.quorums.system import QuorumSystem
 
 __all__ = [
     "BiCoterie",
-    "CachedQuorumSystem",
     "Coterie",
     "LivenessOracle",
     "OptimalLoad",

@@ -20,8 +20,7 @@ fallback and as the bit-exact reference the kernel is tested against
 (``tests/quorums/test_kernel_agreement.py``); both sides reduce with
 ``math.fsum`` and multiply probabilities in ascending element order, so
 kernel and reference agree to the last bit.  Every entry point also accepts
-a pre-built :class:`~repro.quorums.bitset.PackedQuorums` (what
-``CachedQuorumSystem`` caches) to skip re-packing.
+a pre-built :class:`~repro.quorums.bitset.PackedQuorums` to skip re-packing.
 
 The closed-form per-level products used by the paper for the arbitrary
 protocol (Sections 3.2.1-3.2.2) live in :mod:`repro.core.metrics`; the tests
@@ -261,8 +260,8 @@ def operation_availability(
     ``read_quorums()``/``write_quorums()``); ``op`` selects the quorum
     collection.  Dispatches to :func:`system_availability`, i.e. exact where
     feasible and Monte-Carlo otherwise.  Enumeration goes through
-    ``system.materialise`` when available so a ``CachedQuorumSystem`` serves
-    its memoized collection instead of re-draining its iterators.
+    ``system.materialise`` when available, which guards it with
+    ``max_quorums``.
     """
     if op not in ("read", "write"):
         raise ValueError(f"op must be 'read' or 'write', got {op!r}")

@@ -15,8 +15,8 @@ et al., *Read-Write Quorum Systems Made Practical* (2021) practical at real
 sizes.  ``frozenset`` remains the public currency at the API edges; a
 collection is packed once (``PackedQuorums.from_quorums``) and every
 consumer — exact availability, the Monte-Carlo estimator, bi-coterie
-verification, failure-aware selection, the Naor-Wool LP's membership
-matrix — runs on the packed form.  Consumers dispatch through
+verification, the simulator's selection index, the Naor-Wool LP's
+membership matrix — runs on the packed form.  Consumers dispatch through
 :func:`try_pack`, which returns ``None`` for non-integer universes so the
 generic frozenset paths keep working for arbitrary element types.
 
@@ -30,7 +30,6 @@ tests in ``tests/quorums/test_kernel_agreement.py`` can assert ``==``, not
 from __future__ import annotations
 
 import math
-import random
 from collections.abc import Collection, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -54,14 +53,6 @@ def _popcount_by_table(words: np.ndarray) -> np.ndarray:
 
 
 _popcount = getattr(np, "bitwise_count", _popcount_by_table)
-
-
-def mask_of(elements: Iterable[int], index: Mapping[int, int]) -> int:
-    """Pack elements into an arbitrary-precision Python int bitmask."""
-    mask = 0
-    for element in elements:
-        mask |= 1 << index[element]
-    return mask
 
 
 def mask_to_words(mask: int, words: int) -> np.ndarray:
@@ -136,8 +127,7 @@ class PackedQuorums:
 
     ``elements`` is the sorted universe; element ``elements[i]`` owns bit
     ``i`` (bit ``i % 64`` of word ``i // 64``).  All kernel ops are
-    vectorised across the ``m`` rows.  Instances are immutable once built
-    and safe to cache (``CachedQuorumSystem`` does).
+    vectorised across the ``m`` rows.  Instances are immutable once built.
     """
 
     __slots__ = (
@@ -261,47 +251,6 @@ class PackedQuorums:
     def live_filter(self, live_words: np.ndarray) -> np.ndarray:
         """Boolean vector: row ``j`` is True iff quorum ``j`` ⊆ live set."""
         return ((self.matrix & live_words) == self.matrix).all(axis=1)
-
-    def first_live(self, live_words: np.ndarray) -> int | None:
-        """Index of the first fully-live quorum, or ``None``."""
-        viable = self.live_filter(live_words)
-        hits = np.nonzero(viable)[0]
-        return int(hits[0]) if hits.size else None
-
-    def select(
-        self, live_words: np.ndarray, rng: random.Random | None
-    ) -> int | None:
-        """Index of a fully-live quorum, reservoir-sampled under ``rng``.
-
-        Consumes ``rng`` exactly like the frozenset reference scan: one
-        ``randrange`` call per viable quorum, in row order — so reference
-        and kernel selection agree under identical RNG streams.
-
-        Tiny collections (m <= 64) take a Python-int scan over the
-        memoised row masks: at that size the fixed overhead of the numpy
-        broadcast outweighs the loop, and the int path keeps multi-word
-        universes (n = 256 striped) ahead of the frozenset reference.
-        """
-        if len(self) <= 64:
-            live = int.from_bytes(
-                np.ascontiguousarray(live_words).tobytes(), "little"
-            )
-            viable = [
-                row
-                for row, mask in enumerate(self.masks())
-                if mask & live == mask
-            ]
-        else:
-            viable = np.nonzero(self.live_filter(live_words))[0].tolist()
-        if not viable:
-            return None
-        if rng is None:
-            return viable[0]
-        chosen = viable[0]
-        for count, row in enumerate(viable, start=1):
-            if rng.randrange(count) == 0:
-                chosen = row
-        return chosen
 
     def popcounts(self) -> np.ndarray:
         """Per-quorum cardinalities (vectorised popcount)."""

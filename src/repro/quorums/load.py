@@ -82,8 +82,8 @@ def _membership_matrix(
 
     Integer universes are packed into the bitset kernel and the matrix is
     extracted with one vectorised bit-unpack instead of a Python loop per
-    (quorum, element) cell.  Callers holding a pre-packed collection (e.g.
-    ``CachedQuorumSystem``) pass it via ``packed`` to skip re-packing.
+    (quorum, element) cell.  Callers holding a pre-packed collection pass
+    it via ``packed`` to skip re-packing.
     """
     if packed is None:
         packed = try_pack(system.quorums, system.universe)
@@ -199,9 +199,7 @@ def optimal_operation_load(
     ``read_quorums()``/``write_quorums()``); ``op`` selects which quorum
     collection to analyse.  Enumeration is guarded by ``max_quorums`` because
     quorum counts grow exponentially for most protocols, and goes through
-    ``system.materialise`` when available so a ``CachedQuorumSystem`` serves
-    its memoized collection instead of re-draining its iterators on every
-    ``load()``/``strategy()`` call.
+    ``system.materialise`` when available.
     """
     if op not in ("read", "write"):
         raise ValueError(f"op must be 'read' or 'write', got {op!r}")

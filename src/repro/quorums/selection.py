@@ -3,8 +3,8 @@
 Every quorum attempt in the simulator asks the same question — *give me a
 uniformly random quorum that is a subset of the current live set* — and the
 pre-existing answers were all per-attempt work: the generic
-:class:`~repro.quorums.system.QuorumSystem` scan re-enumerates and re-packs
-the quorum collection on every call, and the structural protocol selectors
+:class:`~repro.quorums.system.QuorumSystem` scan re-enumerates the quorum
+collection on every call, and the structural protocol selectors
 rebuild their candidate lists from frozensets.  Live sets, however, change
 only when a site crashes or recovers or a partition is installed/healed —
 orders of magnitude less often than operations are issued.

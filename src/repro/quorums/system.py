@@ -18,25 +18,16 @@ Protocols with known closed forms (every model in :mod:`repro.protocols`)
 override the derived methods with O(1) formulas; protocols with structural
 selectors override ``select_read_quorum``/``select_write_quorum`` so the
 simulator never enumerates.
-
-:class:`CachedQuorumSystem` wraps any system and memoizes the expensive
-derived quantities (quorum enumeration, LP loads, per-replica load vectors,
-availability curves) so repeated analysis of one system — the common case in
-sweeps and benchmarks — pays the enumeration cost once.
 """
 
 from __future__ import annotations
 
 import abc
 import random
-from collections.abc import Collection, Iterator
-from itertools import islice
-
-import numpy as np
+from collections.abc import Iterator
 
 from repro.quorums.availability import operation_availability
 from repro.quorums.base import BiCoterie, is_cross_intersecting
-from repro.quorums.bitset import PackedQuorums, mask_to_words, pack_rows
 from repro.quorums.liveness import ALL_LIVE, Liveness, as_oracle
 from repro.quorums.load import optimal_operation_load
 from repro.quorums.strategy import Strategy
@@ -45,58 +36,12 @@ from repro.quorums.strategy import Strategy
 #: most protocols; derived analyses are meant for small/medium instances).
 DEFAULT_MAX_QUORUMS = 200_000
 
-#: Quorums packed per batch by the mask-based selection scan.
-_SELECT_CHUNK = 1024
-
 _OPS = ("read", "write")
 
 
 def _check_op(op: str) -> None:
     if op not in _OPS:
         raise ValueError(f"op must be 'read' or 'write', got {op!r}")
-
-
-def _select_by_mask(
-    quorums: Iterator[frozenset[int]],
-    universe: frozenset[int],
-    live: Collection[int],
-    rng: random.Random | None,
-) -> frozenset[int] | None:
-    """Mask-AND selection scan: the bitset-kernel twin of the oracle scan.
-
-    Packs the live set into one bitmask and tests quorums in packed batches
-    (``quorum & live == quorum``) instead of calling a per-element oracle.
-    Reservoir sampling draws one ``rng.randrange`` per viable quorum in
-    enumeration order — the exact RNG stream of the reference scan, so both
-    return the same quorum for the same seed.
-    """
-    elements = sorted(universe)
-    index = {element: i for i, element in enumerate(elements)}
-    words = max(1, -(-len(elements) // 64))
-    live_mask = 0
-    for sid in live:
-        bit = index.get(sid)
-        if bit is not None:
-            live_mask |= 1 << bit
-    live_words = mask_to_words(live_mask, words)
-
-    chosen: frozenset[int] | None = None
-    viable = 0
-    iterator = iter(quorums)
-    while True:
-        chunk = list(islice(iterator, _SELECT_CHUNK))
-        if not chunk:
-            return chosen
-        matrix = pack_rows(chunk, index, words)
-        hits = np.nonzero(((matrix & live_words) == matrix).all(axis=1))[0]
-        if rng is None:
-            if hits.size:
-                return chunk[int(hits[0])]
-        else:
-            for row in hits:
-                viable += 1
-                if rng.randrange(viable) == 0:
-                    chosen = chunk[int(row)]
 
 
 class QuorumSystem(abc.ABC):
@@ -116,9 +61,6 @@ class QuorumSystem(abc.ABC):
     * :meth:`strategy`, :meth:`load`, :meth:`load_vector`,
       :meth:`availability` — the Naor-Wool analyses, derived from the
       enumerated quorums via the LP and exact/Monte-Carlo machinery.
-
-    Wrap instances in :class:`CachedQuorumSystem` when the derived analyses
-    are evaluated repeatedly.
     """
 
     #: Human-readable system name (used in tables and bench output).
@@ -206,27 +148,15 @@ class QuorumSystem(abc.ABC):
         Structural protocols override this with their recursive selectors.
         With ``rng`` the choice among viable quorums is randomised
         (reservoir sampling, so enumeration stays lazy); without it the
-        first viable quorum is returned, deterministically.  Explicit live
-        *sets* run on the bitset kernel (one mask-AND per quorum batch);
-        liveness *predicates* fall back to the per-element oracle scan.
+        first viable quorum is returned, deterministically.
         """
-        return self._select(self.read_quorums(), live, rng)
+        return self._select_by_scan(self.read_quorums(), live, rng)
 
     def select_write_quorum(
         self, live: Liveness, rng: random.Random | None = None
     ) -> frozenset[int] | None:
         """A write quorum of live replicas, or ``None`` when unavailable."""
-        return self._select(self.write_quorums(), live, rng)
-
-    def _select(
-        self,
-        quorums: Iterator[frozenset[int]],
-        live: Liveness,
-        rng: random.Random | None,
-    ) -> frozenset[int] | None:
-        if callable(live):
-            return self._select_by_scan(quorums, live, rng)
-        return _select_by_mask(quorums, self.universe, live, rng)
+        return self._select_by_scan(self.write_quorums(), live, rng)
 
     @staticmethod
     def _select_by_scan(
@@ -234,7 +164,8 @@ class QuorumSystem(abc.ABC):
         live: Liveness,
         rng: random.Random | None,
     ) -> frozenset[int] | None:
-        """Per-element oracle scan (kernel reference path)."""
+        """Reservoir scan: one ``rng.randrange`` per viable quorum, in
+        enumeration order, so each viable quorum is equally likely."""
         oracle = as_oracle(live)
         chosen: frozenset[int] | None = None
         viable = 0
@@ -315,158 +246,3 @@ class QuorumSystem(abc.ABC):
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r}, n={self.n})"
-
-
-class CachedQuorumSystem(QuorumSystem):
-    """Memoizing wrapper around any :class:`QuorumSystem`.
-
-    Caches quorum enumeration (materialised once per operation, both as
-    frozensets and as the bitset kernel's packed matrix), and every derived
-    analysis keyed by its arguments: LP loads and strategies, per-replica
-    load vectors, and availability values.  Selection and sampling are
-    delegated untouched — they depend on the live set, which changes between
-    calls.  Attributes not defined by the wrapper (e.g. a protocol's
-    closed-form methods) are forwarded to the wrapped system.
-
-    ``enumerations`` counts how many times the underlying system's quorum
-    iterators were actually drained; repeated ``load()`` / ``availability()``
-    calls on the same wrapper leave it at one per operation.
-    """
-
-    def __init__(
-        self, system: QuorumSystem, max_quorums: int = DEFAULT_MAX_QUORUMS
-    ) -> None:
-        self._system = system
-        self._max_quorums = max_quorums
-        self._quorum_cache: dict[str, tuple[frozenset[int], ...]] = {}
-        self._packed_cache: dict[str, PackedQuorums] = {}
-        self._lp_cache: dict[str, object] = {}
-        self._availability_cache: dict[tuple, float] = {}
-        #: Times the wrapped system's quorum iterators were drained.
-        self.enumerations = 0
-
-    @property
-    def system(self) -> QuorumSystem:
-        """The wrapped quorum system."""
-        return self._system
-
-    @property
-    def name(self) -> str:  # type: ignore[override]
-        return self._system.name
-
-    @property
-    def uniform_selection(self) -> bool:  # type: ignore[override]
-        # Selection is delegated, so the wrapped system's distribution
-        # contract is the wrapper's too.
-        return self._system.uniform_selection
-
-    @property
-    def universe(self) -> frozenset[int]:
-        return self._system.universe
-
-    # -- cached enumeration ------------------------------------------------
-
-    def materialise(
-        self, op: str = "read", max_quorums: int | None = None
-    ) -> tuple[frozenset[int], ...]:
-        """Materialise once per operation; later calls hit the cache."""
-        _check_op(op)
-        if op not in self._quorum_cache:
-            limit = self._max_quorums if max_quorums is None else max_quorums
-            self._quorum_cache[op] = self._system.materialise(op, limit)
-            self.enumerations += 1
-        return self._quorum_cache[op]
-
-    def read_quorums(self) -> Iterator[frozenset[int]]:
-        return iter(self.materialise("read"))
-
-    def write_quorums(self) -> Iterator[frozenset[int]]:
-        return iter(self.materialise("write"))
-
-    def quorum_masks(self, op: str = "read") -> list[int] | None:
-        """Delegated: the wrapped system's mask enumeration, if any."""
-        return self._system.quorum_masks(op)
-
-    def packed(self, op: str = "read") -> PackedQuorums:
-        """One quorum collection on the bitset kernel, packed exactly once.
-
-        Every packed consumer (availability sums, bi-coterie verification,
-        membership matrices) reuses this matrix instead of re-walking the
-        frozensets.
-        """
-        _check_op(op)
-        if op not in self._packed_cache:
-            self._packed_cache[op] = PackedQuorums.from_quorums(
-                self.materialise(op), universe=self.universe
-            )
-        return self._packed_cache[op]
-
-    # -- cached analyses ---------------------------------------------------
-
-    def _lp(self, op: str):
-        if op not in self._lp_cache:
-            from repro.quorums.load import optimal_load
-
-            self._lp_cache[op] = optimal_load(
-                self.materialise(op), universe=self.universe,
-                packed=self.packed(op),
-            )
-        return self._lp_cache[op]
-
-    def strategy(self, op: str = "read") -> Strategy:
-        _check_op(op)
-        return self._lp(op).strategy
-
-    def load(self, op: str = "read") -> float:
-        _check_op(op)
-        return self._lp(op).load
-
-    def load_vector(self, op: str = "read") -> dict[int, float]:
-        return self.strategy(op).element_loads()
-
-    def availability(
-        self,
-        p: float,
-        op: str = "read",
-        samples: int = 100_000,
-        seed: int | None = 0,
-    ) -> float:
-        _check_op(op)
-        key = (op, float(p), samples, seed)
-        if key not in self._availability_cache:
-            from repro.quorums.availability import system_availability
-
-            self._availability_cache[key] = system_availability(
-                self.packed(op), p, universe=self.universe,
-                samples=samples, seed=seed,
-            )
-        return self._availability_cache[key]
-
-    def is_bicoterie(self, max_quorums: int = 100_000) -> bool:
-        """Kernel cross-intersection over the cached packed collections."""
-        return self.packed("read").cross_intersects(self.packed("write"))
-
-    # -- delegation --------------------------------------------------------
-
-    def select_read_quorum(
-        self, live: Liveness, rng: random.Random | None = None
-    ) -> frozenset[int] | None:
-        return self._system.select_read_quorum(live, rng)
-
-    def select_write_quorum(
-        self, live: Liveness, rng: random.Random | None = None
-    ) -> frozenset[int] | None:
-        return self._system.select_write_quorum(live, rng)
-
-    def sample_read_quorum(self, rng: random.Random) -> frozenset[int]:
-        return self._system.sample_read_quorum(rng)
-
-    def sample_write_quorum(self, rng: random.Random) -> frozenset[int]:
-        return self._system.sample_write_quorum(rng)
-
-    def __getattr__(self, item: str):
-        # Forward protocol-specific extras (closed forms, tree accessors).
-        return getattr(self._system, item)
-
-    def __repr__(self) -> str:
-        return f"CachedQuorumSystem({self._system!r})"

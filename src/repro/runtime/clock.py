@@ -117,15 +117,6 @@ class AsyncClock:
         else:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
 
-    def call_at(
-        self,
-        time: float,
-        callback: Callable[..., Any],
-        arg: Any = _NO_ARG,
-    ) -> None:
-        """Handle-free absolute-time variant of :meth:`call_later`."""
-        self.call_later(time - self._loop.time(), callback, arg)
-
     def schedule(
         self,
         delay: float,
@@ -142,15 +133,6 @@ class AsyncClock:
         else:
             entry = self._push(now + delay, callback, arg)
         return EventHandle(self, entry)
-
-    def schedule_at(
-        self,
-        time: float,
-        callback: Callable[..., Any],
-        arg: Any = _NO_ARG,
-    ) -> AsyncTimerHandle:
-        """Absolute-time variant of :meth:`schedule`."""
-        return self.schedule(time - self._loop.time(), callback, arg)
 
     # -- timers ------------------------------------------------------------
 

@@ -965,9 +965,10 @@ class QuorumCoordinator:
         if ctx.phase_span:
             self._end_phase(ctx)
         self._by_request.pop(ctx.request_id, None)
-        if best.value is None:
+        if best.timestamp == ZERO_TIMESTAMP:
             # Never written: nothing to transfer (and nothing a lease or
-            # the invariant audit could usefully record).
+            # the invariant audit could usefully record).  A written
+            # ``None`` is a value like any other and is copied.
             self._finish(
                 ctx, success=True, value=None, timestamp=best.timestamp
             )

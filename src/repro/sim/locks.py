@@ -230,13 +230,6 @@ class LockManager:
         if not state.holders and not state.queue:
             del self._keys[key]
 
-    def release_all(self, txid: int) -> None:
-        """Release every lock held by a transaction."""
-        for key in [
-            key for key, state in self._keys.items() if txid in state.holders
-        ]:
-            self.release(txid, key)
-
     def _grant_queued(self, key: Any, state: _KeyLockState) -> None:
         while state.queue:
             head = state.queue[0]

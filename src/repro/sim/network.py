@@ -202,20 +202,6 @@ def fixed_latency(value: float) -> LatencyModel:
     return model
 
 
-def uniform_latency(low: float, high: float) -> LatencyModel:
-    """Latency uniform in ``[low, high]``."""
-    if not 0 <= low <= high:
-        raise ValueError(f"invalid latency range [{low}, {high}]")
-    return lambda rng: rng.uniform(low, high)
-
-
-def exponential_latency(mean: float) -> LatencyModel:
-    """Exponentially distributed latency with the given mean."""
-    if mean <= 0:
-        raise ValueError("mean latency must be positive")
-    return lambda rng: rng.expovariate(1.0 / mean)
-
-
 class Network:
     """The shared message fabric of one simulation.
 

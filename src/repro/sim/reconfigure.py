@@ -49,6 +49,7 @@ from repro.core.tree import ArbitraryTree
 from repro.quorums.dual import DualQuorumSystem
 from repro.quorums.system import QuorumSystem
 from repro.sim.coordinator import OperationOutcome, QuorumCoordinator
+from repro.sim.replica import ZERO_TIMESTAMP
 
 if TYPE_CHECKING:
     from repro.fault.invariants import InvariantChecker
@@ -268,9 +269,9 @@ class TreeReconfigurer:
             state.outcome.failed_key = key
             self._finish(state)
             return
-        if result.value is not None:
-            # (A None value means the key was never written: nothing was
-            # transferred and nothing is auditable.)
+        if result.timestamp != ZERO_TIMESTAMP:
+            # (The zero timestamp means the key was never written: nothing
+            # was transferred and nothing is auditable.)
             state.outcome.keys_migrated += 1
             if self._invariants is not None:
                 self._invariants.check(result)

@@ -54,12 +54,6 @@ class TestSuspicion:
         suspects.exonerate(9, now=0.0)
         assert suspects.exonerations_total == 0
 
-    def test_record_drop_counts_as_evidence(self):
-        suspects = SuspectList(threshold=2)
-        suspects.record_drop(4, now=0.0)
-        suspects.record_drop(4, now=1.0)
-        assert suspects.is_suspected(4, now=1.0)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             SuspectList(probe_interval=0.0)

@@ -11,7 +11,6 @@ import pytest
 
 from repro.core.builder import from_spec, recommended_tree
 from repro.sim import BernoulliFailures, SimulationConfig, WorkloadSpec, simulate
-from repro.sim.network import exponential_latency, uniform_latency
 from tests.integration.test_consistency import audit_one_copy_equivalence
 
 
@@ -51,7 +50,10 @@ class TestDuplication:
 
 class TestRandomLatency:
     @pytest.mark.parametrize(
-        "latency", [uniform_latency(0.5, 3.0), exponential_latency(1.5)],
+        "latency",
+        # A latency model is any callable drawing one delay from the rng.
+        [lambda rng: rng.uniform(0.5, 3.0),
+         lambda rng: rng.expovariate(1.0 / 1.5)],
         ids=["uniform", "exponential"],
     )
     def test_consistency_with_random_latency(self, latency):
@@ -82,7 +84,7 @@ class TestEverythingAtOnce:
                     operations=2500, read_fraction=0.5, keys=8,
                     arrival="poisson", rate=0.4,
                 ),
-                latency=uniform_latency(0.5, 2.0),
+                latency=lambda rng: rng.uniform(0.5, 2.0),
                 drop_probability=0.03,
                 duplicate_probability=0.05,
                 failures=BernoulliFailures(p=0.85, seed=44, resample_every=80.0),

@@ -8,7 +8,6 @@ import pytest
 from repro.quorums.bitset import (
     PackedQuorums,
     _popcount_by_table,
-    mask_of,
     mask_to_words,
     pack_bool_matrix,
     pack_rows,
@@ -89,8 +88,6 @@ class TestKernelOps:
         packed = PackedQuorums.from_quorums([{0}, {1, 2}], universe=range(3))
         live = packed.pack_live(())
         assert not packed.live_filter(live).any()
-        assert packed.first_live(live) is None
-        assert packed.select(live, random.Random(0)) is None
 
     def test_live_set_with_foreign_sids_is_projected(self):
         packed = PackedQuorums.from_quorums([{0, 1}], universe=range(2))
@@ -100,32 +97,14 @@ class TestKernelOps:
     def test_n_equals_one(self):
         packed = PackedQuorums.from_quorums([{0}], universe={0})
         assert packed.n == 1 and packed.words == 1
-        assert packed.first_live(packed.pack_live({0})) == 0
-        assert packed.first_live(packed.pack_live(set())) is None
+        assert packed.live_filter(packed.pack_live({0})).tolist() == [True]
+        assert packed.live_filter(packed.pack_live(set())).tolist() == [False]
 
     def test_multi_word_live_filter(self):
         quorums = [{0, 100}, {64, 65}, {127}]
         packed = PackedQuorums.from_quorums(quorums, universe=range(128))
         live = packed.pack_live({0, 100, 127})
         assert packed.live_filter(live).tolist() == [True, False, True]
-
-    def test_select_matches_reservoir_reference(self):
-        quorums = [frozenset({i, i + 1}) for i in range(40)]
-        packed = PackedQuorums.from_quorums(quorums, universe=range(41))
-        live_set = set(range(0, 41, 1)) - {7, 20}
-        live = packed.pack_live(live_set)
-        for seed in range(10):
-            rng = random.Random(seed)
-            got = packed.select(live, rng)
-            # Reference reservoir over the same viable sequence.
-            rng2 = random.Random(seed)
-            chosen, viable = None, 0
-            for i, quorum in enumerate(quorums):
-                if quorum <= live_set:
-                    viable += 1
-                    if rng2.randrange(viable) == 0:
-                        chosen = i
-            assert got == chosen
 
     def test_cross_intersects_requires_shared_universe(self):
         a = PackedQuorums.from_quorums([{0}], universe=range(2))
@@ -169,10 +148,6 @@ class TestDispatch:
         packed = try_pack([{-3, 4}, {0}])
         assert packed is not None
         assert packed.to_frozensets() == (frozenset({-3, 4}), frozenset({0}))
-
-    def test_mask_of(self):
-        index = {5: 0, 9: 1, 11: 2}
-        assert mask_of({5, 11}, index) == 0b101
 
 
 class TestFromSystem:

@@ -21,20 +21,22 @@ from repro.quorums.availability import (
     _normalise_probabilities,
     estimate_availability_monte_carlo,
     exact_availability,
+    operation_availability,
+    system_availability,
 )
 from repro.quorums.base import (
     _is_cross_intersecting_sets,
     is_cross_intersecting,
     SetSystem,
 )
-from repro.quorums.bitset import try_pack
+from repro.quorums.bitset import PackedQuorums, try_pack
 from repro.quorums.load import (
     _membership_matrix,
     _membership_matrix_reference,
     optimal_load,
 )
 from repro.quorums.selection import SelectionIndex, select_uniform_reference
-from repro.quorums.system import CachedQuorumSystem, QuorumSystem
+from repro.quorums.system import QuorumSystem
 
 #: Small sizes keep the 2^n reference enumeration affordable in CI.
 ZOO_SIZE = 9
@@ -132,32 +134,33 @@ def test_membership_matrix_and_load_agree(zoo, name):
 @pytest.mark.parametrize("name", PROTOCOL_NAMES)
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_selection_identical_rng_streams(zoo, name, seed):
+    """The generic scan is a reservoir draw: one ``randrange`` per viable
+    quorum in enumeration order, so it picks what this loop picks."""
     system, reads, writes = zoo[name]
     universe = sorted(system.universe)
     dead = set(universe[:: max(1, len(universe) // 3)])
     live = set(universe) - dead
     for quorums in (reads, writes):
-        reference = QuorumSystem._select_by_scan(
+        rng = random.Random(seed)
+        expected, viable = None, 0
+        for quorum in quorums:
+            if quorum <= live:
+                viable += 1
+                if rng.randrange(viable) == 0:
+                    expected = quorum
+        assert QuorumSystem._select_by_scan(
             iter(quorums), live, random.Random(seed)
-        )
-        from repro.quorums.system import _select_by_mask
-
-        kernel = _select_by_mask(
-            iter(quorums), system.universe, live, random.Random(seed)
-        )
-        assert kernel == reference
-    # Deterministic (rng=None) first-viable selection agrees too.
-    from repro.quorums.system import _select_by_mask
-
-    assert _select_by_mask(
-        iter(reads), system.universe, live, None
-    ) == QuorumSystem._select_by_scan(iter(reads), live, None)
+        ) == expected
+    # Deterministic (rng=None) selection is the first viable quorum.
+    assert QuorumSystem._select_by_scan(iter(reads), live, None) == next(
+        (quorum for quorum in reads if quorum <= live), None
+    )
 
 
 @pytest.mark.parametrize("name", PROTOCOL_NAMES)
 def test_selection_under_generic_scan_path_matches(zoo, name):
-    """The public select_* API agrees between oracle (callable) and mask
-    (collection) liveness for the generic scan systems."""
+    """The generic scan picks the same quorum whether liveness is a
+    predicate (callable) or a collection of live SIDs."""
     system, reads, _ = zoo[name]
     universe = sorted(system.universe)
     live = set(universe[1:])
@@ -279,38 +282,21 @@ def test_multi_word_system_agrees_end_to_end():
     assert exact_ie == ref_ie
 
 
-def test_cached_system_packs_and_enumerates_once():
-    system = CachedQuorumSystem(quorum_system("grid", 9))
-    a1 = system.availability(0.9, "read")
-    a2 = system.availability(0.9, "read")
-    assert a1 == a2
-    system.load("read")
-    system.is_bicoterie()
-    assert system.enumerations <= 2  # once per operation
-    packed = system.packed("read")
-    assert packed is system.packed("read")
-    assert packed.to_frozensets() == system.materialise("read")
-
-
-def test_cached_availability_keyed_by_samples_and_seed():
-    system = CachedQuorumSystem(quorum_system("grid", 9))
-    exact = system.availability(0.9, "read")
-    also_exact = system.availability(0.9, "read", samples=10, seed=42)
-    # Small system -> both go through the exact path; keys differ, value same.
-    assert exact == also_exact
-    assert len(system._availability_cache) == 2
-
-
-def test_operation_paths_use_enumeration_cache():
-    system = CachedQuorumSystem(quorum_system("grid", 9))
-    from repro.quorums.availability import operation_availability
-    from repro.quorums.load import optimal_operation_load
-
-    operation_availability(system, 0.9, "read")
-    optimal_operation_load(system, "read")
-    operation_availability(system, 0.8, "read")
-    optimal_operation_load(system, "read")
-    assert system.enumerations == 1
+def test_packed_availability_is_the_enumerated_availability():
+    """What ``repro availability`` computes: each collection packed once
+    gives the enumerated availability at every p, and a system this small
+    takes the exact path whatever ``samples`` and ``seed`` say."""
+    system = quorum_system("grid", 9)
+    for op in ("read", "write"):
+        quorums = system.materialise(op)
+        packed = PackedQuorums.from_quorums(quorums, universe=system.universe)
+        assert packed.to_frozensets() == quorums
+        for p in (0.5, 0.9):
+            exact = system_availability(packed, p, universe=system.universe)
+            assert exact == operation_availability(system, p, op)
+            assert exact == system_availability(
+                packed, p, universe=system.universe, samples=10, seed=42
+            )
 
 
 def test_numpy_random_stream_unchanged():

@@ -1,11 +1,11 @@
-"""Unit tests for the unified QuorumSystem layer and its caching wrapper."""
+"""Unit tests for the unified QuorumSystem layer."""
 
 import random
 from collections.abc import Iterator
 
 import pytest
 
-from repro.quorums.system import CachedQuorumSystem, QuorumSystem
+from repro.quorums.system import QuorumSystem
 
 
 class ExplicitSystem(QuorumSystem):
@@ -98,86 +98,6 @@ class TestGenericDefaults:
         assert system.is_bicoterie()
         bicoterie = system.bicoterie()
         assert len(list(bicoterie.read_quorums)) == 2
-
-
-class TestCachedQuorumSystem:
-    def test_load_enumerates_once_per_op(self):
-        inner = ExplicitSystem()
-        cached = CachedQuorumSystem(inner)
-        for _ in range(5):
-            cached.load("read")
-            cached.load("write")
-            cached.strategy("read")
-            cached.load_vector("write")
-        assert inner.read_enumerations == 1
-        assert inner.write_enumerations == 1
-        assert cached.enumerations == 2
-
-    def test_availability_reuses_the_enumeration(self):
-        inner = ExplicitSystem()
-        cached = CachedQuorumSystem(inner)
-        for p in (0.5, 0.9, 0.5, 0.9):
-            cached.availability(p, "read")
-            cached.availability(p, "write")
-        assert inner.read_enumerations == 1
-        assert inner.write_enumerations == 1
-
-    def test_cached_values_match_uncached(self):
-        inner = ExplicitSystem()
-        cached = CachedQuorumSystem(ExplicitSystem())
-        assert cached.load("read") == pytest.approx(inner.load("read"))
-        assert cached.availability(0.8, "write") == pytest.approx(
-            inner.availability(0.8, "write")
-        )
-
-    def test_iteration_hits_the_cache(self):
-        inner = ExplicitSystem()
-        cached = CachedQuorumSystem(inner)
-        assert list(cached.read_quorums()) == list(cached.read_quorums())
-        assert inner.read_enumerations == 1
-
-    def test_selection_is_delegated_live(self):
-        cached = CachedQuorumSystem(ExplicitSystem())
-        assert cached.select_read_quorum({2, 3}) == frozenset({2, 3})
-        assert cached.select_write_quorum({2, 3}) is None
-
-    def test_name_universe_and_extras_forwarded(self):
-        inner = ExplicitSystem()
-        cached = CachedQuorumSystem(inner)
-        assert cached.name == "explicit-2x2"
-        assert cached.universe == inner.universe
-        assert cached.system is inner
-        # an attribute only the wrapped class defines
-        assert cached.read_enumerations == inner.read_enumerations
-
-    def test_wraps_real_protocols(self):
-        from repro.protocols.tree_quorum import TreeQuorumProtocol
-
-        cached = CachedQuorumSystem(TreeQuorumProtocol(7))
-        first = cached.materialise("read")
-        again = cached.materialise("read")
-        assert first is again
-        assert cached.enumerations == 1
-        # closed-form extras pass through __getattr__
-        assert cached.average_cost() == TreeQuorumProtocol(7).average_cost()
-
-    def test_selection_contract_sampling_and_masks_are_the_wrapped(self):
-        from repro.core import from_spec
-        from repro.core.protocol import ArbitraryProtocol
-        from repro.protocols.zoo import quorum_system
-
-        tree = ArbitraryProtocol(from_spec("1-3-5"))
-        cached = CachedQuorumSystem(tree)
-        assert cached.uniform_selection is tree.uniform_selection
-        assert list(cached.write_quorums()) == list(tree.write_quorums())
-        for sample in ("sample_read_quorum", "sample_write_quorum"):
-            assert getattr(cached, sample)(random.Random(3)) == getattr(
-                tree, sample
-            )(random.Random(3))
-        grid = quorum_system("grid", 9)
-        assert CachedQuorumSystem(grid).quorum_masks("write") == (
-            grid.quorum_masks("write")
-        )
 
 
 def test_dual_quorums_meet_both_epochs():

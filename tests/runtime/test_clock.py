@@ -102,18 +102,6 @@ def test_negative_delay_rejected_like_the_simulator():
     asyncio.run(main())
 
 
-def test_absolute_time_variants():
-    async def main():
-        clock = AsyncClock(asyncio.get_running_loop())
-        fired = []
-        clock.call_at(clock.now + 0.01, fired.append, "at")
-        clock.schedule_at(clock.now + 0.01, fired.append, "sched_at")
-        await asyncio.sleep(0.05)
-        assert fired == ["at", "sched_at"]
-
-    asyncio.run(main())
-
-
 def test_building_outside_a_running_loop_raises():
     """Bound with ``get_event_loop()``, a transport built before
     ``asyncio.run`` kept a loop that never ran, and every timeout armed

@@ -98,18 +98,6 @@ class TestQueueing:
         assert ("b", True) in results
         assert all(tag != "c" for tag, _ in results)
 
-    def test_release_all(self, rig):
-        scheduler, locks = rig
-        results = []
-        locks.acquire(1, "k1", LockMode.EXCLUSIVE, grant_recorder(results, "a"))
-        locks.acquire(1, "k2", LockMode.EXCLUSIVE, grant_recorder(results, "b"))
-        locks.acquire(2, "k1", LockMode.EXCLUSIVE, grant_recorder(results, "c"))
-        scheduler.run()
-        locks.release_all(1)
-        scheduler.run()
-        assert ("c", True) in results
-        assert locks.holders("k2") == {}
-
     def test_release_of_unheld_lock_is_noop(self, rig):
         _scheduler, locks = rig
         locks.release(1, "nothing")  # must not raise

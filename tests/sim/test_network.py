@@ -6,13 +6,7 @@ import pytest
 
 from repro.sim.events import Scheduler
 from repro.sim.messages import ReadRequest
-from repro.sim.network import (
-    Network,
-    PartitionSpec,
-    exponential_latency,
-    fixed_latency,
-    uniform_latency,
-)
+from repro.sim.network import Network, PartitionSpec, fixed_latency
 
 
 class Sink:
@@ -205,19 +199,3 @@ class TestLatencyModels:
         assert fixed_latency(3.0)(random.Random(0)) == 3.0
         with pytest.raises(ValueError):
             fixed_latency(-1.0)
-
-    def test_uniform(self):
-        rng = random.Random(0)
-        model = uniform_latency(1.0, 2.0)
-        for _ in range(50):
-            assert 1.0 <= model(rng) <= 2.0
-        with pytest.raises(ValueError):
-            uniform_latency(3.0, 2.0)
-
-    def test_exponential(self):
-        rng = random.Random(0)
-        model = exponential_latency(2.0)
-        samples = [model(rng) for _ in range(5000)]
-        assert sum(samples) / len(samples) == pytest.approx(2.0, rel=0.1)
-        with pytest.raises(ValueError):
-            exponential_latency(0.0)

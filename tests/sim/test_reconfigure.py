@@ -80,6 +80,29 @@ class TestReconfiguration:
         assert outcome.success
         assert outcome.keys_migrated == 1  # 'absent' had nothing to move
 
+    def test_a_key_whose_latest_value_is_none_is_migrated(self):
+        """Regression: ``None`` is a value, not "never written".
+
+        The copy took a ``None`` read for an unwritten key and skipped
+        the re-write, so a ``None`` committed on old level {0, 1, 2}
+        stayed there; every 1-4-4 read quorum through site 3 then
+        returned the older version.
+        """
+        rig = Rig()
+        assert rig.write("k", "old").success
+        for sid in (3, 4, 5, 6, 7):  # the None can only land on {0, 1, 2}
+            rig.sites[sid].crash()
+        latest = rig.write("k", None)
+        assert latest.success and sorted(latest.quorum) == [0, 1, 2]
+        for sid in (3, 4, 5, 6, 7):
+            rig.sites[sid].recover()
+        outcome = rig.reconfigure(from_spec("1-4-4"), ["k"])
+        assert outcome.success and outcome.keys_migrated == 1
+        for _ in range(200):
+            result = rig.read("k")
+            assert result.success and result.value is None
+            assert result.timestamp.version >= latest.timestamp.version
+
     def test_replica_count_must_match(self):
         """A shape for the wrong fleet reports BAD_TREE through on_done.
 
