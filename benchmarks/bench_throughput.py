@@ -1,24 +1,21 @@
-"""End-to-end simulated throughput: batching and read leases vs the baseline.
+"""End-to-end simulated throughput: read leases vs the baseline.
 
 The shard-capacity bench (``bench_shard_capacity.py``) established two
 ceilings on the paper's protocol: a single replica group saturates at its
 quorum-service capacity, and at Zipf s >= 1.1 the hottest key's lock
 serialises the stream no matter how many shards are added.  This bench
-measures the two hot-path features built to attack those ceilings on one
-saturated 1-3-5 replica group under a 90/10 read-heavy Zipf stream:
-
-* **feature matrix** — the same workload under ``{batching off/on} x
-  {leases off/on}``, recording simulated ops/sec (operations divided by
-  the simulated drain time), read/write latency percentiles, message
-  counts and lease counters.  Acceptance: batching+leases reaches at
-  least **2x** the unbatched ops/sec, and batching alone never loses to
-  the unbatched baseline (the CI smoke gate).
-* **hot-key sweep** — Zipf s in {0.9, 1.1, 1.3} with leases off vs on.
-  With leases off, s >= 1.1 shows the lock-convoy ceiling: read p99 is
-  queueing-dominated because every read of the hottest key re-runs a
-  quorum round behind the key's writers.  With leases on, hot reads are
-  served from the write-through lease at shared-lock grant, so read p99
-  collapses to (near) round-trip latency.
+measures read leases, the hot-path feature built to attack those
+ceilings, on one saturated 1-3-5 replica group under a 90/10 read-heavy
+Zipf stream: Zipf s in {0.9, 1.1, 1.3} with leases off vs on, recording
+simulated ops/sec (operations divided by the simulated drain time),
+read/write latency percentiles, message counts and lease counters.
+With leases off, s >= 1.1 shows the lock-convoy ceiling: read p99 is
+queueing-dominated because every read of the hottest key re-runs a
+quorum round behind the key's writers.  With leases on, hot reads are
+served from the write-through lease at shared-lock grant, so read p99
+collapses to (near) round-trip latency.  Gates: leased ops/sec is at
+least unleased at every s, and leases halve the s = 1.1 read p99; the
+full run also asserts leased reaches **2x** unleased ops/sec at s = 1.1.
 
 Every number is simulated time from a seeded run — bit-stable across
 hosts, so the recorded JSON is a regression baseline, not a noisy timing.
@@ -54,14 +51,11 @@ from repro.sim.workload import WorkloadSpec
 
 #: Aggregate open-loop arrival rate (ops per simulated time unit) — well
 #: past one 1-3-5 group's service capacity, so throughput measures the
-#: capacity the features buy back, not the arrival process.
+#: capacity leases buy back, not the arrival process.
 RATE = 4.0
 
 #: Per-message replica processing time — the resource that runs out.
 SERVICE_TIME = 1.0
-
-#: The batching window: at RATE, roughly eight operations share a window.
-BATCH_WINDOW = 2.0
 
 #: 90/10 read-heavy (the acceptance workload).
 READ_FRACTION = 0.9
@@ -69,21 +63,10 @@ READ_FRACTION = 0.9
 ZIPF_S = 1.1
 KEYS = 128
 SEED = 2026
-
-MATRIX = (
-    ("unbatched", 0.0, False),
-    ("batched", BATCH_WINDOW, False),
-    ("leased", 0.0, True),
-    ("batched+leased", BATCH_WINDOW, True),
-)
+ZIPF_SWEEP = (0.9, 1.1, 1.3)
 
 
-def _config(
-    operations: int,
-    batch_window: float,
-    leases: bool,
-    zipf_s: float = ZIPF_S,
-) -> SimulationConfig:
+def _config(operations: int, leases: bool, zipf_s: float) -> SimulationConfig:
     return SimulationConfig(
         tree=from_spec("1-3-5"),
         workload=WorkloadSpec(
@@ -98,7 +81,6 @@ def _config(
         service_time=SERVICE_TIME,
         timeout=800.0,  # queueing delay must not read as failure
         seed=SEED,
-        batch_window=batch_window,
         leases=leases,
     )
 
@@ -112,7 +94,6 @@ def _point(case: str, config: SimulationConfig) -> dict:
     duration = summary["duration"]
     point = {
         "case": case,
-        "batch_window": config.batch_window,
         "leases": config.leases,
         "zipf_s": config.workload.zipf_s,
         "ops_per_sec": round(operations / duration, 4),
@@ -132,31 +113,14 @@ def _point(case: str, config: SimulationConfig) -> dict:
     return point
 
 
-def feature_matrix(operations: int) -> list[dict]:
-    points = []
-    for case, window, leases in MATRIX:
-        point = _point(
-            f"throughput/{case}", _config(operations, window, leases)
-        )
-        points.append(point)
-        hit = point.get("lease_hit_rate")
-        print(
-            f"{case:>16}  ops/sec {point['ops_per_sec']:>7.4f}  "
-            f"rd p99 {point['read_p99']:>8.2f}  "
-            f"msgs {point['messages_sent']:>8.0f}"
-            + (f"  lease hit {hit:.2f}" if hit is not None else "")
-        )
-    return points
-
-
 def hot_key_sweep(operations: int) -> list[dict]:
     points = []
-    for zipf_s in (0.9, 1.1, 1.3):
+    for zipf_s in ZIPF_SWEEP:
         for leases in (False, True):
             label = "on" if leases else "off"
             point = _point(
                 f"hot_key/zipf={zipf_s}/leases={label}",
-                _config(operations, 0.0, leases, zipf_s=zipf_s),
+                _config(operations, leases, zipf_s),
             )
             points.append(point)
             print(
@@ -169,51 +133,49 @@ def hot_key_sweep(operations: int) -> list[dict]:
 
 def run(smoke: bool, out: str | None = None) -> dict:
     operations = 1200 if smoke else 4000
-    matrix = feature_matrix(operations)
     sweep = hot_key_sweep(operations)
-    by_case = {point["case"]: point for point in matrix}
-    unbatched = by_case["throughput/unbatched"]["ops_per_sec"]
-    combined = by_case["throughput/batched+leased"]["ops_per_sec"]
-    sweep_11 = {
-        point["case"]: point for point in sweep if point["zipf_s"] == 1.1
-    }
-    summary = {
-        "ops_per_sec_unbatched": unbatched,
-        "ops_per_sec_batched": by_case["throughput/batched"]["ops_per_sec"],
-        "ops_per_sec_leased": by_case["throughput/leased"]["ops_per_sec"],
-        "ops_per_sec_batched_leased": combined,
-        "combined_speedup": round(combined / unbatched, 2),
-        "zipf11_read_p99_unleased": sweep_11["hot_key/zipf=1.1/leases=off"][
-            "read_p99"
-        ],
-        "zipf11_read_p99_leased": sweep_11["hot_key/zipf=1.1/leases=on"][
-            "read_p99"
-        ],
-    }
+    by_case = {point["case"]: point for point in sweep}
+    summary = {}
+    for zipf_s in ZIPF_SWEEP:
+        for label in ("off", "on"):
+            point = by_case[f"hot_key/zipf={zipf_s}/leases={label}"]
+            summary[f"zipf{zipf_s}_ops_per_sec_leases_{label}"] = (
+                point["ops_per_sec"]
+            )
+            summary[f"zipf{zipf_s}_read_p99_leases_{label}"] = (
+                point["read_p99"]
+            )
+    summary["lease_speedup"] = round(
+        summary[f"zipf{ZIPF_S}_ops_per_sec_leases_on"]
+        / summary[f"zipf{ZIPF_S}_ops_per_sec_leases_off"],
+        2,
+    )
     bench = "throughput_smoke" if smoke and out else "throughput"
-    path = write_bench_json(bench, matrix + sweep, summary, out=out)
+    path = write_bench_json(bench, sweep, summary, out=out)
     print(f"\nwrote {path}")
     print(f"summary: {summary}")
-    # CI smoke gate: batching must never lose to the unbatched baseline.
-    assert (
-        summary["ops_per_sec_batched"] >= summary["ops_per_sec_unbatched"]
-    ), "batching lost throughput vs the unbatched baseline"
+    # CI smoke gate: leases must never lose throughput at any skew.
+    for zipf_s in ZIPF_SWEEP:
+        assert (
+            summary[f"zipf{zipf_s}_ops_per_sec_leases_on"]
+            >= summary[f"zipf{zipf_s}_ops_per_sec_leases_off"]
+        ), f"leases lost throughput at zipf {zipf_s}"
     # Leases must break the s=1.1 hot-key lock convoy, not just shave it.
     assert (
-        summary["zipf11_read_p99_leased"]
-        < 0.5 * summary["zipf11_read_p99_unleased"]
+        summary[f"zipf{ZIPF_S}_read_p99_leases_on"]
+        < 0.5 * summary[f"zipf{ZIPF_S}_read_p99_leases_off"]
     ), "leases did not collapse the hot-key read tail"
     if not smoke:
         # The acceptance floor on the full workload.
-        assert summary["combined_speedup"] >= 2.0, (
-            f"batching+leases reached only "
-            f"{summary['combined_speedup']}x unbatched ops/sec"
+        assert summary["lease_speedup"] >= 2.0, (
+            f"leases reached only {summary['lease_speedup']}x "
+            f"unleased ops/sec at zipf {ZIPF_S}"
         )
     return summary
 
 
 def test_throughput_perf_smoke(emit):
-    """CI smoke: feature matrix + hot-key sweep on the short stream.
+    """CI smoke: the hot-key sweep on the short stream.
 
     Writes to a ``_smoke`` JSON so a local pytest run never clobbers the
     recorded full-run trajectory in ``BENCH_throughput.json``.
@@ -226,13 +188,12 @@ def test_throughput_perf_smoke(emit):
     emit(
         "throughput_smoke",
         "throughput smoke: "
-        f"{summary['ops_per_sec_unbatched']:.2f} -> "
-        f"{summary['ops_per_sec_batched_leased']:.2f} ops/sec "
-        f"({summary['combined_speedup']:.1f}x) batched+leased, "
-        f"zipf 1.1 read p99 {summary['zipf11_read_p99_unleased']:.0f} -> "
-        f"{summary['zipf11_read_p99_leased']:.0f}",
+        f"{summary['zipf1.1_ops_per_sec_leases_off']:.2f} -> "
+        f"{summary['zipf1.1_ops_per_sec_leases_on']:.2f} ops/sec "
+        f"({summary['lease_speedup']:.1f}x) leased, "
+        f"zipf 1.1 read p99 {summary['zipf1.1_read_p99_leases_off']:.0f} -> "
+        f"{summary['zipf1.1_read_p99_leases_on']:.0f}",
     )
-    assert summary["ops_per_sec_batched"] >= summary["ops_per_sec_unbatched"]
 
 
 if __name__ == "__main__":

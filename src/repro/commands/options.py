@@ -70,14 +70,6 @@ OPTIONS = {
         help="attach the suspicion-based failure detector so quorum "
              "selection avoids suspected sites",
     ),
-    "batch_window": _option(
-        "--batch-window", type=float, default=0.0, metavar="W",
-        help="coordinator batching window in simulated time units: "
-             "operations arriving within W of the first are coalesced "
-             "per key — same-key reads share one quorum read, writes "
-             "issue in submission order at flush (0 = off, the "
-             "legacy per-operation path)",
-    ),
     "leases": _option(
         "--leases", action="store_true",
         help="cache read results per key as leases: repeat reads of a "
@@ -118,7 +110,7 @@ GROUPS = {
     "run": ("spec", "operations", "read_fraction", "p", "seed"),
     "zoo": ("protocol", "n"),
     "fan-out": ("repeats", "jobs"),
-    "fault": ("retry_policy", "backoff", "detector", "batch_window", "leases"),
+    "fault": ("retry_policy", "backoff", "detector", "leases"),
     "chaos": ("scenario", "horizon"),
 }
 

@@ -58,7 +58,7 @@ def register(sub, name: str) -> None:
     # than it serves), so the profile shows the steady-state hot path.
     options.add_options(
         parser, "spec", "operations", "read_fraction", "keys", "rate",
-        "zipf", "service_time", "timeout", "seed", "batch_window", "leases",
+        "zipf", "service_time", "timeout", "seed", "leases",
         operations=5000, read_fraction=0.9, keys=128, rate=4.0, zipf=1.1,
         service_time=1.0, timeout=800.0, seed=2026,
     )

@@ -66,14 +66,6 @@ def mask_to_words(mask: int, words: int) -> np.ndarray:
     )
 
 
-def words_to_mask(row: np.ndarray) -> int:
-    """Reassemble a Python int bitmask from its 64-bit words."""
-    mask = 0
-    for w, word in enumerate(row):
-        mask |= int(word) << (w * WORD_BITS)
-    return mask
-
-
 def pack_rows(
     quorums: Sequence[Collection[int]],
     index: Mapping[int, int],
@@ -131,8 +123,7 @@ class PackedQuorums:
     """
 
     __slots__ = (
-        "elements", "index", "words", "matrix", "_bit_value",
-        "_int_masks", "_frozensets",
+        "elements", "index", "words", "matrix", "_frozensets",
     )
 
     def __init__(
@@ -144,10 +135,6 @@ class PackedQuorums:
         self.index = {element: i for i, element in enumerate(elements)}
         self.words = matrix.shape[1] if matrix.ndim == 2 else 1
         self.matrix = matrix
-        self._bit_value = {
-            element: 1 << i for i, element in enumerate(elements)
-        }
-        self._int_masks: list[int] | None = None
         self._frozensets: tuple[frozenset[int], ...] | None = None
 
     # -- construction ------------------------------------------------------
@@ -208,17 +195,6 @@ class PackedQuorums:
         """Universe size."""
         return len(self.elements)
 
-    def masks(self) -> list[int]:
-        """The rows as arbitrary-precision Python int bitmasks (memoised)."""
-        if self._int_masks is None:
-            if self.words == 1:
-                self._int_masks = [int(word) for word in self.matrix[:, 0]]
-            else:
-                self._int_masks = [
-                    words_to_mask(row) for row in self.matrix
-                ]
-        return self._int_masks
-
     def to_frozensets(self) -> tuple[frozenset[int], ...]:
         """Unpack back to frozensets (memoised; the public-API edge)."""
         if self._frozensets is None:
@@ -230,21 +206,6 @@ class PackedQuorums:
                 for row in bits
             )
         return self._frozensets
-
-    def pack_live(self, live: Iterable[int]) -> np.ndarray:
-        """Pack a live set into a ``(words,)`` mask, ignoring foreign SIDs.
-
-        Elements outside the universe cannot influence any quorum test and
-        are dropped, matching the frozenset reference (which only ever asks
-        whether a *quorum member* is live).  The per-element Python loop
-        this used to be dominated steady-state selection on large
-        universes; ``dict.get`` misses yield ``None`` and every hit is a
-        power of two, so ``filter(None, ...)`` drops exactly the foreign
-        SIDs and the whole pack runs as one C-level pipeline.
-        """
-        get = self._bit_value.get
-        mask = sum(filter(None, map(get, live)))
-        return mask_to_words(mask, self.words)
 
     # -- kernel ops --------------------------------------------------------
 

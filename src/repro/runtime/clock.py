@@ -111,7 +111,7 @@ class AsyncClock:
         """Fire-and-forget: run ``callback`` after ``delay`` wall seconds."""
         if delay == 0.0:
             # No handle reads a ready entry's time, so none is taken.
-            self._enqueue([0.0, 0, callback, arg])
+            self._queue_ready([0.0, 0, callback, arg])
         elif delay > 0:
             self._push(self._loop.time() + delay, callback, arg)
         else:
@@ -129,7 +129,7 @@ class AsyncClock:
         now = self._loop.time()
         if delay == 0.0:
             entry = [now, 0, callback, arg]
-            self._enqueue(entry)
+            self._queue_ready(entry)
         else:
             entry = self._push(now + delay, callback, arg)
         return EventHandle(self, entry)
@@ -203,7 +203,7 @@ class AsyncClock:
 
     # -- zero-delay callbacks --------------------------------------------
 
-    def _enqueue(self, entry: list) -> None:
+    def _queue_ready(self, entry: list) -> None:
         ready = self._ready
         if not ready:
             self._loop.call_soon(self._drain)

@@ -68,9 +68,9 @@ class ShardedConfig:
         The :class:`~repro.sim.engine.SimulationConfig` each shard runs:
         workload, seed, latency, loss, timeout, attempts, ``clients``
         (coordinators per shard, which the balancer spreads traffic
-        over), service time, retry policy, failure detector, batching and
-        leases.  ``workload.keys`` is the size of the *global* keyspace
-        the router partitions.  The build gives each shard its own
+        over), service time, retry policy, failure detector and leases.
+        ``workload.keys`` is the size of the *global* keyspace the
+        router partitions.  The build gives each shard its own
         system, failures and (with ``regions``) latency, so a group that
         sets a field of :data:`_NOT_PER_GROUP` is refused.
     shards:

@@ -30,22 +30,12 @@ selector, the live view, suspect avoidance — is
 :class:`~repro.quorums.selection.QuorumChooser`'s decision, and the
 coordinator asks it ``choose("read")`` / ``choose("write")``.
 
-Two optional throughput features sit in front of the protocol and leave
-its RNG/event streams byte-identical when disabled; neither has a
-protocol path of its own:
-
-* **read leases** (``leases=LeaseCache(...)``) — a read looks its key's
-  lease up twice, at submission and again when its shared lock is
-  granted, and a hit is served from the cache without contacting any
-  replica; see :mod:`repro.sim.leases` for the invalidation rules;
-* **operation batching** (``batch_window > 0``) — submissions are
-  queued for a window and flushed together: same-key reads coalesce
-  into one ordinary quorum read whose result fans out to every waiter,
-  and writes are ordinary writes issued in submission order (a same-key
-  successor finds the version floor its predecessor's commit advanced,
-  so it takes the two-round overlapped path like any other known-floor
-  write).  Within one window, coalesced reads order before that window's
-  writes to the same key.
+Optional **read leases** (``leases=LeaseCache(...)``) sit in front of
+the protocol and leave its RNG/event streams byte-identical when
+disabled: a read looks its key's lease up twice, at submission and
+again when its shared lock is granted, and a hit is served from the
+cache without contacting any replica; see :mod:`repro.sim.leases` for
+the invalidation rules.
 """
 
 from __future__ import annotations
@@ -53,7 +43,6 @@ from __future__ import annotations
 import enum
 import random
 from collections.abc import Callable
-from dataclasses import dataclass
 from functools import partial
 from operator import attrgetter
 from typing import TYPE_CHECKING, Any
@@ -182,17 +171,6 @@ def _reply_sort_key(reply: ReadReply) -> tuple[int, int]:
     return reply.timestamp.sort_key()
 
 
-@dataclass(slots=True)
-class _BatchedOp:
-    """One submission waiting in the coordinator's batching window."""
-
-    op_type: str
-    key: Any
-    value: Any
-    on_done: DoneCallback
-    submitted_at: float
-
-
 class QuorumCoordinator:
     """Client-side executor of quorum reads and 2PC writes.
 
@@ -256,7 +234,6 @@ class QuorumCoordinator:
         retry_policy: "RetryPolicy | None" = None,
         suspects: "SuspectList | None" = None,
         selector: SelectionIndex | None = None,
-        batch_window: float = 0.0,
         leases: LeaseCache | None = None,
     ) -> None:
         if sid >= 0:
@@ -265,8 +242,6 @@ class QuorumCoordinator:
             raise ValueError("timeout must be positive")
         if max_attempts < 1:
             raise ValueError("need at least one attempt")
-        if batch_window < 0:
-            raise ValueError("batch window cannot be negative")
         self.sid = sid
         self._network = network
         #: The transport's clock, resolved once: internal hot paths read
@@ -291,11 +266,12 @@ class QuorumCoordinator:
         self._tx_ids = tx_ids or TransactionIdSource()
         self._by_request: dict[int, _OpContext] = {}
         self._by_txid: dict[int, _OpContext] = {}
-        # 2PC decision log.  Aborts are presumed, so only commit decisions
-        # are kept, and only while some quorum member has yet to
-        # acknowledge: a member skipped as dead at completion will ask on
-        # recovery (see _on_decision_request).
-        self._decisions: set[int] = set()
+        # 2PC decision log: txid -> quorum members yet to acknowledge.
+        # Aborts are presumed, so only commit decisions are kept, and only
+        # while some member has yet to acknowledge: a member skipped as
+        # dead at completion asks on recovery (see _on_decision_request)
+        # and its late ack, which finds no context, clears it (receive).
+        self._decisions: dict[int, set[int]] = {}
         # The per-key version floor embodies the paper's centralised
         # concurrency-control point; multiple coordinators in one system
         # must SHARE it (pass the same dict) so versions stay monotone even
@@ -305,9 +281,6 @@ class QuorumCoordinator:
         )
         self._retry_policy = retry_policy
         self._suspects = suspects
-        self._batch_window = batch_window
-        self._batch: list[_BatchedOp] = []
-        self._batch_handle: "CancelHandle | None" = None
         self._leases = leases
         # receive() dispatch: type -> (context table, message-id getter,
         # required stage, handler).  One dict probe replaces the
@@ -390,11 +363,6 @@ class QuorumCoordinator:
         """The attached lease cache (``None`` = every read runs a quorum)."""
         return self._leases
 
-    @property
-    def batch_window(self) -> float:
-        """The batching window (0 = every submission issues immediately)."""
-        return self._batch_window
-
     def system_universe(self) -> frozenset[int]:
         """The replica SIDs the active system spans (if it reports them)."""
         universe = getattr(self.system, "universe", None)
@@ -419,32 +387,32 @@ class QuorumCoordinator:
         A live lease short-circuits everything: no lock, no quorum, no
         network — the cached value is delivered on the next scheduler
         tick (still asynchronously, so closed-loop callers never
-        recurse).  Lease misses enter the batching window when one is
-        configured, the legacy immediate pipeline otherwise.
+        recurse).
         """
         if self._leases is not None and self._serve_leased(key, on_done):
-            return
-        now = self._clock.now
-        if self._batch_window > 0.0:
-            self._enqueue(_BatchedOp("read", key, None, on_done, now))
             return
         ctx = _OpContext(
             op_type="read",
             key=key,
             on_done=on_done,
             lock_token=self._tx_ids.next_id(),
-            started_at=now,
+            started_at=self._clock.now,
             stage=_Stage.READ,
         )
         self._acquire(ctx, LockMode.SHARED)
 
     def write(self, key: Any, value: Any, on_done: DoneCallback) -> None:
         """Issue a quorum write; ``on_done`` fires exactly once."""
-        now = self._clock.now
-        if self._batch_window > 0.0:
-            self._enqueue(_BatchedOp("write", key, value, on_done, now))
-            return
-        self._issue_write(key, value, on_done, now)
+        ctx = _OpContext(
+            op_type="write",
+            key=key,
+            value=value,
+            on_done=on_done,
+            lock_token=self._tx_ids.next_id(),
+            started_at=self._clock.now,
+            stage=_Stage.VERSION,
+        )
+        self._acquire(ctx, LockMode.EXCLUSIVE)
 
     def copy_key(self, key: Any, on_done: DoneCallback) -> None:
         """Atomically re-write ``key``'s current value at a fresh version.
@@ -493,81 +461,6 @@ class QuorumCoordinator:
         )
         self._clock.call_later(0.0, on_done, outcome)
         return True
-
-    # ------------------------------------------------------------------
-    # operation batching
-    # ------------------------------------------------------------------
-
-    def _enqueue(self, op: _BatchedOp) -> None:
-        """Queue a submission; the first one arms the flush timer."""
-        self._batch.append(op)
-        if self._batch_handle is None:
-            self._batch_handle = self._clock.schedule(
-                self._batch_window, self._flush_batch
-            )
-
-    def _flush_batch(self) -> None:
-        """Issue everything queued during the window, coalesced per key.
-
-        Per key (insertion order, so flushes are deterministic): all
-        queued reads collapse into **one** quorum read whose outcome
-        fans out to every waiter, then the writes issue in submission
-        order (the lock manager serialises them).  Both are the ordinary
-        operations: the read group selects its quorum and re-checks its
-        lease at lock grant like any read, and each write reads its path
-        off the version floor like any write.
-        """
-        self._batch_handle = None
-        batch = self._batch
-        self._batch = []
-        by_key: dict[Any, list[_BatchedOp]] = {}
-        for op in batch:
-            by_key.setdefault(op.key, []).append(op)
-        for key, ops in by_key.items():
-            reads = [op for op in ops if op.op_type == "read"]
-            writes = [op for op in ops if op.op_type == "write"]
-            if reads:
-                self._issue_read_group(key, reads)
-            for op in writes:
-                self._issue_write(op.key, op.value, op.on_done, op.submitted_at)
-
-    def _issue_read_group(self, key: Any, reads: list[_BatchedOp]) -> None:
-        """One quorum read serving every queued read of ``key``."""
-        callbacks = [op.on_done for op in reads]
-        starts = [op.submitted_at for op in reads]
-
-        def fan_out(outcome: OperationOutcome) -> None:
-            for on_done, started_at in zip(callbacks, starts):
-                on_done(outcome.with_started_at(started_at))
-
-        ctx = _OpContext(
-            op_type="read",
-            key=key,
-            on_done=fan_out,
-            lock_token=self._tx_ids.next_id(),
-            started_at=starts[0],
-            stage=_Stage.READ,
-        )
-        self._acquire(ctx, LockMode.SHARED)
-
-    def _issue_write(
-        self,
-        key: Any,
-        value: Any,
-        on_done: DoneCallback,
-        started_at: float,
-    ) -> None:
-        """Start one write, timed from ``started_at`` (its submission)."""
-        ctx = _OpContext(
-            op_type="write",
-            key=key,
-            value=value,
-            on_done=on_done,
-            lock_token=self._tx_ids.next_id(),
-            started_at=started_at,
-            stage=_Stage.VERSION,
-        )
-        self._acquire(ctx, LockMode.EXCLUSIVE)
 
     # ------------------------------------------------------------------
     # trace span helpers
@@ -1194,8 +1087,10 @@ class QuorumCoordinator:
         self._arm_timeout(ctx)
 
     def _complete_commit(self, ctx: _OpContext) -> None:
-        if len(ctx.acks) == len(ctx.quorum):
-            self._decisions.discard(ctx.txid)
+        pending = self._decisions[ctx.txid]
+        pending -= ctx.acks
+        if not pending:
+            del self._decisions[ctx.txid]
         self._cancel_timeout(ctx)
         self._unregister(ctx)
         self._finish(
@@ -1204,7 +1099,7 @@ class QuorumCoordinator:
 
     def _broadcast_decision(self, ctx: _OpContext, commit: bool) -> None:
         if commit:
-            self._decisions.add(ctx.txid)
+            self._decisions[ctx.txid] = set(ctx.quorum)
         sid = self.sid
         txid = ctx.txid
         message_type = CommitMessage if commit else AbortMessage
@@ -1233,6 +1128,15 @@ class QuorumCoordinator:
             self._network.send(
                 AbortMessage(src=self.sid, dst=message.src, txid=message.txid)
             )
+
+    def _forget_acked(self, message: AckMessage) -> None:
+        """A member skipped at completion applied the commit: once every
+        member has, the decision is forgotten."""
+        pending = self._decisions.get(message.txid)
+        if pending is not None:
+            pending.discard(message.src)
+            if not pending:
+                del self._decisions[message.txid]
 
     # ------------------------------------------------------------------
     # message dispatch
@@ -1263,6 +1167,8 @@ class QuorumCoordinator:
         table, message_id, stage, handler = entry
         ctx = table.get(message_id(message))
         if ctx is None:
+            if type(message) is AckMessage and message.committed:
+                self._forget_acked(message)
             return
         # An overlapped round takes its version replies in PREPARE, and
         # only until it has settled.

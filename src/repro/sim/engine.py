@@ -100,14 +100,6 @@ class SimulationConfig:
         intersection + version monotonicity) and raises
         :class:`~repro.fault.invariants.InvariantViolation` on first
         blood.  The chaos CI job runs with this on.
-    batch_window:
-        Coordinator batching window in simulated time units.  0 (the
-        default) keeps the legacy issue-immediately pipeline and its
-        byte-identical RNG/event streams; positive values queue
-        submissions per coordinator and flush them together (same-key
-        reads coalesce into one quorum round; writes stay ordinary
-        writes, issued in submission order).  See
-        :mod:`repro.sim.coordinator`.
     leases:
         When True, every coordinator of the group shares one
         :class:`~repro.sim.leases.LeaseCache`: reads of a leased key are
@@ -144,7 +136,6 @@ class SimulationConfig:
     probe_interval: float = 30.0
     suspect_threshold: int = 1
     check_invariants: bool = False
-    batch_window: float = 0.0
     leases: bool = False
     reshape_at: float = 0.0
     reshape_spec: str | None = None
@@ -346,7 +337,6 @@ def build_replica_group(
                 retry_policy=retry_policy,
                 suspects=suspects,
                 selector=shared_selector,
-                batch_window=config.batch_window,
                 leases=leases,
             )
         )

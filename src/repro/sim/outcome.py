@@ -95,11 +95,3 @@ class OperationOutcome:
             f"{name}={getattr(self, name)!r}" for name in self.__slots__
         )
         return f"OperationOutcome({fields})"
-
-    def with_started_at(self, started_at: float) -> "OperationOutcome":
-        """A copy differing only in ``started_at`` (coalesced-read fan-out)."""
-        copy = OperationOutcome.__new__(OperationOutcome)
-        for name in self.__slots__:
-            setattr(copy, name, getattr(self, name))
-        copy.started_at = started_at
-        return copy

@@ -222,8 +222,7 @@ _ARGV = {
                  "--p", "0.9", "--seed", "1", "--protocol", "grid", "--n",
                  "9", "--repeats", "2", "--jobs", "2", "--retry-policy",
                  "exponential", "--backoff", "base=1", "--detector",
-                 "--batch-window", "2", "--leases", "--reshape-at", "5",
-                 "--reshape-spec", "1-2"],
+                 "--leases", "--reshape-at", "5", "--reshape-spec", "1-2"],
     "shard": ["1-3", "--shards", "2", "--protocol", "rowa", "--n", "4",
               "--operations", "10", "--read-fraction", "0.5", "--keys",
               "16", "--zipf", "1.1", "--rate", "0.5", "--diurnal-period",
@@ -248,7 +247,7 @@ _ARGV = {
     "profile": ["1-3", "--operations", "10", "--read-fraction", "0.5",
                 "--keys", "8", "--rate", "2", "--zipf", "1.0", "--clients",
                 "2", "--service-time", "1", "--timeout", "50", "--seed",
-                "1", "--batch-window", "1", "--leases", "--sort", "cumtime",
+                "1", "--leases", "--sort", "cumtime",
                 "--limit", "5", "--no-phases"],
     "report": ["1-3", "--operations", "10", "--seed", "1", "--trace-file",
                "t.jsonl"],
@@ -318,8 +317,7 @@ def _described():
                 kind="exponential", base=1.0, factor=2.0, cap=60.0,
                 jitter=0.0,
             ),
-            detector=True, batch_window=2.0, leases=True, reshape_at=5.0,
-            reshape_spec="1-2",
+            detector=True, leases=True, reshape_at=5.0, reshape_spec="1-2",
         ),
         # --scenario all --horizon 50 on the 9 and the 3 replicas.
         "chaos": SimulationConfig(
@@ -358,7 +356,7 @@ def _described():
                 duplicate_probability=0.0, timeout=8.0, max_attempts=3,
                 clients=2, service_time=0.5, seed=1, retry_policy=None,
                 detector=True, probe_interval=30.0, suspect_threshold=1,
-                batch_window=0.0, leases=False,
+                leases=False,
             ),
             shards=2, systems=(("protocol", "rowa", 4),), router="hash",
             router_seed=1, balancer="round-robin", p=0.9, regions=2,
@@ -369,8 +367,7 @@ def _described():
                 operations=10, read_fraction=0.5, keys=8,
                 arrival="poisson", rate=2.0, zipf_s=1.0,
             ),
-            timeout=50.0, clients=2, service_time=1.0, seed=1,
-            batch_window=1.0, leases=True,
+            timeout=50.0, clients=2, service_time=1.0, seed=1, leases=True,
         ),
     }
 
@@ -426,7 +423,7 @@ def test_parsed_options_describe_the_same_run_as_before(command):
 _REQUIRED = {"analyse": ["1-3-5"], "serve": ["--sid", "0"]}
 _FAULT_DEFAULTS = {
     "retry_policy": None, "backoff": None, "detector": False,
-    "batch_window": 0.0, "leases": False,
+    "leases": False,
 }
 _DEFAULTS = {
     "example": {},
@@ -480,7 +477,7 @@ _DEFAULTS = {
         "spec": "1-3-5", "operations": 5000, "read_fraction": 0.9,
         "keys": 128, "rate": 4.0, "zipf_s": 1.1, "clients": 4,
         "service_time": 1.0, "timeout": 800.0, "seed": 2026,
-        "batch_window": 0.0, "leases": False, "sort": "tottime",
+        "leases": False, "sort": "tottime",
         "limit": 25, "no_phases": False,
     },
     "report": {

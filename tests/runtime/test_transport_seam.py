@@ -26,7 +26,7 @@ from repro.sim.locks import LockManager
 from repro.sim.site import Site
 
 
-def _build(spec="1-3", delay=0.1, leases=False, batch_window=0.0):
+def _build(spec="1-3", delay=0.1, leases=False):
     clock = Scheduler()
     transport = LoopbackTransport(clock, delay=delay)
     assert not hasattr(transport, "scheduler")  # the point of the suite
@@ -48,7 +48,6 @@ def _build(spec="1-3", delay=0.1, leases=False, batch_window=0.0):
         writer_id=n,
         liveness_epoch=transport.current_liveness_epoch,
         leases=lease_cache,
-        batch_window=batch_window,
     )
     return clock, transport, sites, coordinator
 
@@ -90,17 +89,6 @@ class TestProtocolOverSeamOnlyTransport:
         sites[1].recover()  # DecisionRequest flows back through the seam
         clock.run()
         assert outcomes[0].success
-
-    def test_batching_flush_timer_uses_seam_clock(self):
-        clock, transport, sites, coordinator = _build(batch_window=0.5)
-        outcomes = []
-        coordinator.write("k", "v", outcomes.append)
-        clock.run()
-        coordinator.read("k", outcomes.append)
-        coordinator.read("k", outcomes.append)  # coalesces in the window
-        clock.run()
-        assert [o.success for o in outcomes] == [True, True, True]
-        assert outcomes[1].value == "v" and outcomes[2].value == "v"
 
 
 class TestLeasedReadDelivery:

@@ -89,7 +89,7 @@ class TestShardedConfig:
                 kind="exponential", base=2.0, cap=30.0
             ),
             detector=True, probe_interval=12.0, suspect_threshold=2,
-            batch_window=1.5, leases=True,
+            leases=True,
         )
         _scheduler, workload, store = build_sharded_simulation(
             ShardedConfig(group=group, shards=3)
@@ -116,7 +116,6 @@ class TestShardedConfig:
             for coordinator in shard.coordinators:
                 assert coordinator._timeout == 9.0
                 assert coordinator._max_attempts == 5
-                assert coordinator.batch_window == 1.5
                 assert coordinator.leases is shard.leases
                 assert coordinator.suspects is shard.suspects
                 policy = coordinator._retry_policy

@@ -1,12 +1,10 @@
-"""Unit and end-to-end tests for coordinator batching and read leases.
+"""Unit and end-to-end tests for read leases.
 
 Covers the lease cache in isolation, the coordinator's leased-read short
 circuit (grant off read quorums and committed writes, invalidation at
-exclusive-lock grant and on liveness-epoch movement), window batching
-(same-key reads coalesce onto one quorum read, writes stay ordinary writes
-in submission order), and the acceptance requirement that the invariant
-checker stays green with both features on under mass-crash and flapping
-chaos.
+exclusive-lock grant and on liveness-epoch movement), and the acceptance
+requirement that the invariant checker stays green with leases on under
+mass-crash and flapping chaos.
 """
 
 import random
@@ -27,7 +25,7 @@ from repro.sim.workload import WorkloadSpec
 
 
 class Rig:
-    """Coordinator + sites assembly with optional batching and leases."""
+    """Coordinator + sites assembly with optional leases."""
 
     def __init__(
         self,
@@ -35,7 +33,6 @@ class Rig:
         max_attempts=3,
         timeout=8.0,
         seed=0,
-        batch_window=0.0,
         leases=False,
     ):
         self.tree = from_spec(spec)
@@ -59,7 +56,6 @@ class Rig:
             max_attempts=max_attempts,
             writer_id=self.tree.n,
             liveness_epoch=lambda: self.network.liveness_epoch,
-            batch_window=batch_window,
             leases=self.leases,
         )
         self.outcomes = []
@@ -180,107 +176,13 @@ class TestLeasedReads:
         assert not outcome.leased
         assert rig.leases.epoch_invalidations == 1
 
-
-class TestBatching:
-    def test_same_key_reads_coalesce_to_one_quorum_read(self):
-        baseline = Rig()
-        baseline.read("k")
-        single_read_cost = baseline.network.stats.sent
-
-        rig = Rig(batch_window=2.0)
-        for _ in range(3):
-            rig.coordinator.read("k", rig.outcomes.append)
-        rig.scheduler.run()
-        assert len(rig.outcomes) == 3
-        assert all(o.success for o in rig.outcomes)
-        # One quorum round served all three waiters.
-        assert rig.network.stats.sent == single_read_cost
-        # Every waiter sees the same quorum result.
-        assert len({o.timestamp for o in rig.outcomes}) == 1
-
-    def test_fanned_out_outcomes_keep_their_own_submission_times(self):
-        rig = Rig(batch_window=2.0)
-        rig.coordinator.read("k", rig.outcomes.append)
-        rig.scheduler.schedule(
-            1.0, lambda: rig.coordinator.read("k", rig.outcomes.append)
-        )
-        rig.scheduler.run()
-        starts = sorted(o.started_at for o in rig.outcomes)
-        assert starts == [0.0, 1.0]
-        assert len({o.finished_at for o in rig.outcomes}) == 1
-
-    def test_batched_writes_are_ordinary_writes_in_order(self):
-        # The 1-1-1 tree forces every quorum size (one read quorum, all
-        # write quorums single-replica), so message counts are exact
-        # regardless of which quorum the RNG picks.
-        baseline = Rig(spec="1-1-1")
-        baseline.write("k", "a")
-        baseline.write("k", "b")
-        serial_cost = baseline.network.stats.sent
-
-        rig = Rig(spec="1-1-1", batch_window=2.0)
-        rig.coordinator.write("k", "a", rig.outcomes.append)
-        rig.coordinator.write("k", "b", rig.outcomes.append)
-        rig.scheduler.run()
-        assert all(o.success for o in rig.outcomes)
-        assert [o.value for o in rig.outcomes] == ["a", "b"]
-        versions = [o.timestamp.version for o in rig.outcomes]
-        assert versions == [1, 2]
-        # Batching adds no write path of its own: the successor finds the
-        # floor its predecessor's commit advanced and pays what the second
-        # of two serial writes pays, message for message.
-        assert rig.network.stats.sent == serial_cost
-        assert rig.read("k").value == "b"
-
-    def test_distinct_keys_issue_independently(self):
-        rig = Rig(batch_window=2.0)
-        rig.coordinator.write("a", 1, rig.outcomes.append)
-        rig.coordinator.write("b", 2, rig.outcomes.append)
-        rig.coordinator.read("a", rig.outcomes.append)
-        rig.scheduler.run()
-        assert len(rig.outcomes) == 3
-        assert all(o.success for o in rig.outcomes)
-        assert rig.read("a").value == 1
-        assert rig.read("b").value == 2
-
-    def test_zero_window_issues_immediately(self):
-        rig = Rig(batch_window=0.0)
-        assert rig.coordinator.batch_window == 0.0
-        outcome = rig.read("k")
-        assert outcome.success and outcome.started_at == 0.0
-
-    def test_negative_window_rejected(self):
-        rig = Rig()
-        with pytest.raises(ValueError, match="window"):
-            QuorumCoordinator(
-                sid=-2,
-                network=rig.network,
-                system=ArbitraryProtocol(rig.tree),
-                locks=rig.locks,
-                detector=lambda sid: True,
-                rng=random.Random(0),
-                batch_window=-1.0,
-            )
-
-    def test_batched_reads_can_be_served_leased(self):
-        rig = Rig(batch_window=2.0, leases=True)
-        rig.read("k")  # grants the lease
-        sent_before = rig.network.stats.sent
-        for _ in range(3):
-            rig.coordinator.read("k", rig.outcomes.append)
-        rig.scheduler.run()
-        group = rig.outcomes[-3:]
-        assert all(o.leased for o in group)
-        assert rig.network.stats.sent == sent_before
-
-    def test_batched_read_looks_its_lease_up_twice(self):
-        """A write queued ahead re-grants the lease (write-through) while
-        the batched read waits for its lock: that read is one miss (at
-        submission) and one hit (at shared-lock grant) — the flush in
-        between does not look, so one read is never counted three times."""
-        rig = Rig(batch_window=2.0, leases=True)
+    def test_queued_read_looks_its_lease_up_twice(self):
+        """A write holding the lock re-grants the lease (write-through)
+        while a read waits for its shared lock: that read is one miss (at
+        submission) and one hit (at shared-lock grant)."""
+        rig = Rig(leases=True)
         rig.coordinator.write("k", "v", rig.outcomes.append)
-        rig.scheduler.run(until=3.0)  # flushed, in flight, lock held
+        rig.scheduler.run(until=3.0)  # in flight, lock held
         assert rig.locks.holders("k") and not rig.outcomes
         rig.coordinator.read("k", rig.outcomes.append)
         assert (rig.leases.misses, rig.leases.hits) == (1, 0)
@@ -306,7 +208,6 @@ def _chaos_config(scenario: str, seed: int) -> SimulationConfig:
         timeout=8.0,
         max_attempts=3,
         check_invariants=True,
-        batch_window=2.0,
         leases=True,
         seed=seed,
     )
@@ -315,8 +216,8 @@ def _chaos_config(scenario: str, seed: int) -> SimulationConfig:
 @pytest.mark.parametrize(
     "scenario,seed", [("mass-crash", 21), ("flapping", 9)]
 )
-def test_invariants_hold_batched_and_leased_under_chaos(scenario, seed):
-    """Acceptance: no invariant violations with both features on."""
+def test_invariants_hold_leased_under_chaos(scenario, seed):
+    """Acceptance: no invariant violations with leases on."""
     result = simulate(_chaos_config(scenario, seed))
     assert result.invariants is not None
     assert result.invariants.ok, result.invariants.violations

@@ -136,7 +136,8 @@ class TestDecisionLog:
 
     def test_member_crashed_between_vote_and_commit_learns_the_decision(self):
         """The commit completes by skipping the dead member, so its
-        decision stays logged until that member asks on recovery."""
+        decision stays logged until that member asks on recovery, and
+        goes once that member has applied it and acknowledged."""
         tree, scheduler, network, sites, locks, coordinator = make_rig()
         done = []
         coordinator.write("k", "v", done.append)
@@ -154,6 +155,7 @@ class TestDecisionLog:
         entry = voter.store.read("k")
         assert entry.value == "v"
         assert entry.timestamp == done[0].timestamp
+        assert not coordinator._decisions
 
     def test_member_asking_while_votes_are_still_coming_is_not_told_abort(self):
         """Termination hole (d): site 0 votes, crashes, recovers and asks

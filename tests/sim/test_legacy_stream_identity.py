@@ -1,9 +1,9 @@
-"""Golden-fingerprint guard for the legacy (unbatched, unleased) hot path.
+"""Golden-fingerprint guard for the legacy (unleased) hot path.
 
-The throughput work — coordinator batching, read leases, the slotted event
+The throughput work — read leases, the slotted event
 ring, multicast scheduling, dispatch-table receive, masked quorum
 selection, and the bisect key picker — is all required to be *invisible*
-when ``batch_window=0`` and ``leases=False`` (the defaults): every RNG
+when ``leases=False`` (the default): every RNG
 stream, event ordering and monitor fold must replay exactly as before.
 
 These tests pin ``result.summary()`` of seven configurations spanning the
@@ -324,7 +324,7 @@ def assert_summary_exact(actual: dict, golden: dict, name: str) -> None:
 @pytest.mark.parametrize("name", list(CONFIGS))
 def test_default_path_reproduces_golden_stream(name):
     config = CONFIGS[name]
-    assert config.batch_window == 0.0 and config.leases is False
+    assert config.leases is False
     # reconfiguration must be fully disarmed on the legacy path: no
     # reshape is ever scheduled, so the streams cannot have moved
     assert config.reshape_at == 0.0 and config.reshape_spec is None

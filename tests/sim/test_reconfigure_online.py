@@ -71,9 +71,9 @@ class TestOnlineTransition:
         assert checker.checked_by_state.get("transition", 0) > 0
         assert checker.checked_by_state.get("stable", 0) > 0
 
-    def test_transition_with_leases_and_batching(self):
+    def test_transition_with_leases(self):
         """Epoch bumps revoke leases, so caches never leak across trees."""
-        result = simulate(_online_config(batch_window=2.0, leases=True))
+        result = simulate(_online_config(leases=True))
         outcome = result.reconfiguration
         assert outcome is not None and outcome.success
         assert result.invariants is not None and result.invariants.ok
