@@ -106,8 +106,8 @@ def test_s4_is_stable_at_p_085(head_sweep, benchmark):
     assert m.read_availability > 0.97
     assert m.write_availability > 0.97
     assert m.read_load == pytest.approx(0.25)
-    # neither neighbour dominates: s=3 loses on read load AND read
-    # availability; s=5 loses on write availability
+    # neither neighbour is better on every axis: s=3 loses on read load
+    # AND read availability; s=5 loses on write availability
     three = head_sweep[(3, 0.85)]
     five = head_sweep[(5, 0.85)]
     assert three.read_load > m.read_load

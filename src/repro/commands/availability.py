@@ -72,7 +72,8 @@ def register(sub, name: str) -> None:
         name, help="read/write availability of a spec or zoo protocol",
     )
     parser.add_argument(
-        "--p", type=float, nargs="+", default=[0.5, 0.7, 0.9, 0.95, 0.99],
+        "--p", type=options.probability, nargs="+",
+        default=[0.5, 0.7, 0.9, 0.95, 0.99],
         help="per-replica availabilities to evaluate",
     )
     parser.add_argument(

@@ -10,6 +10,24 @@ A table of declarations, not a generator from the config dataclasses
 
 from __future__ import annotations
 
+import argparse
+
+
+def probability(text: str) -> float:
+    """``type=`` of an option that is a probability: a float in [0, 1]."""
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"{text} is not in [0, 1]")
+    return value
+
+
+def positive_int(text: str) -> int:
+    """``type=`` of a count that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text} is below 1")
+    return value
+
 
 def _protocol_names() -> tuple:
     from repro.protocols.zoo import PROTOCOL_NAMES
@@ -34,8 +52,9 @@ OPTIONS = {
     "spec": _option("spec", nargs="?", default="1-3-5",
                     help="tree spec of the replica group, e.g. 1-3-5"),
     "operations": _option("--operations", type=int, default=2000),
-    "read_fraction": _option("--read-fraction", type=float, default=0.5),
-    "p": _option("--p", type=float, default=1.0,
+    "read_fraction": _option("--read-fraction", type=probability,
+                             default=0.5),
+    "p": _option("--p", type=probability, default=1.0,
                  help="per-replica availability (1.0 = no failures)"),
     "seed": _option("--seed", type=int, default=0, help="random seed"),
     "max_attempts": _option("--max-attempts", type=int, default=4),
@@ -49,10 +68,10 @@ OPTIONS = {
         help="replica count (--protocol snaps it to an admissible size)",
     ),
     "repeats": _option(
-        "--repeats", type=int, default=1,
+        "--repeats", type=positive_int, default=1,
         help="independently seeded repeats, merged into one report",
     ),
-    "jobs": _option("--jobs", type=int, default=1,
+    "jobs": _option("--jobs", type=positive_int, default=1,
                     help="worker processes to spread the work across"),
     "retry_policy": _option(
         "--retry-policy", choices=("fixed", "exponential"), default=None,
@@ -85,7 +104,7 @@ OPTIONS = {
         "--horizon", dest="chaos_horizon", type=float, default=1000.0,
         help="simulated time the scenario keeps injecting failures for",
     ),
-    "drop": _option("--drop", dest="drop_probability", type=float,
+    "drop": _option("--drop", dest="drop_probability", type=probability,
                     default=0.0, help="message drop probability in [0, 1]"),
     "keys": _option("--keys", type=int, help="keyspace size"),
     "zipf": _option("--zipf", dest="zipf_s", type=float, default=0.0,

@@ -11,8 +11,9 @@
 6. **MOSTLY-WRITE** — two replicas per physical level.
 
 Configurations 2, 3, 5 and 6 are instances of the arbitrary protocol and
-are modelled through :mod:`repro.core.metrics`; 1 and 4 are the baseline
-protocols.  :func:`make_model` returns a uniform
+are modelled by :class:`~repro.core.protocol.ArbitraryProtocol` through
+:mod:`repro.core.metrics`; 1 and 4 are the baseline protocols.
+:func:`make_model` returns a uniform
 :class:`~repro.protocols.base.ProtocolModel` for any of the six, and
 :func:`make_tree` returns the underlying tree for the tree-shaped ones.
 
@@ -27,10 +28,8 @@ from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Iterator
 
 from repro.core import builder
-from repro.core import metrics
 from repro.core.protocol import ArbitraryProtocol
 from repro.core.tree import ArbitraryTree
 from repro.protocols.base import ProtocolModel
@@ -50,58 +49,6 @@ class Configuration(enum.Enum):
 
     def __str__(self) -> str:
         return self.value
-
-
-class ArbitraryTreeModel(ProtocolModel):
-    """Adapter exposing an arbitrary-protocol tree as a ProtocolModel.
-
-    All quantities come from the closed forms of
-    :mod:`repro.core.metrics`; quorum enumeration delegates to
-    :class:`~repro.core.protocol.ArbitraryProtocol`.
-    """
-
-    def __init__(self, tree: ArbitraryTree, name: str = "ARBITRARY") -> None:
-        super().__init__(tree.n)
-        self.name = name
-        self._tree = tree
-        self._protocol = ArbitraryProtocol(tree)
-
-    @property
-    def tree(self) -> ArbitraryTree:
-        """The underlying tree."""
-        return self._tree
-
-    def read_cost(self) -> float:
-        """One replica per physical level."""
-        return float(metrics.read_cost(self._tree))
-
-    def write_cost(self) -> float:
-        """Average over the uniform write strategy: ``n / |K_phy|``."""
-        return metrics.write_cost_avg(self._tree)
-
-    def read_availability(self, p: float) -> float:
-        """Per-level product form of Section 3.2.1."""
-        return metrics.read_availability(self._tree, p)
-
-    def write_availability(self, p: float) -> float:
-        """Complement of the all-levels-broken product of Section 3.2.2."""
-        return metrics.write_availability(self._tree, p)
-
-    def read_load(self) -> float:
-        """``1/d`` (Appendix 6.1)."""
-        return metrics.read_load(self._tree)
-
-    def write_load(self) -> float:
-        """``1/|K_phy|`` (Appendix 6.2)."""
-        return metrics.write_load(self._tree)
-
-    def read_quorums(self) -> Iterator[frozenset[int]]:
-        """Delegates to the operational protocol."""
-        return self._protocol.read_quorums()
-
-    def write_quorums(self) -> Iterator[frozenset[int]]:
-        """Delegates to the operational protocol."""
-        return iter(self._protocol.write_quorums())
 
 
 def _nearest_binary_size(n: int) -> int:
@@ -161,8 +108,7 @@ def make_model(config: Configuration, n: int) -> ProtocolModel:
         return TreeQuorumProtocol(n)
     if config is Configuration.HQC:
         return HQCProtocol(n)
-    tree = make_tree(config, n)
-    return ArbitraryTreeModel(tree, name=str(config))
+    return ArbitraryProtocol(make_tree(config, n), name=str(config))
 
 
 ALL_CONFIGURATIONS: tuple[Configuration, ...] = tuple(Configuration)

@@ -11,30 +11,37 @@ Every read quorum intersects every write quorum (the induction of
 Section 3.2.3), so the protocol is a bi-coterie.  The uniform strategies of
 Sections 3.2.1-3.2.2 pick quorums with equal probability; the failure-aware
 selectors used by the simulator pick among quorums whose members are live.
+As a :class:`~repro.protocols.base.ProtocolModel` it answers the six
+closed forms of :mod:`repro.core.metrics`, which is how the Section 4
+configurations built on a tree are compared with the baselines.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from collections.abc import Collection, Iterator
+from collections.abc import Iterator
 from itertools import product
 
+from repro.core import metrics
 from repro.core.tree import ArbitraryTree
+from repro.protocols.base import ProtocolModel
 from repro.quorums.base import BiCoterie
 from repro.quorums.liveness import Liveness, LivenessOracle, as_oracle
-from repro.quorums.system import QuorumSystem
 
 __all__ = ["ArbitraryProtocol", "LivenessOracle"]
 
 
-class ArbitraryProtocol(QuorumSystem):
+class ArbitraryProtocol(ProtocolModel):
     """The arbitrary tree-structured replica control protocol.
 
     Parameters
     ----------
     tree:
         The logical/physical tree the replicas are organised into.
+    name:
+        Printed name; :func:`repro.core.config.make_model` passes the
+        Section 4 configuration's.
 
     Notes
     -----
@@ -43,17 +50,17 @@ class ArbitraryProtocol(QuorumSystem):
     and :meth:`bicoterie` guards materialisation behind a limit.
     """
 
-    name = "Arbitrary"
-
     #: One independent uniform live choice per physical level (reads) and
     #: a uniform choice among fully-live levels (writes) are exactly the
     #: uniform distribution over the viable quorums, so the simulator may
     #: dispatch selection onto the memoised bitset index.
     uniform_selection = True
 
-    def __init__(self, tree: ArbitraryTree) -> None:
+    def __init__(self, tree: ArbitraryTree, name: str = "Arbitrary") -> None:
         if tree.n < 1:
             raise ValueError("the tree must host at least one replica")
+        super().__init__(tree.n)
+        self.name = name
         self._tree = tree
         self._level_sids: tuple[tuple[int, ...], ...] = tuple(
             tree.replica_ids_at(k) for k in tree.physical_levels
@@ -116,22 +123,6 @@ class ArbitraryProtocol(QuorumSystem):
             [1 << sid for sid in level] for level in self._level_sids
         ]
         return [sum(pick) for pick in product(*level_bits)]
-
-    def read_quorum_at(self, choices: Collection[int]) -> frozenset[int]:
-        """Build one read quorum from explicit per-level position choices.
-
-        ``choices[u]`` is the 0-based position within physical level ``u``
-        (levels in ascending depth).  Useful for deterministic tests.
-        """
-        picks = list(choices)
-        if len(picks) != len(self._level_sids):
-            raise ValueError(
-                f"need one choice per physical level "
-                f"({len(self._level_sids)}), got {len(picks)}"
-            )
-        return frozenset(
-            level[position] for level, position in zip(self._level_sids, picks)
-        )
 
     # ------------------------------------------------------------------
     # uniform strategies (Sections 3.2.1 / 3.2.2)
@@ -204,33 +195,33 @@ class ArbitraryProtocol(QuorumSystem):
         return min(candidates, key=len)
 
     # ------------------------------------------------------------------
-    # closed-form analyses (Sections 3.2.1 / 3.2.2)
+    # closed forms (Sections 3.2.1 / 3.2.2, Appendix 6); ``load`` and
+    # ``availability`` dispatch to them through ProtocolModel
     # ------------------------------------------------------------------
 
-    def load(self, op: str = "read") -> float:
-        """The closed-form load of the paper's uniform strategies.
+    def read_cost(self) -> float:
+        """One replica per physical level."""
+        return float(metrics.read_cost(self._tree))
 
-        Overrides the generic LP-based derivation — the paper gives both
-        operation loads in closed form (``max_k 1/m_phy_k`` for reads,
-        ``max_k m_phy_k / n_phy`` for writes).
-        """
-        from repro.core import metrics
+    def write_cost(self) -> float:
+        """Average over the uniform write strategy: ``n / |K_phy|``."""
+        return metrics.write_cost_avg(self._tree)
 
-        if op not in ("read", "write"):
-            raise ValueError(f"op must be 'read' or 'write', not {op!r}")
-        if op == "read":
-            return metrics.read_load(self._tree)
-        return metrics.write_load(self._tree)
+    def read_availability(self, p: float) -> float:
+        """Per-level product form of Section 3.2.1."""
+        return metrics.read_availability(self._tree, p)
 
-    def availability(self, p: float, op: str = "read") -> float:
-        """Closed-form availability product (reads) / complement (writes)."""
-        from repro.core import metrics
-
-        if op not in ("read", "write"):
-            raise ValueError(f"op must be 'read' or 'write', not {op!r}")
-        if op == "read":
-            return metrics.read_availability(self._tree, p)
+    def write_availability(self, p: float) -> float:
+        """Complement of the all-levels-broken product of Section 3.2.2."""
         return metrics.write_availability(self._tree, p)
+
+    def read_load(self) -> float:
+        """``1/d`` (Appendix 6.1)."""
+        return metrics.read_load(self._tree)
+
+    def write_load(self) -> float:
+        """``1/|K_phy|`` (Appendix 6.2)."""
+        return metrics.write_load(self._tree)
 
     # ------------------------------------------------------------------
     # bi-coterie view

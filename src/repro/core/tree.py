@@ -26,7 +26,7 @@ and :func:`repro.core.builder.from_spec` parses it.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -76,23 +76,6 @@ class TreeNode:
     def is_logical(self) -> bool:
         """True iff the node is structural only."""
         return self.kind is NodeKind.LOGICAL
-
-    @property
-    def is_leaf(self) -> bool:
-        """True iff the node has no descendants (``m(i, k) = 0``)."""
-        return not self.children
-
-    def descendant_count(self) -> int:
-        """``m(i, k)``: number of immediate descendants."""
-        return len(self.children)
-
-    def physical_descendant_count(self) -> int:
-        """``m_phy(i, k)``: number of immediate physical descendants."""
-        return sum(1 for child in self.children if child.is_physical)
-
-    def logical_descendant_count(self) -> int:
-        """``m_log(i, k)``: number of immediate logical descendants."""
-        return sum(1 for child in self.children if child.is_logical)
 
     def __repr__(self) -> str:
         tag = "phy" if self.is_physical else "log"
@@ -438,28 +421,6 @@ class ArbitraryTree:
             f"h={self.height}, |K_phy|={self.num_physical_levels})"
         )
 
-    def to_dict(self) -> dict:
-        """JSON-ready structural snapshot (counts only; wiring is canonical).
-
-        Round-trips through :meth:`from_dict`: the protocol's behaviour
-        depends only on per-level composition, which is exactly what is
-        serialised.
-        """
-        return {
-            "physical": [self.m_phy(k) for k in range(len(self._levels))],
-            "logical": [self.m_log(k) for k in range(len(self._levels))],
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ArbitraryTree":
-        """Rebuild a tree from :meth:`to_dict` output."""
-        try:
-            physical = list(payload["physical"])
-            logical = list(payload["logical"])
-        except (KeyError, TypeError) as error:
-            raise ValueError(f"malformed tree payload: {payload!r}") from error
-        return cls.from_level_counts(physical, logical)
-
     def describe(self) -> str:
         """Multi-line human-readable description of the level structure."""
         lines = [f"ArbitraryTree {self.spec()} (n={self.n}, h={self.height})"]
@@ -470,13 +431,3 @@ class ArbitraryTree:
                 f"(phy={row.physical}, log={row.logical}) [{tag}]"
             )
         return "\n".join(lines)
-
-
-def physical_level_partition(tree: ArbitraryTree) -> list[tuple[int, ...]]:
-    """SIDs grouped by physical level — the write quorums of the protocol."""
-    return [tree.replica_ids_at(k) for k in tree.physical_levels]
-
-
-def total_replicas(counts: Iterable[int]) -> int:
-    """Sum of per-level physical counts (the paper's ``n``)."""
-    return sum(counts)

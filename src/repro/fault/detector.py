@@ -161,8 +161,8 @@ class SuspectList:
         self._sweep(now)
         return frozenset(self._suspected_until)
 
-    def chronic(self, now: float, min_evidence: int = 1) -> frozenset[int]:
-        """Currently suspected sites with at least ``min_evidence`` strikes.
+    def chronic(self, now: float) -> frozenset[int]:
+        """Currently suspected sites with at least one strike on record.
 
         Reconfiguration planning consumes this: a site that is not just
         momentarily suspected but has accumulated repeat evidence is a
@@ -173,7 +173,7 @@ class SuspectList:
         return frozenset(
             sid
             for sid in self._suspected_until
-            if self._evidence.get(sid, 0) >= min_evidence
+            if self._evidence.get(sid, 0) >= 1
         )
 
     def note_avoided(self) -> None:

@@ -110,8 +110,8 @@ class RollingRestarts(FailureInjector):
     """Crash and recover sites one after another at a fixed cadence.
 
     Site ``k`` (in SID order) crashes at ``start + k * period`` and
-    recovers ``downtime`` later; after the last site the schedule wraps
-    around for ``cycles`` passes.  The deterministic fleet-redeploy
+    recovers ``downtime`` later, one pass over the fleet.  The
+    deterministic fleet-redeploy
     pattern: never more than one site down at once (if
     ``downtime <= period``), but every site takes its turn.
     """
@@ -121,16 +121,12 @@ class RollingRestarts(FailureInjector):
         period: float = 40.0,
         downtime: float = 10.0,
         start: float = 20.0,
-        cycles: int = 1,
     ) -> None:
         if period <= 0 or downtime <= 0:
             raise ValueError("period and downtime must be positive")
-        if cycles < 1:
-            raise ValueError("need at least one cycle")
         self._period = period
         self._downtime = downtime
         self._start = start
-        self._cycles = cycles
 
     def install(
         self,
@@ -141,11 +137,10 @@ class RollingRestarts(FailureInjector):
         """Schedule every crash/recover pair of the rolling schedule."""
         ordered = sorted(sites, key=lambda site: site.sid)
         at = self._start
-        for _ in range(self._cycles):
-            for site in ordered:
-                scheduler.schedule_at(at, site.crash)
-                scheduler.schedule_at(at + self._downtime, site.recover)
-                at += self._period
+        for site in ordered:
+            scheduler.schedule_at(at, site.crash)
+            scheduler.schedule_at(at + self._downtime, site.recover)
+            at += self._period
 
 
 class StragglerSites(FailureInjector):

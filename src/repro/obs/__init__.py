@@ -19,10 +19,8 @@ from repro.obs.report import (
     PhaseStat,
     flame_summary,
     phase_breakdown,
-    phase_histograms,
     render_counters,
     render_phase_breakdown,
-    render_trace,
 )
 from repro.obs.spans import STATUS_OK, Span, SpanKind
 from repro.obs.stats import Histogram, linear_percentile
@@ -41,10 +39,8 @@ __all__ = [
     "linear_percentile",
     "load_trace",
     "phase_breakdown",
-    "phase_histograms",
     "render_counters",
     "render_phase_breakdown",
-    "render_trace",
     "summaries_of",
     "trace_records",
 ]

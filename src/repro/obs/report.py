@@ -1,6 +1,6 @@
 """Render trace streams as human-readable reports.
 
-Three views over a :class:`~repro.obs.recorder.TraceRecorder`:
+Two views over a :class:`~repro.obs.recorder.TraceRecorder`:
 
 * :func:`phase_breakdown` / :func:`render_phase_breakdown` — per-phase
   latency statistics (count, mean, p50, p95, total) grouped by operation
@@ -8,8 +8,7 @@ Three views over a :class:`~repro.obs.recorder.TraceRecorder`:
   operation's time go";
 * :func:`flame_summary` — an aggregated text flame graph: spans merged by
   their name path from the root, with call counts and total simulated
-  time, so retries, deferrals and slow phases stand out at a glance;
-* :func:`render_trace` — the full span tree of a single trace.
+  time, so retries, deferrals and slow phases stand out at a glance.
 
 All views run equally on a live recorder or one re-loaded from a JSON
 Lines export (:mod:`repro.obs.export`).
@@ -22,7 +21,7 @@ from dataclasses import dataclass
 
 from repro.obs.recorder import TraceRecorder
 from repro.obs.spans import Span, SpanKind
-from repro.obs.stats import Histogram, linear_percentile
+from repro.obs.stats import linear_percentile
 
 #: Span kinds that represent time an operation actually spent somewhere.
 _TIMED_KINDS = (SpanKind.LOCK_WAIT, SpanKind.PHASE, SpanKind.DEFER)
@@ -71,24 +70,6 @@ def phase_breakdown(spans: list[Span]) -> list[PhaseStat]:
             )
         )
     return stats
-
-
-def phase_histograms(
-    spans: list[Span], start: float = 1.0, factor: float = 2.0, buckets: int = 12
-) -> dict[tuple[str, str], Histogram]:
-    """Duration histograms keyed by (operation type, phase name)."""
-    histograms: dict[tuple[str, str], Histogram] = {}
-    for span in spans:
-        if span.kind not in _TIMED_KINDS or not span.finished:
-            continue
-        key = (str(span.attributes.get("op", "?")), span.name)
-        histogram = histograms.get(key)
-        if histogram is None:
-            histogram = histograms[key] = Histogram.exponential(
-                start, factor, buckets
-            )
-        histogram.add(span.duration)
-    return histograms
 
 
 def render_phase_breakdown(stats: list[PhaseStat]) -> str:
@@ -146,35 +127,6 @@ def flame_summary(recorder: TraceRecorder, indent: str = "  ") -> str:
             f"{indent * (len(path) - 1)}{path[-1]:<{30 - len(indent) * (len(path) - 1)}}"
             f" {int(count):>7}x  total {total:>11.2f}  mean {mean:>8.3f}"
         )
-    return "\n".join(lines)
-
-
-def render_trace(spans: list[Span], indent: str = "  ") -> str:
-    """The span tree of one trace, annotated with times and statuses."""
-    children: dict[int | None, list[Span]] = {}
-    for span in spans:
-        children.setdefault(span.parent_id, []).append(span)
-    by_id = {span.span_id: span for span in spans}
-    roots = [s for s in spans if s.parent_id is None or s.parent_id not in by_id]
-
-    lines: list[str] = []
-
-    def walk(span: Span, depth: int) -> None:
-        end = f"{span.end:.2f}" if span.end is not None else "open"
-        attrs = " ".join(
-            f"{key}={value}" for key, value in sorted(span.attributes.items())
-        )
-        lines.append(
-            f"{indent * depth}{span.name} [{span.start:.2f} -> {end}] "
-            f"{span.status}" + (f" ({attrs})" if attrs else "")
-        )
-        for child in sorted(
-            children.get(span.span_id, ()), key=lambda s: (s.start, s.span_id)
-        ):
-            walk(child, depth + 1)
-
-    for root in sorted(roots, key=lambda s: (s.start, s.span_id)):
-        walk(root, 0)
     return "\n".join(lines)
 
 

@@ -19,7 +19,6 @@ import math
 from collections.abc import Callable, Sequence
 
 from repro.core.builder import recommended_tree
-from repro.core.protocol import ArbitraryProtocol
 from repro.protocols.agrawal_tree import AgrawalTreeProtocol
 from repro.protocols.fpp import FiniteProjectivePlaneProtocol, fpp_sizes
 from repro.protocols.grid import GridProtocol
@@ -41,6 +40,14 @@ PROTOCOL_NAMES: tuple[str, ...] = (
 )
 
 
+def _arbitrary(n: int) -> QuorumSystem:
+    # Imported on use: repro.core.protocol imports this package (its
+    # ArbitraryProtocol is a ProtocolModel).
+    from repro.core.protocol import ArbitraryProtocol
+
+    return ArbitraryProtocol(recommended_tree(n))
+
+
 def _nearest(sizes: Sequence[int], n: int) -> int:
     return min(sizes, key=lambda candidate: abs(candidate - n))
 
@@ -53,7 +60,7 @@ def _ae_tree_at(n: int) -> AgrawalTreeProtocol:
 
 
 _BUILDERS: dict[str, Callable[[int], QuorumSystem]] = {
-    "arbitrary": lambda n: ArbitraryProtocol(recommended_tree(n)),
+    "arbitrary": _arbitrary,
     "rowa": RowaProtocol,
     "majority": lambda n: MajorityProtocol(n if n % 2 == 1 else n + 1),
     "grid": lambda n: GridProtocol(max(2, math.isqrt(n)) ** 2),

@@ -36,12 +36,6 @@ from repro.quorums.base import (
     SetSystem,
     is_antichain,
     is_intersecting,
-    minimise,
-)
-from repro.quorums.domination import (
-    dominates,
-    dominating_coterie,
-    is_non_dominated,
 )
 from repro.quorums.liveness import LivenessOracle, as_oracle
 from repro.quorums.load import (
@@ -62,15 +56,11 @@ __all__ = [
     "SetSystem",
     "Strategy",
     "as_oracle",
-    "dominates",
-    "dominating_coterie",
     "estimate_availability_monte_carlo",
     "exact_availability",
     "induced_loads",
     "is_antichain",
     "is_intersecting",
-    "is_non_dominated",
-    "minimise",
     "operation_availability",
     "optimal_load",
     "optimal_operation_load",

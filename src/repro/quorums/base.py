@@ -21,8 +21,6 @@ from __future__ import annotations
 from collections.abc import Collection, Hashable, Iterable, Iterator
 from typing import TypeVar
 
-import numpy as np
-
 from repro.quorums.bitset import try_pack, try_pack_pair
 
 Element = TypeVar("Element", bound=Hashable)
@@ -62,15 +60,6 @@ def is_intersecting(sets: Iterable[Collection[Element]]) -> bool:
     return _is_intersecting_sets(frozen)
 
 
-def _is_antichain_sets(frozen: tuple[frozenset[Element], ...]) -> bool:
-    """Pure-Python antichain check (kernel reference path)."""
-    for i, a in enumerate(frozen):
-        for j, b in enumerate(frozen):
-            if i != j and a <= b:
-                return False
-    return True
-
-
 def is_antichain(sets: Iterable[Collection[Element]]) -> bool:
     """Return True iff no set in the collection is a subset of another.
 
@@ -78,10 +67,11 @@ def is_antichain(sets: Iterable[Collection[Element]]) -> bool:
     Duplicate sets violate the property (each is a subset of the other).
     """
     frozen = _freeze(sets)
-    packed = try_pack(frozen)
-    if packed is not None:
-        return bool((packed.superset_counts() == 1).all())
-    return _is_antichain_sets(frozen)
+    for i, a in enumerate(frozen):
+        for j, b in enumerate(frozen):
+            if i != j and a <= b:
+                return False
+    return True
 
 
 def _is_cross_intersecting_sets(
@@ -116,40 +106,6 @@ def is_cross_intersecting(
         packed_reads, packed_writes = packed
         return packed_reads.cross_intersects(packed_writes)
     return _is_cross_intersecting_sets(frozen_reads, frozen_writes)
-
-
-def minimise(sets: Iterable[Collection[Element]]) -> tuple[frozenset[Element], ...]:
-    """Drop every set that is a (non-strict) superset of another set.
-
-    Applying :func:`minimise` to the quorums of a quorum system yields a
-    coterie that *dominates* the original system: it has the same (or better)
-    load and availability.  Ties between duplicate sets keep one copy.
-    Integer universes run the dominated-by check on the bitset kernel; the
-    candidate order (and therefore the result) is identical to the
-    pure-Python path.
-    """
-    frozen = sorted(set(_freeze(sets)), key=len)
-    packed = try_pack(frozen)
-    if packed is not None and len(frozen) > 2:
-        rows = packed.matrix
-        kept_rows: list[int] = []
-        kept: list[frozenset[Element]] = []
-        for row, candidate in enumerate(frozen):
-            if kept_rows:
-                kept_matrix = rows[kept_rows]
-                dominated = (
-                    (kept_matrix & rows[row]) == kept_matrix
-                ).all(axis=1)
-                if bool(np.any(dominated)):
-                    continue
-            kept_rows.append(row)
-            kept.append(candidate)
-        return tuple(kept)
-    kept = []
-    for candidate in frozen:
-        if not any(existing <= candidate for existing in kept):
-            kept.append(candidate)
-    return tuple(kept)
 
 
 class SetSystem:
@@ -252,11 +208,6 @@ class Coterie(QuorumSystem):
         super()._validate()
         if not is_antichain(self._quorums):
             raise ValueError("coterie violates the minimality property")
-
-    @classmethod
-    def from_quorum_system(cls, system: QuorumSystem) -> "Coterie":
-        """Build the dominating coterie of a quorum system by minimisation."""
-        return cls(minimise(system.quorums), universe=system.universe)
 
 
 class BiCoterie:

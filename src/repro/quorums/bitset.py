@@ -40,6 +40,9 @@ WORD_BITS = 64
 #: Soft cap on scratch memory (bytes) for batched broadcasts.
 _BATCH_BYTES = 1 << 24
 
+#: Most quorums :meth:`PackedQuorums.covered` tests between early-exit checks.
+_CHECK_EVERY = 64
+
 
 _POPCOUNT_TABLE = np.array(
     [bin(i).count("1") for i in range(256)], dtype=np.uint8
@@ -213,10 +216,6 @@ class PackedQuorums:
         """Boolean vector: row ``j`` is True iff quorum ``j`` ⊆ live set."""
         return ((self.matrix & live_words) == self.matrix).all(axis=1)
 
-    def popcounts(self) -> np.ndarray:
-        """Per-quorum cardinalities (vectorised popcount)."""
-        return _popcount(self.matrix).sum(axis=1, dtype=np.int64)
-
     def bit_matrix(self) -> np.ndarray:
         """The ``(m, n)`` 0/1 uint8 matrix of quorum membership."""
         as_bytes = np.ascontiguousarray(self.matrix).view(np.uint8)
@@ -227,16 +226,13 @@ class PackedQuorums:
         """The ``(n, m)`` element × quorum membership matrix (LP input)."""
         return self.bit_matrix().T.astype(dtype)
 
-    def covered(
-        self,
-        live_matrix: np.ndarray,
-        check_every: int = 64,
-    ) -> np.ndarray:
+    def covered(self, live_matrix: np.ndarray) -> np.ndarray:
         """Which live-set rows contain at least one quorum.
 
         ``live_matrix`` is ``(rows, words)`` uint64 (see
-        :func:`pack_bool_matrix`).  Quorums are tested in batches sized to
-        bound scratch memory; after each batch a single ``hit.all()`` check
+        :func:`pack_bool_matrix`).  Quorums are tested in batches of at
+        most ``_CHECK_EVERY``, sized to bound scratch memory; after each
+        batch a single ``hit.all()`` check
         allows early exit, so the periodic-scan cost is O(rows · m / batch)
         instead of the reference's O(rows · m).
         """
@@ -254,7 +250,7 @@ class PackedQuorums:
             )
             unique_hit = np.zeros(unique.shape, dtype=bool)
             per_mask = max(1, unique.shape[0] * 8)
-            batch = max(1, min(check_every, _BATCH_BYTES // per_mask))
+            batch = max(1, min(_CHECK_EVERY, _BATCH_BYTES // per_mask))
             masks = self.matrix[:, 0]
             for start in range(0, len(self), batch):
                 block = masks[start : start + batch]
@@ -265,7 +261,7 @@ class PackedQuorums:
                     break
             return unique_hit[inverse]
         per_row = max(1, rows * self.words * 8)
-        batch = max(1, min(check_every, _BATCH_BYTES // per_row))
+        batch = max(1, min(_CHECK_EVERY, _BATCH_BYTES // per_row))
         for start in range(0, len(self), batch):
             block = self.matrix[start : start + batch]
             sub = (live_matrix[:, None, :] & block[None, :, :]) == block
@@ -295,19 +291,6 @@ class PackedQuorums:
             if not meets.all():
                 return False
         return True
-
-    def superset_counts(self) -> np.ndarray:
-        """For each row, how many rows (itself included) contain it.
-
-        A collection is an antichain iff every count is exactly one.
-        """
-        counts = np.empty(len(self), dtype=np.int64)
-        for row in range(len(self)):
-            mask = self.matrix[row]
-            counts[row] = int(
-                ((self.matrix & mask) == mask).all(axis=1).sum()
-            )
-        return counts
 
     def __repr__(self) -> str:
         return (

@@ -4,7 +4,7 @@ The *system load* ``L(S)`` of Definition 2.5 is the minimum over all
 strategies of the maximum per-element induced load.  It is the value of the
 linear program
 
-    minimise    L
+    min         L
     subject to  sum_{j : i in S_j} w_j <= L      for every element i,
                 sum_j w_j = 1,
                 w_j >= 0,
@@ -135,7 +135,7 @@ def optimal_load(
     membership, elements = _membership_matrix(system, packed=packed)
     n_elements, n_quorums = membership.shape
 
-    # Primal: variables (w_1..w_m, L); minimise L.
+    # Primal: variables (w_1..w_m, L); objective: min L.
     cost = np.zeros(n_quorums + 1)
     cost[-1] = 1.0
     # membership @ w - L <= 0 for every element.
@@ -159,7 +159,7 @@ def optimal_load(
 
     # Dual witness (Proposition 2.1): maximise t subject to
     # y(S) >= t for every quorum S, sum(y) = 1, y >= 0.
-    # Variables (y_1..y_n, t); minimise -t.
+    # Variables (y_1..y_n, t); objective: min -t.
     dual_cost = np.zeros(n_elements + 1)
     dual_cost[-1] = -1.0
     # t - y(S) <= 0 for every quorum.

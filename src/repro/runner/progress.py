@@ -9,15 +9,14 @@ actual CLI output).
 from __future__ import annotations
 
 import sys
-from typing import TextIO
 
 
 class ProgressPrinter:
-    """Render ``k/total`` completion ticks in place on a terminal stream."""
+    """Render ``k/total`` completion ticks in place on stderr."""
 
-    def __init__(self, label: str, stream: TextIO | None = None) -> None:
+    def __init__(self, label: str) -> None:
         self._label = label
-        self._stream = stream if stream is not None else sys.stderr
+        self._stream = sys.stderr
         self._finished = False
 
     def __call__(self, done: int, total: int) -> None:

@@ -22,8 +22,8 @@ captured here:
   in-process implementation used by the seam conformance tests.
 
 Protocol code must not reach past this surface — in particular it must
-not touch ``network.scheduler`` (a simulator-only attribute) nor assume
-zero-latency self-delivery.  Everything above the seam runs unchanged on
+not hold a simulator ``Scheduler`` of its own nor assume zero-latency
+self-delivery.  Everything above the seam runs unchanged on
 either backend; that is the repo's "same protocol logic, two backends"
 contract.
 """

@@ -163,7 +163,6 @@ async def serve_site(
     host: str = "127.0.0.1",
     port: int = 0,
     service_time: float = 0.0,
-    announce: bool = True,
 ) -> None:
     """Run one site process until cancelled (``repro serve``).
 
@@ -172,8 +171,7 @@ async def serve_site(
     """
     server = SiteServer(sid, host=host, port=port, service_time=service_time)
     await server.start()
-    if announce:
-        print(f"REPRO-SITE sid={sid} port={server.port}", flush=True)
+    print(f"REPRO-SITE sid={sid} port={server.port}", flush=True)
     try:
         await asyncio.Event().wait()  # serve until cancelled/killed
     finally:

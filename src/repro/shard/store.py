@@ -52,8 +52,8 @@ _NOT_PER_GROUP = {
     "failures": "ShardedConfig.p",
     "trace": "an unsharded SimulationConfig",
     "check_invariants": "an unsharded SimulationConfig",
-    "reshape_at": "ShardedStore.reconfigure_shard",
-    "reshape_spec": "ShardedStore.reconfigure_shard",
+    "reshape_at": "an unsharded SimulationConfig",
+    "reshape_spec": "an unsharded SimulationConfig",
 }
 
 
@@ -196,42 +196,6 @@ class ShardedStore:
             record(outcome)
 
         return coordinator, sink
-
-    def shard_keys(self, shard: int, keyspace: int) -> list[str]:
-        """Key names of a ``keyspace``-key workload that route to ``shard``.
-
-        The workload names key index ``i`` as ``f"k{i}"``; a shard's
-        migration key list is exactly the indices the router sends to it.
-        """
-        return [
-            f"k{index}" for index in range(keyspace)
-            if self.router.shard_of(index) == shard
-        ]
-
-    def reconfigure_shard(
-        self,
-        shard: int,
-        new_tree,
-        keys: list[str],
-        on_done,
-        invariants=None,
-    ):
-        """Launch a tree change on one shard's replica group.
-
-        Reconfiguration is naturally shard-local: only the chosen shard's
-        coordinator pool transitions (online dual-quorum epochs) while
-        every other shard keeps serving untouched.  ``keys`` is the
-        shard's own key list (see :meth:`shard_keys`).  Returns the
-        :class:`~repro.sim.reconfigure.TreeReconfigurer` driving it.
-        """
-        from repro.sim.reconfigure import TreeReconfigurer
-
-        group = self.groups[shard]
-        reconfigurer = TreeReconfigurer(
-            group.coordinators[0], invariants=invariants
-        )
-        reconfigurer.reconfigure_online(new_tree, keys, on_done)
-        return reconfigurer
 
     def network_stats(self) -> NetworkStats:
         """Message counters summed across every shard's network."""

@@ -53,7 +53,6 @@ _EXPORTS = {
     "SimulationConfig": "engine",
     "SimulationResult": "engine",
     "Site": "site",
-    "SiteState": "site",
     "Timestamp": "replica",
     "TreeReconfigurer": "reconfigure",
     "VersionedStore": "replica",

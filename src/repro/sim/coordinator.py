@@ -106,7 +106,7 @@ class _OpContext:
         "op_type", "key", "on_done", "lock_token", "started_at", "value",
         "stage", "attempts", "request_id", "txid", "quorum",
         "version_quorum", "replies", "versions", "votes", "acks",
-        "write_timestamp", "timeout_handle", "finished", "lock_granted",
+        "write_timestamp", "timeout_handle", "finished",
         "copy_read", "speculative", "version_members", "trace_id", "op_span",
         "lock_span", "attempt_span", "phase_span",
     )
@@ -147,7 +147,6 @@ class _OpContext:
         self.write_timestamp: Timestamp | None = None
         self.timeout_handle: "CancelHandle | None" = None
         self.finished = finished
-        self.lock_granted = False
         # Reconfiguration copy: run a read phase under the exclusive lock
         # and re-write the dominant value, as ONE atomic operation.
         self.copy_read = copy_read
@@ -250,7 +249,7 @@ class QuorumCoordinator:
         #: This is the seam that lets the same coordinator run on the
         #: simulator (virtual time) and the asyncio runtime (wall time):
         #: everything time-related below goes through this Clock, never
-        #: through simulator-only attributes like ``network.scheduler``.
+        #: through a simulator ``Scheduler`` reference.
         self._clock = network.clock
         self._locks = locks
         self._detector = detector
@@ -526,17 +525,11 @@ class QuorumCoordinator:
             ctx.lock_token, ctx.key, mode, partial(self._lock_decided, ctx)
         )
 
-    def _lock_decided(self, ctx: _OpContext, granted: bool) -> None:
-        ctx.lock_granted = granted
+    def _lock_decided(self, ctx: _OpContext, _granted: bool) -> None:
+        """The lock is held (a request is never denied)."""
         if ctx.lock_span:
-            self._recorder.end_span(
-                ctx.lock_span, self._clock.now,
-                status=STATUS_OK if granted else FailureReason.LOCK_TIMEOUT.value,
-            )
+            self._recorder.end_span(ctx.lock_span, self._clock.now)
             ctx.lock_span = 0
-        if not granted:
-            self._finish(ctx, success=False, reason=FailureReason.LOCK_TIMEOUT)
-            return
         if ctx.op_type == "read" and self._leases is not None:
             # Re-check the lease now that the shared lock is held: a
             # writer queued ahead of this reader committed and re-granted
@@ -762,11 +755,8 @@ class QuorumCoordinator:
             ctx.timeout_handle = None
         self._by_request.pop(ctx.request_id, None)
         self._by_txid.pop(ctx.txid, None)
-        # Only release a lock that was actually granted: on the
-        # LOCK_TIMEOUT path the request was denied while still queued, so
-        # there is nothing to release.
-        if ctx.lock_granted:
-            self._locks.release(ctx.lock_token, ctx.key)
+        # Every path here runs under the operation's granted lock.
+        self._locks.release(ctx.lock_token, ctx.key)
         if self._trace_enabled:
             recorder = self._recorder
             status = STATUS_OK if success else reason.value

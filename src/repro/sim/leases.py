@@ -19,7 +19,7 @@ coordinator:
    any other reader, so a leased serve can never return a value older
    than the latest committed write.
 2. **Liveness epochs** — every entry is stamped with
-   :attr:`~repro.sim.network.Network.liveness_epoch` at grant time and
+   :meth:`~repro.sim.network.Network.current_liveness_epoch` at grant time and
    dropped when the epoch has moved (site crash/recovery, partition
    install/heal).  Within one coordinator group rule 1 alone is
    sufficient (the shared lock manager serialises writers regardless of

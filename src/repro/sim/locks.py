@@ -9,8 +9,10 @@ Grants are asynchronous: a request that cannot be satisfied immediately is
 queued and its callback fires (through the scheduler, to keep event ordering
 deterministic) once the conflicting locks are released.  Because every
 transaction in this library touches a single key, FIFO queueing is
-deadlock-free; a lock-wait timeout is still available as a safety net for
-experiments that inject coordinator failures.
+deadlock-free, so a request waits without a timeout; and every lock
+holder is a coordinator in this process, so a holder cannot die while its
+locks live on.  Each operation acquires once, under a fresh ``txid``: a
+transaction never re-enters or upgrades a lock it holds.
 """
 
 from __future__ import annotations
@@ -40,18 +42,14 @@ class _LockRequest:
     mode: LockMode
     callback: Callable[[bool], None]
     enqueued_at: float = 0.0
-    #: The key the request waits on — carried here so the wait-timeout
-    #: event can be scheduled as ``(self._expire, request)`` instead of a
-    #: per-request closure over ``(key, request)``.
-    key: Any = None
 
 
 @dataclass(slots=True)
 class _KeyLockState:
     holders: dict[int, LockMode] = field(default_factory=dict)
     queue: deque[_LockRequest] = field(default_factory=deque)
-    #: Count of exclusive holders (0 or 1), maintained on every grant,
-    #: upgrade and release so compatibility is two comparisons instead
+    #: Count of exclusive holders (0 or 1), maintained on every grant
+    #: and release so compatibility is two comparisons instead
     #: of a scan over ``holders`` per acquire.
     exclusive: int = 0
 
@@ -69,10 +67,9 @@ class LockStats:
 
     granted_immediately: int = 0
     granted_after_wait: int = 0
-    timeouts: int = 0
     releases: int = 0
     #: Releases for a transaction that held nothing — a protocol bug
-    #: (e.g. releasing after a lock-wait timeout) made visible.
+    #: made visible.
     spurious_releases: int = 0
 
     @property
@@ -88,27 +85,22 @@ class LockManager:
     ----------
     scheduler:
         Any transport-seam :class:`~repro.runtime.interfaces.Clock` used
-        to fire grant callbacks and wait timeouts — the simulator's event
-        scheduler or the asyncio runtime's wall clock.  Grants are always
-        delivered asynchronously (``call_later(0.0, ...)``) so lock
-        acquisition never recurses into the caller on either backend.
-    wait_timeout:
-        Optional cap on queue time; a request still queued after this long
-        is denied (callback fires with ``False``).
+        to fire grant callbacks — the simulator's event scheduler or the
+        asyncio runtime's wall clock.  Grants are always delivered
+        asynchronously (``call_later(0.0, ...)``) so lock acquisition
+        never recurses into the caller on either backend.
     recorder:
-        Trace recorder receiving ``lock.wait`` / ``lock.hold`` /
-        ``lock.denied_wait`` scalar observations (simulated time units);
-        the default no-op recorder skips all of it.
+        Trace recorder receiving ``lock.wait`` / ``lock.hold`` scalar
+        observations (simulated time units); the default no-op recorder
+        skips all of it.
     """
 
     def __init__(
         self,
         scheduler: "Clock",
-        wait_timeout: float | None = None,
         recorder: NullRecorder = NULL_RECORDER,
     ) -> None:
         self._scheduler = scheduler
-        self._wait_timeout = wait_timeout
         self._recorder = recorder
         self._keys: dict[Any, _KeyLockState] = {}
         #: When each (key, txid) grant happened; only fed when tracing.
@@ -130,12 +122,14 @@ class LockManager:
         mode: LockMode,
         callback: Callable[[bool], None],
     ) -> None:
-        """Request a lock; ``callback(granted)`` fires when decided.
+        """Request a lock; ``callback(True)`` fires when it is granted.
 
-        Immediate grants still go through the scheduler (zero delay) so the
-        caller's control flow is identical in both cases.  Re-acquiring a
-        held lock in the same mode is idempotent; upgrading shared to
-        exclusive is supported when the transaction is the sole holder.
+        A request is never denied (there is no wait timeout), so the
+        callback's one argument is always ``True``; it stays for callers
+        written against the ``callback(granted)`` signature.  Immediate
+        grants still go through the scheduler (zero delay) so the caller's
+        control flow is identical in both cases.  ``txid`` must not
+        already hold the key.
         """
         # Not setdefault: that would construct (and usually discard) a
         # fresh _KeyLockState — two default_factory calls — on every
@@ -143,25 +137,7 @@ class LockManager:
         state = self._keys.get(key)
         if state is None:
             state = self._keys[key] = _KeyLockState()
-        held = state.holders.get(txid)
-        if held is not None:
-            upgradable = (
-                held is LockMode.SHARED
-                and mode is LockMode.EXCLUSIVE
-                and len(state.holders) == 1
-            )
-            if held is mode or mode is LockMode.SHARED or upgradable:
-                if mode is LockMode.EXCLUSIVE and held is LockMode.SHARED:
-                    state.exclusive += 1
-                state.holders[txid] = (
-                    LockMode.EXCLUSIVE if mode is LockMode.EXCLUSIVE else held
-                )
-                self.stats.granted_immediately += 1
-                self._scheduler.call_later(0.0, callback, True)
-                return
-            # Upgrade with other holders present: wait in the queue.
-
-        if held is None and not state.queue and state.compatible(mode):
+        if not state.queue and state.compatible(mode):
             if mode is LockMode.EXCLUSIVE:
                 state.exclusive += 1
             state.holders[txid] = mode
@@ -173,26 +149,9 @@ class LockManager:
 
         request = _LockRequest(
             txid=txid, mode=mode, callback=callback,
-            enqueued_at=self._scheduler.now, key=key,
+            enqueued_at=self._scheduler.now,
         )
         state.queue.append(request)
-        if self._wait_timeout is not None:
-            self._scheduler.call_later(
-                self._wait_timeout, self._expire, request
-            )
-
-    def _expire(self, request: _LockRequest) -> None:
-        key = request.key
-        state = self._keys.get(key)
-        if state is None or request not in state.queue:
-            return
-        state.queue.remove(request)
-        self.stats.timeouts += 1
-        if self._recorder.enabled:
-            self._recorder.observe(
-                "lock.denied_wait", self._scheduler.now - request.enqueued_at
-            )
-        request.callback(False)
 
     # ------------------------------------------------------------------
     # release
@@ -202,8 +161,8 @@ class LockManager:
         """Release one lock and grant as many queued requests as possible.
 
         Releasing a lock the transaction does not hold is counted in
-        ``stats.spurious_releases`` — it is always a caller bug (e.g.
-        releasing after a denied lock wait) and used to pass silently.
+        ``stats.spurious_releases`` — it is always a caller bug and used
+        to pass silently.
         """
         state = self._keys.get(key)
         if state is None:

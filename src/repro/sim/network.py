@@ -97,9 +97,8 @@ class RegionLatencyMatrix:
     cross-region hops pay the WAN.  ``matrix[a][b]`` is the base latency
     from region ``a`` to region ``b``; ``regions`` maps SIDs to region
     indices (SIDs absent from the map — e.g. the negative coordinator
-    SIDs — live in ``default_region``).  ``jitter`` adds a multiplicative
-    uniform spread of up to ``jitter`` on top of the base (0 keeps the
-    matrix deterministic and draws nothing from the RNG).
+    SIDs — live in ``default_region``).  A cost is deterministic: the
+    matrix draws nothing from the RNG.
 
     Instances are *per-pair* latency models: the network calls them with
     ``(rng, src, dst)`` instead of the scalar models' ``(rng)`` — the
@@ -109,7 +108,6 @@ class RegionLatencyMatrix:
     matrix: tuple[tuple[float, ...], ...]
     regions: tuple[tuple[int, int], ...] = ()
     default_region: int = 0
-    jitter: float = 0.0
 
     #: Dispatch flag: Network passes (rng, src, dst) when this is true.
     per_pair = True
@@ -129,8 +127,6 @@ class RegionLatencyMatrix:
         for _sid, region in self.regions:
             if not 0 <= region < size:
                 raise ValueError(f"region {region} out of range")
-        if not 0.0 <= self.jitter:
-            raise ValueError("jitter must be non-negative")
         # Frozen dataclass: stash the lookup dict via object.__setattr__
         # so per-message region lookups are O(1), not a linear scan.
         object.__setattr__(self, "_region_of", dict(self.regions))
@@ -142,7 +138,6 @@ class RegionLatencyMatrix:
         local: float = 1.0,
         remote: float = 10.0,
         assignment: Iterable[tuple[int, int]] = (),
-        jitter: float = 0.0,
     ) -> "RegionLatencyMatrix":
         """The common shape: one intra-region and one cross-region cost."""
         if regions < 1:
@@ -151,9 +146,7 @@ class RegionLatencyMatrix:
             tuple(local if a == b else remote for b in range(regions))
             for a in range(regions)
         )
-        return cls(
-            matrix=matrix, regions=tuple(assignment), jitter=jitter
-        )
+        return cls(matrix=matrix, regions=tuple(assignment))
 
     @classmethod
     def round_robin(
@@ -162,15 +155,13 @@ class RegionLatencyMatrix:
         regions: int,
         local: float = 1.0,
         remote: float = 10.0,
-        jitter: float = 0.0,
     ) -> "RegionLatencyMatrix":
         """Assign ``sids`` to ``regions`` round-robin over a uniform matrix."""
         assignment = tuple(
             (sid, index % regions) for index, sid in enumerate(sids)
         )
         return cls.uniform(
-            regions, local=local, remote=remote,
-            assignment=assignment, jitter=jitter,
+            regions, local=local, remote=remote, assignment=assignment
         )
 
     def region_of(self, sid: int) -> int:
@@ -178,10 +169,7 @@ class RegionLatencyMatrix:
         return self._region_of.get(sid, self.default_region)
 
     def __call__(self, rng: random.Random, src: int, dst: int) -> float:
-        base = self.matrix[self.region_of(src)][self.region_of(dst)]
-        if self.jitter:
-            return base * (1.0 + self.jitter * rng.random())
-        return base
+        return self.matrix[self.region_of(src)][self.region_of(dst)]
 
 
 def fixed_latency(value: float) -> LatencyModel:
@@ -285,19 +273,13 @@ class Network:
         ]
 
     @property
-    def scheduler(self) -> Scheduler:
-        """The simulation's event scheduler."""
-        return self._scheduler
-
-    @property
     def clock(self) -> Scheduler:
         """The transport-seam clock (see :mod:`repro.runtime.interfaces`).
 
         For the simulator backend this *is* the event scheduler — virtual
-        time and the delivery engine share one heap.  Protocol code must
-        use this property (never :attr:`scheduler`, which is simulator
-        detail) so it runs unchanged on transports whose clock is the
-        asyncio event loop.
+        time and the delivery engine share one heap.  It is the network's
+        one time surface, so protocol code runs unchanged on transports
+        whose clock is the asyncio event loop.
         """
         return self._scheduler
 
@@ -305,24 +287,15 @@ class Network:
     # liveness epochs
     # ------------------------------------------------------------------
 
-    @property
-    def liveness_epoch(self) -> int:
+    def current_liveness_epoch(self) -> int:
         """Counter bumped whenever any endpoint's reachability can change.
 
         Site crash/recovery and partition install/heal all advance it, so a
         consumer that caches a derived view of the live set (the
-        coordinator's packed live mask) can validate the cache with one
-        integer comparison instead of re-probing every replica.
-        """
-        return self._liveness_epoch
-
-    def current_liveness_epoch(self) -> int:
-        """Bound-method accessor for :attr:`liveness_epoch`.
-
-        Consumers that poll the epoch per operation (the coordinator's
-        live-set cache, the lease cache) hold this method instead of a
-        ``lambda: network.liveness_epoch`` — one dispatch instead of a
-        lambda frame plus a property descriptor on a very hot probe.
+        coordinator's packed live mask, the lease cache) can validate the
+        cache with one integer comparison instead of re-probing every
+        replica.  Consumers poll it per operation through this bound
+        method.
         """
         return self._liveness_epoch
 

@@ -20,7 +20,6 @@ class FailureReason(enum.Enum):
     NONE = "none"
     UNAVAILABLE = "no-quorum-available"
     TIMEOUT = "quorum-timeout"
-    LOCK_TIMEOUT = "lock-timeout"
     VOTE_REFUSED = "participant-refused"
 
 

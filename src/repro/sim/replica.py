@@ -15,7 +15,7 @@ from typing import Any
 class Timestamp:
     """A (version, SID) timestamp with the paper's dominance order.
 
-    ``a.dominates(b)`` iff ``a`` has a strictly higher version, or an equal
+    ``a.supersedes(b)`` iff ``a`` has a strictly higher version, or an equal
     version and a strictly *lower* SID — the value a reader must prefer.
     The zero timestamp ``Timestamp(0, -1)`` predates every write.
 
@@ -47,7 +47,7 @@ class Timestamp:
     def __reduce__(self) -> tuple:
         return Timestamp, (self.version, self.sid)
 
-    def dominates(self, other: "Timestamp") -> bool:
+    def supersedes(self, other: "Timestamp") -> bool:
         """True iff this timestamp should be preferred over ``other``."""
         if self.version != other.version:
             return self.version > other.version
@@ -116,7 +116,7 @@ class VersionedStore:
 
     Storage survives crashes (the paper's failures are transient; sites
     recover with their stable storage intact).  Writes are *monotone*: a
-    value is only installed when its timestamp dominates the stored one, so
+    value is only installed when its timestamp supersedes the stored one, so
     replayed or reordered 2PC commits cannot roll a replica backwards.
     """
 
@@ -134,13 +134,13 @@ class VersionedStore:
         return self.read(key).timestamp
 
     def apply_write(self, key: Any, value: Any, timestamp: Timestamp) -> bool:
-        """Install ``value`` iff ``timestamp`` dominates the stored one.
+        """Install ``value`` iff ``timestamp`` supersedes the stored one.
 
         Returns True when the write was applied, False when it was stale
         and ignored.
         """
         current = self.read(key).timestamp
-        if not timestamp.dominates(current):
+        if not timestamp.supersedes(current):
             self._ignored_writes += 1
             return False
         self._data[key] = StoredValue(value, timestamp)

@@ -14,7 +14,6 @@ lock manager is bypassed.
 
 from __future__ import annotations
 
-import enum
 from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
@@ -39,13 +38,6 @@ if TYPE_CHECKING:
     # seam, and a ``repro serve`` process must not load the simulated
     # network (and through it ``repro.obs``) to annotate it.
     from repro.sim.network import Network
-
-
-class SiteState(enum.Enum):
-    """Fail-stop site lifecycle."""
-
-    UP = "up"
-    DOWN = "down"
 
 
 @dataclass
@@ -100,10 +92,8 @@ class Site:
             raise ValueError("service time cannot be negative")
         self.sid = sid
         self._network = network
-        self._state = SiteState.UP
-        #: Liveness as a plain attribute (mirrors ``_state``): the network
-        #: checks it on every delivery and the service loop on every
-        #: message, where a property + enum comparison is measurable.
+        #: Fail-stop liveness, a plain attribute: the network checks it on
+        #: every delivery and the service loop on every message.
         self.up = True
         self._clock = network.clock
         self._service_time = service_time
@@ -127,19 +117,13 @@ class Site:
     # lifecycle
     # ------------------------------------------------------------------
 
-    @property
-    def state(self) -> SiteState:
-        """The current lifecycle state."""
-        return self._state
-
     def crash(self) -> None:
         """Fail-stop: stop processing (storage and prepare log persist).
 
         Queued but unprocessed messages are lost — they lived in volatile
         memory.
         """
-        if self._state is SiteState.UP:
-            self._state = SiteState.DOWN
+        if self.up:
             self.up = False
             self.stats.crashes += 1
             self._queue.clear()
@@ -154,9 +138,8 @@ class Site:
         (the coordinator answers commit or, presuming abort, abort), so a
         crash between vote and decision cannot block the key forever.
         """
-        if self._state is not SiteState.DOWN:
+        if self.up:
             return
-        self._state = SiteState.UP
         self.up = True
         self.stats.recoveries += 1
         self._network.bump_liveness_epoch()
@@ -329,7 +312,7 @@ class Site:
         )
 
     def __repr__(self) -> str:
-        return f"Site(sid={self.sid}, state={self._state.value})"
+        return f"Site(sid={self.sid}, state={'up' if self.up else 'down'})"
 
 
 #: Exact-type message dispatch for :meth:`Site._handle` — one dict probe

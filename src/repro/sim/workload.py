@@ -150,7 +150,6 @@ class Workload:
         scheduler: Scheduler,
         rng: random.Random,
         on_outcome: Callable[[OperationOutcome], None],
-        on_complete: Callable[[], None] | None = None,
         dispatcher: Dispatcher | None = None,
     ) -> None:
         self._spec = spec
@@ -163,7 +162,7 @@ class Workload:
         self._scheduler = scheduler
         self._rng = rng
         self._on_outcome = on_outcome
-        self._on_complete = on_complete
+        self._on_complete: Callable[[], None] | None = None
         self._dispatcher = dispatcher
         self._issued = 0
         self._completed = 0
@@ -300,20 +299,9 @@ class Workload:
             coordinator.write(key, value, done)
 
     def add_on_complete(self, callback: Callable[[], None]) -> None:
-        """Chain a completion hook (fires once, after any existing hook).
-
-        The engine uses this to stop the scheduler's drain loop the
-        instant the last outcome reports; chaining keeps any hook the
-        workload was constructed with intact.
-        """
-        prev = self._on_complete
-        if prev is None:
-            self._on_complete = callback
-        else:
-            def chained() -> None:
-                prev()
-                callback()
-            self._on_complete = chained
+        """Set the one completion hook: it fires once, when the last
+        outcome reports (the engine stops the scheduler's drain loop)."""
+        self._on_complete = callback
 
     def _op_done(self, outcome: OperationOutcome) -> None:
         self._completed += 1

@@ -71,3 +71,66 @@ class TestCommands:
             "simulate", "1-3-5", "--operations", "300", "--p", "0.8",
         ]) == 0
         assert "availability" in capsys.readouterr().out
+
+
+def _commands_taking(flag: str) -> list[str]:
+    """Every command whose parser declares ``flag``."""
+    import argparse
+
+    parser = build_parser()
+    (sub,) = [
+        action for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    return [
+        name for name, command in sub.choices.items()
+        if flag in command._option_string_actions
+    ]
+
+
+_OUT_OF_RANGE = [
+    (flag, value)
+    for flag, values in (
+        ("--p", ("1.5", "-0.1", "nan")),
+        ("--drop", ("2",)),
+        ("--read-fraction", ("2",)),
+        ("--repeats", ("0", "-3")),
+        ("--jobs", ("0",)),
+    )
+    for value in values
+]
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    (command, flag, value)
+    for flag, value in _OUT_OF_RANGE
+    for command in _commands_taking(flag)
+])
+def test_an_out_of_range_option_is_refused(command, flag, value, capsys):
+    """A probability outside [0, 1] or a count below 1 exits 2 naming the
+    option: it must not run a different experiment (``--p 1.5`` as
+    failure-free, ``--repeats 0`` as one repeat) or end in a traceback."""
+    with pytest.raises(SystemExit) as stop:
+        main([command, flag, value])
+    assert stop.value.code == 2
+    assert f"repro {command}: error: argument {flag}: " in (
+        capsys.readouterr().err
+    )
+
+
+def test_every_range_checked_option_is_taken_somewhere():
+    for flag, _value in _OUT_OF_RANGE:
+        assert _commands_taking(flag), flag
+    assert "simulate" in _commands_taking("--p")
+    assert "simulate" in _commands_taking("--repeats")
+    assert "availability" in _commands_taking("--p")
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--p", "0", "--operations", "10"],
+    ["simulate", "--p", "1", "--operations", "10", "--repeats", "1"],
+    ["shard", "--drop", "1", "--read-fraction", "0", "--operations", "10"],
+    ["availability", "--p", "0", "1", "--jobs", "1"],
+])
+def test_the_edges_of_each_range_are_accepted(argv, capsys):
+    assert main(argv) == 0

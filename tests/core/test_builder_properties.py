@@ -13,7 +13,6 @@ from repro.core.builder import (
     recommended_tree,
     sqrt_levels,
 )
-from repro.core.tree import ArbitraryTree
 from repro.core.tuning import recommend
 
 
@@ -72,17 +71,6 @@ def test_spec_round_trip(sizes):
     tree = from_spec(spec)
     assert from_spec(tree.spec()).spec() == tree.spec()
     assert tree.physical_level_sizes == tuple(sizes)
-
-
-@given(
-    st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=6)
-)
-@settings(max_examples=100, deadline=None)
-def test_dict_round_trip(sizes):
-    sizes = sorted(sizes)
-    tree = from_spec("1-" + "-".join(str(s) for s in sizes))
-    rebuilt = ArbitraryTree.from_dict(tree.to_dict())
-    assert rebuilt.spec() == tree.spec()
 
 
 @given(

@@ -6,12 +6,12 @@ import pytest
 
 from repro.core.config import (
     ALL_CONFIGURATIONS,
-    ArbitraryTreeModel,
     Configuration,
     admissible_size,
     make_model,
     make_tree,
 )
+from repro.core.protocol import ArbitraryProtocol
 from repro.protocols.hqc import HQCProtocol
 from repro.protocols.tree_quorum import TreeQuorumProtocol
 
@@ -75,7 +75,7 @@ class TestMakeModel:
             Configuration.MOSTLY_WRITE,
         ):
             model = make_model(config, 31)
-            assert isinstance(model, ArbitraryTreeModel)
+            assert isinstance(model, ArbitraryProtocol)
             assert model.name == str(config)
 
     def test_every_model_answers_every_quantity(self):

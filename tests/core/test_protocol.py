@@ -59,14 +59,6 @@ class TestQuorumShape:
             frozenset({3, 4, 5, 6, 7}),
         )
 
-    def test_read_quorum_at_choices(self, protocol):
-        quorum = protocol.read_quorum_at([2, 4])
-        assert quorum == frozenset({2, 7})
-
-    def test_read_quorum_at_validates_length(self, protocol):
-        with pytest.raises(ValueError, match="one choice per"):
-            protocol.read_quorum_at([0])
-
     def test_universe(self, protocol):
         assert protocol.universe == frozenset(range(8))
 

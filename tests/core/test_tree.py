@@ -8,8 +8,6 @@ from repro.core.tree import (
     AssumptionViolation,
     NodeKind,
     TreeNode,
-    physical_level_partition,
-    total_replicas,
 )
 
 
@@ -90,22 +88,15 @@ class TestNodeIndexing:
 
     def test_descendant_counts(self, paper_tree):
         root = paper_tree.root
-        assert root.descendant_count() == 3
+        assert len(root.children) == 3
         total_level2 = sum(
-            node.descendant_count() for node in paper_tree.levels[1]
+            len(node.children) for node in paper_tree.levels[1]
         )
         assert total_level2 == 9
 
-    def test_descendant_kind_split(self, paper_tree):
-        for node in paper_tree.levels[1]:
-            assert node.descendant_count() == (
-                node.physical_descendant_count()
-                + node.logical_descendant_count()
-            )
-
     def test_leaves_have_no_children(self, paper_tree):
         for node in paper_tree.levels[2]:
-            assert node.is_leaf
+            assert not node.children
 
 
 class TestPaperNotation:
@@ -192,13 +183,6 @@ class TestIterationHelpers:
 
     def test_replica_ids(self, paper_tree):
         assert paper_tree.replica_ids() == tuple(range(8))
-
-    def test_physical_level_partition(self, paper_tree):
-        partition = physical_level_partition(paper_tree)
-        assert partition == [(0, 1, 2), (3, 4, 5, 6, 7)]
-
-    def test_total_replicas(self):
-        assert total_replicas([3, 5]) == 8
 
 
 class TestTreeNode:

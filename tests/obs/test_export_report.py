@@ -12,10 +12,8 @@ from repro.obs import (
     flame_summary,
     load_trace,
     phase_breakdown,
-    phase_histograms,
     render_counters,
     render_phase_breakdown,
-    render_trace,
     summaries_of,
 )
 
@@ -90,10 +88,6 @@ class TestPhaseBreakdown:
     def test_render_empty(self):
         assert "no timed spans" in render_phase_breakdown([])
 
-    def test_histograms(self):
-        histograms = phase_histograms(make_recorder().finished_spans())
-        assert histograms[("write", "phase/version")].total == 1
-
 
 class TestFlameAndTrace:
     def test_flame_summary_nests_and_counts(self):
@@ -107,13 +101,6 @@ class TestFlameAndTrace:
         assert lines[write_idx + 1].startswith("  attempt")
         assert "phase/prepare" in lines[write_idx + 2]
         assert "phase/version" in lines[write_idx + 3]
-
-    def test_render_trace_tree(self):
-        recorder = make_recorder()
-        text = render_trace(recorder.trace(1))
-        assert text.splitlines()[0].startswith("write [0.00 -> 6.00] ok")
-        assert "  attempt" in text
-        assert "    phase/version" in text
 
     def test_render_counters(self):
         assert "PrepareMessage" in render_counters(make_recorder())

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.builder import mostly_read
-from repro.core.config import ArbitraryTreeModel
+from repro.core.protocol import ArbitraryProtocol
 from repro.protocols.rowa import RowaProtocol
 from repro.quorums.base import BiCoterie
 from repro.quorums.load import optimal_load
@@ -64,7 +64,7 @@ class TestMostlyReadEquivalence:
     @pytest.mark.parametrize("n", [2, 5, 12])
     def test_all_quantities_agree(self, n):
         rowa = RowaProtocol(n)
-        model = ArbitraryTreeModel(mostly_read(n), name="MOSTLY-READ")
+        model = ArbitraryProtocol(mostly_read(n), name="MOSTLY-READ")
         assert model.read_cost() == rowa.read_cost()
         assert model.write_cost() == rowa.write_cost()
         assert model.read_load() == pytest.approx(rowa.read_load())
@@ -79,6 +79,6 @@ class TestMostlyReadEquivalence:
 
     def test_quorum_sets_identical(self):
         rowa = RowaProtocol(4)
-        model = ArbitraryTreeModel(mostly_read(4))
+        model = ArbitraryProtocol(mostly_read(4))
         assert set(model.read_quorums()) == set(rowa.read_quorums())
         assert set(model.write_quorums()) == set(rowa.write_quorums())

@@ -10,7 +10,6 @@ from repro.quorums.base import (
     is_antichain,
     is_cross_intersecting,
     is_intersecting,
-    minimise,
 )
 
 
@@ -72,23 +71,6 @@ class TestIsCrossIntersecting:
         assert is_cross_intersecting(reads, writes)
 
 
-class TestMinimise:
-    def test_drops_supersets(self):
-        result = minimise([{1}, {1, 2}, {2, 3}])
-        assert set(result) == {frozenset({1}), frozenset({2, 3})}
-
-    def test_keeps_antichain_unchanged(self):
-        sets = [frozenset({1, 2}), frozenset({2, 3})]
-        assert set(minimise(sets)) == set(sets)
-
-    def test_deduplicates(self):
-        assert len(minimise([{1, 2}, {1, 2}])) == 1
-
-    def test_result_is_antichain(self):
-        result = minimise([{1}, {1, 2}, {1, 2, 3}, {2, 3}, {3}])
-        assert is_antichain(result)
-
-
 class TestSetSystem:
     def test_universe_defaults_to_union(self):
         system = SetSystem([{1, 2}, {2, 3}])
@@ -146,12 +128,6 @@ class TestCoterie:
     def test_rejects_dominated(self):
         with pytest.raises(ValueError, match="minimality"):
             Coterie([{1, 2}, {1, 2, 3}])
-
-    def test_from_quorum_system(self):
-        system = QuorumSystem([{1, 2}, {1, 2, 3}])
-        coterie = Coterie.from_quorum_system(system)
-        assert set(coterie.quorums) == {frozenset({1, 2})}
-        assert coterie.universe == system.universe
 
 
 class TestBiCoterie:

@@ -52,11 +52,6 @@ class TestPackingRoundTrip:
 
 
 class TestKernelOps:
-    def test_popcounts_match_lengths(self):
-        quorums = [set(range(i + 1)) for i in range(70)]
-        packed = PackedQuorums.from_quorums(quorums, universe=range(70))
-        assert packed.popcounts().tolist() == [len(q) for q in quorums]
-
     def test_table_popcount_counts_every_bit(self):
         # The numpy < 2.0 path: no ``np.bitwise_count`` there.
         rng = random.Random(5)
@@ -113,12 +108,6 @@ class TestKernelOps:
         assert packed_reads.cross_intersects(packed_writes)
         packed_reads, packed_writes = try_pack_pair(reads, [{2, 72}])
         assert not packed_reads.cross_intersects(packed_writes)
-
-    def test_superset_counts_flags_duplicates_and_chains(self):
-        packed = PackedQuorums.from_quorums(
-            [{0}, {0, 1}, {2}, {2}], universe=range(3)
-        )
-        assert packed.superset_counts().tolist() == [2, 1, 2, 2]
 
 
 class TestBoolPacking:

@@ -11,9 +11,7 @@ from repro.quorums.availability import (
 )
 from repro.quorums.base import (
     SetSystem,
-    is_antichain,
     is_cross_intersecting,
-    minimise,
 )
 from repro.quorums.load import optimal_load
 from repro.quorums.strategy import Strategy
@@ -22,19 +20,6 @@ from repro.quorums.strategy import Strategy
 elements = st.integers(min_value=0, max_value=7)
 quorum = st.frozensets(elements, min_size=1, max_size=8)
 quorum_list = st.lists(quorum, min_size=1, max_size=8)
-
-
-@given(quorum_list)
-def test_minimise_yields_antichain(quorums):
-    assert is_antichain(minimise(quorums))
-
-
-@given(quorum_list)
-def test_minimise_preserves_coverage(quorums):
-    """Every original set contains some surviving set (domination)."""
-    survivors = minimise(quorums)
-    for original in quorums:
-        assert any(kept <= original for kept in survivors)
 
 
 @given(quorum_list)

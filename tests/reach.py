@@ -1,10 +1,13 @@
-"""Which ``src/`` functions a run reaches: an opt-in pytest plugin.
+"""Which ``src/`` functions production runs reach, and the gate on them.
 
 Standard library only (``coverage`` is not a dependency)::
 
-    PYTHONPATH=src python -m pytest -p tests.reach --reach-out tier1.json
-    PYTHONPATH=src python -m tests.reach cli cli.json < commands.txt
-    PYTHONPATH=src python -m tests.reach report tier1.json cli.json
+    PYTHONPATH=src python -m pytest -p tests.reach --reach-out benches.json \
+        benchmarks --ignore=benchmarks/ledger --benchmark-disable
+    PYTHONPATH=src python -m tests.reach cli cli.json < tests/reach_commands.txt
+    PYTHONPATH=src python -m tests.reach run ex.json examples/quickstart.py
+    PYTHONPATH=src python -m tests.reach report --kept tests/reach_kept.txt \
+        benches.json cli.json ex.json
 
 The plugin records every Python ``call`` event through ``sys.setprofile``
 and ``threading.setprofile`` and writes the reached functions to
@@ -12,9 +15,18 @@ and ``threading.setprofile`` and writes the reached functions to
 ``profile`` command and its tests) installs its own profile function and
 leaves none behind, and without the re-arm everything after the first
 profiled test would read as unreached.  ``cli`` runs one ``repro``
-command per input line in process, under the same hook.  ``report``
-lists each function or method defined under ``src/`` that none of the
-given recordings reached, with its length in lines.
+command per input line in process, under the same hook; ``run`` runs one
+script (an example, a ledger workload) in process as ``__main__``, with
+its arguments.  ``report`` lists each function or method defined under
+``src/`` that none of the given recordings reached, with its length in
+lines.
+
+With ``--kept FILE`` the report is a gate.  Each row of the file,
+``path:qualname  category  reason``, keeps one unreached function on
+purpose (no line number, so edits above it do not churn the file).  The
+report then exits 1 on an unreached function with no row, and on a row
+whose function is reached or gone: test-only code cannot come back
+unnoticed, and a row cannot outlive its reason.
 
 What the hook cannot see reads as unreached: code that runs only in a
 child process (a ``repro serve`` site, a ``--jobs N`` pool worker) and
@@ -28,6 +40,7 @@ import inspect
 import io
 import json
 import os
+import runpy
 import shlex
 import sys
 import tempfile
@@ -35,6 +48,17 @@ import threading
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+#: Why an unreached function may stay (the second column of a kept row).
+CATEGORIES = (
+    "paper",        # the paper's definitions, closed forms and proofs
+    "reference",    # the plain twin an optimised kernel is tested against
+    "safety",       # error handling and validation no run trips
+    "declaration",  # a Protocol / ABC method or a dunder
+    "child",        # runs only in a ``repro serve`` or pool child
+    "observation",  # an accessor tests read to check a behaviour
+    "roadmap",      # the input of an open ROADMAP item
+)
 
 _reached: set = set()
 
@@ -134,46 +158,143 @@ def pytest_sessionfinish(session) -> None:
 # ----------------------------------------------------------------------
 
 
+def _save(out: str) -> None:
+    path = Path(out)
+    reached = set(reached_keys())
+    if path.exists():  # ``run`` appends: one file for several scripts
+        reached.update(json.loads(path.read_text()))
+    path.write_text(json.dumps(sorted(reached), indent=0))
+
+
+@contextlib.contextmanager
+def _scratch_cwd():
+    """Run in a temp dir: ``trace`` and the ledger write to the cwd."""
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as workdir:
+        os.chdir(workdir)
+        try:
+            yield
+        finally:
+            os.chdir(cwd)
+
+
 def _run_commands(out: str) -> None:
     from repro.cli import main
 
-    commands = [shlex.split(line) for line in sys.stdin if line.strip()]
-    with tempfile.TemporaryDirectory() as workdir:
-        cwd = os.getcwd()
-        os.chdir(workdir)  # ``trace`` writes its JSONL to the cwd
+    commands = [
+        shlex.split(line) for line in sys.stdin
+        if line.strip() and not line.startswith("#")
+    ]
+    with _scratch_cwd():
+        for argv in commands:
+            arm()
+            with contextlib.redirect_stdout(io.StringIO()), (
+                contextlib.suppress(SystemExit)  # ``--help``
+            ):
+                main(argv)
+            disarm()
+    _save(out)
+
+
+def _run_script(out: str, script: str, args: list[str]) -> None:
+    path = Path(script).resolve()
+    sys.argv = [str(path), *args]
+    sys.path.insert(0, str(path.parent))  # as ``python SCRIPT`` would
+    code = 0
+    with _scratch_cwd():
+        arm()
         try:
-            for argv in commands:
-                arm()
-                with contextlib.redirect_stdout(io.StringIO()), (
-                    contextlib.suppress(SystemExit)  # ``--help``
-                ):
-                    main(argv)
-                disarm()
+            with contextlib.redirect_stdout(io.StringIO()):
+                runpy.run_path(str(path), run_name="__main__")
+        except SystemExit as stop:
+            code = stop.code
         finally:
-            os.chdir(cwd)
-    Path(out).write_text(json.dumps(reached_keys(), indent=0))
+            disarm()
+    _save(out)  # what a failing script reached, it reached
+    if code not in (None, 0):
+        raise SystemExit(code)
 
 
-def _report(paths: list[str]) -> None:
+def _short(key: str) -> str:
+    """``path:line:qualname`` -> ``path:qualname``, the kept-row key."""
+    file, _line, name = key.split(":")
+    return f"{file}:{name}"
+
+
+def _read_kept(path: str) -> tuple[dict[str, str], list[str]]:
+    kept: dict[str, str] = {}
+    errors = []
+    for number, line in enumerate(Path(path).read_text().splitlines(), 1):
+        if not line.strip() or line.startswith("#"):
+            continue
+        key, category, *reason = line.split()
+        if category not in CATEGORIES or not reason:
+            errors.append(f"{path}:{number}: want 'path:qualname  category"
+                          f"  reason' with a category of {CATEGORIES}")
+        if key in kept:
+            errors.append(f"{path}:{number}: {key} is kept twice")
+        kept[key] = category
+    return kept, errors
+
+
+def _report(args: list[str]) -> int:
+    kept_file = None
+    if args[:1] == ["--kept"]:
+        kept_file, args = args[1], args[2:]
     reached: set[str] = set()
-    for path in paths:
+    for path in args:
         reached.update(json.loads(Path(path).read_text()))
     functions = defined()
     missed = sorted(set(functions) - reached)
+    if kept_file is None:
+        for key in missed:
+            file, line, name = key.split(":")
+            print(f"{file}:{line} {name} ({functions[key]} lines)")
+        print(
+            f"{len(missed)} of {len(functions)} functions unreached, "
+            f"{sum(functions[key] for key in missed)} lines"
+        )
+        return 0
+    kept, errors = _read_kept(kept_file)
+    unreached = {_short(key) for key in missed}
     for key in missed:
-        file, line, name = key.split(":")
-        print(f"{file}:{line} {name} ({functions[key]} lines)")
+        if _short(key) not in kept:
+            file, line, name = key.split(":")
+            errors.append(
+                f"{file}:{line} {name} ({functions[key]} lines) is reached "
+                "by no run: delete it, or keep it with a row"
+            )
+    known = {_short(key) for key in functions}
+    for key in sorted(set(kept) - unreached):
+        why = "is reached" if key in known else "is gone"
+        errors.append(f"{kept_file}: {key} {why}: delete its row")
+    for error in errors:
+        print(error)
+    counts = {
+        category: sum(1 for c in kept.values() if c == category)
+        for category in CATEGORIES
+    }
     print(
         f"{len(missed)} of {len(functions)} functions unreached, "
-        f"{sum(functions[key] for key in missed)} lines"
+        f"{sum(functions[key] for key in missed)} lines; kept by category: "
+        + ", ".join(f"{c} {n}" for c, n in counts.items())
     )
+    return 1 if errors else 0
 
+
+USAGE = (
+    "usage: python -m tests.reach cli OUT < COMMANDS\n"
+    "       python -m tests.reach run OUT SCRIPT [ARGS ...]\n"
+    "       python -m tests.reach report [--kept FILE] A [B ...]"
+)
 
 if __name__ == "__main__":
-    command, *rest = sys.argv[1:]
+    command, *rest = sys.argv[1:] or [""]
     if command == "cli":
         _run_commands(rest[0])
+    elif command == "run":
+        _run_script(rest[0], rest[1], rest[2:])
     elif command == "report":
-        _report(rest)
+        raise SystemExit(_report(rest))
     else:
-        raise SystemExit("usage: python -m tests.reach cli OUT | report A [B ...]")
+        raise SystemExit(USAGE)

@@ -77,7 +77,7 @@ def test_timestamp_travels_as_version_sid_pair():
     assert obj == ["ReadReply", 3, -1, "k", 1, "v", 5, 2]
     decoded = decode_message(obj)
     assert decoded.timestamp == Timestamp(5, 2)
-    assert decoded.timestamp.dominates(Timestamp(4, 0))
+    assert decoded.timestamp.supersedes(Timestamp(4, 0))
 
 
 def test_a_vote_carries_the_voters_version():

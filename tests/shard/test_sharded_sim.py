@@ -69,8 +69,8 @@ class TestShardedConfig:
         ("failures", BernoulliFailures(0.9), "ShardedConfig.p"),
         ("trace", True, "an unsharded SimulationConfig"),
         ("check_invariants", True, "an unsharded SimulationConfig"),
-        ("reshape_at", 5.0, "ShardedStore.reconfigure_shard"),
-        ("reshape_spec", "1-2", "ShardedStore.reconfigure_shard"),
+        ("reshape_at", 5.0, "an unsharded SimulationConfig"),
+        ("reshape_spec", "1-2", "an unsharded SimulationConfig"),
     ])
     def test_a_group_field_the_build_does_not_honour_is_refused(
         self, name, value, instead
@@ -246,39 +246,3 @@ class TestParallelEquivalence:
         systems = received.resolve_systems()
         assert len(systems) == 2
         assert all(n == 16 for _system, n in systems)
-
-
-class TestShardReconfiguration:
-    """Reconfiguration is shard-local: one group transitions, others serve."""
-
-    def test_online_reconfigure_one_shard(self):
-        from repro.sim.engine import run_workload
-
-        config = ShardedConfig(
-            group=_group(
-                _spec(operations=600, keys=64, rate=0.25), seed=7, clients=2
-            ),
-            shards=3, systems=(("tree", "1-3-5"),),
-        )
-        scheduler, workload, store = build_sharded_simulation(config)
-        outcomes = []
-        keys = store.shard_keys(1, 64)
-        assert keys and all(
-            store.router.shard_of(int(key[1:])) == 1 for key in keys
-        )
-        scheduler.schedule_at(150.0, lambda: store.reconfigure_shard(
-            1, from_spec("1-4-4"), keys, outcomes.append
-        ))
-        run_workload(scheduler, workload, 5_000_000)
-        assert outcomes and outcomes[0].success
-        assert outcomes[0].epoch == 1
-        # the reconfigured shard's pool is on the new tree ...
-        for coordinator in store.groups[1].coordinators:
-            assert coordinator.system.tree.spec() == "1-4-4"
-        # ... the untouched shards are not
-        for shard in (0, 2):
-            for coordinator in store.groups[shard].coordinators:
-                assert coordinator.system.tree.spec() == "1-3-5"
-        summary = store.monitor.summary()
-        assert summary["read_availability"] == 1.0
-        assert summary["write_availability"] == 1.0

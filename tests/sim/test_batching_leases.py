@@ -41,7 +41,7 @@ class Rig:
         self.sites = [Site(sid, self.network) for sid in range(self.tree.n)]
         self.locks = LockManager(self.scheduler)
         self.leases = (
-            LeaseCache(epoch=lambda: self.network.liveness_epoch)
+            LeaseCache(epoch=self.network.current_liveness_epoch)
             if leases
             else None
         )
@@ -55,7 +55,7 @@ class Rig:
             timeout=timeout,
             max_attempts=max_attempts,
             writer_id=self.tree.n,
-            liveness_epoch=lambda: self.network.liveness_epoch,
+            liveness_epoch=self.network.current_liveness_epoch,
             leases=self.leases,
         )
         self.outcomes = []

@@ -103,59 +103,6 @@ class TestQueueing:
         locks.release(1, "nothing")  # must not raise
 
 
-class TestReentrancyAndUpgrade:
-    def test_reacquire_same_mode(self, rig):
-        scheduler, locks = rig
-        results = []
-        locks.acquire(1, "k", LockMode.SHARED, grant_recorder(results, "a"))
-        locks.acquire(1, "k", LockMode.SHARED, grant_recorder(results, "b"))
-        scheduler.run()
-        assert results == [("a", True), ("b", True)]
-
-    def test_upgrade_when_sole_holder(self, rig):
-        scheduler, locks = rig
-        results = []
-        locks.acquire(1, "k", LockMode.SHARED, grant_recorder(results, "a"))
-        scheduler.run()
-        locks.acquire(1, "k", LockMode.EXCLUSIVE, grant_recorder(results, "b"))
-        scheduler.run()
-        assert results == [("a", True), ("b", True)]
-        assert locks.holders("k") == {1: LockMode.EXCLUSIVE}
-
-    def test_exclusive_holder_may_take_shared(self, rig):
-        scheduler, locks = rig
-        results = []
-        locks.acquire(1, "k", LockMode.EXCLUSIVE, grant_recorder(results, "a"))
-        locks.acquire(1, "k", LockMode.SHARED, grant_recorder(results, "b"))
-        scheduler.run()
-        assert results == [("a", True), ("b", True)]
-        assert locks.holders("k") == {1: LockMode.EXCLUSIVE}
-
-
-class TestTimeout:
-    def test_queued_request_expires(self):
-        scheduler = Scheduler()
-        locks = LockManager(scheduler, wait_timeout=5.0)
-        results = []
-        locks.acquire(1, "k", LockMode.EXCLUSIVE, grant_recorder(results, "a"))
-        locks.acquire(2, "k", LockMode.EXCLUSIVE, grant_recorder(results, "b"))
-        scheduler.run()
-        assert ("b", False) in results
-        assert locks.stats.timeouts == 1
-
-    def test_grant_before_timeout_wins(self):
-        scheduler = Scheduler()
-        locks = LockManager(scheduler, wait_timeout=5.0)
-        results = []
-        locks.acquire(1, "k", LockMode.EXCLUSIVE, grant_recorder(results, "a"))
-        locks.acquire(2, "k", LockMode.EXCLUSIVE, grant_recorder(results, "b"))
-        scheduler.run(until=1.0)
-        locks.release(1, "k")
-        scheduler.run()
-        assert ("b", True) in results
-        assert ("b", False) not in results
-
-
 class TestStats:
     def test_counters(self, rig):
         scheduler, locks = rig

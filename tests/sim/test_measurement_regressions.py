@@ -26,7 +26,7 @@ from repro.sim.coordinator import (
 )
 from repro.sim.engine import SimulationConfig, simulate
 from repro.sim.events import Scheduler
-from repro.sim.locks import LockManager, LockMode
+from repro.sim.locks import LockManager
 from repro.sim.monitor import Monitor
 from repro.sim.network import Network
 from repro.sim.site import Site
@@ -157,14 +157,14 @@ class TestPercentileInterpolation:
 
 
 class CoordinatorRig:
-    """Coordinator + sites assembly with a lock-wait timeout."""
+    """Coordinator + sites assembly."""
 
-    def __init__(self, wait_timeout=None):
+    def __init__(self):
         self.tree = from_spec("1-3-5")
         self.scheduler = Scheduler()
         self.network = Network(self.scheduler, random.Random(0), latency=1.0)
         self.sites = [Site(sid, self.network) for sid in range(self.tree.n)]
-        self.locks = LockManager(self.scheduler, wait_timeout=wait_timeout)
+        self.locks = LockManager(self.scheduler)
         self.coordinator = QuorumCoordinator(
             sid=-1,
             network=self.network,
@@ -179,7 +179,7 @@ class CoordinatorRig:
 
 
 class TestCoordinatorStateRegressions:
-    """Bug 4: stale acks across attempts; release of an ungranted lock."""
+    """Bug 4: stale acks across attempts."""
 
     def test_start_attempt_clears_stale_acks(self):
         # White-box: commit acks left over from a previous attempt would
@@ -198,21 +198,3 @@ class TestCoordinatorStateRegressions:
         assert ctx.acks == set()
         assert ctx.replies == {} and ctx.votes == {}
         assert ctx.attempts == 2
-
-    def test_lock_timeout_does_not_release_foreign_lock(self):
-        rig = CoordinatorRig(wait_timeout=2.0)
-        granted = []
-        rig.locks.acquire(99, "k", LockMode.EXCLUSIVE, granted.append)
-        rig.scheduler.run()
-        assert granted == [True]
-
-        rig.coordinator.read("k", rig.outcomes.append)
-        rig.scheduler.run()
-
-        assert len(rig.outcomes) == 1
-        assert not rig.outcomes[0].success
-        assert rig.outcomes[0].reason is FailureReason.LOCK_TIMEOUT
-        # The old code released a lock it was never granted; the manager
-        # now counts those, and the coordinator no longer does it.
-        assert rig.locks.stats.spurious_releases == 0
-        assert rig.locks.holders("k") == {99: LockMode.EXCLUSIVE}

@@ -15,24 +15,24 @@ from repro.sim.replica import (
 
 class TestTimestampOrder:
     def test_higher_version_dominates(self):
-        assert Timestamp(2, 5).dominates(Timestamp(1, 0))
+        assert Timestamp(2, 5).supersedes(Timestamp(1, 0))
 
     def test_equal_version_lower_sid_dominates(self):
         """Section 3.2.1: highest version number, lowest SID."""
-        assert Timestamp(1, 2).dominates(Timestamp(1, 5))
-        assert not Timestamp(1, 5).dominates(Timestamp(1, 2))
+        assert Timestamp(1, 2).supersedes(Timestamp(1, 5))
+        assert not Timestamp(1, 5).supersedes(Timestamp(1, 2))
 
     def test_nothing_dominates_itself(self):
         ts = Timestamp(3, 1)
-        assert not ts.dominates(ts)
+        assert not ts.supersedes(ts)
 
     def test_zero_timestamp_is_oldest(self):
-        assert Timestamp(1, 99).dominates(ZERO_TIMESTAMP)
+        assert Timestamp(1, 99).supersedes(ZERO_TIMESTAMP)
 
     def test_sort_key_agrees_with_dominates(self):
         stamps = [Timestamp(1, 3), Timestamp(2, 9), Timestamp(2, 1), Timestamp(1, 0)]
         best = max(stamps, key=Timestamp.sort_key)
-        assert all(best == other or best.dominates(other) for other in stamps)
+        assert all(best == other or best.supersedes(other) for other in stamps)
         assert best == Timestamp(2, 1)
 
     def test_next_version(self):

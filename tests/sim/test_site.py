@@ -20,7 +20,7 @@ from repro.sim.messages import (
 )
 from repro.sim.network import Network
 from repro.sim.replica import Timestamp
-from repro.sim.site import Site, SiteState
+from repro.sim.site import Site
 
 
 class Client:
@@ -51,7 +51,7 @@ def rig():
 class TestLifecycle:
     def test_starts_up(self, rig):
         *_rest, site = rig
-        assert site.up and site.state is SiteState.UP
+        assert site.up
 
     def test_crash_and_recover(self, rig):
         *_rest, site = rig

@@ -77,18 +77,17 @@ class TestWorkloadExecution:
         workload.start()
         assert finished == [True]
 
-    def test_completion_hooks_chain_in_order(self):
+    def test_completion_hook_fires_once_after_the_last_outcome(self):
         config = SimulationConfig(
             tree=from_spec("1-3-5"), workload=WorkloadSpec(operations=5)
         )
         scheduler, workload, *_ = build_simulation(config)
         fired = []
-        workload.add_on_complete(lambda: fired.append("first"))
-        workload.add_on_complete(lambda: fired.append("second"))
+        workload.add_on_complete(lambda: fired.append(workload.completed))
         workload.start()
         while scheduler.step():
             pass
-        assert fired == ["first", "second"]
+        assert fired == [5]
 
     def test_zipf_skews_keys(self):
         _workload, monitor = _run_workload(
