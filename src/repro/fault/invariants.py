@@ -18,6 +18,9 @@ built around:
   older than the latest write committed before it (completion order is a
   valid serialisation order under the centralised lock manager).
 
+Once a run has quiesced, :meth:`InvariantChecker.check_settled` audits
+what 2PC left behind: no site may still hold a prepared write.
+
 Violations either raise :class:`InvariantViolation` immediately
 (``strict=True``, the default — chaos CI fails on first blood) or are
 collected in :attr:`violations` for post-mortem inspection.
@@ -26,12 +29,13 @@ collected in :attr:`violations` for post-mortem inspection.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 if TYPE_CHECKING:  # annotation-only: runtime imports here would close the
     # repro.fault <-> repro.sim import cycle (engine imports this module)
-    from repro.sim.coordinator import OperationOutcome
+    from repro.sim.coordinator import OperationOutcome, QuorumCoordinator
     from repro.sim.replica import Timestamp
+    from repro.sim.site import Site
 
 
 class InvariantViolation(AssertionError):
@@ -169,6 +173,41 @@ class InvariantChecker:
                 f"{outcome.timestamp} after {history.highest_read}"
             )
         history.highest_read = outcome.timestamp
+
+    def check_settled(
+        self,
+        sites: Iterable[Site],
+        coordinators: Iterable[QuorumCoordinator],
+    ) -> int:
+        """Audit a quiesced run; returns how many commits are still logged.
+
+        Call it once every site is up, partitions are healed and the
+        scheduler has drained.  A member still holding the prepare of a
+        commit the coordinators log never learnt the decision, and any
+        other prepare still held blocks its key for good.  A logged commit
+        whose members all hold no prepare is not a violation: a member
+        that applied it but lost every ack holds nothing to ask about, so
+        only the coordinator still remembers the entry.
+        """
+        in_doubt = {
+            (site.sid, txid) for site in sites for txid in site._prepared
+        }
+        logged = 0
+        for coordinator in coordinators:
+            for txid, members in coordinator._decisions.items():
+                logged += 1
+                for sid in sorted(members):
+                    if (sid, txid) in in_doubt:
+                        self._violate(
+                            f"site {sid} never learnt the logged commit "
+                            f"of txid {txid}"
+                        )
+        for sid, txid in sorted(in_doubt):
+            self._violate(
+                f"site {sid} still holds the prepare of txid {txid} "
+                "after the run settled"
+            )
+        return logged
 
     # ------------------------------------------------------------------
     # composition

@@ -72,7 +72,13 @@ class SiteServer:
     async def start(self) -> None:
         """Bind the socket and wire the site to this server."""
         self.clock = AsyncClock()
-        self.site = Site(self.sid, self, service_time=self._service_time)
+        # A site process cannot know its coordinator's timeout, so an
+        # undecided prepare asks after LocalCluster's default of one
+        # second.  Asking early is safe: a coordinator still collecting
+        # votes stays silent, and the site asks again a second later.
+        self.site = Site(
+            self.sid, self, service_time=self._service_time, timeout=1.0
+        )
         self._server = await asyncio.get_running_loop().create_server(
             self._accept, self._host, self._port
         )

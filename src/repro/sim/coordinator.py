@@ -1037,8 +1037,6 @@ class QuorumCoordinator:
         self._arm_timeout(ctx)
 
     def _on_ack(self, ctx: _OpContext, message: AckMessage) -> None:
-        if not message.committed:
-            return  # stale abort-acks from earlier attempts
         ctx.acks.add(message.src)
         if len(ctx.acks) >= len(ctx.quorum):
             self._complete_commit(ctx)

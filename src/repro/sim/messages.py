@@ -199,7 +199,8 @@ class AbortMessage(Message):
 
 
 class AckMessage(Message):
-    """Participant acknowledgement of a commit/abort decision."""
+    """Participant acknowledgement of a commit decision.  Aborts are
+    presumed and not acknowledged; ``committed`` stays on the wire."""
 
     __slots__ = ("txid", "committed")
     type_name = "AckMessage"
@@ -214,8 +215,8 @@ class AckMessage(Message):
 
 
 class DecisionRequest(Message):
-    """2PC termination protocol: a recovered participant asks the
-    coordinator for the outcome of an in-doubt transaction."""
+    """2PC termination protocol: a participant in doubt (prepared for one
+    timeout, or just recovered) asks the coordinator for the outcome."""
 
     __slots__ = ("txid",)
     type_name = "DecisionRequest"

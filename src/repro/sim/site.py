@@ -10,6 +10,16 @@ writes.  The prepare log enforces write/write exclusion at the replica: a
 second transaction asking to prepare a key that is already prepared (and
 undecided) is refused, which keeps the site safe even if the centralised
 lock manager is bypassed.
+
+A prepared site ends its own doubt (2PC termination, participant-driven):
+while anything is prepared, a doubt tick fires once per timeout, and a
+write still undecided at two consecutive ticks makes the site ask its
+coordinator for the decision, again at every tick after.  A lost commit
+or abort, a partition at decision time and a stale duplicate prepare all
+end the same way — the coordinator answers commit from its decision log
+or, presuming abort, abort.  One tick per site, not one timer per
+prepare: a real site process wakes once per timeout instead of once per
+write, and the tick needs nothing of the clock but ``call_later``.
 """
 
 from __future__ import annotations
@@ -47,6 +57,8 @@ class _PreparedWrite:
     value: Any
     timestamp: Timestamp
     coordinator: int
+    #: Undecided at the last doubt tick: asked about from the next one.
+    doubted: bool = False
 
 
 @dataclass
@@ -81,15 +93,24 @@ class Site:
         which turns *system load* into an operational quantity: the busiest
         replica's queue bounds throughput at ``1 / (load * service_time)``
         (Naor-Wool capacity).
+    timeout:
+        The doubt tick's period: a prepared write is asked about once it
+        has been undecided at two ticks, then at every tick.
     """
 
     def __init__(
-        self, sid: int, network: Network, service_time: float = 0.0
+        self,
+        sid: int,
+        network: Network,
+        service_time: float = 0.0,
+        timeout: float = 10.0,
     ) -> None:
         if sid < 0:
             raise ValueError("replica SIDs must be non-negative")
         if service_time < 0:
             raise ValueError("service time cannot be negative")
+        if timeout <= 0:
+            raise ValueError("timeout must be positive")
         self.sid = sid
         self._network = network
         #: Fail-stop liveness, a plain attribute: the network checks it on
@@ -97,6 +118,9 @@ class Site:
         self.up = True
         self._clock = network.clock
         self._service_time = service_time
+        self._timeout = timeout
+        #: A doubt tick is pending (it lapses while the site is down).
+        self._ticking = False
         self._queue: deque[Message] = deque()
         #: The message in service (``None`` = idle).  Its completion timer
         #: carries the message itself, so a timer armed before a crash —
@@ -135,8 +159,8 @@ class Site:
 
         Recovery runs the 2PC termination protocol: for every in-doubt
         prepared transaction the site asks its coordinator for the decision
-        (the coordinator answers commit or, presuming abort, abort), so a
-        crash between vote and decision cannot block the key forever.
+        at once, and restarts the doubt tick if it lapsed while the site
+        was down.
         """
         if self.up:
             return
@@ -144,13 +168,41 @@ class Site:
         self.stats.recoveries += 1
         self._network.bump_liveness_epoch()
         for prepared in list(self._prepared.values()):
-            self._network.send(
-                DecisionRequest(
-                    src=self.sid,
-                    dst=prepared.coordinator,
-                    txid=prepared.txid,
-                )
-            )
+            prepared.doubted = True
+            self._ask_decision(prepared)
+        self._keep_ticking()
+
+    def _keep_ticking(self) -> None:
+        """Arm the doubt tick, unless one is pending or nothing is
+        prepared."""
+        if self._prepared and not self._ticking:
+            self._ticking = True
+            self._clock.call_later(self._timeout, self._on_tick)
+
+    def _on_tick(self) -> None:
+        """Ask about every write undecided since the previous tick; mark
+        the rest.  A down site lets the tick lapse (recovery asks)."""
+        self._ticking = False
+        if not self.up:
+            return
+        for prepared in list(self._prepared.values()):
+            if prepared.doubted:
+                self._ask_decision(prepared)
+            else:
+                prepared.doubted = True
+        self._keep_ticking()
+
+    def _ask_decision(self, prepared: _PreparedWrite) -> None:
+        """Ask the prepare's coordinator for the decision.
+
+        The coordinator answers commit while the decision is logged and
+        abort for a txid it does not know, and stays silent while it is
+        still collecting votes — so asking early costs only a message.
+        """
+        # Positional: (src, dst, txid).
+        self._network.send(
+            DecisionRequest(self.sid, prepared.coordinator, prepared.txid)
+        )
 
     # ------------------------------------------------------------------
     # message handling
@@ -278,7 +330,10 @@ class Site:
             timestamp=message.timestamp,
             coordinator=message.src,
         )
+        # A duplicate prepare of the same txid replaces the record, so
+        # its doubt starts over.
         self._prepared_keys[message.key] = message.txid
+        self._keep_ticking()
         # Positional: (src, dst, txid, vote_commit, timestamp) — the
         # committed version, not the one being prepared.
         self._network.send(
@@ -303,13 +358,12 @@ class Site:
         )
 
     def _on_abort(self, message: AbortMessage) -> None:
+        # Not acknowledged: aborts are presumed, so the coordinator keeps
+        # no record of one to clear.
         prepared = self._prepared.pop(message.txid, None)
         if prepared is not None:
             self._prepared_keys.pop(prepared.key, None)
         self.stats.aborts += 1
-        self._network.send(
-            AckMessage(self.sid, message.src, message.txid, False)
-        )
 
     def __repr__(self) -> str:
         return f"Site(sid={self.sid}, state={'up' if self.up else 'down'})"

@@ -13,12 +13,20 @@ import pytest
 
 from repro.cli import build_parser
 from repro.commands.options import simulated_monitor, simulation_config
+from repro.core.builder import from_spec
 from repro.core.tree import ArbitraryTree
 from repro.fault.invariants import InvariantChecker, InvariantViolation
 from repro.fault.retry import RetryPolicySpec
 from repro.runner import merge_monitors, parallel_runs
 from repro.sim.coordinator import OperationOutcome, _OpContext
-from repro.sim.engine import SimulationConfig, build_simulation, simulate
+from repro.fault.scenarios import CHAOS_SCENARIOS
+from repro.protocols.zoo import quorum_system
+from repro.sim.engine import (
+    SimulationConfig,
+    build_simulation,
+    run_workload,
+    simulate,
+)
 from repro.sim.failures import BernoulliFailures, CrashRepairProcess
 from repro.sim.replica import Timestamp
 from repro.sim.workload import WorkloadSpec
@@ -146,6 +154,59 @@ class TestInvariantIntegration:
                 timestamp=Timestamp(version=1, sid=0),
                 quorum=frozenset({97, 98}),
             ))
+
+
+def settled(config) -> int:
+    """Run ``config``, then recover every site, heal the partition and
+    drain the scheduler; audit what 2PC left behind (raises on a site
+    still in doubt) and return how many commits are still logged."""
+    checker = InvariantChecker()
+    scheduler, workload, _monitor, network, sites = build_simulation(
+        config, invariants=checker
+    )
+    run_workload(scheduler, workload, max_events=5_000_000)
+    for site in sites:
+        site.recover()
+    network.heal_partition()
+    scheduler.run(max_events=1_000_000)
+    assert scheduler.pending_events == 0
+    return checker.check_settled(sites, workload.coordinators)
+
+
+class TestSettledState:
+    """ROADMAP item 1's done-means, audited on whole runs: once a faulty
+    run quiesces, no site still holds a prepared write."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 7])
+    @pytest.mark.parametrize("scenario", CHAOS_SCENARIOS + ("all",))
+    def test_no_site_is_left_in_doubt_after_chaos(self, scenario, seed):
+        # 300 Poisson operations at rate 0.25 span about 1 200 time
+        # units, so every injector has finished inside the run.
+        args = build_parser("chaos").parse_args([
+            "chaos", "1-3-5", "--scenario", scenario, "--operations", "300",
+            "--horizon", "600", "--seed", str(seed),
+        ])
+        config, _label = simulation_config(args)
+        settled(config)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("system", ["1-3-5", "tree-quorum"])
+    def test_no_site_is_left_in_doubt_on_a_lossy_network(self, system, seed):
+        """The lossy recipe: 5 % loss, 2 % duplication, timeout 6."""
+        shape = (
+            dict(tree=from_spec(system)) if system == "1-3-5"
+            else dict(system=quorum_system(system, 7))
+        )
+        settled(SimulationConfig(
+            **shape,
+            workload=WorkloadSpec(operations=400, keys=8),
+            drop_probability=0.05,
+            duplicate_probability=0.02,
+            timeout=6.0,
+            max_attempts=5,
+            check_invariants=True,
+            seed=seed,
+        ))
 
 
 class TestDeferFinishedRegression:

@@ -112,3 +112,47 @@ class TestWrap:
         with pytest.raises(InvariantViolation):
             audit(read("k", 1, {9}))
         assert len(seen) == 1  # the violating outcome never reached the sink
+
+
+class _Site:
+    def __init__(self, sid, prepared=()):
+        self.sid = sid
+        self._prepared = dict.fromkeys(prepared)
+
+
+class _Coordinator:
+    def __init__(self, decisions):
+        self._decisions = decisions
+
+
+class TestSettled:
+    def test_nothing_in_doubt_and_nothing_logged_passes(self):
+        checker = InvariantChecker()
+        assert checker.check_settled([_Site(0), _Site(1)], []) == 0
+        assert checker.ok
+
+    def test_a_prepare_left_behind_is_caught(self):
+        checker = InvariantChecker(strict=False)
+        checker.check_settled([_Site(0), _Site(1, prepared=[7])], [])
+        assert checker.violations == [
+            "[epoch 0/stable] site 1 still holds the prepare of txid 7 "
+            "after the run settled"
+        ]
+        with pytest.raises(InvariantViolation, match="txid 7"):
+            InvariantChecker().check_settled([_Site(1, prepared=[7])], [])
+
+    def test_a_logged_commit_its_member_never_learnt_is_caught(self):
+        checker = InvariantChecker(strict=False)
+        checker.check_settled(
+            [_Site(2, prepared=[9])], [_Coordinator({9: {2, 3}})]
+        )
+        assert "site 2 never learnt the logged commit of txid 9" in (
+            checker.violations[0]
+        )
+
+    def test_a_logged_commit_nobody_doubts_is_only_counted(self):
+        """Its member applied it and lost every ack: nobody is in doubt."""
+        checker = InvariantChecker()
+        sites = [_Site(0), _Site(6)]
+        assert checker.check_settled(sites, [_Coordinator({54: {6}})]) == 1
+        assert checker.ok

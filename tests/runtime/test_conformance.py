@@ -27,6 +27,7 @@ from repro.runtime.transport import TcpTransport
 from repro.sim.coordinator import QuorumCoordinator
 from repro.sim.events import Scheduler
 from repro.sim.locks import LockManager
+from repro.sim.messages import AbortMessage, PrepareMessage
 from repro.sim.network import Network
 from repro.sim.site import Site
 
@@ -203,3 +204,89 @@ def test_quorum_intersection_invariants_hold_on_both(sim_run, tcp_run):
     for _, checker in (sim_run, tcp_run):
         assert checker.checked > 0
         assert checker.violations == []
+
+
+class _DropsOneAbort(TcpTransport):
+    """Drops the first ``AbortMessage`` addressed to a site outside
+    ``spare`` (a member that voted yes) and remembers which site."""
+
+    def __init__(self, spare) -> None:
+        super().__init__(local_sid=-1)
+        self._spare = spare
+        self.dropped_to = None
+
+    def send(self, message) -> None:
+        if (
+            self.dropped_to is None
+            and type(message) is AbortMessage
+            and message.dst not in self._spare
+        ):
+            self.dropped_to = message.dst
+            return
+        super().send(message)
+
+
+def test_a_site_whose_abort_frame_was_dropped_asks_and_lets_go():
+    """ROADMAP item 1 over TCP: after a refused vote the abort to one
+    yes-voter is lost.  That site asks for the decision one timeout
+    later, is told abort (presumed), and holds no prepare once the run
+    quiesces."""
+    foreign_txid = 10**9
+    held = (0, 3)  # one site of each physical level refuses the prepare
+
+    async def main():
+        servers = []
+        transport = _DropsOneAbort(spare=held)
+        system = ArbitraryProtocol(from_spec(SPEC))
+        n = len(system.universe)
+        loop = asyncio.get_running_loop()
+        try:
+            for sid in range(n):
+                server = SiteServer(sid)
+                await server.start()
+                servers.append(server)
+            for server in servers:
+                await transport.connect(server.sid, "127.0.0.1", server.port)
+            coordinator = QuorumCoordinator(
+                sid=-1, network=transport, system=system,
+                locks=LockManager(transport.clock),
+                detector=transport.is_live, rng=random.Random(3),
+                timeout=0.5, max_attempts=1, writer_id=n,
+                liveness_epoch=transport.current_liveness_epoch,
+            )
+
+            async def put(value):
+                future = loop.create_future()
+                coordinator.write("k", value, future.set_result)
+                return await asyncio.wait_for(future, 10.0)
+
+            # The first write teaches the coordinator the key's version,
+            # so the second sends its prepares at once.
+            assert (await put("v1")).success
+            for sid in held:
+                servers[sid].site._on_prepare(
+                    PrepareMessage(-1, sid, foreign_txid, "k", "foreign")
+                )
+            refused = await put("v2")
+            assert not refused.success
+            assert refused.failed_stage == "prepare"
+            victim = transport.dropped_to
+            assert victim is not None and victim in refused.quorum
+            assert servers[victim].site._prepared
+            for sid in held:
+                servers[sid].site._on_abort(
+                    AbortMessage(-1, sid, foreign_txid)
+                )
+            deadline = loop.time() + 5.0
+            while any(server.site._prepared for server in servers):
+                assert loop.time() < deadline, "a site stayed in doubt"
+                await asyncio.sleep(0.05)
+            assert not coordinator._decisions
+            return victim, servers[victim].site.stats.aborts
+        finally:
+            await transport.close()
+            for server in servers:
+                await server.stop()
+
+    victim, aborts = asyncio.run(main())
+    assert victim not in held and aborts == 1

@@ -182,9 +182,10 @@ class TestDecisionLog:
 
 
 class TestTerminationHoles:
-    """ROADMAP item 1's three open 2PC termination holes, pinned.  Each
-    test ends with item 1's done-means assertion: once the run quiesces,
-    no site holds a prepared write and the coordinator logs no decision.
+    """ROADMAP item 1's three 2PC termination holes, closed by a prepared
+    site asking for its own decision once per timeout.  Each test ends
+    with item 1's done-means assertion: once the run quiesces, no site
+    holds a prepared write and the coordinator logs no decision.
     A write to a fresh key runs: version requests land at t=1, prepares
     at t=3, votes reach the coordinator at t=4, the decision lands at t=5.
     """
@@ -209,12 +210,10 @@ class TestTerminationHoles:
         for sid in (0, 3):
             sites[sid]._on_abort(AbortMessage(-1, sid, self.FOREIGN_TXID))
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "hole (a): a member partitioned away while the commit is "
-        "broadcast is skipped as dead, and nothing re-sends the commit "
-        "once the partition heals"
-    ))
     def test_member_partitioned_at_the_commit_broadcast(self):
+        """Hole (a): the commit completes without a member it cannot
+        reach; once the partition heals, the member asks, applies the
+        commit and acknowledges, and the decision is forgotten."""
         tree, scheduler, network, sites, locks, coordinator = make_rig(
             detect_partitions=True
         )
@@ -229,12 +228,9 @@ class TestTerminationHoles:
         scheduler.run()
         self.assert_settled(sites, coordinator)
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "hole (b): the AbortMessage to one member is dropped after a "
-        "refused vote; aborts are never re-sent and a member asks only "
-        "on recovery"
-    ))
     def test_abort_to_one_member_dropped_after_a_refused_vote(self):
+        """Hole (b): an abort is sent once and never acknowledged; the
+        member that missed it asks, and presumed abort tells it."""
         tree, scheduler, network, sites, locks, coordinator = make_rig(
             max_attempts=1
         )
@@ -255,11 +251,9 @@ class TestTerminationHoles:
         scheduler.run()
         self.assert_settled(sites, coordinator)
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "hole (c): a duplicate of an aborted txid's PrepareMessage that "
-        "arrives after the abort prepares it again, and nobody aborts it"
-    ))
     def test_duplicate_prepare_arriving_after_its_abort(self):
+        """Hole (c): a stale duplicate prepares the aborted txid again;
+        one timeout later its site asks and is told abort."""
         tree, scheduler, network, sites, locks, coordinator = make_rig(
             max_attempts=1
         )

@@ -1,5 +1,10 @@
 """Unit tests for replica sites: message handling, 2PC participation,
-crash/recover with the termination protocol."""
+crash/recover with the termination protocol.
+
+The recording client never answers a ``DecisionRequest``, so a test that
+leaves a write prepared runs to a time bound: the site's doubt tick runs
+once per timeout (10 by default) for as long as the write stays in
+doubt."""
 
 import random
 
@@ -73,6 +78,11 @@ class TestLifecycle:
         with pytest.raises(ValueError, match="non-negative"):
             Site(-5, network)
 
+    def test_non_positive_timeout_rejected(self, rig):
+        _scheduler, network, *_ = rig
+        with pytest.raises(ValueError, match="timeout"):
+            Site(5, network, timeout=0.0)
+
     def test_repr(self, rig):
         *_rest, site = rig
         assert "sid=0" in repr(site)
@@ -116,7 +126,7 @@ class TestTwoPhaseCommit:
     def test_prepare_votes_yes(self, rig):
         scheduler, network, client, site = rig
         self._prepare(network)
-        scheduler.run()
+        scheduler.run(until=5.0)
         (vote,) = client.of_type(VoteMessage)
         assert vote.vote_commit
         assert site.stats.prepares == 1
@@ -137,14 +147,15 @@ class TestTwoPhaseCommit:
         network.send(AbortMessage(src=-1, dst=0, txid=1))
         scheduler.run()
         assert site.store.read("k").value is None
-        (ack,) = client.of_type(AckMessage)
-        assert not ack.committed
+        assert site.stats.aborts == 1
+        # Aborts are presumed: nothing is acknowledged.
+        assert client.of_type(AckMessage) == []
 
     def test_conflicting_prepare_refused(self, rig):
         scheduler, network, client, site = rig
         self._prepare(network, txid=1)
         self._prepare(network, txid=2)
-        scheduler.run()
+        scheduler.run(until=5.0)
         votes = client.of_type(VoteMessage)
         assert [vote.vote_commit for vote in votes] == [True, False]
         assert site.stats.refused_prepares == 1
@@ -154,7 +165,7 @@ class TestTwoPhaseCommit:
         self._prepare(network, txid=1)
         network.send(AbortMessage(src=-1, dst=0, txid=1))
         self._prepare(network, txid=2, version=2)
-        scheduler.run()
+        scheduler.run(until=5.0)
         votes = client.of_type(VoteMessage)
         assert all(vote.vote_commit for vote in votes)
 
@@ -179,10 +190,10 @@ class TestRecoveryTermination:
                 timestamp=Timestamp(1, -1),
             )
         )
-        scheduler.run()
+        scheduler.run(until=5.0)
         site.crash()   # crash between vote and decision
         site.recover()
-        scheduler.run()
+        scheduler.run(until=10.0)
         (query,) = client.of_type(DecisionRequest)
         assert query.txid == 5
 
@@ -194,13 +205,49 @@ class TestRecoveryTermination:
                 timestamp=Timestamp(1, -1),
             )
         )
-        scheduler.run()
+        scheduler.run(until=5.0)
         site.crash()
         site.recover()
         # a late commit still applies the write from the stable prepare log
         network.send(CommitMessage(src=-1, dst=0, txid=5))
         scheduler.run()
         assert site.store.read("k").value == "v"
+
+    def test_an_unanswered_prepare_asks_once_per_timeout(self, rig):
+        """The doubt tick runs every timeout (10) while anything is
+        prepared: a write undecided at two ticks is asked about, then at
+        every tick; a down site sends nothing, and asks at once when it
+        recovers."""
+        scheduler, network, client, site = rig
+        network.send(
+            PrepareMessage(
+                src=-1, dst=0, txid=5, key="k", value="v",
+                timestamp=Timestamp(1, -1),
+            )
+        )
+
+        def asked_at():
+            return [
+                message.txid for message in client.of_type(DecisionRequest)
+            ]
+
+        scheduler.run(until=20.5)  # prepared at t=1; the t=11 tick marks it
+        assert asked_at() == []
+        scheduler.run(until=32.5)  # asked at t=21 and t=31
+        assert asked_at() == [5, 5]
+        site.crash()
+        scheduler.run(until=60.0)  # the t=41 tick lapses while down
+        assert asked_at() == [5, 5]
+        assert scheduler.pending_events == 0
+        site.recover()  # asks at once and restarts the tick
+        scheduler.run(until=61.5)
+        assert asked_at() == [5, 5, 5]
+        scheduler.run(until=71.5)  # and again one timeout later
+        assert asked_at() == [5, 5, 5, 5]
+        network.send(CommitMessage(src=-1, dst=0, txid=5))
+        scheduler.run()  # decided: the next tick finds nothing and stops
+        assert site.store.read("k").value == "v"
+        assert len(asked_at()) == 4
 
     def test_clean_recovery_sends_nothing(self, rig):
         scheduler, _network, client, site = rig
