@@ -1,9 +1,9 @@
 """End-to-end simulated throughput: read leases vs the baseline.
 
-The shard-capacity bench (``bench_shard_capacity.py``) established two
-ceilings on the paper's protocol: a single replica group saturates at its
-quorum-service capacity, and at Zipf s >= 1.1 the hottest key's lock
-serialises the stream no matter how many shards are added.  This bench
+A replica group running the paper's protocol has two ceilings: it
+saturates at its quorum-service capacity, and at Zipf s >= 1.1 the
+hottest key's lock serialises the stream however many independent
+groups split the keyspace.  This bench
 measures read leases, the hot-path feature built to attack those
 ceilings, on one saturated 1-3-5 replica group under a 90/10 read-heavy
 Zipf stream: Zipf s in {0.9, 1.1, 1.3} with leases off vs on, recording

@@ -26,7 +26,6 @@ _COMMANDS = {
     "availability": "availability",
     "tune": "tune",
     "simulate": "simulate",
-    "shard": "shard",
     "chaos": "chaos",
     "reconfigure": "reconfigure",
     "trace": "trace",

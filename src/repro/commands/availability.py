@@ -24,7 +24,11 @@ def _print_availability(args) -> None:
 
     samples, jobs = args.samples, args.jobs
     seed = None if args.seed < 0 else args.seed
-    ref = options.system_ref(args)
+    # The tree spec, or --protocol at --n replicas (16 by default).
+    ref = (
+        ("tree", args.spec) if args.protocol is None
+        else ("protocol", args.protocol, args.n or 16)
+    )
     system = resolve_system(ref)
     if ref[0] == "tree":
         label = f"availability of {args.spec}"

@@ -107,16 +107,6 @@ OPTIONS = {
     "drop": _option("--drop", dest="drop_probability", type=probability,
                     default=0.0, help="message drop probability in [0, 1]"),
     "keys": _option("--keys", type=int, help="keyspace size"),
-    "zipf": _option("--zipf", dest="zipf_s", type=float, default=0.0,
-                    help="Zipf skew of key popularity (0 = uniform)"),
-    "rate": _option(
-        "--rate", type=float, default=0.25,
-        help="aggregate Poisson arrival rate (ops per time unit)",
-    ),
-    "service_time": _option(
-        "--service-time", type=float, default=0.0,
-        help="per-message replica processing time (adds queueing)",
-    ),
     "timeout": _option(
         "--timeout", type=float,
         help="coordinator quorum-phase timeout (simulated time units; "
@@ -268,14 +258,6 @@ def simulated_monitor(args, seed: int):
     from repro.sim import simulate
 
     return simulate(simulation_config(args, seed)[0]).monitor
-
-
-def system_ref(args) -> tuple:
-    """The :data:`~repro.runner.tasks.SystemRef` parsed options name: the
-    tree ``spec``, or ``--protocol`` at ``--n`` replicas (16 by default)."""
-    if args.protocol is None:
-        return ("tree", args.spec)
-    return ("protocol", args.protocol, args.n or 16)
 
 
 def run_repeats(args, run, merge):

@@ -57,10 +57,21 @@ def register(sub, name: str) -> None:
     # The defaults saturate the group (service time > 0, arrivals faster
     # than it serves), so the profile shows the steady-state hot path.
     options.add_options(
-        parser, "spec", "operations", "read_fraction", "keys", "rate",
-        "zipf", "service_time", "timeout", "seed", "leases",
-        operations=5000, read_fraction=0.9, keys=128, rate=4.0, zipf=1.1,
-        service_time=1.0, timeout=800.0, seed=2026,
+        parser, "spec", "operations", "read_fraction", "keys",
+        operations=5000, read_fraction=0.9, keys=128,
+    )
+    parser.add_argument(
+        "--rate", type=float, default=4.0,
+        help="aggregate Poisson arrival rate (ops per time unit)",
+    )
+    parser.add_argument("--zipf", dest="zipf_s", type=float, default=1.1,
+                        help="Zipf skew of key popularity (0 = uniform)")
+    parser.add_argument(
+        "--service-time", type=float, default=1.0,
+        help="per-message replica processing time (adds queueing)",
+    )
+    options.add_options(
+        parser, "timeout", "seed", "leases", timeout=800.0, seed=2026,
     )
     parser.add_argument("--clients", type=int, default=4)
     parser.add_argument(

@@ -12,17 +12,11 @@ import math
 from collections.abc import Sequence
 
 from repro.analysis.sweeps import FigureSeries
-from repro.sim.monitor import Monitor, ShardedMonitor
+from repro.sim.monitor import Monitor
 
 
-def merge_monitors(
-    monitors: Sequence[Monitor | ShardedMonitor],
-) -> Monitor | ShardedMonitor:
-    """Fold repeat monitors into the first one (in place; returns it).
-
-    A :class:`ShardedMonitor` folds shard-wise (repeat 0's shard k absorbs
-    repeat 1's shard k, then repeat 2's, ...).
-    """
+def merge_monitors(monitors: Sequence[Monitor]) -> Monitor:
+    """Fold repeat monitors into the first one (in place; returns it)."""
     if not monitors:
         raise ValueError("need at least one monitor to merge")
     merged = monitors[0]

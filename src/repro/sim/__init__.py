@@ -46,10 +46,8 @@ _EXPORTS = {
     "ReadRequest": "messages",
     "ReconfigOutcome": "reconfigure",
     "ReconfigStatus": "reconfigure",
-    "RegionLatencyMatrix": "network",
     "ReplicaGroup": "engine",
     "Scheduler": "events",
-    "ShardedMonitor": "monitor",
     "SimulationConfig": "engine",
     "SimulationResult": "engine",
     "Site": "site",

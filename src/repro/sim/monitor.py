@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.obs.recorder import NULL_RECORDER, NullRecorder
@@ -277,96 +276,4 @@ class Monitor:
             "read_failure_latency_mean": self.reads.failure_latency_mean,
             "write_failure_latency_mean": self.writes.failure_latency_mean,
             "failure_latency_mean": self.failure_latency_mean,
-        }
-
-
-class ShardedMonitor:
-    """Per-shard measurement with an order-stable aggregate view.
-
-    One :class:`Monitor` per shard; the sharded store records every
-    outcome into its shard's monitor (shards may run heterogeneous
-    replica counts, so their per-replica views never mix).  Aggregates
-    are computed **non-destructively** by folding copies of the per-shard
-    :class:`OperationSummary` objects into a fresh accumulator in shard
-    order, so calling :meth:`summary` never mutates shard state and the
-    fold order never depends on completion timing.
-
-    :meth:`merge` folds another run's sharded monitor shard-by-shard
-    (shard i into shard i) through :meth:`Monitor.merge` — the same
-    order-stable concatenation the parallel runner relies on, so a
-    ``--jobs N`` fan-out of repeated sharded runs merges bit-identically
-    to the serial fold.
-    """
-
-    def __init__(self, shards: Sequence[Monitor]) -> None:
-        if not shards:
-            raise ValueError("need at least one shard monitor")
-        self.shards: list[Monitor] = list(shards)
-
-    def __len__(self) -> int:
-        return len(self.shards)
-
-    def _fold(self, op: str) -> OperationSummary:
-        fresh = OperationSummary()
-        for monitor in self.shards:
-            fresh.merge(monitor.reads if op == "read" else monitor.writes)
-        return fresh
-
-    @property
-    def reads(self) -> OperationSummary:
-        """Aggregate read summary (a fresh fold; mutating it is harmless)."""
-        return self._fold("read")
-
-    @property
-    def writes(self) -> OperationSummary:
-        """Aggregate write summary (a fresh fold; mutating it is harmless)."""
-        return self._fold("write")
-
-    @property
-    def total_operations(self) -> int:
-        """Reads plus writes attempted across every shard."""
-        return sum(monitor.total_operations for monitor in self.shards)
-
-    def merge(self, other: "ShardedMonitor") -> "ShardedMonitor":
-        """Fold another sharded run's measurements shard-wise (returns self)."""
-        if len(other.shards) != len(self.shards):
-            raise ValueError(
-                "cannot merge sharded monitors with different shard counts: "
-                f"{len(self.shards)} vs {len(other.shards)}"
-            )
-        for mine, theirs in zip(self.shards, other.shards):
-            mine.merge(theirs)
-        return self
-
-    def per_shard_summaries(self) -> list[dict[str, float]]:
-        """Each shard's :meth:`Monitor.summary`, in shard order."""
-        return [monitor.summary() for monitor in self.shards]
-
-    def summary(self) -> dict[str, float]:
-        """Aggregate headline numbers across every shard.
-
-        Loads are not aggregated — a max over per-replica fractions only
-        makes sense within one replica group; use
-        :meth:`per_shard_summaries` for per-shard loads.
-        """
-        reads, writes = self.reads, self.writes
-        return {
-            "shards": float(len(self.shards)),
-            "reads": reads.attempted,
-            "writes": writes.attempted,
-            "read_availability": reads.availability,
-            "write_availability": writes.availability,
-            "read_cost": reads.mean_cost,
-            "write_cost": writes.mean_cost,
-            "write_cost_total": writes.mean_total_cost,
-            "read_latency_mean": reads.mean_latency,
-            "write_latency_mean": writes.mean_latency,
-            "read_latency_p50": reads.latency_percentile(0.5),
-            "read_latency_p99": reads.latency_percentile(0.99),
-            "write_latency_p50": writes.latency_percentile(0.5),
-            "write_latency_p99": writes.latency_percentile(0.99),
-            "failure_latency_mean": (
-                OperationSummary().merge(reads).merge(writes)
-                .failure_latency_mean
-            ),
         }

@@ -88,90 +88,6 @@ class NetworkStats:
 LatencyModel = Callable[[random.Random], float]
 
 
-@dataclass(frozen=True)
-class RegionLatencyMatrix:
-    """Per-region link latency: messages pay the src-region -> dst-region cost.
-
-    The production picture this models: replicas (and coordinators) are
-    deployed across geographic regions, intra-region hops are cheap and
-    cross-region hops pay the WAN.  ``matrix[a][b]`` is the base latency
-    from region ``a`` to region ``b``; ``regions`` maps SIDs to region
-    indices (SIDs absent from the map — e.g. the negative coordinator
-    SIDs — live in ``default_region``).  A cost is deterministic: the
-    matrix draws nothing from the RNG.
-
-    Instances are *per-pair* latency models: the network calls them with
-    ``(rng, src, dst)`` instead of the scalar models' ``(rng)`` — the
-    ``per_pair`` class attribute is the dispatch flag.
-    """
-
-    matrix: tuple[tuple[float, ...], ...]
-    regions: tuple[tuple[int, int], ...] = ()
-    default_region: int = 0
-
-    #: Dispatch flag: Network passes (rng, src, dst) when this is true.
-    per_pair = True
-
-    def __post_init__(self) -> None:
-        if not self.matrix:
-            raise ValueError("latency matrix cannot be empty")
-        size = len(self.matrix)
-        for row in self.matrix:
-            if len(row) != size:
-                raise ValueError("latency matrix must be square")
-            for value in row:
-                if value < 0:
-                    raise ValueError("latencies cannot be negative")
-        if not 0 <= self.default_region < size:
-            raise ValueError("default region out of range")
-        for _sid, region in self.regions:
-            if not 0 <= region < size:
-                raise ValueError(f"region {region} out of range")
-        # Frozen dataclass: stash the lookup dict via object.__setattr__
-        # so per-message region lookups are O(1), not a linear scan.
-        object.__setattr__(self, "_region_of", dict(self.regions))
-
-    @classmethod
-    def uniform(
-        cls,
-        regions: int,
-        local: float = 1.0,
-        remote: float = 10.0,
-        assignment: Iterable[tuple[int, int]] = (),
-    ) -> "RegionLatencyMatrix":
-        """The common shape: one intra-region and one cross-region cost."""
-        if regions < 1:
-            raise ValueError("need at least one region")
-        matrix = tuple(
-            tuple(local if a == b else remote for b in range(regions))
-            for a in range(regions)
-        )
-        return cls(matrix=matrix, regions=tuple(assignment))
-
-    @classmethod
-    def round_robin(
-        cls,
-        sids: Iterable[int],
-        regions: int,
-        local: float = 1.0,
-        remote: float = 10.0,
-    ) -> "RegionLatencyMatrix":
-        """Assign ``sids`` to ``regions`` round-robin over a uniform matrix."""
-        assignment = tuple(
-            (sid, index % regions) for index, sid in enumerate(sids)
-        )
-        return cls.uniform(
-            regions, local=local, remote=remote, assignment=assignment
-        )
-
-    def region_of(self, sid: int) -> int:
-        """The region a SID is deployed in."""
-        return self._region_of.get(sid, self.default_region)
-
-    def __call__(self, rng: random.Random, src: int, dst: int) -> float:
-        return self.matrix[self.region_of(src)][self.region_of(dst)]
-
-
 def fixed_latency(value: float) -> LatencyModel:
     """Every message takes exactly ``value`` time units.
 
@@ -219,10 +135,6 @@ class Network:
         self._latency = (
             fixed_latency(latency) if isinstance(latency, (int, float)) else latency
         )
-        #: Per-pair models (RegionLatencyMatrix) receive (rng, src, dst);
-        #: scalar models keep the legacy (rng) call so their RNG draw
-        #: pattern — and therefore every existing stream — is unchanged.
-        self._per_pair_latency = bool(getattr(self._latency, "per_pair", False))
         #: Constant link latency, when the model is deterministic and
         #: RNG-free (``fixed_latency``) — the precondition for collapsing
         #: a quorum fan-out into one batched delivery event.
@@ -422,12 +334,7 @@ class Network:
             if recorder.enabled:
                 recorder.count("message.dropped.loss", message.type_name)
             return
-        # _draw_latency, inlined: one call frame per send is measurable on
-        # the fabric's hottest line.
-        if self._per_pair_latency:
-            delay = self._latency(self._rng, src, dst) * factor
-        else:
-            delay = self._latency(self._rng) * factor
+        delay = self._latency(self._rng) * factor
         scheduler = self._scheduler
         scheduler.call_later(delay, self._deliver, message)
         if (
@@ -439,13 +346,8 @@ class Network:
             self.stats.duplicated += 1
             if recorder.enabled:
                 recorder.count("message.duplicated", message.type_name)
-            extra = delay + self._draw_latency(src, dst) * factor
+            extra = delay + self._latency(self._rng) * factor
             scheduler.call_later(extra, self._deliver, message)
-
-    def _draw_latency(self, src: int, dst: int) -> float:
-        if self._per_pair_latency:
-            return self._latency(self._rng, src, dst)
-        return self._latency(self._rng)
 
     def broadcast(self, messages: Iterable[Message]) -> None:
         """Send a batch of messages (the quorum fan-out entry point).

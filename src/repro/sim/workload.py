@@ -22,38 +22,18 @@ Scale notes (millions of keys, millions of arrivals):
   draw) so the gap draws never interleave with the key/op-type draws —
   the chained schedule is bit-identical to the old draw-everything-
   upfront schedule over the same arrival stream.
-* ``diurnal_period`` / ``diurnal_amplitude`` turn the constant-rate
-  Poisson process into a time-varying one (intensity
-  ``rate * (1 + amplitude * sin(2 pi t / period))``) via Lewis-Shedler
-  thinning — the open-loop analogue of a day/night load curve.
-* a ``dispatcher`` routes each picked key to a coordinator (and an
-  optional per-operation outcome sink) — this is how the sharded store
-  sends every key to its shard's replica group instead of assuming a
-  single replicated object.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from bisect import bisect
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from itertools import accumulate
 
-from collections.abc import Sequence
-
 from repro.sim.coordinator import OperationOutcome, QuorumCoordinator
 from repro.sim.events import Scheduler
-
-#: A dispatcher maps a key index to the coordinator that should serve it,
-#: plus an optional outcome sink invoked (before the workload's global
-#: ``on_outcome``) when the operation finishes — the sharded store uses the
-#: sink for per-shard accounting and load-balancer bookkeeping.
-Dispatcher = Callable[
-    [int],
-    tuple[QuorumCoordinator, Callable[[OperationOutcome], None] | None],
-]
 
 
 @dataclass(frozen=True)
@@ -74,18 +54,9 @@ class WorkloadSpec:
         ``"poisson"`` — open-loop Poisson arrivals at ``rate`` ops per time
         unit (exercises locking and concurrency).
     rate:
-        Arrival rate for the Poisson process (the *mean* rate when a
-        diurnal curve is configured).
+        Arrival rate for the Poisson process.
     zipf_s:
         Zipf skew for key popularity; 0 means uniform.
-    diurnal_period:
-        Length of one diurnal cycle in simulated time units; 0 disables
-        the curve (constant-rate Poisson, the legacy behaviour).
-    diurnal_amplitude:
-        Relative swing of the diurnal curve in ``[0, 1]``: the
-        instantaneous intensity is
-        ``rate * (1 + amplitude * sin(2 pi t / period))``, so 1.0 swings
-        between 0 and twice the mean rate.
     """
 
     operations: int = 1000
@@ -94,8 +65,6 @@ class WorkloadSpec:
     arrival: str = "closed"
     rate: float = 1.0
     zipf_s: float = 0.0
-    diurnal_period: float = 0.0
-    diurnal_amplitude: float = 0.0
 
     def __post_init__(self) -> None:
         if self.operations < 0:
@@ -110,38 +79,11 @@ class WorkloadSpec:
             raise ValueError("poisson arrivals need a positive rate")
         if self.zipf_s < 0:
             raise ValueError("zipf skew must be non-negative")
-        if not 0.0 <= self.diurnal_amplitude <= 1.0:
-            raise ValueError("diurnal amplitude must be in [0, 1]")
-        if self.diurnal_amplitude > 0.0:
-            if self.arrival != "poisson":
-                raise ValueError("diurnal curves need poisson arrivals")
-            if self.diurnal_period <= 0.0:
-                raise ValueError("diurnal curves need a positive period")
-
-    def rate_at(self, t: float) -> float:
-        """Instantaneous Poisson intensity at simulated time ``t``."""
-        if self.diurnal_amplitude == 0.0:
-            return self.rate
-        return self.rate * (
-            1.0
-            + self.diurnal_amplitude
-            * math.sin(2.0 * math.pi * t / self.diurnal_period)
-        )
-
-    @property
-    def peak_rate(self) -> float:
-        """The diurnal curve's maximum intensity (the thinning envelope)."""
-        return self.rate * (1.0 + self.diurnal_amplitude)
 
 
 class Workload:
-    """Drives one or more coordinators according to a :class:`WorkloadSpec`.
-
-    ``dispatcher`` overrides the default round-robin coordinator choice:
-    each operation's key index is routed through it (the sharded store
-    plugs its router + load balancer in here), and the optional per-op
-    sink it returns runs before the workload-wide ``on_outcome``.
-    """
+    """Drives one or more coordinators according to a :class:`WorkloadSpec`,
+    round-robin over the coordinators."""
 
     def __init__(
         self,
@@ -150,7 +92,6 @@ class Workload:
         scheduler: Scheduler,
         rng: random.Random,
         on_outcome: Callable[[OperationOutcome], None],
-        dispatcher: Dispatcher | None = None,
     ) -> None:
         self._spec = spec
         if isinstance(coordinator, QuorumCoordinator):
@@ -163,7 +104,6 @@ class Workload:
         self._rng = rng
         self._on_outcome = on_outcome
         self._on_complete: Callable[[], None] | None = None
-        self._dispatcher = dispatcher
         self._issued = 0
         self._completed = 0
         self._scheduled_arrivals = 0
@@ -229,26 +169,6 @@ class Workload:
             self._arrival_rng = random.Random(self._rng.getrandbits(64))
             self._schedule_next_arrival()
 
-    def _next_gap(self) -> float:
-        """One inter-arrival gap, via thinning when a diurnal curve is on.
-
-        Lewis-Shedler: propose exponential gaps at the envelope (peak)
-        rate and accept each proposal with probability
-        ``rate(t) / peak_rate`` — the accepted points form an
-        inhomogeneous Poisson process with exactly the diurnal intensity.
-        """
-        spec = self._spec
-        rng = self._arrival_rng
-        assert rng is not None
-        if spec.diurnal_amplitude == 0.0:
-            return rng.expovariate(spec.rate)
-        peak = spec.peak_rate
-        t = self._next_arrival_at
-        while True:
-            t += rng.expovariate(peak)
-            if rng.random() * peak <= spec.rate_at(t):
-                return t - self._next_arrival_at
-
     def _schedule_next_arrival(self) -> None:
         """Chain-schedule the next open-loop arrival (one in flight).
 
@@ -260,7 +180,9 @@ class Workload:
         if self._scheduled_arrivals >= self._spec.operations:
             return
         self._scheduled_arrivals += 1
-        self._next_arrival_at += self._next_gap()
+        self._next_arrival_at += self._arrival_rng.expovariate(
+            self._spec.rate
+        )
         # call_at == schedule_at minus the EventHandle nobody keeps
         # (arrivals are never cancelled); same float round-trip, so the
         # event times are bit-identical.
@@ -274,29 +196,19 @@ class Workload:
         if self._issued >= self._spec.operations:
             return
         key_index = self._pick_key_index()
-        if self._dispatcher is None:
-            coordinator = self._coordinators[
-                self._issued % len(self._coordinators)
-            ]
-            done: Callable[[OperationOutcome], None] = self._op_done
-        else:
-            coordinator, sink = self._dispatcher(key_index)
-            if sink is None:
-                done = self._op_done
-            else:
-                def done(outcome: OperationOutcome, _sink=sink) -> None:
-                    _sink(outcome)
-                    self._op_done(outcome)
+        coordinator = self._coordinators[
+            self._issued % len(self._coordinators)
+        ]
         self._issued += 1
         key = self._key_names.get(key_index)
         if key is None:
             key = self._key_names[key_index] = f"k{key_index}"
         if self._rng.random() < self._spec.read_fraction:
-            coordinator.read(key, done)
+            coordinator.read(key, self._op_done)
         else:
             value = f"v{self._next_value}"
             self._next_value += 1
-            coordinator.write(key, value, done)
+            coordinator.write(key, value, self._op_done)
 
     def add_on_complete(self, callback: Callable[[], None]) -> None:
         """Set the one completion hook: it fires once, when the last

@@ -129,7 +129,7 @@ def test_every_range_checked_option_is_taken_somewhere():
 @pytest.mark.parametrize("argv", [
     ["simulate", "--p", "0", "--operations", "10"],
     ["simulate", "--p", "1", "--operations", "10", "--repeats", "1"],
-    ["shard", "--drop", "1", "--read-fraction", "0", "--operations", "10"],
+    ["report", "--drop", "1", "--read-fraction", "0", "--operations", "10"],
     ["availability", "--p", "0", "1", "--jobs", "1"],
 ])
 def test_the_edges_of_each_range_are_accepted(argv, capsys):

@@ -11,7 +11,7 @@ from repro.obs.spans import SpanKind
 from repro.obs.stats import Histogram
 from repro.runner.merge import merge_availability, merge_monitors, merge_series
 from repro.sim import SimulationConfig, WorkloadSpec, simulate
-from repro.sim.monitor import Monitor, OperationSummary, ShardedMonitor
+from repro.sim.monitor import Monitor, OperationSummary
 
 
 def _run(seed: int, trace: bool = False) -> Monitor:
@@ -54,41 +54,19 @@ def test_summary_merge_adds_counters_and_concatenates_latencies():
     assert a.failure_reasons == Counter({"timeout": 1, "no_quorum": 1})
 
 
-def _sharded_run(seed: int) -> ShardedMonitor:
-    from repro.shard import ShardedConfig, simulate_sharded
-
-    config = ShardedConfig(
-        group=SimulationConfig(
-            workload=WorkloadSpec(operations=60, keys=64), seed=seed
-        ),
-        shards=3,
-    )
-    return simulate_sharded(config).monitor
-
-
 def test_monitor_merge_equals_recording_all_outcomes_in_order():
-    """A plain monitor, and a sharded one shard by shard."""
-    for run in (_run, _sharded_run):
-        first, second = run(1), run(2)
-        pairs = list(zip(
-            getattr(first, "shards", [first]),
-            getattr(second, "shards", [second]),
-        ))
-        replays = []
-        for mine, theirs in pairs:
-            replay = Monitor(replica_ids=mine._replica_ids)
-            for outcome in mine.outcomes + theirs.outcomes:
-                replay.record(outcome)
-            replays.append(replay)
-        merged = merge_monitors([first, second])
-        assert merged is first
-        for (shard, _theirs), replay in zip(pairs, replays):
-            assert shard.reads == replay.reads
-            assert shard.writes == replay.writes
-            assert shard.outcomes == replay.outcomes
-            assert shard._read_touches == replay._read_touches
-            assert shard._write_touches == replay._write_touches
-            assert shard.summary() == replay.summary()
+    first, second = _run(1), _run(2)
+    replay = Monitor(replica_ids=first._replica_ids)
+    for outcome in first.outcomes + second.outcomes:
+        replay.record(outcome)
+    merged = merge_monitors([first, second])
+    assert merged is first
+    assert merged.reads == replay.reads
+    assert merged.writes == replay.writes
+    assert merged.outcomes == replay.outcomes
+    assert merged._read_touches == replay._read_touches
+    assert merged._write_touches == replay._write_touches
+    assert merged.summary() == replay.summary()
 
 
 def test_monitor_merge_rejects_replica_mismatch():

@@ -13,10 +13,9 @@ Two historical O(N) costs are pinned down here:
   bit-identical to the old upfront schedule and the heap stays flat.
 
 Plus distributional sanity: a chi-square test that Zipf sampling matches
-its law (and is head-heavy), and diurnal-curve behaviour.
+its law (and is head-heavy).
 """
 
-import math
 import random
 import time
 from itertools import accumulate
@@ -193,65 +192,3 @@ class TestPoissonIncrementalSchedule:
         scheduler, coordinator = _drive(spec, seed=5)
         assert len(coordinator.issue_times) == 50
         assert scheduler.now == 0.0  # instant ops, no arrival process
-
-
-class TestDiurnalCurve:
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            WorkloadSpec(diurnal_amplitude=0.5)  # needs poisson
-        with pytest.raises(ValueError):
-            WorkloadSpec(
-                arrival="poisson", diurnal_amplitude=0.5, diurnal_period=0.0
-            )
-        with pytest.raises(ValueError):
-            WorkloadSpec(
-                arrival="poisson", diurnal_amplitude=1.5, diurnal_period=10.0
-            )
-
-    def test_rate_curve_shape(self):
-        spec = WorkloadSpec(
-            arrival="poisson", rate=2.0,
-            diurnal_period=100.0, diurnal_amplitude=0.5,
-        )
-        assert spec.rate_at(0.0) == pytest.approx(2.0)
-        assert spec.rate_at(25.0) == pytest.approx(3.0)  # peak
-        assert spec.rate_at(75.0) == pytest.approx(1.0)  # trough
-        assert spec.peak_rate == pytest.approx(3.0)
-
-    def test_zero_amplitude_is_bit_identical_to_constant_rate(self):
-        constant = WorkloadSpec(
-            operations=200, keys=8, arrival="poisson", rate=1.0
-        )
-        flat_diurnal = WorkloadSpec(
-            operations=200, keys=8, arrival="poisson", rate=1.0,
-            diurnal_period=50.0, diurnal_amplitude=0.0,
-        )
-        _s1, first = _drive(constant, seed=21)
-        _s2, second = _drive(flat_diurnal, seed=21)
-        assert first.issue_times == second.issue_times
-        assert first.keys == second.keys
-
-    def test_peak_half_cycle_gets_more_arrivals(self):
-        period = 200.0
-        spec = WorkloadSpec(
-            operations=4000, keys=4, arrival="poisson", rate=1.0,
-            diurnal_period=period, diurnal_amplitude=0.9,
-        )
-        _scheduler, coordinator = _drive(spec, seed=17)
-        peak = trough = 0
-        for t in coordinator.issue_times:
-            phase = math.fmod(t, period) / period
-            if phase < 0.5:
-                peak += 1
-            else:
-                trough += 1
-        assert peak > 1.5 * trough
-
-    def test_diurnal_deterministic(self):
-        spec = WorkloadSpec(
-            operations=300, keys=8, arrival="poisson", rate=1.0,
-            diurnal_period=60.0, diurnal_amplitude=0.7,
-        )
-        _s1, first = _drive(spec, seed=8)
-        _s2, second = _drive(spec, seed=8)
-        assert first.issue_times == second.issue_times
