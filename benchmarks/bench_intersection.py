@@ -8,8 +8,6 @@ validation as the measured workload.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core.builder import (
     from_spec,
     mostly_read,

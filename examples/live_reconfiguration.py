@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 
-from repro.core import analyse, from_spec, mostly_write
+from repro.core import analyse, mostly_write
 from repro.core.tuning import recommend
 from repro.sim.coordinator import QuorumCoordinator
 from repro.sim.engine import SimulationConfig, build_simulation

@@ -3,7 +3,9 @@
 A cluster starts one of these per physical node, so this module imports
 nothing else of the CLI — not even the shared options: its
 ``--service-time`` is wall seconds, theirs simulated time — and nothing
-of the package a site does not run (DESIGN §2.16).
+of the package a site does not run (DESIGN §2.16).  On Linux the site
+runs as ``SCHED_BATCH`` (``serve_site``), so the frames a coordinator
+writes wake it without preempting the coordinator.
 """
 
 from __future__ import annotations

@@ -14,8 +14,11 @@ in place, and the heap is compacted under the simulator's rule (at least
 The loop sees **one** ``TimerHandle`` per clock, armed for the earliest
 live entry and re-armed only when a new entry becomes the earliest — a
 constant phase timeout, pushed behind every other one, never does.
-Zero-delay callbacks join a FIFO that one ``loop.call_soon`` drains;
-:class:`~repro.runtime.connection.Connection` flushes ride it too.
+Zero-delay callbacks join a FIFO that one ``loop.call_soon`` drains.
+:class:`~repro.runtime.connection.Connection` flushes do not: they join
+a second FIFO, :meth:`AsyncClock.call_when_idle`, which runs once the
+loop has nothing else runnable, or after :data:`IDLE_WAIT_ITERATIONS`
+loop iterations if it never runs dry.
 
 Why: every quorum phase arms a timeout that a healthy cluster cancels.
 Measured on a 2-core VM with 16 in flight, an asyncio ``call_later`` +
@@ -37,6 +40,20 @@ Contract, the same as asyncio's where asyncio has one:
 * a drain runs the callbacks queued before it started; one queued while
   it runs waits for the next drain, which is scheduled — as a
   ``call_soon`` from a ``call_soon`` callback waits a loop iteration.
+
+**Idle callbacks.**  :meth:`AsyncClock.call_when_idle` is for work that
+gets cheaper the more of it waits: a connection's pending frames leave
+in one ``send(2)`` however many there are, and each write wakes the
+peer process once.  The batch is checked one loop iteration after its
+first callback was queued; it runs if the loop's ready queue is empty
+then — every callback this iteration had to run has run, so nothing
+more can join without new I/O or a timer — and otherwise checks again on
+the next iteration, at most :data:`IDLE_WAIT_ITERATIONS` times.  On a
+quiet loop it therefore runs on the same iteration a zero-delay
+callback would; on a saturated one, once per round of replies.  The
+ready queue is asyncio's private ``loop._ready``, read through
+``getattr`` like ``_clock_resolution`` above; a loop without one counts
+as always idle, so the batch runs on the first check.
 """
 
 from __future__ import annotations
@@ -66,6 +83,12 @@ _FIRING = -_INF
 #: simulator's: ``cancel()`` and the absolute ``time``).
 AsyncTimerHandle = EventHandle
 
+#: Most loop iterations an idle batch waits for the loop to run dry, so
+#: a loop that never does (a task spinning on ``sleep(0)``) still
+#: flushes.  Under 16 closed-loop clients a write carried no more frames
+#: past 4 to 8 checks (EXPERIMENTS.md, "A site wakes once per round").
+IDLE_WAIT_ITERATIONS = 8
+
 
 class AsyncClock:
     """The asyncio event loop seen through the transport-seam Clock."""
@@ -79,6 +102,9 @@ class AsyncClock:
         "_timer",
         "_armed_for",
         "_ready",
+        "_loop_ready",
+        "_idle",
+        "_idle_checks",
     )
 
     def __init__(self, loop: asyncio.AbstractEventLoop | None = None) -> None:
@@ -94,6 +120,10 @@ class AsyncClock:
         self._timer: asyncio.TimerHandle | None = None  # the one loop timer
         self._armed_for = _INF  # when it fires; inf when there is none
         self._ready: list[list] = []  # zero-delay entries awaiting a drain
+        # The loop's own ready queue: empty when nothing else is runnable.
+        self._loop_ready = getattr(self._loop, "_ready", ())
+        self._idle: list[list] = []  # idle entries awaiting the loop
+        self._idle_checks = 0  # iterations the idle batch has waited
 
     @property
     def now(self) -> float:
@@ -213,30 +243,67 @@ class AsyncClock:
         """Run what was queued before this drain, in scheduling order."""
         batch = self._ready
         self._ready = []
-        loop = self._loop
-        ran = 0
         try:
-            for entry in batch:
-                ran += 1
-                callback = entry[_CALLBACK]
-                if callback is None:
-                    continue
-                entry[_CALLBACK] = None
-                arg = entry[_ARG]
-                try:
-                    if arg is _NO_ARG:
-                        callback()
-                    else:
-                        callback(arg)
-                except (SystemExit, KeyboardInterrupt):
-                    raise
-                except BaseException as exc:
-                    _report(loop, callback, exc)
-        finally:
-            if ran < len(batch):  # cut short: the rest goes first next time
+            _run(self._loop, batch)
+        except BaseException:  # cut short: the rest goes first next time
+            rest = [entry for entry in batch if entry[_CALLBACK] is not None]
+            if rest:
                 if not self._ready:
-                    loop.call_soon(self._drain)
-                self._ready[:0] = batch[ran:]
+                    self._loop.call_soon(self._drain)
+                self._ready[:0] = rest
+            raise
+
+    # -- idle callbacks ---------------------------------------------------
+
+    def call_when_idle(self, callback: Callable[[], Any]) -> None:
+        """Run ``callback`` once the loop has nothing else runnable (see
+        the module's "Idle callbacks")."""
+        idle = self._idle
+        if not idle:
+            self._idle_checks = 0
+            self._loop.call_soon(self._run_idle)
+        idle.append([0.0, 0, callback, _NO_ARG])
+
+    def _run_idle(self) -> None:
+        """Run the idle batch, or look again next iteration."""
+        if self._loop_ready and self._idle_checks < IDLE_WAIT_ITERATIONS:
+            self._idle_checks += 1
+            self._loop.call_soon(self._run_idle)
+            return
+        batch = self._idle
+        self._idle = []
+        try:
+            _run(self._loop, batch)
+        except BaseException:  # as in _drain
+            rest = [entry for entry in batch if entry[_CALLBACK] is not None]
+            if rest:
+                if not self._idle:
+                    self._idle_checks = 0
+                    self._loop.call_soon(self._run_idle)
+                self._idle[:0] = rest
+            raise
+
+
+def _run(loop: asyncio.AbstractEventLoop, batch: list[list]) -> None:
+    """Run a batch's live entries in order; an exception goes to the loop
+    and the batch goes on, ``SystemExit`` and ``KeyboardInterrupt``
+    propagate.  A run entry's callback is cleared before it is called,
+    so what a propagating exception left unrun still has one."""
+    for entry in batch:
+        callback = entry[_CALLBACK]
+        if callback is None:
+            continue
+        entry[_CALLBACK] = None
+        arg = entry[_ARG]
+        try:
+            if arg is _NO_ARG:
+                callback()
+            else:
+                callback(arg)
+        except (SystemExit, KeyboardInterrupt):
+            raise
+        except BaseException as exc:
+            _report(loop, callback, exc)
 
 
 def _report(

@@ -21,10 +21,14 @@ can be added to it cheaply:
   when that callback returns: one write for k replies, in the same loop
   iteration, so a lone request is answered exactly as soon as before;
 * a frame sent *from anywhere else* — another connection's callback, a
-  client task, a timer — joins the owner's clock drain (the
-  :class:`~repro.runtime.clock.AsyncClock` FIFO of zero-delay
-  callbacks, one ``call_soon`` for all of them), and every further
-  frame for this peer in the same loop iteration rides with it.
+  client task, a timer — waits for the owner's clock to find the event
+  loop idle (:meth:`~repro.runtime.clock.AsyncClock.call_when_idle`:
+  nothing else runnable, or at most
+  :data:`~repro.runtime.clock.IDLE_WAIT_ITERATIONS` loop iterations),
+  and every further frame for this peer until then rides with it.  On a
+  quiet loop that is the next iteration; on a busy one every reply the
+  round brings in has been handled first, so each peer gets one write —
+  and one wakeup — per round instead of one per callback.
 
 Which case applies is read off the connection's own state (is its
 receive callback on the stack; is the pending list empty), so there is
@@ -139,7 +143,7 @@ class Connection(asyncio.BufferedProtocol):
         if not pending:
             self._queued = transport.get_write_buffer_size()
             if not self._receiving:
-                self._clock.call_later(0.0, self._flush)
+                self._clock.call_when_idle(self._flush)
         pending.append(frame)
         self._queued += len(frame)
         if self._queued > MAX_QUEUED_BYTES:

@@ -26,6 +26,8 @@ storage intact and runs the site's 2PC termination protocol.
 from __future__ import annotations
 
 import asyncio
+import os
+import sys
 from typing import Any
 
 from repro.runtime.clock import AsyncClock
@@ -174,7 +176,20 @@ async def serve_site(
 
     Prints ``REPRO-SITE sid=<sid> port=<port>`` once the socket is bound
     so a parent orchestrator can scrape the ephemeral port.
+
+    On Linux the process first puts itself in ``SCHED_BATCH``: a frame
+    arriving from the coordinator then wakes the site without preempting
+    the coordinator mid-round, so the coordinator's ``send(2)`` returns
+    at its CPU cost and the site reads the round's frames in one wakeup
+    (EXPERIMENTS.md, "A site wakes once per round").  Only this process
+    changes class — an in-process :class:`SiteServer` never does — and a
+    kernel that refuses leaves the default class.
     """
+    if sys.platform.startswith("linux"):
+        try:
+            os.sched_setscheduler(0, os.SCHED_BATCH, os.sched_param(0))
+        except OSError:
+            pass  # refused: serve in the default class
     server = SiteServer(sid, host=host, port=port, service_time=service_time)
     await server.start()
     print(f"REPRO-SITE sid={sid} port={server.port}", flush=True)

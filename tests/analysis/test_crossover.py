@@ -1,7 +1,5 @@
 """Tests for crossover finding, pinned to the paper's Section 4 claims."""
 
-import pytest
-
 from repro.analysis.crossover import (
     expected_write_crossover_p,
     first_crossing,

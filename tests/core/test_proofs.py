@@ -7,7 +7,6 @@ from repro.core.builder import (
     mostly_read,
     mostly_write,
     recommended_tree,
-    unmodified_binary,
 )
 from repro.core.proofs import (
     prove_lower_bound_for_binary_tree,

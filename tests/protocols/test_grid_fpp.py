@@ -10,7 +10,7 @@ from repro.protocols.fpp import (
     is_prime,
     plane_order,
 )
-from repro.protocols.grid import GridProtocol, square_side
+from repro.protocols.grid import GridProtocol
 from repro.quorums.availability import exact_availability
 from repro.quorums.base import is_cross_intersecting, is_intersecting
 from repro.quorums.load import optimal_load

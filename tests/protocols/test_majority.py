@@ -1,7 +1,6 @@
 """Unit tests for the majority quorum protocol."""
 
 import math
-from itertools import combinations
 
 import pytest
 

@@ -9,7 +9,6 @@ from repro.protocols.tree_quorum import (
     binary_tree_sizes,
     complete_binary_height,
 )
-from repro.quorums.availability import exact_availability
 from repro.quorums.base import is_intersecting
 from repro.quorums.load import optimal_load
 

@@ -265,3 +265,76 @@ def test_keyboard_interrupt_propagates_and_the_rest_of_its_batch_waits():
         assert fired == [(0.0, 1), (0.0, 2), (0.001, 1), (0.001, 2)]
     finally:
         loop.close()
+
+
+# ---------------------------------------------------------------------
+# idle callbacks
+# ---------------------------------------------------------------------
+
+
+def test_the_idle_check_reads_the_loops_ready_queue():
+    """``call_when_idle`` asks the loop's private ready queue whether
+    anything else is runnable; this pins that the running loop has one
+    and that it holds exactly the callbacks still to run."""
+
+    async def main():
+        loop = asyncio.get_running_loop()
+        clock = AsyncClock(loop)
+        assert clock._loop_ready is loop._ready
+        seen = []
+        loop.call_soon(lambda: seen.append(len(loop._ready)))
+        loop.call_soon(lambda: seen.append(len(loop._ready)))
+        await asyncio.sleep(0.01)
+        return seen
+
+    assert asyncio.run(main()) == [1, 0]
+
+
+def test_a_loop_without_a_ready_queue_runs_idle_callbacks_at_once():
+    """The fallback: a loop that does not expose ``_ready`` counts as
+    idle, so an idle callback waits one iteration however busy it is."""
+
+    class Opaque:
+        """The running loop with its ready queue hidden."""
+
+        def __init__(self, loop):
+            self._inner = loop
+
+        def __getattr__(self, name):
+            if name == "_ready":
+                raise AttributeError(name)
+            return getattr(self._inner, name)
+
+    async def main():
+        loop = asyncio.get_running_loop()
+        clock = AsyncClock(Opaque(loop))
+        fired = []
+        clock.call_when_idle(lambda: fired.append(len(spins)))
+        spins = []
+        while not fired:
+            spins.append(None)
+            await asyncio.sleep(0)
+        return fired
+
+    assert asyncio.run(main()) == [1]
+
+
+def test_a_raising_idle_callback_reaches_the_handler_and_the_rest_runs():
+    async def main():
+        loop = asyncio.get_running_loop()
+        caught, fired = [], []
+        loop.set_exception_handler(lambda loop, context: caught.append(context))
+        clock = AsyncClock(loop)
+
+        def boom():
+            raise RuntimeError("boom")
+
+        clock.call_when_idle(lambda: fired.append(1))
+        clock.call_when_idle(boom)
+        clock.call_when_idle(lambda: fired.append(2))
+        await asyncio.sleep(0.01)
+        return caught, fired
+
+    caught, fired = asyncio.run(main())
+    assert fired == [1, 2]
+    assert [type(c["exception"]) for c in caught] == [RuntimeError]

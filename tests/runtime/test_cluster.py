@@ -12,6 +12,7 @@ import gc
 import os
 import shutil
 import struct
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -27,8 +28,15 @@ from repro.runtime.cluster import (
     kv_request,
     run_traffic,
 )
-from repro.runtime.codec import CodecError, read_frame, write_frame
-from repro.runtime.siteserver import SiteServer
+from repro.runtime.codec import (
+    CodecError,
+    decode_message,
+    encode_message,
+    read_frame,
+    write_frame,
+)
+from repro.runtime.siteserver import SiteServer, serve_site
+from repro.sim.messages import ReadRequest
 
 
 def test_cluster_serves_sigkill_survives_and_shuts_down_clean():
@@ -328,3 +336,76 @@ def test_a_site_that_dies_importing_says_why(tmp_path, monkeypatch):
     message = asyncio.run(asyncio.wait_for(main(), 30.0))
     assert "exited before announcing its port (rc=1)" in message
     assert "ImportError: shadowed siteserver: no such dependency" in message
+
+
+# ---------------------------------------------------------------------
+# a site process's scheduling class
+# ---------------------------------------------------------------------
+
+linux_only = pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="SCHED_BATCH is Linux's"
+)
+
+
+@linux_only
+def test_a_spawned_site_runs_as_sched_batch():
+    async def main():
+        site = SiteProcess(0)
+        try:
+            await site.spawn()
+            return os.sched_getscheduler(site.proc.pid)
+        finally:
+            await site.stop()
+
+    assert asyncio.run(asyncio.wait_for(main(), 30.0)) == os.SCHED_BATCH
+
+
+@linux_only
+def test_an_in_process_site_server_leaves_the_policy_alone():
+    before = os.sched_getscheduler(0)
+
+    async def main():
+        server = SiteServer(0)
+        await server.start()
+        try:
+            return os.sched_getscheduler(0)
+        finally:
+            await server.stop()
+
+    assert asyncio.run(asyncio.wait_for(main(), 30.0)) == before
+    assert os.sched_getscheduler(0) == before
+
+
+def test_a_site_the_kernel_refuses_sched_batch_still_serves(monkeypatch, capsys):
+    asked = []
+
+    def refuse(pid, policy, param):
+        asked.append((pid, policy))
+        raise OSError("refused")
+
+    monkeypatch.setattr(os, "sched_setscheduler", refuse, raising=False)
+
+    async def main():
+        serving = asyncio.ensure_future(serve_site(0))
+        try:
+            out = ""
+            while "REPRO-SITE" not in out:
+                assert not serving.done()
+                await asyncio.sleep(0.01)
+                out += capsys.readouterr().out
+            port = int(out.rsplit("port=", 1)[1].split()[0])
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            write_frame(writer, {"kind": "hello", "sid": -1})
+            assert (await read_frame(reader))["sid"] == 0
+            write_frame(writer, encode_message(ReadRequest(-1, 0, "k", 3)))
+            reply = decode_message(await read_frame(reader))
+            writer.close()
+            return reply.request_id
+        finally:
+            serving.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await serving
+
+    assert asyncio.run(asyncio.wait_for(main(), 30.0)) == 3
+    if sys.platform.startswith("linux"):
+        assert asked == [(0, os.SCHED_BATCH)]

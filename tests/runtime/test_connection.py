@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.runtime.clock import AsyncClock
+from repro.runtime.clock import IDLE_WAIT_ITERATIONS, AsyncClock
 from repro.runtime.codec import (
     MAX_FRAME_BYTES,
     decode_message,
@@ -234,7 +234,7 @@ def test_arbitrary_bytes_never_escape_the_connection(noise, tail):
 
 
 # ---------------------------------------------------------------------
-# (c) one write per peer per tick
+# (c) one write per peer per round
 # ---------------------------------------------------------------------
 
 
@@ -290,18 +290,19 @@ def test_sends_from_two_callbacks_in_one_tick_share_one_write():
         loop.call_soon(connection.send, frames[1])
         await asyncio.sleep(0)  # both callbacks ran, the flush has not
         assert transport.writes == []
-        await asyncio.sleep(0)
+        await asyncio.sleep(0.01)  # the loop goes idle
         assert transport.writes == [frames[0] + frames[1]]
-        connection.send(frames[2])  # a later tick: its own write
-        await asyncio.sleep(0)
+        connection.send(frames[2])  # a later round: its own write
+        await asyncio.sleep(0.01)
         assert transport.writes == [frames[0] + frames[1], frames[2]]
 
     asyncio.run(main())
 
 
-def test_flushes_and_zero_delay_callbacks_share_one_clock_drain():
-    """Frames for two peers and a zero-delay callback, all queued
-    outside any receive callback, cost the loop one ``call_soon``."""
+def test_flushes_for_every_peer_share_one_idle_check():
+    """Frames for two peers, all queued outside any receive callback,
+    cost the loop one ``call_soon`` between them, and none of the clock's
+    zero-delay drain."""
 
     async def main():
         loop = asyncio.get_running_loop()
@@ -323,25 +324,22 @@ def test_flushes_and_zero_delay_callbacks_share_one_clock_drain():
 
         loop.call_soon = counting_call_soon
         try:
-            fired = []
             frame = encode_frame(encode_message(ReadRequest(-1, 0, "k", 1)))
             connections[0].send(frame)
-            clock.call_later(0.0, fired.append, "callback")
             connections[1].send(frame)
             connections[0].send(frame)
         finally:
             del loop.call_soon
-        assert len(soon) == 1
-        await asyncio.sleep(0)
-        assert fired == ["callback"]
+        assert len(soon) == 1 and clock._ready == []
+        await asyncio.sleep(0.01)
         assert [t.writes for t in transports] == [[frame + frame], [frame]]
 
     asyncio.run(main())
 
 
-def test_frames_for_another_peer_wait_for_the_tick_not_the_callback():
+def test_frames_for_another_peer_wait_for_the_idle_loop_not_the_callback():
     """Replies produced inside A's receive callback but addressed to B
-    are not A's to flush: B writes them once, on the next tick."""
+    are not A's to flush: B writes them once, when the loop goes idle."""
 
     async def main():
         transports = {"a": RecordingTransport(), "b": RecordingTransport()}
@@ -358,12 +356,124 @@ def test_frames_for_another_peer_wait_for_the_tick_not_the_callback():
             for i in range(5)
         ))
         assert transports["b"].writes == []
-        await asyncio.sleep(0)
+        await asyncio.sleep(0.01)
         assert len(transports["b"].writes) == 1
         assert len(split_frames(transports["b"].writes[0])) == 5
         assert transports["a"].writes == []
 
     asyncio.run(main())
+
+
+def test_frames_from_callbacks_across_a_busy_loop_leave_in_one_write_per_peer():
+    """A coordinator under load: replies keep arriving, each handled in
+    its own callback and iteration, and each sends to two sites.  The
+    frames wait for the round to end, one write per site."""
+
+    async def main():
+        loop = asyncio.get_running_loop()
+        clock = AsyncClock(loop)
+        transports = [RecordingTransport(), RecordingTransport()]
+        connections = []
+        for transport in transports:
+            connection = Connection(
+                lambda c: None, lambda m: None, lambda c: None, clock
+            )
+            connection.connection_made(transport)
+            connections.append(connection)
+        rounds = IDLE_WAIT_ITERATIONS - 2
+        frames = [
+            encode_frame(encode_message(ReadRequest(-1, 0, "k", i)))
+            for i in range(rounds)
+        ]
+
+        def reply(index):
+            for connection in connections:
+                connection.send(frames[index])
+            if index + 1 < rounds:
+                loop.call_soon(reply, index + 1)  # the loop stays busy
+
+        loop.call_soon(reply, 0)
+        await asyncio.sleep(0.01)
+        assert [t.writes for t in transports] == [[b"".join(frames)]] * 2
+
+    asyncio.run(main())
+
+
+class CountingLoop(asyncio.SelectorEventLoop):
+    """An event loop that numbers its iterations."""
+
+    iteration = 0
+
+    def _run_once(self):
+        self.iteration += 1
+        super()._run_once()
+
+
+def run_counting(coroutine_function):
+    loop = CountingLoop()
+    try:
+        return loop.run_until_complete(
+            asyncio.wait_for(coroutine_function(loop), 30.0)
+        )
+    finally:
+        loop.close()
+
+
+def recording_connection(loop, written):
+    """A connection whose transport notes the iteration of each write."""
+    transport = RecordingTransport()
+    record = transport.write
+
+    def write(data):
+        record(data)
+        written.append(loop.iteration)
+
+    transport.write = write
+    connection = Connection(lambda c: None, lambda m: None, lambda c: None)
+    connection.connection_made(transport)
+    return connection
+
+
+def test_a_spinning_loop_holds_a_frame_for_at_most_the_cap():
+    """``while True: await asyncio.sleep(0)`` never lets the loop go
+    idle; the frame waits :data:`IDLE_WAIT_ITERATIONS` checks, no more."""
+
+    async def main(loop):
+        written = []
+        connection = recording_connection(loop, written)
+
+        async def spin():
+            while True:
+                await asyncio.sleep(0)
+
+        spinner = asyncio.ensure_future(spin())
+        await asyncio.sleep(0)
+        sent_at = loop.iteration
+        connection.send(encode_frame({"kind": "hello", "sid": -1}))
+        while not written:
+            await asyncio.sleep(0)
+        spinner.cancel()
+        return written[0] - sent_at
+
+    waited = run_counting(main)
+    assert 1 < waited <= IDLE_WAIT_ITERATIONS + 1
+
+
+def test_a_lone_frame_on_an_idle_loop_leaves_on_the_next_iteration():
+    """What a client task sends before it awaits its reply is written on
+    the loop's next iteration, as when frames rode the clock's drain."""
+
+    async def main(loop):
+        written = []
+        connection = recording_connection(loop, written)
+        await asyncio.sleep(0.01)
+        sent_at = loop.iteration
+        connection.send(encode_frame({"kind": "hello", "sid": -1}))
+        await asyncio.sleep(0.01)
+        return written, sent_at
+
+    written, sent_at = run_counting(main)
+    assert written == [sent_at + 1]
 
 
 # ---------------------------------------------------------------------

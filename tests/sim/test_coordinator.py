@@ -231,7 +231,5 @@ class TestDecisionService:
         rig.network.send(DecisionRequest(src=victim, dst=-1, txid=999))
         rig.scheduler.run()
         # unknown txid -> presumed abort; known committed txid -> commit
-        from repro.sim.messages import AbortMessage
-
         # the site got an abort for unknown txid 999 (no crash needed)
         assert rig.sites[victim].stats.aborts >= 1

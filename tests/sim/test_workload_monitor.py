@@ -1,7 +1,6 @@
 """Unit tests for workload generation and the measurement monitor."""
 
 import math
-import random
 
 import pytest
 
@@ -9,7 +8,7 @@ from repro.core.builder import from_spec
 from repro.sim.coordinator import FailureReason, OperationOutcome
 from repro.sim.engine import SimulationConfig, build_simulation
 from repro.sim.monitor import Monitor
-from repro.sim.workload import Workload, WorkloadSpec
+from repro.sim.workload import WorkloadSpec
 
 
 class TestWorkloadSpec:
