@@ -7,14 +7,25 @@ process.
 
 from __future__ import annotations
 
+from functools import partial
+
 from repro.commands import options
 
 
-def _run_cluster(args) -> int:
+def _run_cluster(parser, args) -> int:
     import asyncio
     import json
 
+    from repro.core.builder import from_spec
     from repro.runtime.cluster import KVFrontend, LocalCluster, run_traffic
+
+    n = from_spec(args.spec).n
+    if args.kill_site is not None and not 0 <= args.kill_site < n:
+        # Before any site process is spawned.
+        parser.error(
+            f"argument --kill-site: {args.kill_site} is not a site of "
+            f"{args.spec} (0 to {n - 1})"
+        )
 
     async def drive() -> int:
         cluster = LocalCluster(
@@ -92,7 +103,7 @@ def register(sub, name: str) -> None:
         spec="1-3", operations=200, read_fraction=0.8, keys=8, timeout=1.0,
     )
     parser.add_argument(
-        "--kill-after-ops", type=int, default=None,
+        "--kill-after-ops", type=options.non_negative_int, default=None,
         help="SIGKILL a site after this many measured operations",
     )
     parser.add_argument(
@@ -109,4 +120,4 @@ def register(sub, name: str) -> None:
         "--deadline", type=float, default=120.0,
         help="hard wall-clock cap on the whole run (orphan safety net)",
     )
-    parser.set_defaults(run=_run_cluster)
+    parser.set_defaults(run=partial(_run_cluster, parser))

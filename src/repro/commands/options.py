@@ -29,6 +29,22 @@ def positive_int(text: str) -> int:
     return value
 
 
+def non_negative_int(text: str) -> int:
+    """``type=`` of a count that may be 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text} is below 0")
+    return value
+
+
+def positive_float(text: str) -> float:
+    """``type=`` of a duration that must be above 0."""
+    value = float(text)
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(f"{text} is not above 0")
+    return value
+
+
 def _protocol_names() -> tuple:
     from repro.protocols.zoo import PROTOCOL_NAMES
 
@@ -51,13 +67,14 @@ def _option(*flags, **keywords) -> tuple:
 OPTIONS = {
     "spec": _option("spec", nargs="?", default="1-3-5",
                     help="tree spec of the replica group, e.g. 1-3-5"),
-    "operations": _option("--operations", type=int, default=2000),
+    "operations": _option("--operations", type=non_negative_int,
+                          default=2000),
     "read_fraction": _option("--read-fraction", type=probability,
                              default=0.5),
     "p": _option("--p", type=probability, default=1.0,
                  help="per-replica availability (1.0 = no failures)"),
     "seed": _option("--seed", type=int, default=0, help="random seed"),
-    "max_attempts": _option("--max-attempts", type=int, default=4),
+    "max_attempts": _option("--max-attempts", type=positive_int, default=4),
     "protocol": _option(
         "--protocol", choices=_protocol_names, default=None,
         help="run on a zoo protocol instead of the tree spec (sized via "
@@ -106,9 +123,9 @@ OPTIONS = {
     ),
     "drop": _option("--drop", dest="drop_probability", type=probability,
                     default=0.0, help="message drop probability in [0, 1]"),
-    "keys": _option("--keys", type=int, help="keyspace size"),
+    "keys": _option("--keys", type=positive_int, help="keyspace size"),
     "timeout": _option(
-        "--timeout", type=float,
+        "--timeout", type=positive_float,
         help="coordinator quorum-phase timeout (simulated time units; "
              "wall seconds on a real cluster)",
     ),

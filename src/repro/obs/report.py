@@ -38,8 +38,8 @@ class PhaseStat:
     p50: float
     p95: float
     total: float
-    #: How many of the spans were overlapped rounds (a write's prepare
-    #: that carried its version round; see DESIGN §2.4).
+    #: How many of the spans were overlapped rounds (a write's prepare,
+    #: which carries its version requests; see DESIGN §2.4).
     overlapped: int = 0
 
 

@@ -3,7 +3,7 @@
 A *trace* is the tree of everything one operation did: the root span is
 the operation itself ("read"/"write"), its children are the lock wait and
 each quorum attempt, and attempt children are the protocol phases
-(READ/VERSION/PREPARE/COMMIT), unavailability deferrals and point events
+(READ/PREPARE/COMMIT), unavailability deferrals and point events
 (timeouts, retries).  Spans carry interval timestamps in *simulated* time,
 a status, and free-form attributes, so the whole measurement pipeline —
 per-phase latency breakdowns, failure accounting, flame summaries — can be
@@ -26,7 +26,7 @@ class SpanKind(str, enum.Enum):
     LOCK_WAIT = "lock_wait"
     #: One quorum attempt (an operation retries up to ``max_attempts``).
     ATTEMPT = "attempt"
-    #: One protocol phase inside an attempt (read/version/prepare/commit).
+    #: One protocol phase inside an attempt (read/prepare/commit).
     PHASE = "phase"
     #: Waiting out an unavailability window before retrying.
     DEFER = "defer"

@@ -53,7 +53,9 @@ quiet loop it therefore runs on the same iteration a zero-delay
 callback would; on a saturated one, once per round of replies.  The
 ready queue is asyncio's private ``loop._ready``, read through
 ``getattr`` like ``_clock_resolution`` above; a loop without one counts
-as always idle, so the batch runs on the first check.
+as always idle, so the batch runs on the first check.  The clocks on one
+loop share one batch: a check of their own would be "something else
+runnable" to each other, and every batch would wait the whole cap.
 """
 
 from __future__ import annotations
@@ -61,6 +63,7 @@ from __future__ import annotations
 import asyncio
 import heapq
 import time as _time
+import weakref
 from collections.abc import Callable
 from typing import Any
 
@@ -90,6 +93,18 @@ AsyncTimerHandle = EventHandle
 IDLE_WAIT_ITERATIONS = 8
 
 
+class _IdleBatch(list):
+    """The idle entries of every clock on one loop; ``checks`` counts the
+    iterations they have waited for the loop to run dry."""
+
+    checks = 0
+
+
+#: loop -> a weak reference to its clocks' idle batch: the clocks keep
+#: the batch alive, and a finished loop takes its entry with it.
+_IDLE_BATCHES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 class AsyncClock:
     """The asyncio event loop seen through the transport-seam Clock."""
 
@@ -104,7 +119,6 @@ class AsyncClock:
         "_ready",
         "_loop_ready",
         "_idle",
-        "_idle_checks",
     )
 
     def __init__(self, loop: asyncio.AbstractEventLoop | None = None) -> None:
@@ -122,8 +136,11 @@ class AsyncClock:
         self._ready: list[list] = []  # zero-delay entries awaiting a drain
         # The loop's own ready queue: empty when nothing else is runnable.
         self._loop_ready = getattr(self._loop, "_ready", ())
-        self._idle: list[list] = []  # idle entries awaiting the loop
-        self._idle_checks = 0  # iterations the idle batch has waited
+        ref = _IDLE_BATCHES.get(self._loop)
+        self._idle = ref() if ref is not None else None
+        if self._idle is None:
+            self._idle = _IdleBatch()
+            _IDLE_BATCHES[self._loop] = weakref.ref(self._idle)
 
     @property
     def now(self) -> float:
@@ -260,27 +277,28 @@ class AsyncClock:
         the module's "Idle callbacks")."""
         idle = self._idle
         if not idle:
-            self._idle_checks = 0
+            idle.checks = 0
             self._loop.call_soon(self._run_idle)
         idle.append([0.0, 0, callback, _NO_ARG])
 
     def _run_idle(self) -> None:
-        """Run the idle batch, or look again next iteration."""
-        if self._loop_ready and self._idle_checks < IDLE_WAIT_ITERATIONS:
-            self._idle_checks += 1
+        """Run the loop's idle batch, or look again next iteration."""
+        idle = self._idle
+        if self._loop_ready and idle.checks < IDLE_WAIT_ITERATIONS:
+            idle.checks += 1
             self._loop.call_soon(self._run_idle)
             return
-        batch = self._idle
-        self._idle = []
+        batch = idle[:]
+        idle.clear()
         try:
             _run(self._loop, batch)
         except BaseException:  # as in _drain
             rest = [entry for entry in batch if entry[_CALLBACK] is not None]
             if rest:
-                if not self._idle:
-                    self._idle_checks = 0
+                if not idle:
+                    idle.checks = 0
                     self._loop.call_soon(self._run_idle)
-                self._idle[:0] = rest
+                idle[:0] = rest
             raise
 
 

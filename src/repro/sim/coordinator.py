@@ -10,12 +10,14 @@ protocol of Section 2.2:
 * **write(key, value)** — take an exclusive lock, obtain the highest
   version number from a read quorum and increment it (Section 3.2.2),
   assemble a write quorum, and run two-phase commit (prepare/vote then
-  commit/abort) across its members.  Once the coordinator's version
-  floor knows the key, the version round and the prepare overlap: the
-  prepare leaves at the floor's successor while the read quorum's
-  members outside the write quorum are asked for their versions, the
-  voters report theirs on their votes, and nothing commits until the
-  whole read quorum has confirmed the floor — two round trips, not three.
+  commit/abort) across its members.  The version round and the prepare
+  overlap: the prepare leaves at the successor of the coordinator's
+  version floor for the key (of ``ZERO_TIMESTAMP`` for a key it has
+  never written) while the read quorum's members outside the write
+  quorum are asked for their versions, the voters report theirs on
+  their votes, and nothing commits until the whole read quorum has
+  confirmed the guess — two round trips; a wrong guess costs one aborted
+  round and a second prepare above what the read quorum reported.
 
 Failures are transient and *detectable* (Section 2.2), so quorums are
 chosen among live replicas; replicas that crash between selection and
@@ -83,7 +85,6 @@ DoneCallback = Callable[[OperationOutcome], None]
 
 class _Stage(enum.Enum):
     READ = "read"
-    VERSION = "version"
     PREPARE = "prepare"
     COMMIT = "commit"
 
@@ -293,7 +294,7 @@ class QuorumCoordinator:
             ),
             VersionReply: (
                 self._by_request, attrgetter("request_id"),
-                _Stage.VERSION, self._on_version_reply,
+                _Stage.PREPARE, self._on_version_reply,
             ),
             VoteMessage: (
                 self._by_txid, attrgetter("txid"),
@@ -409,7 +410,7 @@ class QuorumCoordinator:
             on_done=on_done,
             lock_token=self._tx_ids.next_id(),
             started_at=self._clock.now,
-            stage=_Stage.VERSION,
+            stage=_Stage.PREPARE,
         )
         self._acquire(ctx, LockMode.EXCLUSIVE)
 
@@ -586,14 +587,11 @@ class QuorumCoordinator:
             # retry: the previous attempt's dominant value may be stale.
             self._start_read_phase(ctx)
         else:
-            ctx.stage = _Stage.VERSION
-            floor = self._version_floor.get(ctx.key)
-            if floor is None:
-                self._start_version_phase(ctx)
-                return
-            # Known floor: prepare at it *while* a read quorum verifies it
-            # (see _start_prepare_phase).  No read quorum assemblable: the
-            # write quorum verifies alone, as in _start_version_phase.
+            # Prepare at the floor's successor *while* a read quorum
+            # verifies it (see _start_prepare_phase).  No read quorum
+            # assemblable: the write quorum verifies alone — the paper's
+            # write availability depends on W only (Section 3.2.2).
+            floor = self._version_floor.get(ctx.key, ZERO_TIMESTAMP)
             ctx.write_timestamp = floor.next_version(self._writer_id)
             ctx.version_quorum = self._chooser.choose("read") or frozenset()
             ctx.speculative = True
@@ -697,8 +695,6 @@ class QuorumCoordinator:
         """Quorum members that have stayed silent in ``stage`` so far."""
         if stage is _Stage.READ:
             return set(ctx.quorum) - ctx.replies.keys()
-        if stage is _Stage.VERSION:
-            return set(ctx.version_quorum) - ctx.versions.keys()
         if stage is _Stage.PREPARE:
             pending = set(ctx.quorum) - ctx.votes.keys()
             if ctx.speculative:
@@ -864,59 +860,6 @@ class QuorumCoordinator:
         ctx.stage = _Stage.PREPARE
         self._start_prepare_phase(ctx)
 
-    # ------------------------------------------------------------------
-    # write: version phase
-    # ------------------------------------------------------------------
-
-    def _start_version_phase(self, ctx: _OpContext) -> None:
-        quorum = self._chooser.choose("read")
-        if quorum is None:
-            # The paper's write availability depends only on the write
-            # quorum (Section 3.2.2): obtain the version numbers from the
-            # write quorum itself when no read quorum is assemblable.  The
-            # coordinator's per-key version floor (it is the centralised
-            # concurrency-control point of Section 2.2, so every write's
-            # version passes through it) keeps versions monotone even when
-            # the fallback quorum missed the latest committed write.
-            quorum = self._chooser.choose("write")
-        if quorum is None:
-            self._defer_unavailable(ctx)
-            return
-        ctx.stage = _Stage.VERSION
-        ctx.version_quorum = quorum
-        if self._trace_enabled:
-            self._begin_phase(ctx, "version", len(quorum))
-        ctx.request_id = self._tx_ids.next_id()
-        self._by_request[ctx.request_id] = ctx
-        self._arm_timeout(ctx)
-        sid = self.sid
-        request_id = ctx.request_id
-        key = ctx.key
-        members = self._sorted_members.get(quorum)
-        if members is None:
-            members = self._sorted_members[quorum] = sorted(quorum)
-        # Positional: (src, dst, key, request_id).
-        self._network.broadcast([
-            VersionRequest(sid, member, key, request_id)
-            for member in members
-        ])
-
-    def _on_version_reply(self, ctx: _OpContext, message: VersionReply) -> None:
-        ctx.versions[message.src] = message.timestamp
-        if ctx.speculative:
-            self._settle_overlapped(ctx)
-            return
-        if len(ctx.versions) < len(ctx.version_quorum):
-            return
-        self._cancel_timeout(ctx)
-        if ctx.phase_span:
-            self._end_phase(ctx)
-        ctx.write_timestamp = self._next_timestamp(
-            ctx.key, dominant(list(ctx.versions.values()))
-        )
-        self._by_request.pop(ctx.request_id, None)
-        self._start_prepare_phase(ctx)
-
     def _next_timestamp(self, key: Any, observed: Timestamp) -> Timestamp:
         """What a write stamps having observed ``observed``: one past the
         higher of it and the shared version floor."""
@@ -937,8 +880,8 @@ class QuorumCoordinator:
         R outside W are asked for their versions (those inside report
         theirs on their votes — every R meets every W) and
         :meth:`_settle_overlapped` decides once all of R ∪ W has answered.
-        One round trip and |R ∩ W| messages fewer than version-then-prepare,
-        over the same quorums.
+        One round trip and |R ∩ W| messages fewer than a version round
+        before the prepare, over the same quorums.
         """
         quorum = self._chooser.choose("write")
         if quorum is None:
@@ -980,6 +923,10 @@ class QuorumCoordinator:
             )
         self._network.broadcast(messages)
 
+    def _on_version_reply(self, ctx: _OpContext, message: VersionReply) -> None:
+        ctx.versions[message.src] = message.timestamp
+        self._settle_overlapped(ctx)
+
     def _settle_overlapped(self, ctx: _OpContext) -> None:
         """A vote or version reply of an overlapped round arrived: once
         all of R ∪ W has answered, commit if the floor's guess held."""
@@ -996,9 +943,10 @@ class QuorumCoordinator:
             self._decide_commit(ctx)
             return
         # Someone committed past the floor (a coordinator with a floor of
-        # its own): abort the stale txid, remember what was seen, and
-        # prepare once more at what the version round would have stamped.
-        # The aborted txid's votes must not count towards the new one.
+        # its own, or any writer of a key this one has no floor for):
+        # abort the stale txid, remember what was seen, and prepare once
+        # more above it.  The aborted txid's votes must not count towards
+        # the new one.
         self._cancel_timeout(ctx)
         self._by_txid.pop(ctx.txid, None)
         self._broadcast_decision(ctx, commit=False)
@@ -1158,11 +1106,7 @@ class QuorumCoordinator:
             if type(message) is AckMessage and message.committed:
                 self._forget_acked(message)
             return
-        # An overlapped round takes its version replies in PREPARE, and
-        # only until it has settled.
-        if ctx.stage is not stage and not (
-            stage is _Stage.VERSION and ctx.speculative
-        ):
+        if ctx.stage is not stage:
             return
         if self._suspects is not None and message.src >= 0:
             self._suspects.exonerate(message.src, self._clock.now)

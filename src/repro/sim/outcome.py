@@ -71,7 +71,8 @@ class OperationOutcome:
         #: invariant checker skips only the quorum-intersection audit.
         self.leased = leased
         #: Protocol stage the operation died in ("" on success): "read",
-        #: "version", "prepare" or "commit".  Reconfiguration uses this to
+        #: "prepare" (a write's version requests ride on its prepare
+        #: round) or "commit".  Reconfiguration uses this to
         #: distinguish a copy that could not read the old tree from one
         #: that could not write the new one.
         self.failed_stage = failed_stage

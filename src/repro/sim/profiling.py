@@ -9,8 +9,8 @@ Two complementary views of where a simulation run spends its time:
 * **phase attribution** — a second, *traced* run of the same
   configuration, folded into the observability layer's per-phase
   latency breakdown.  This attributes *simulated* time to protocol
-  phases (read quorum, version round, prepare, decision), the view that
-  drives protocol-level tuning.
+  phases (read quorum, prepare with its version requests, decision),
+  the view that drives protocol-level tuning.
 
 The two views deliberately come from separate runs: tracing swaps the
 zero-cost :class:`~repro.obs.recorder.NullRecorder` guards for a live

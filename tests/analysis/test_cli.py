@@ -96,6 +96,11 @@ _OUT_OF_RANGE = [
         ("--read-fraction", ("2",)),
         ("--repeats", ("0", "-3")),
         ("--jobs", ("0",)),
+        ("--max-attempts", ("0",)),
+        ("--keys", ("0",)),
+        ("--timeout", ("0", "-1", "nan")),
+        ("--operations", ("-5",)),
+        ("--kill-after-ops", ("-3",)),
     )
     for value in values
 ]
@@ -124,6 +129,26 @@ def test_every_range_checked_option_is_taken_somewhere():
     assert "simulate" in _commands_taking("--p")
     assert "simulate" in _commands_taking("--repeats")
     assert "availability" in _commands_taking("--p")
+
+
+@pytest.mark.parametrize("site", ["99", "8", "-1"])
+def test_cluster_refuses_a_site_its_tree_does_not_have(site, capsys, monkeypatch):
+    """``--kill-site`` is checked against the spec's sites before any
+    process is spawned: 99 used to spawn the sites and die with an
+    ``IndexError``, -1 killed site n-1 and reported "site -1"."""
+    from repro.runtime.cluster import SiteProcess
+
+    spawned = []
+    monkeypatch.setattr(SiteProcess, "spawn", lambda self: spawned.append(self))
+    with pytest.raises(SystemExit) as stop:
+        main([
+            "cluster", "1-3-5", "--kill-after-ops", "5", "--kill-site", site,
+        ])
+    assert stop.value.code == 2 and spawned == []
+    assert (
+        f"repro cluster: error: argument --kill-site: {site} is not a site "
+        "of 1-3-5 (0 to 7)"
+    ) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

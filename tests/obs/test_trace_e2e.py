@@ -109,7 +109,9 @@ class TestTraceWellFormed:
         spans = self.recorder.spans
         phases = [s for s in spans.values() if s.kind is SpanKind.PHASE]
         assert phases, "expected phase spans"
-        assert {s.name for s in phases} >= {"phase/read", "phase/version"}
+        assert {s.name for s in phases} == {
+            "phase/read", "phase/prepare", "phase/commit",
+        }
         for span in phases:
             assert spans[span.parent_id].kind is SpanKind.ATTEMPT
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from repro.runtime.clock import AsyncClock
 from repro.runtime.interfaces import CancelHandle, Clock
 from repro.runtime.transport import TcpTransport
+from tests.runtime.test_connection import run_counting
 
 
 def test_satisfies_the_seam_protocols():
@@ -338,3 +339,41 @@ def test_a_raising_idle_callback_reaches_the_handler_and_the_rest_runs():
     caught, fired = asyncio.run(main())
     assert fired == [1, 2]
     assert [type(c["exception"]) for c in caught] == [RuntimeError]
+
+
+def test_two_clocks_on_one_idle_loop_both_run_on_the_next_iteration():
+    """In-process site servers beside a coordinator's transport put two
+    clocks on one loop.  Each clock's pending idle check once counted as
+    runnable work to the other, so on an idle loop both batches waited
+    the whole cap; the loop's clocks share one batch instead."""
+
+    async def main(loop):
+        first, second = AsyncClock(loop), AsyncClock(loop)
+        ran = []
+        await asyncio.sleep(0.01)
+        queued_at = loop.iteration
+        first.call_when_idle(lambda: ran.append(("first", loop.iteration)))
+        second.call_when_idle(lambda: ran.append(("second", loop.iteration)))
+        await asyncio.sleep(0.01)
+        return ran, queued_at
+
+    ran, queued_at = run_counting(main)
+    assert ran == [("first", queued_at + 1), ("second", queued_at + 1)]
+
+
+def test_a_loops_idle_batch_goes_with_the_loop():
+    """The shared batch is found by loop, weakly: each ``asyncio.run``
+    gets a fresh one, and nothing outlives its loop."""
+
+    async def batch():
+        return AsyncClock(asyncio.get_running_loop())._idle
+
+    loops = []
+
+    async def remember():
+        loops.append(weakref.ref(asyncio.get_running_loop()))
+        return await batch()
+
+    assert asyncio.run(remember()) is not asyncio.run(batch())
+    gc.collect()
+    assert loops[0]() is None

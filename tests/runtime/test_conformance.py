@@ -22,12 +22,13 @@ import pytest
 from repro.core.builder import from_spec
 from repro.core.protocol import ArbitraryProtocol
 from repro.fault.invariants import InvariantChecker
+from repro.runtime.cluster import LocalCluster
 from repro.runtime.siteserver import SiteServer
 from repro.runtime.transport import TcpTransport
 from repro.sim.coordinator import QuorumCoordinator
 from repro.sim.events import Scheduler
 from repro.sim.locks import LockManager
-from repro.sim.messages import AbortMessage, PrepareMessage
+from repro.sim.messages import AbortMessage, CommitMessage, PrepareMessage
 from repro.sim.network import Network
 from repro.sim.site import Site
 
@@ -290,3 +291,85 @@ def test_a_site_whose_abort_frame_was_dropped_asks_and_lets_go():
 
     victim, aborts = asyncio.run(main())
     assert victim not in held and aborts == 1
+
+
+def test_a_fresh_coordinator_over_newer_versions_commits_above_them():
+    """A second ``LocalCluster.dial`` onto running sites: the fresh
+    coordinator has no version floor, guesses version 1, and the read
+    quorum reports the sites' version 3.  The guess is aborted on its
+    write quorum and the write commits at version 4 in one attempt.  A
+    third dial loses one frame of the re-prepare: the aborted guess's
+    yes-votes do not stand in for it, so nothing commits."""
+
+    async def main():
+        servers = []
+        try:
+            for sid in range(from_spec(SPEC).n):
+                server = SiteServer(sid)
+                await server.start()
+                servers.append(server)
+            addresses = [
+                (server.sid, "127.0.0.1", server.port) for server in servers
+            ]
+
+            async def dial(lose_reprepare=False):
+                """A fresh cluster front end; it logs what it sends, the
+                prepares grouped by txid in order."""
+                cluster = LocalCluster(spec=SPEC, timeout=0.5, max_attempts=1)
+                await cluster.dial(addresses)
+                sent, prepares = [], {}
+                send = cluster.transport.send
+
+                def tapped(message):
+                    sent.append(message)
+                    if type(message) is PrepareMessage:
+                        round_ = prepares.setdefault(message.txid, [])
+                        round_.append(message)
+                        if (
+                            lose_reprepare
+                            and len(prepares) == 2
+                            and len(round_) == 1
+                        ):
+                            return  # the re-prepare's first frame is lost
+                    send(message)
+
+                cluster.transport.send = tapped
+                return cluster, sent, prepares
+
+            first, _, _ = await dial()
+            for value in ("a1", "a2", "a3"):
+                assert (await first.put("k", value)).success
+            await first.stop()
+
+            def aborts():
+                return sum(server.site.stats.aborts for server in servers)
+
+            before = aborts()
+            fresh, _, prepares = await dial()
+            mine = await fresh.put("k", "b1")
+            await fresh.stop()
+            assert mine.success and mine.attempts == 1
+            assert mine.timestamp.version == 4
+            guess, final = prepares.values()
+            assert {m.timestamp.version for m in guess} == {1}
+            assert {m.timestamp.version for m in final} == {4}
+            assert {m.dst for m in final} == mine.quorum
+            assert aborts() - before == len(guess)
+
+            unlucky, sent, _ = await dial(lose_reprepare=True)
+            lost = await unlucky.put("k", "c1")
+            await unlucky.stop()
+            assert not lost.success and lost.failed_stage == "prepare"
+            assert not any(type(m) is CommitMessage for m in sent)
+            loop = asyncio.get_running_loop()
+            deadline = loop.time() + 5.0
+            while any(server.site._prepared for server in servers):
+                assert loop.time() < deadline, "a site stayed in doubt"
+                await asyncio.sleep(0.05)
+            return [server.site.store.version_of("k") for server in servers]
+        finally:
+            for server in servers:
+                await server.stop()
+
+    versions = asyncio.run(main())
+    assert max(timestamp.version for timestamp in versions) == 4

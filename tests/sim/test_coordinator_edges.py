@@ -114,7 +114,7 @@ class TestDecisionLog:
         )
         done = []
         coordinator.write("k", "v", done.append)
-        scheduler.run(until=2.5)  # version round done, prepares in flight
+        scheduler.run(until=0.5)  # prepares in flight
         for site in sites:
             site.crash()  # nobody votes: the prepare phase times out
         scheduler.run()
@@ -129,9 +129,9 @@ class TestDecisionLog:
         tree, scheduler, network, sites, locks, coordinator = make_rig()
         done = []
         coordinator.write("k", "v", done.append)
-        # t=1 version requests land, t=2 replies, t=3 prepares land and
-        # are voted on, t=4 votes reach the coordinator.
-        scheduler.run(until=3.5)
+        # t=1 prepares land and are voted on, t=2 votes reach the
+        # coordinator.
+        scheduler.run(until=1.5)
         voter = next(site for site in sites if site._prepared)
         voter.crash()
         scheduler.run()
@@ -186,8 +186,10 @@ class TestTerminationHoles:
     site asking for its own decision once per timeout.  Each test ends
     with item 1's done-means assertion: once the run quiesces, no site
     holds a prepared write and the coordinator logs no decision.
-    A write to a fresh key runs: version requests land at t=1, prepares
-    at t=3, votes reach the coordinator at t=4, the decision lands at t=5.
+    A write to a fresh key runs one overlapped round: its prepares (and
+    the version requests to the read quorum outside the write quorum)
+    land at t=1, votes reach the coordinator at t=2, the decision lands
+    at t=3.
     """
 
     FOREIGN_TXID = 10**9
@@ -219,7 +221,7 @@ class TestTerminationHoles:
         )
         done = []
         coordinator.write("k", "v", done.append)
-        scheduler.run(until=3.5)  # every member has voted
+        scheduler.run(until=1.5)  # every member has voted
         member = min(site.sid for site in sites if site._prepared)
         network.set_partition(PartitionSpec.split({member}))
         scheduler.run(until=30.0)  # the commit completes without it
@@ -236,9 +238,9 @@ class TestTerminationHoles:
         )
         done = []
         coordinator.write("k", "v", done.append)
-        scheduler.run(until=2.5)  # the version round is over
+        scheduler.run(until=0.5)  # the prepares are in flight
         self.hold_key_elsewhere(sites)
-        scheduler.run(until=3.5)  # the prepares are voted on
+        scheduler.run(until=1.5)  # the prepares are voted on
         yes = min(
             site.sid for site in sites
             if set(site._prepared) - {self.FOREIGN_TXID}
@@ -259,9 +261,9 @@ class TestTerminationHoles:
         )
         done = []
         coordinator.write("k", "v", done.append)
-        scheduler.run(until=2.5)
+        scheduler.run(until=0.5)
         self.hold_key_elsewhere(sites)
-        scheduler.run(until=3.5)
+        scheduler.run(until=1.5)
         yes = next(
             site for site in sites
             if set(site._prepared) - {self.FOREIGN_TXID}

@@ -1,10 +1,12 @@
 """The overlapped write round: prepare at the version floor while a read
 quorum verifies it (DESIGN §2.4).
 
-A write whose key has a version floor sends ``PrepareMessage`` to a write
-quorum W and ``VersionRequest`` to the members of a read quorum R outside
-W in one tick; votes carry the voters' versions.  It commits only when
-all of R ∪ W has answered and nothing observed exceeds the floor.
+Every write sends ``PrepareMessage`` to a write quorum W and
+``VersionRequest`` to the members of a read quorum R outside W in one
+tick, at the successor of its key's version floor (of
+``ZERO_TIMESTAMP`` for a key the coordinator has never written); votes
+carry the voters' versions.  It commits only when all of R ∪ W has
+answered and nothing observed exceeds the floor.
 """
 
 import random
@@ -24,6 +26,7 @@ from repro.sim.engine import simulate
 from repro.sim.events import Scheduler
 from repro.sim.locks import LockManager
 from repro.sim.messages import (
+    AbortMessage,
     CommitMessage,
     PrepareMessage,
     VersionReply,
@@ -31,7 +34,7 @@ from repro.sim.messages import (
     VoteMessage,
 )
 from repro.sim.network import Network
-from repro.sim.replica import Timestamp
+from repro.sim.replica import ZERO_TIMESTAMP, Timestamp
 from repro.sim.site import Site
 from tests.sim.test_legacy_stream_identity import _configs
 
@@ -91,19 +94,26 @@ class Rig:
 
 
 def test_a_known_floor_write_is_two_round_trips_and_one_message_fewer():
+    """Fewer than a version round before the prepare would take: three
+    round trips and 2|W| + |R| messages.  The key's first write (no floor
+    yet) has the same shape as every later one."""
     rig = Rig()
     coordinator = rig.coordinator()
     first, first_took = rig.run(coordinator.write, "k", "v1")
-    assert first.success and first_took == 6.0  # version, prepare, commit
-    unknown_floor = len(rig.delivered)
-    assert unknown_floor == 2 * len(first.quorum) + len(first.version_quorum)
+    assert first.success and first_took == 4.0  # overlapped round, commit
+    assert len(first.version_quorum - first.quorum) == 1
+    assert len(rig.delivered) == (
+        2 * len(first.quorum) + len(first.version_quorum) - 1
+    )
 
     del rig.delivered[:]
     second, second_took = rig.run(coordinator.write, "k", "v2")
-    assert second.success and second_took == 4.0  # one round trip fewer
+    assert second.success and second_took == 4.0  # overlapped round, commit
     outside = second.version_quorum - second.quorum
     assert len(outside) == 1  # on 1-3-5 every R meets every W in one site
-    assert len(rig.delivered) == 2 * len(second.quorum) + 1
+    assert len(rig.delivered) == (
+        2 * len(second.quorum) + len(second.version_quorum) - 1
+    )
     assert second.timestamp.version == first.timestamp.version + 1
     assert rig.nothing_left_behind(coordinator)
 
@@ -177,6 +187,88 @@ def test_a_stale_floor_is_caught_by_the_read_quorum_and_prepared_again():
     assert sum(site.stats.aborts for site in rig.sites) - aborts == aborted
 
 
+class TestAFreshCoordinatorOverANewerVersion:
+    """A coordinator with no floor for a key another coordinator has
+    written (a restarted front end over populated sites) guesses version
+    1.  The read quorum reports the newer version, the guess is aborted
+    on W, and the write commits strictly above what the sites hold."""
+
+    def populated(self, rig):
+        other = rig.coordinator(-2)
+        for value in ("b1", "b2", "b3"):
+            theirs, _ = rig.run(other.write, "k", value)
+            assert theirs.success
+        return other, theirs
+
+    def start_write(self, rig):
+        """Start the fresh coordinator's write; stop with its guess in
+        flight."""
+        fresh = rig.coordinator(-1)
+        assert "k" not in fresh._version_floor
+        outcomes = []
+        fresh.write("k", "mine", outcomes.append)
+        rig.scheduler.run(until=rig.scheduler.now + 0.5)
+        (ctx,) = fresh._by_txid.values()
+        assert ctx.speculative and ctx.write_timestamp.version == 1
+        return fresh, ctx, outcomes
+
+    def test_commits_above_it_after_one_aborted_round(self):
+        rig = Rig()
+        other, theirs = self.populated(rig)
+        aborts = sum(site.stats.aborts for site in rig.sites)
+        fresh, ctx, outcomes = self.start_write(rig)
+        guessed = ctx.quorum
+        rig.scheduler.run()
+        (mine,) = outcomes
+        assert mine.success and mine.attempts == 1
+        assert mine.timestamp.version == theirs.timestamp.version + 1
+        assert mine.latency == 6.0  # overlapped round, second prepare, commit
+        assert sum(site.stats.aborts for site in rig.sites) - aborts == len(
+            guessed
+        )
+        assert fresh._version_floor["k"] == mine.timestamp
+        assert rig.nothing_left_behind(fresh, other)
+        seen, _ = rig.run(fresh.read, "k")
+        assert seen.value == "mine" and seen.timestamp == mine.timestamp
+
+    @pytest.mark.parametrize("fate", ["lost", "refused"])
+    def test_the_second_prepare_needs_every_vote_of_its_own(self, fate):
+        """One member of the second write quorum loses the re-prepare or
+        refuses it: the aborted guess's yes-votes do not stand in for
+        it, no commit is sent and nothing is applied."""
+        rig = Rig(max_attempts=1)
+        other, theirs = self.populated(rig)
+        fresh, ctx, outcomes = self.start_write(rig)
+        guess = ctx.txid
+        rig.scheduler.run(until=rig.scheduler.now + 2.0)  # prepared again
+        assert ctx.txid != guess and not ctx.speculative
+        assert ctx.write_timestamp.version == theirs.timestamp.version + 1
+        odd_one = rig.sites[min(ctx.quorum)]
+        receive = odd_one.receive
+
+        def unwilling(message):
+            if type(message) is not PrepareMessage:
+                receive(message)
+            elif fate == "refused":
+                rig.network.send(
+                    VoteMessage(odd_one.sid, message.src, message.txid, False)
+                )
+
+        odd_one.receive = unwilling
+        del rig.delivered[:]
+        rig.scheduler.run()
+        (outcome,) = outcomes
+        assert not outcome.success and outcome.failed_stage == "prepare"
+        assert not any(
+            type(message) is CommitMessage for _, message in rig.delivered
+        )
+        assert all(
+            site.store.version_of("k").version <= theirs.timestamp.version
+            for site in rig.sites
+        )
+        assert rig.nothing_left_behind(fresh, other)
+
+
 def test_the_overlapped_round_is_one_prepare_span_and_spans_still_tile():
     rig = Rig()
     recorder = TraceRecorder()
@@ -204,19 +296,29 @@ def test_the_overlapped_round_is_one_prepare_span_and_spans_still_tile():
         stat for stat in phase_breakdown(recorder.finished_spans())
         if stat.phase == "phase/prepare"
     ]
-    assert (row.count, row.overlapped) == (2, 1)
+    assert (row.count, row.overlapped) == (2, 2)  # the first write's too
     table = render_phase_breakdown(phase_breakdown(recorder.finished_spans()))
     assert "overlapped" in table.splitlines()[0]
 
 
-def test_an_unknown_floor_takes_the_version_round_first():
+def test_an_unknown_floor_prepares_at_zero_and_commits_in_two_round_trips():
+    """A key the coordinator has never written guesses the zero
+    timestamp: the prepare leaves at ``ZERO_TIMESTAMP.next_version`` in
+    the overlapped round, and on a never-written key the guess holds."""
     rig = Rig()
     coordinator = rig.coordinator()
-    coordinator.write("fresh", "v", lambda outcome: None)
+    outcomes = []
+    coordinator.write("fresh", "v", outcomes.append)
     rig.scheduler.run(until=0.5)
-    (ctx,) = coordinator._by_request.values()
-    assert ctx.stage is _Stage.VERSION and not ctx.speculative
+    (ctx,) = coordinator._by_txid.values()
+    assert ctx.stage is _Stage.PREPARE and ctx.speculative
+    guess = ZERO_TIMESTAMP.next_version(rig.system.n + 1)
+    assert ctx.write_timestamp == guess
     rig.scheduler.run()
+    (outcome,) = outcomes
+    assert outcome.success and outcome.attempts == 1
+    assert outcome.timestamp == guess and outcome.latency == 4.0
+    assert not any(type(message) is AbortMessage for _, message in rig.delivered)
     assert rig.nothing_left_behind(coordinator)
 
 
