@@ -3,27 +3,24 @@
 A cluster starts one of these per physical node, so this module imports
 nothing else of the CLI — not even the shared options: its
 ``--service-time`` is wall seconds, theirs simulated time — and nothing
-of the package a site does not run (DESIGN §2.16).  On Linux the site
-runs as ``SCHED_BATCH`` (``serve_site``), so the frames a coordinator
-writes wake it without preempting the coordinator.
+of the package a site does not run (DESIGN §2.16), asyncio included:
+the site serves on the runtime's own small selector loop.  On Linux the
+site runs as ``SCHED_BATCH`` (``serve_site``), so the frames a
+coordinator writes wake it without preempting the coordinator.
 """
 
 from __future__ import annotations
 
 
 def _run_serve(args) -> int:
-    import asyncio
-
     from repro.runtime.siteserver import serve_site
 
     try:
-        asyncio.run(
-            serve_site(
-                args.sid,
-                host=args.host,
-                port=args.port,
-                service_time=args.service_time,
-            )
+        serve_site(
+            args.sid,
+            host=args.host,
+            port=args.port,
+            service_time=args.service_time,
         )
     except KeyboardInterrupt:
         pass

@@ -10,76 +10,60 @@
 * :mod:`repro.core.tuning` — frequency-aware tree configuration advisor.
 """
 
-from repro.core.builder import (
-    algorithm_1,
-    balanced_tree,
-    from_spec,
-    mostly_read,
-    mostly_write,
-    recommended_tree,
-    sqrt_levels,
-    uniform_tree,
-)
-from repro.core.config import Configuration, make_tree
-from repro.core.metrics import (
-    TreeMetrics,
-    analyse,
-    expected_read_load,
-    expected_write_load,
-    limit_read_availability,
-    limit_write_availability,
-    read_availability,
-    read_cost,
-    read_load,
-    write_availability,
-    write_cost_avg,
-    write_cost_max,
-    write_cost_min,
-    write_load,
-)
-from repro.core.proofs import (
-    OptimalityProof,
-    prove_lower_bound_for_binary_tree,
-    prove_read_load,
-    prove_write_load,
-)
-from repro.core.protocol import ArbitraryProtocol
-from repro.core.tree import ArbitraryTree, NodeKind, TreeNode
-from repro.core.tuning import TuningResult, recommend
+from importlib import import_module
 
-__all__ = [
-    "ArbitraryProtocol",
-    "ArbitraryTree",
-    "Configuration",
-    "NodeKind",
-    "OptimalityProof",
-    "TreeMetrics",
-    "TreeNode",
-    "TuningResult",
-    "algorithm_1",
-    "analyse",
-    "balanced_tree",
-    "expected_read_load",
-    "expected_write_load",
-    "from_spec",
-    "limit_read_availability",
-    "limit_write_availability",
-    "make_tree",
-    "mostly_read",
-    "mostly_write",
-    "prove_lower_bound_for_binary_tree",
-    "prove_read_load",
-    "prove_write_load",
-    "read_availability",
-    "read_cost",
-    "read_load",
-    "recommend",
-    "recommended_tree",
-    "sqrt_levels",
-    "uniform_tree",
-    "write_availability",
-    "write_cost_avg",
-    "write_cost_max",
-    "write_cost_min",
-    "write_load",
-]
+# name -> submodule that defines it, resolved on first access (PEP 562)
+# and cached in the module namespace: ``repro.core.builder`` (the
+# cluster's and the simulator's entry) imports this file, and needs
+# neither the proofs nor the tuning advisor, which reach numpy and scipy.
+_EXPORTS = {
+    "ArbitraryProtocol": "protocol",
+    "ArbitraryTree": "tree",
+    "Configuration": "config",
+    "NodeKind": "tree",
+    "OptimalityProof": "proofs",
+    "TreeMetrics": "metrics",
+    "TreeNode": "tree",
+    "TuningResult": "tuning",
+    "algorithm_1": "builder",
+    "analyse": "metrics",
+    "balanced_tree": "builder",
+    "expected_read_load": "metrics",
+    "expected_write_load": "metrics",
+    "from_spec": "builder",
+    "limit_read_availability": "metrics",
+    "limit_write_availability": "metrics",
+    "make_tree": "config",
+    "mostly_read": "builder",
+    "mostly_write": "builder",
+    "prove_lower_bound_for_binary_tree": "proofs",
+    "prove_read_load": "proofs",
+    "prove_write_load": "proofs",
+    "read_availability": "metrics",
+    "read_cost": "metrics",
+    "read_load": "metrics",
+    "recommend": "tuning",
+    "recommended_tree": "builder",
+    "sqrt_levels": "builder",
+    "uniform_tree": "builder",
+    "write_availability": "metrics",
+    "write_cost_avg": "metrics",
+    "write_cost_max": "metrics",
+    "write_cost_min": "metrics",
+    "write_load": "metrics",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    submodule = _EXPORTS.get(name)
+    if submodule is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{submodule}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_EXPORTS))

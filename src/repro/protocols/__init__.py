@@ -23,26 +23,37 @@ Every protocol implements the unified
 protocol) at a requested replica count.
 """
 
-from repro.protocols.agrawal_tree import AgrawalTreeProtocol
-from repro.protocols.base import ProtocolModel
-from repro.protocols.fpp import FiniteProjectivePlaneProtocol
-from repro.protocols.grid import GridProtocol
-from repro.protocols.hqc import HQCProtocol
-from repro.protocols.majority import MajorityProtocol
-from repro.protocols.rowa import RowaProtocol
-from repro.protocols.tree_quorum import TreeQuorumProtocol
-from repro.protocols.zoo import PROTOCOL_NAMES, quorum_system, quorum_systems
+from importlib import import_module
 
-__all__ = [
-    "AgrawalTreeProtocol",
-    "FiniteProjectivePlaneProtocol",
-    "GridProtocol",
-    "HQCProtocol",
-    "MajorityProtocol",
-    "PROTOCOL_NAMES",
-    "ProtocolModel",
-    "RowaProtocol",
-    "TreeQuorumProtocol",
-    "quorum_system",
-    "quorum_systems",
-]
+# name -> submodule that defines it, resolved on first access (PEP 562)
+# and cached in the module namespace, so importing one protocol (the
+# coordinator imports ``agrawal_tree`` through ``repro.core``) does not
+# import the whole zoo.
+_EXPORTS = {
+    "AgrawalTreeProtocol": "agrawal_tree",
+    "FiniteProjectivePlaneProtocol": "fpp",
+    "GridProtocol": "grid",
+    "HQCProtocol": "hqc",
+    "MajorityProtocol": "majority",
+    "PROTOCOL_NAMES": "zoo",
+    "ProtocolModel": "base",
+    "RowaProtocol": "rowa",
+    "TreeQuorumProtocol": "tree_quorum",
+    "quorum_system": "zoo",
+    "quorum_systems": "zoo",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    submodule = _EXPORTS.get(name)
+    if submodule is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{submodule}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_EXPORTS))

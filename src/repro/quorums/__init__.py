@@ -24,47 +24,45 @@ Definition 2.1 keeps its historical name at
 read/write interface.)
 """
 
-from repro.quorums.availability import (
-    estimate_availability_monte_carlo,
-    exact_availability,
-    operation_availability,
-    system_availability,
-)
-from repro.quorums.base import (
-    BiCoterie,
-    Coterie,
-    SetSystem,
-    is_antichain,
-    is_intersecting,
-)
-from repro.quorums.liveness import LivenessOracle, as_oracle
-from repro.quorums.load import (
-    OptimalLoad,
-    optimal_load,
-    optimal_operation_load,
-    verify_load_witness,
-)
-from repro.quorums.strategy import Strategy, induced_loads, system_load
-from repro.quorums.system import QuorumSystem
+from importlib import import_module
 
-__all__ = [
-    "BiCoterie",
-    "Coterie",
-    "LivenessOracle",
-    "OptimalLoad",
-    "QuorumSystem",
-    "SetSystem",
-    "Strategy",
-    "as_oracle",
-    "estimate_availability_monte_carlo",
-    "exact_availability",
-    "induced_loads",
-    "is_antichain",
-    "is_intersecting",
-    "operation_availability",
-    "optimal_load",
-    "optimal_operation_load",
-    "system_availability",
-    "system_load",
-    "verify_load_witness",
-]
+# name -> submodule that defines it, resolved on first access (PEP 562)
+# and cached in the module namespace.  Eager imports here loaded numpy
+# (``availability``, ``load``) into every process that selects a quorum —
+# the coordinator and the simulator — through ``repro.protocols.base``.
+_EXPORTS = {
+    "BiCoterie": "base",
+    "Coterie": "base",
+    "LivenessOracle": "liveness",
+    "OptimalLoad": "load",
+    "QuorumSystem": "system",
+    "SetSystem": "base",
+    "Strategy": "strategy",
+    "as_oracle": "liveness",
+    "estimate_availability_monte_carlo": "availability",
+    "exact_availability": "availability",
+    "induced_loads": "strategy",
+    "is_antichain": "base",
+    "is_intersecting": "base",
+    "operation_availability": "availability",
+    "optimal_load": "load",
+    "optimal_operation_load": "load",
+    "system_availability": "availability",
+    "system_load": "strategy",
+    "verify_load_witness": "load",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    submodule = _EXPORTS.get(name)
+    if submodule is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{submodule}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_EXPORTS))

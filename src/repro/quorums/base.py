@@ -21,7 +21,6 @@ from __future__ import annotations
 from collections.abc import Collection, Hashable, Iterable, Iterator
 from typing import TypeVar
 
-from repro.quorums.bitset import try_pack, try_pack_pair
 
 Element = TypeVar("Element", bound=Hashable)
 
@@ -47,6 +46,8 @@ def is_intersecting(sets: Iterable[Collection[Element]]) -> bool:
     The check is quadratic in the number of sets; integer universes run on
     the bitset kernel (one vectorised AND per set against all others).
     """
+    from repro.quorums.bitset import try_pack  # numpy, for analyses only
+
     frozen = _freeze(sets)
     packed = try_pack(frozen)
     if packed is not None:
@@ -99,6 +100,8 @@ def is_cross_intersecting(
     universes are checked on the bitset kernel — all R·W pairs tested with
     batched word-wise ANDs instead of per-pair ``isdisjoint`` calls.
     """
+    from repro.quorums.bitset import try_pack_pair  # numpy, for analyses only
+
     frozen_reads = _freeze(reads)
     frozen_writes = _freeze(writes)
     packed = try_pack_pair(frozen_reads, frozen_writes)

@@ -58,17 +58,6 @@ def _popcount_by_table(words: np.ndarray) -> np.ndarray:
 _popcount = getattr(np, "bitwise_count", _popcount_by_table)
 
 
-def mask_to_words(mask: int, words: int) -> np.ndarray:
-    """Split a Python int bitmask into little-endian 64-bit words.
-
-    One C-level conversion (``int.to_bytes`` + ``frombuffer``); the result
-    is a read-only view, which every consumer treats it as.
-    """
-    return np.frombuffer(
-        mask.to_bytes(words * 8, "little"), dtype=np.uint64
-    )
-
-
 def pack_rows(
     quorums: Sequence[Collection[int]],
     index: Mapping[int, int],
@@ -211,10 +200,6 @@ class PackedQuorums:
         return self._frozensets
 
     # -- kernel ops --------------------------------------------------------
-
-    def live_filter(self, live_words: np.ndarray) -> np.ndarray:
-        """Boolean vector: row ``j`` is True iff quorum ``j`` ⊆ live set."""
-        return ((self.matrix & live_words) == self.matrix).all(axis=1)
 
     def bit_matrix(self) -> np.ndarray:
         """The ``(m, n)`` 0/1 uint8 matrix of quorum membership."""

@@ -1,4 +1,4 @@
-"""Memoised bitset-dispatched quorum selection: the simulator's hot path.
+"""Memoised bitmask quorum selection: the simulator's hot path.
 
 Every quorum attempt in the simulator asks the same question — *give me a
 uniformly random quorum that is a subset of the current live set* — and the
@@ -9,12 +9,15 @@ rebuild their candidate lists from frozensets.  Live sets, however, change
 only when a site crashes or recovers or a partition is installed/healed —
 orders of magnitude less often than operations are issued.
 
-:class:`SelectionIndex` exploits that: it packs a system's quorum
-collections into :class:`~repro.quorums.bitset.PackedQuorums` matrices
-*once*, memoises the viable-row index vector per ``(op, live-mask)`` (one
-vectorised mask-AND when a live set is first seen), and serves every
+:class:`SelectionIndex` exploits that: it packs each quorum of a system's
+collections into a Python ``int`` bitmask *once* (element ``i`` of the
+sorted universe is bit ``i``, the layout of :mod:`repro.quorums.bitset`),
+memoises the viable rows per ``(op, live-mask)`` (one ``q & live == q``
+pass over the masks when a live set is first seen), and serves every
 subsequent selection with a single ``rng.randrange`` over the viable count —
-O(live-set) to build the mask, O(1) to pick.
+O(live-set) to build the mask, O(1) to pick.  Plain ints rather than a
+numpy matrix keep numpy out of every process that only selects quorums:
+the coordinator, the simulator and their tests (DESIGN §2.16).
 
 Distribution contract
 ---------------------
@@ -45,9 +48,6 @@ import random
 from collections.abc import Callable, Collection, Sequence
 from typing import TYPE_CHECKING
 
-import numpy as np
-
-from repro.quorums.bitset import PackedQuorums, mask_to_words, try_pack
 from repro.quorums.liveness import Liveness, LivenessOracle, as_oracle
 
 if TYPE_CHECKING:  # annotation-only: neither package is needed to select
@@ -116,7 +116,8 @@ class SelectionIndex:
         "_system",
         "_max_quorums",
         "_cache_limit",
-        "_packed",
+        "_masks",
+        "_bits",
         "_quorums",
         "_viable",
         "packed_selects",
@@ -138,14 +139,14 @@ class SelectionIndex:
         self._system = system
         self._max_quorums = max_quorums
         self._cache_limit = cache_limit
-        #: op -> PackedQuorums | None (None = tried and unpackable).
-        self._packed: dict[str, PackedQuorums | None] = {}
-        #: op -> materialised quorums, aligned with the packed row order.
+        #: op -> one bitmask per quorum | None (None = tried, unpackable).
+        self._masks: dict[str, tuple[int, ...] | None] = {}
+        #: universe element -> its bit's value (the sorted universe's
+        #: order, shared by both operations).
+        self._bits: dict[int, int] = {}
+        #: op -> materialised quorums, aligned with the mask order.
         self._quorums: dict[str, tuple[frozenset[int], ...]] = {}
-        #: (op, live-mask) -> indices of viable rows, as a plain list:
-        #: picks index it once per selection, and list indexing returns
-        #: a Python int directly where an ndarray would hand back a
-        #: numpy scalar needing an ``int()`` round-trip every time.
+        #: (op, live-mask) -> indices of viable rows, ascending.
         self._viable: dict[tuple[str, int], list[int]] = {}
         self.packed_selects = 0
         self.fallback_selects = 0
@@ -161,12 +162,12 @@ class SelectionIndex:
         """Whether ``op`` selections run on the packed fast path."""
         return self._tables(op) is not None
 
-    def _tables(self, op: str) -> PackedQuorums | None:
+    def _tables(self, op: str) -> tuple[int, ...] | None:
         if op not in _OPS:
             raise ValueError(f"op must be 'read' or 'write', got {op!r}")
-        if op in self._packed:
-            return self._packed[op]
-        packed: PackedQuorums | None = None
+        if op in self._masks:
+            return self._masks[op]
+        masks: tuple[int, ...] | None = None
         materialise = getattr(self._system, "materialise", None)
         universe = getattr(self._system, "universe", None)
         if materialise is not None and universe is not None:
@@ -174,12 +175,15 @@ class SelectionIndex:
                 quorums = materialise(op, self._max_quorums)
             except ValueError:
                 quorums = None
-            if quorums:
-                packed = try_pack(quorums, universe)
-                if packed is not None:
-                    self._quorums[op] = tuple(quorums)
-        self._packed[op] = packed
-        return packed
+            if quorums and all(isinstance(sid, int) for sid in universe):
+                if not self._bits:
+                    ordered = enumerate(sorted(universe))
+                    self._bits = {sid: 1 << bit for bit, sid in ordered}
+                value = self._bits.__getitem__
+                masks = tuple(sum(map(value, quorum)) for quorum in quorums)
+                self._quorums[op] = tuple(quorums)
+        self._masks[op] = masks
+        return masks
 
     def select(
         self,
@@ -192,22 +196,25 @@ class SelectionIndex:
         ``live`` must be an explicit collection of live SIDs (the caller
         owns liveness-epoch caching); callables are routed to the fallback.
         """
-        packed = self._tables(op)
-        if packed is None or callable(live):
+        masks = self._tables(op)
+        if masks is None or callable(live):
             self.fallback_selects += 1
             if op == "read":
                 return self._system.select_read_quorum(live, rng)
             return self._system.select_write_quorum(live, rng)
+        return self._pick(op, masks, self._pack(live), rng)
+
+    def _pack(self, live: Collection[int]) -> int:
         mask = 0
-        index = packed.index
+        bits = self._bits
         for sid in live:
-            bit = index.get(sid)
-            if bit is not None:
-                mask |= 1 << bit
-        return self._pick(op, packed, mask, rng)
+            value = bits.get(sid)
+            if value is not None:
+                mask |= value
+        return mask
 
     def live_mask(self, live: Collection[int]) -> int | None:
-        """Pack live SIDs into the kernel's bit positions, or ``None``.
+        """Pack live SIDs into the masks' bit positions, or ``None``.
 
         ``None`` means no operation of this system is packable and
         :meth:`select_masked` cannot be used.  Both operations' packed
@@ -216,16 +223,9 @@ class SelectionIndex:
         liveness epoch (:class:`QuorumChooser`) can cache its mask right next
         to it and skip the per-selection packing loop entirely.
         """
-        packed = self._tables("read") or self._tables("write")
-        if packed is None:
+        if self._tables("read") is None and self._tables("write") is None:
             return None
-        mask = 0
-        index = packed.index
-        for sid in live:
-            bit = index.get(sid)
-            if bit is not None:
-                mask |= 1 << bit
-        return mask
+        return self._pack(live)
 
     def select_masked(
         self,
@@ -238,18 +238,18 @@ class SelectionIndex:
         Only valid when :meth:`supported` is true for ``op`` (there is no
         live *collection* here to hand a structural fallback).
         """
-        packed = self._tables(op)
-        if packed is None:
+        masks = self._tables(op)
+        if masks is None:
             raise ValueError(
                 f"{op!r} selections are not packed; check supported() "
                 "before using select_masked()"
             )
-        return self._pick(op, packed, mask, rng)
+        return self._pick(op, masks, mask, rng)
 
     def _pick(
         self,
         op: str,
-        packed: PackedQuorums,
+        masks: tuple[int, ...],
         mask: int,
         rng: random.Random | None,
     ) -> frozenset[int] | None:
@@ -260,9 +260,11 @@ class SelectionIndex:
             self.cache_misses += 1
             if len(self._viable) >= self._cache_limit:
                 self._viable.clear()
-            rows = np.nonzero(
-                packed.live_filter(mask_to_words(mask, packed.words))
-            )[0].tolist()
+            rows = [
+                row
+                for row, quorum in enumerate(masks)
+                if quorum & mask == quorum
+            ]
             self._viable[key] = rows
         else:
             self.cache_hits += 1
@@ -271,8 +273,8 @@ class SelectionIndex:
         quorums = self._quorums[op]
         if rng is None:
             return quorums[rows[0]]
-        # randrange(len) draws exactly what randrange(rows.size) drew —
-        # same integer, same underlying getrandbits stream.
+        # One randrange over the viable rows in ascending order: the
+        # draw the reference scan makes over its filtered list.
         return quorums[rows[rng.randrange(len(rows))]]
 
     def __repr__(self) -> str:

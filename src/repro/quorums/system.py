@@ -17,7 +17,9 @@ selection — is derived generically here, once, instead of per protocol.
 Protocols with known closed forms (every model in :mod:`repro.protocols`)
 override the derived methods with O(1) formulas; protocols with structural
 selectors override ``select_read_quorum``/``select_write_quorum`` so the
-simulator never enumerates.
+simulator never enumerates.  The derived analyses import their numpy and
+scipy kernels when they are called, so a process that only selects
+quorums — a coordinator, a simulator — never loads either.
 """
 
 from __future__ import annotations
@@ -26,10 +28,8 @@ import abc
 import random
 from collections.abc import Iterator
 
-from repro.quorums.availability import operation_availability
 from repro.quorums.base import BiCoterie, is_cross_intersecting
 from repro.quorums.liveness import ALL_LIVE, Liveness, as_oracle
-from repro.quorums.load import optimal_operation_load
 from repro.quorums.strategy import Strategy
 
 #: Default guard on quorum materialisation (enumeration is exponential for
@@ -201,10 +201,14 @@ class QuorumSystem(abc.ABC):
 
     def strategy(self, op: str = "read") -> Strategy:
         """A load-optimal strategy over one quorum collection (LP primal)."""
+        from repro.quorums.load import optimal_operation_load
+
         return optimal_operation_load(self, op).strategy
 
     def load(self, op: str = "read") -> float:
         """The optimal system load of one operation (Definition 2.5)."""
+        from repro.quorums.load import optimal_operation_load
+
         return optimal_operation_load(self, op).load
 
     def load_vector(self, op: str = "read") -> dict[int, float]:
@@ -223,6 +227,8 @@ class QuorumSystem(abc.ABC):
         ``samples``/``seed`` parameterise the Monte-Carlo estimator when
         the system is too large for the exact computation.
         """
+        from repro.quorums.availability import operation_availability
+
         return operation_availability(self, p, op, samples=samples, seed=seed)
 
     # ------------------------------------------------------------------

@@ -2,13 +2,17 @@
 
 Everything in :mod:`repro.sim` runs against the discrete-event simulator;
 this package runs the *same* coordinator, site, lock, lease and retry
-logic over actual asyncio TCP connections, with each replica site a real
-OS process:
+logic over real TCP connections, with each replica site a real OS
+process.  asyncio is the coordinator's loop only: a site process runs
+the small :class:`~repro.runtime.loop.SelectorLoop` and never imports
+it, and both ends drive their sockets through one transport class.
 
 * :mod:`~repro.runtime.interfaces` — the ``Clock``/``Transport`` seam
   both backends implement;
-* :mod:`~repro.runtime.clock` — wall-clock ``Clock`` over an asyncio
-  event loop;
+* :mod:`~repro.runtime.clock` — wall-clock ``Clock`` over an event loop
+  (asyncio's or a site's ``SelectorLoop``);
+* :mod:`~repro.runtime.loop` — the socket transport both ends share and
+  the selector loop a site process runs;
 * :mod:`~repro.runtime.codec` — length-prefixed JSON frames: positional
   arrays for the protocol messages, objects for control;
 * :mod:`~repro.runtime.connection` — the one framed connection class

@@ -1,7 +1,12 @@
-"""Wall-clock :class:`~repro.runtime.interfaces.Clock` over asyncio.
+"""Wall-clock :class:`~repro.runtime.interfaces.Clock` over an event loop.
 
 The simulator's :class:`~repro.sim.events.Scheduler` *is* a Clock; this
 module is its real-time twin, and it keeps the simulator's queue design.
+The loop is asyncio's on the coordinator and a site's
+:class:`~repro.runtime.loop.SelectorLoop` in a ``repro serve`` child:
+the clock calls only ``time``, ``call_soon``, ``call_at`` (and the
+handle's ``cancel``), ``call_exception_handler`` and reads ``_ready``,
+which both loops have, so it imports no asyncio of its own.
 ``now`` is the event loop's monotonic ``loop.time()``, so a coordinator
 timeout of ``2.0`` means two wall seconds and retry backoff sleeps real
 time — no protocol code can tell which clock it is running on.
@@ -51,7 +56,7 @@ more can join without new I/O or a timer — and otherwise checks again on
 the next iteration, at most :data:`IDLE_WAIT_ITERATIONS` times.  On a
 quiet loop it therefore runs on the same iteration a zero-delay
 callback would; on a saturated one, once per round of replies.  The
-ready queue is asyncio's private ``loop._ready``, read through
+ready queue is the loop's private ``loop._ready``, read through
 ``getattr`` like ``_clock_resolution`` above; a loop without one counts
 as always idle, so the batch runs on the first check.  The clocks on one
 loop share one batch: a check of their own would be "something else
@@ -60,12 +65,11 @@ runnable" to each other, and every batch would wait the whole cap.
 
 from __future__ import annotations
 
-import asyncio
 import heapq
 import time as _time
 import weakref
 from collections.abc import Callable
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.sim.events import (
     _ARG,
@@ -75,6 +79,9 @@ from repro.sim.events import (
     _TIME,
     EventHandle,
 )
+
+if TYPE_CHECKING:
+    import asyncio
 
 _INF = float("inf")
 
@@ -106,7 +113,11 @@ _IDLE_BATCHES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 class AsyncClock:
-    """The asyncio event loop seen through the transport-seam Clock."""
+    """An event loop seen through the transport-seam Clock.
+
+    ``loop`` defaults to the running asyncio loop; a site process passes
+    its :class:`~repro.runtime.loop.SelectorLoop`.
+    """
 
     __slots__ = (
         "_loop",
@@ -122,7 +133,11 @@ class AsyncClock:
     )
 
     def __init__(self, loop: asyncio.AbstractEventLoop | None = None) -> None:
-        self._loop = loop if loop is not None else asyncio.get_running_loop()
+        if loop is None:
+            import asyncio
+
+            loop = asyncio.get_running_loop()
+        self._loop = loop
         self._resolution = getattr(
             self._loop,
             "_clock_resolution",

@@ -48,10 +48,9 @@ arbitrary Python objects.
 
 from __future__ import annotations
 
-import asyncio
 import struct
 from operator import attrgetter
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import orjson
 
@@ -69,6 +68,9 @@ from repro.sim.messages import (
     VoteMessage,
 )
 from repro.sim.replica import Timestamp
+
+if TYPE_CHECKING:  # the stream helpers' types; a site never loads asyncio
+    import asyncio
 
 #: Hard cap on a single frame (1 MiB): a corrupt length prefix must not
 #: make a reader allocate gigabytes.
@@ -214,6 +216,8 @@ async def read_frame(
     front-end and its clients: it reads exactly one frame's bytes, so
     the next call starts on the next frame.
     """
+    import asyncio
+
     try:
         prefix = await reader.readexactly(_LENGTH.size)
     except asyncio.IncompleteReadError as exc:

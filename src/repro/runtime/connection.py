@@ -1,15 +1,16 @@
 """One framed TCP connection — the class both ends of the wire share.
 
-A :class:`Connection` is an asyncio protocol (the buffered kind: the
-loop receives into a buffer the connection owns, see
-:data:`RECV_BYTES`): each ``recv`` reaches :meth:`~Connection.
-data_received` as it arrives and everything else happens in that one
-callback — split every complete frame (:func:`~repro.runtime.codec.
-parse_frame`), run the ``hello`` handshake on the first, decode the
-others and hand the messages to its owner.  No reader task, no
-per-frame future.  The coordinator's :class:`~repro.runtime.transport.
-TcpTransport` dials one per site; a :class:`~repro.runtime.siteserver.
-SiteServer` accepts one per peer.
+A :class:`Connection` is the protocol half of a socket: a
+:class:`~repro.runtime.loop.SocketTransport` hands it each ``recv`` as it
+arrives (:meth:`~Connection.data_received`) and everything else happens
+in that one callback — split every complete frame (:func:`~repro.
+runtime.codec.parse_frame`), run the ``hello`` handshake on the first,
+decode the others and hand the messages to its owner.  No reader task,
+no per-frame future, and no asyncio: the same class runs on the
+coordinator's asyncio loop and on a site's
+:class:`~repro.runtime.loop.SelectorLoop`.  The coordinator's
+:class:`~repro.runtime.transport.TcpTransport` dials one per site; a
+:class:`~repro.runtime.siteserver.SiteServer` accepts one per peer.
 
 **The flush rule.**  Outbound frames are never written one by one.
 :meth:`Connection.send` appends to a pending list, and the list leaves
@@ -35,8 +36,9 @@ receive callback on the stack; is the pending list empty), so there is
 nothing to configure and no caller can pick the wrong one.
 
 **Bounded.**  A peer that stops reading makes the kernel buffer, then
-asyncio's, then ours grow.  Once more than :data:`MAX_QUEUED_BYTES` wait
-on one connection it is aborted; its owner sees an ordinary disconnect.
+the transport's, then ours grow.  Once more than :data:`MAX_QUEUED_BYTES`
+wait on one connection it is aborted; its owner sees an ordinary
+disconnect.
 
 A malformed frame (:class:`~repro.runtime.codec.CodecError`) closes the
 connection it arrived on, after the replies to the valid frames before
@@ -45,9 +47,8 @@ it have been flushed, and touches no other connection.
 
 from __future__ import annotations
 
-import asyncio
 from collections.abc import Callable
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.runtime.clock import AsyncClock
 from repro.runtime.codec import (
@@ -58,19 +59,15 @@ from repro.runtime.codec import (
     parse_frame,
 )
 
-#: Size of the buffer each connection lends the event loop to ``recv``
-#: into.  A plain :class:`asyncio.Protocol` is handed a fresh ``bytes``
-#: per recv that asyncio sizes at 256 KiB before trimming it — past
-#: malloc's mmap threshold, so every recv of a 40-byte frame paid an
-#: mmap, a page fault and an munmap (13 us measured, more than the recv).
-RECV_BYTES = 64 * 1024
+if TYPE_CHECKING:
+    from repro.runtime.loop import SocketTransport
 
-#: Most bytes one connection may hold unsent (asyncio's write buffer
+#: Most bytes one connection may hold unsent (the transport's buffer
 #: plus the frames pending the next flush) before it is aborted.
 MAX_QUEUED_BYTES = 16 * MAX_FRAME_BYTES
 
 
-class Connection(asyncio.BufferedProtocol):
+class Connection:
     """Framing, handshake, decode and write coalescing for one socket.
 
     The owner supplies three callbacks: ``on_hello(connection)`` once
@@ -92,10 +89,9 @@ class Connection(asyncio.BufferedProtocol):
         self._on_message = on_message
         self._on_lost = on_lost
         self._clock = clock if clock is not None else AsyncClock()
-        self._transport: asyncio.Transport | None = None
+        self._transport: SocketTransport | None = None
         #: SID the peer announced in its ``hello`` (``None`` until then).
         self.peer_sid: int | None = None
-        self._inbox = bytearray(RECV_BYTES)  # where the loop puts a recv
         self._partial = b""  # received bytes of a frame not complete yet
         self._receiving = False  # ``data_received`` is on the stack
         self._pending: list[bytes] = []  # frames awaiting the next flush
@@ -103,9 +99,7 @@ class Connection(asyncio.BufferedProtocol):
 
     # -- lifecycle -----------------------------------------------------
 
-    def connection_made(  # type: ignore[override]
-        self, transport: asyncio.Transport
-    ) -> None:
+    def connection_made(self, transport: SocketTransport) -> None:
         self._transport = transport
 
     def connection_lost(self, exc: Exception | None) -> None:
@@ -162,12 +156,6 @@ class Connection(asyncio.BufferedProtocol):
         pending.clear()
 
     # -- inbound -------------------------------------------------------
-
-    def get_buffer(self, sizehint: int) -> bytearray:
-        return self._inbox
-
-    def buffer_updated(self, nbytes: int) -> None:
-        self.data_received(bytes(memoryview(self._inbox)[:nbytes]))
 
     def data_received(self, data: bytes) -> None:
         """Split, decode and dispatch every complete frame of one recv."""

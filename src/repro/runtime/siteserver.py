@@ -8,6 +8,13 @@ routes outbound messages (replies, votes, acks, recovery
 ``DecisionRequest``\\ s) to whichever connection the destination SID
 arrived on.
 
+The server runs on any loop with ``add_reader`` (see
+:mod:`repro.runtime.loop`): a ``repro serve`` child runs it on a
+:class:`~repro.runtime.loop.SelectorLoop` and never imports asyncio; an
+in-process server (the tests) runs on the caller's asyncio loop.  It
+binds its own listening socket and accepts through ``add_reader``; each
+accepted socket is a :class:`~repro.runtime.loop.SocketTransport`.
+
 Connection protocol: a connecting peer (the coordinator front-end) first
 sends a ``hello`` control frame carrying its own SID; every later frame
 is a protocol message for this site.  Replies flow back on the same
@@ -25,15 +32,20 @@ storage intact and runs the site's 2PC termination protocol.
 
 from __future__ import annotations
 
-import asyncio
 import os
+import socket
 import sys
 from typing import Any
 
 from repro.runtime.clock import AsyncClock
 from repro.runtime.codec import CodecError, encode_frame, encode_message
 from repro.runtime.connection import Connection
+from repro.runtime.loop import BACKLOG, SelectorLoop, SocketTransport
 from repro.sim.site import Site
+
+#: Seconds a listening socket rests after the process ran out of file
+#: descriptors (or the kernel of memory) on an accept (asyncio's delay).
+ACCEPT_RETRY_DELAY = 1.0
 
 
 class SiteServer:
@@ -57,7 +69,8 @@ class SiteServer:
         self._host = host
         self._port = port
         self._service_time = service_time
-        self._server: asyncio.base_events.Server | None = None
+        self._loop: Any = None
+        self._listener: socket.socket | None = None
         #: Every accepted socket, greeted or not (closed on stop/crash).
         self._connections: set[Connection] = set()
         #: Greeted peers by announced SID: where replies are routed.
@@ -68,12 +81,14 @@ class SiteServer:
 
     @property
     def port(self) -> int:
-        """The bound port (resolved after :meth:`start` when ``port=0``)."""
+        """The bound port (resolved by :meth:`listen` when ``port=0``)."""
         return self._port
 
-    async def start(self) -> None:
-        """Bind the socket and wire the site to this server."""
-        self.clock = AsyncClock()
+    def listen(self, loop: Any) -> None:
+        """Bind the socket, wire the site to this server and accept on
+        ``loop`` (an asyncio loop or a :class:`SelectorLoop`)."""
+        self._loop = loop
+        self.clock = AsyncClock(loop)
         # A site process cannot know its coordinator's timeout, so an
         # undecided prepare asks after LocalCluster's default of one
         # second.  Asking early is safe: a coordinator still collecting
@@ -81,20 +96,42 @@ class SiteServer:
         self.site = Site(
             self.sid, self, service_time=self._service_time, timeout=1.0
         )
-        self._server = await asyncio.get_running_loop().create_server(
-            self._accept, self._host, self._port
-        )
-        self._port = self._server.sockets[0].getsockname()[1]
+        family = socket.AF_INET6 if ":" in self._host else socket.AF_INET
+        listener = socket.socket(family, socket.SOCK_STREAM)
+        try:
+            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            listener.bind((self._host, self._port))
+            listener.listen(BACKLOG)
+            listener.setblocking(False)
+        except BaseException:
+            listener.close()
+            raise
+        self._listener = listener
+        self._port = listener.getsockname()[1]
+        loop.add_reader(listener.fileno(), self._accept_ready)
+
+    def close(self) -> None:
+        """Stop accepting, drop every connection, release the port."""
+        listener, self._listener = self._listener, None
+        if listener is not None:
+            self._loop.remove_reader(listener.fileno())
+            listener.close()
+        self._drop_connections()
+
+    async def start(self) -> None:
+        """:meth:`listen` on the running asyncio loop."""
+        import asyncio
+
+        self.listen(asyncio.get_running_loop())
 
     async def stop(self) -> None:
-        """Stop accepting, drop every connection, release the port."""
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        if self._connections:
-            self._drop_connections()
-            await asyncio.sleep(0)  # let the loop run their teardown
+        """:meth:`close`, then let the loop run the connections' teardown."""
+        import asyncio
+
+        dropped = bool(self._connections)
+        self.close()
+        if dropped:
+            await asyncio.sleep(0)
 
     # -- crash / recovery (in-process fault injection) -----------------
 
@@ -141,6 +178,30 @@ class SiteServer:
 
     # -- inbound -------------------------------------------------------
 
+    def _accept_ready(self) -> None:
+        """The listening socket is readable: take every queued peer."""
+        listener = self._listener
+        while listener is not None:
+            try:
+                sock, _ = listener.accept()
+            except (BlockingIOError, InterruptedError, ConnectionAbortedError):
+                return
+            except OSError as exc:  # out of descriptors or memory: rest
+                self._loop.call_exception_handler({
+                    "message": "socket.accept() out of system resource",
+                    "exception": exc,
+                })
+                self._loop.remove_reader(listener.fileno())
+                self._loop.call_at(
+                    self._loop.time() + ACCEPT_RETRY_DELAY, self._resume
+                )
+                return
+            SocketTransport(self._loop, sock, self._accept())
+
+    def _resume(self) -> None:
+        if self._listener is not None:
+            self._loop.add_reader(self._listener.fileno(), self._accept_ready)
+
     def _accept(self) -> Connection:
         connection = Connection(
             self._on_hello, self._on_message, self._on_lost, self.clock
@@ -166,13 +227,15 @@ class SiteServer:
             del self._peers[connection.peer_sid]
 
 
-async def serve_site(
+def serve_site(
     sid: int,
     host: str = "127.0.0.1",
     port: int = 0,
     service_time: float = 0.0,
 ) -> None:
-    """Run one site process until cancelled (``repro serve``).
+    """Run one site process on a :class:`SelectorLoop` until a signal
+    ends it (``repro serve``): SIGINT raises ``KeyboardInterrupt`` out of
+    the loop, SIGTERM's default action ends the process.
 
     Prints ``REPRO-SITE sid=<sid> port=<port>`` once the socket is bound
     so a parent orchestrator can scrape the ephemeral port.
@@ -190,10 +253,11 @@ async def serve_site(
             os.sched_setscheduler(0, os.SCHED_BATCH, os.sched_param(0))
         except OSError:
             pass  # refused: serve in the default class
+    loop = SelectorLoop()
     server = SiteServer(sid, host=host, port=port, service_time=service_time)
-    await server.start()
+    server.listen(loop)
     print(f"REPRO-SITE sid={sid} port={server.port}", flush=True)
     try:
-        await asyncio.Event().wait()  # serve until cancelled/killed
+        loop.run_forever()
     finally:
-        await server.stop()
+        server.close()

@@ -19,6 +19,11 @@ implements the transport seam the protocol layer speaks:
   drops within the OS's RST/FIN handling and quorum selection routes
   around it on the next attempt.
 
+Each connection is a :class:`~repro.runtime.loop.SocketTransport` on
+the coordinator's asyncio loop — the same transport a site process runs
+on its :class:`~repro.runtime.loop.SelectorLoop` — dialed with
+``loop.sock_connect``.
+
 Reconnection is explicit (:meth:`connect` again) — policy belongs to the
 operator/cluster layer, not the transport.
 """
@@ -26,6 +31,7 @@ operator/cluster layer, not the transport.
 from __future__ import annotations
 
 import asyncio
+import socket
 from dataclasses import dataclass
 from typing import Any
 
@@ -33,6 +39,7 @@ from repro.runtime.clock import AsyncClock
 from repro.runtime.codec import CodecError, encode_frame, encode_message
 from repro.runtime.connection import Connection
 from repro.runtime.interfaces import Endpoint
+from repro.runtime.loop import SocketTransport
 
 
 @dataclass
@@ -135,21 +142,24 @@ class TcpTransport:
                 self.stats.disconnects += 1
                 self.bump_liveness_epoch()
 
+        family = socket.AF_INET6 if ":" in host else socket.AF_INET
         start = self._clock.now
         while True:
+            sock = socket.socket(family, socket.SOCK_STREAM)
+            sock.setblocking(False)
             try:
-                _, connection = await loop.create_connection(
-                    lambda: Connection(
-                        on_hello, self._deliver, on_lost, self._clock
-                    ),
-                    host,
-                    port,
-                )
+                await loop.sock_connect(sock, (host, port))
                 break
-            except (ConnectionError, OSError):
+            except OSError:
+                sock.close()
                 if self._clock.now - start > deadline:
                     raise
-                await asyncio.sleep(retry_delay)
+            except BaseException:  # cancelled: the socket goes too
+                sock.close()
+                raise
+            await asyncio.sleep(retry_delay)
+        connection = Connection(on_hello, self._deliver, on_lost, self._clock)
+        SocketTransport(loop, sock, connection)
         connection.send_hello(self.local_sid)
         try:
             await greeted

@@ -206,8 +206,8 @@ class QuorumCoordinator:
     retry_policy:
         Optional :class:`~repro.fault.retry.RetryPolicy` governing the
         delay before each retry and before unavailability re-probes.
-        ``None`` keeps the legacy shape: immediate retry after a timeout
-        or refused vote, one ``timeout`` after finding no quorum.
+        ``None`` keeps the legacy shape: immediate retry after a timeout,
+        one ``timeout`` after a refused vote or after finding no quorum.
     suspects:
         Optional :class:`~repro.fault.detector.SuspectList`.  When
         present, every quorum member that stays silent past a timeout is
@@ -649,13 +649,16 @@ class QuorumCoordinator:
             )
         # The unavailability path already charged its delay in
         # _defer_unavailable; every other failure consults the retry
-        # policy for a backoff before the next attempt.
+        # policy for a backoff before the next attempt.  With no policy a
+        # refused vote waits one timeout, as finding no quorum does: the
+        # refusing site holds a prepare its doubt tick clears only after
+        # one or two timeouts, and an immediate retry meets it again.
         delay = 0.0
-        if (
-            self._retry_policy is not None
-            and reason is not FailureReason.UNAVAILABLE
-        ):
-            delay = self._retry_policy.retry_delay(ctx.attempts)
+        if reason is not FailureReason.UNAVAILABLE:
+            if self._retry_policy is not None:
+                delay = self._retry_policy.retry_delay(ctx.attempts)
+            elif reason is FailureReason.VOTE_REFUSED:
+                delay = self._timeout
         if delay <= 0.0:
             self._start_attempt(ctx)
             return

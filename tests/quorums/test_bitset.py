@@ -8,12 +8,16 @@ import pytest
 from repro.quorums.bitset import (
     PackedQuorums,
     _popcount_by_table,
-    mask_to_words,
     pack_bool_matrix,
     pack_rows,
     try_pack,
     try_pack_pair,
 )
+
+
+def words_of(mask, words):
+    """A Python int bitmask as its little-endian 64-bit words."""
+    return [(mask >> (64 * word)) & (2**64 - 1) for word in range(words)]
 
 
 class TestPackingRoundTrip:
@@ -38,11 +42,7 @@ class TestPackingRoundTrip:
         assert packed.words == 3
         assert packed.to_frozensets() == tuple(frozenset(q) for q in quorums)
         expected = (1 << 0) | (1 << 63) | (1 << 64) | (1 << 129)
-        assert packed.matrix[0].tolist() == mask_to_words(expected, 3).tolist()
-
-    def test_mask_word_round_trip(self):
-        mask = (1 << 129) | (1 << 64) | 0b1011
-        assert mask_to_words(mask, 3).tolist() == [0b1011, 1, 2]
+        assert packed.matrix[0].tolist() == words_of(expected, 3)
 
     def test_pack_rows_matches_from_quorums(self):
         quorums = [frozenset({1, 2}), frozenset({0, 2})]
@@ -71,29 +71,10 @@ class TestKernelOps:
             for row, element in enumerate(range(3)):
                 assert matrix[row, col] == (1.0 if element in quorum else 0.0)
 
-    def test_live_filter_subset_semantics(self):
-        packed = PackedQuorums.from_quorums(
-            [{0, 1}, {2}, {0, 2}], universe=range(3)
-        )
-        live = mask_to_words(0b101, packed.words)
-        assert packed.live_filter(live).tolist() == [False, True, True]
-
-    def test_live_filter_empty_live_set(self):
-        packed = PackedQuorums.from_quorums([{0}, {1, 2}], universe=range(3))
-        live = mask_to_words(0, packed.words)
-        assert not packed.live_filter(live).any()
-
     def test_n_equals_one(self):
         packed = PackedQuorums.from_quorums([{0}], universe={0})
         assert packed.n == 1 and packed.words == 1
-        assert packed.live_filter(mask_to_words(1, 1)).tolist() == [True]
-        assert packed.live_filter(mask_to_words(0, 1)).tolist() == [False]
-
-    def test_multi_word_live_filter(self):
-        quorums = [{0, 100}, {64, 65}, {127}]
-        packed = PackedQuorums.from_quorums(quorums, universe=range(128))
-        live = mask_to_words((1 << 0) | (1 << 100) | (1 << 127), 2)
-        assert packed.live_filter(live).tolist() == [True, False, True]
+        assert packed.matrix.tolist() == [[1]]
 
     def test_cross_intersects_requires_shared_universe(self):
         a = PackedQuorums.from_quorums([{0}], universe=range(2))
@@ -119,9 +100,9 @@ class TestBoolPacking:
             assert words.shape == (17, max(1, -(-n // 64)))
             for row in range(17):
                 expected = sum(1 << i for i in range(n) if alive[row, i])
-                assert words[row].tolist() == mask_to_words(
+                assert words[row].tolist() == words_of(
                     expected, words.shape[1]
-                ).tolist()
+                )
 
 
 class TestDispatch:

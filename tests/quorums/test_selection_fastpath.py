@@ -36,6 +36,35 @@ def test_packed_selection_matches_reference_streams(system):
         )
 
 
+class Listed:
+    """A quorum system that is just its read quorums, listed."""
+
+    uniform_selection = True
+
+    def __init__(self, quorums, universe):
+        self._quorums = [frozenset(q) for q in quorums]
+        self.universe = frozenset(universe)
+
+    def materialise(self, op, limit):
+        return list(self._quorums)
+
+
+def test_viable_rows_are_the_quorums_inside_the_live_set():
+    """Each quorum is one int mask; a row is viable iff its mask is
+    inside the live mask, rows stay in enumeration order, and masks span
+    more than one 64-bit word."""
+    quorums = [{0, 100}, {64, 65}, {127}, {0, 1}, {2}, {0, 2}]
+    index = SelectionIndex(Listed(quorums, range(128)))
+    live = {0, 2, 100, 127}
+    assert index.select("read", live) == frozenset({0, 100})
+    assert index._viable[("read", index.live_mask(live))] == [0, 2, 4, 5]
+    assert index.select("read", {64}) is None
+    assert index.select("read", set()) is None
+    assert index.select("read", {65, 64, 2}, random.Random(4)) in (
+        frozenset({64, 65}), frozenset({2}),
+    )
+
+
 def test_counters_track_cache_behaviour(system):
     index = SelectionIndex(system)
     rng = random.Random(0)

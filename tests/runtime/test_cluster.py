@@ -11,7 +11,9 @@ import asyncio
 import gc
 import os
 import shutil
+import signal
 import struct
+import subprocess
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -35,7 +37,7 @@ from repro.runtime.codec import (
     read_frame,
     write_frame,
 )
-from repro.runtime.siteserver import SiteServer, serve_site
+from repro.runtime.siteserver import SiteServer
 from repro.sim.messages import ReadRequest
 
 
@@ -376,24 +378,42 @@ def test_an_in_process_site_server_leaves_the_policy_alone():
     assert os.sched_getscheduler(0) == before
 
 
-def test_a_site_the_kernel_refuses_sched_batch_still_serves(monkeypatch, capsys):
-    asked = []
+#: Runs ``serve_site`` in a child whose kernel refuses every change of
+#: scheduling class; the child notes each request on stderr.
+_REFUSING_SITE = """
+import os, sys
+from repro.runtime.siteserver import serve_site
 
-    def refuse(pid, policy, param):
-        asked.append((pid, policy))
-        raise OSError("refused")
 
-    monkeypatch.setattr(os, "sched_setscheduler", refuse, raising=False)
+def refuse(pid, policy, param):
+    print(f"asked {pid} {policy}", file=sys.stderr, flush=True)
+    raise OSError("refused")
 
-    async def main():
-        serving = asyncio.ensure_future(serve_site(0))
-        try:
-            out = ""
-            while "REPRO-SITE" not in out:
-                assert not serving.done()
-                await asyncio.sleep(0.01)
-                out += capsys.readouterr().out
-            port = int(out.rsplit("port=", 1)[1].split()[0])
+
+os.sched_setscheduler = refuse
+try:
+    serve_site(0)
+except KeyboardInterrupt:
+    pass
+"""
+
+
+def test_a_site_the_kernel_refuses_sched_batch_still_serves():
+    """``serve_site`` runs its own loop until a signal, so it runs in a
+    child here; SIGINT ends it cleanly with exit status 0."""
+    child = subprocess.Popen(
+        [sys.executable, "-c", _REFUSING_SITE],
+        env=cluster_module._site_env(),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        line = child.stdout.readline()
+        assert line.startswith("REPRO-SITE sid=0 "), child.stderr.read()
+        port = int(line.rsplit("port=", 1)[1])
+
+        async def main():
             reader, writer = await asyncio.open_connection("127.0.0.1", port)
             write_frame(writer, {"kind": "hello", "sid": -1})
             assert (await read_frame(reader))["sid"] == 0
@@ -401,11 +421,15 @@ def test_a_site_the_kernel_refuses_sched_batch_still_serves(monkeypatch, capsys)
             reply = decode_message(await read_frame(reader))
             writer.close()
             return reply.request_id
-        finally:
-            serving.cancel()
-            with pytest.raises(asyncio.CancelledError):
-                await serving
 
-    assert asyncio.run(asyncio.wait_for(main(), 30.0)) == 3
+        assert asyncio.run(asyncio.wait_for(main(), 30.0)) == 3
+        child.send_signal(signal.SIGINT)
+        assert child.wait(30) == 0
+        asked = child.stderr.read()
+    finally:
+        child.kill()
+        child.wait()
+        child.stdout.close()
+        child.stderr.close()
     if sys.platform.startswith("linux"):
-        assert asked == [(0, os.SCHED_BATCH)]
+        assert asked == f"asked 0 {os.SCHED_BATCH}\n"

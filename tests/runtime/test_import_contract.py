@@ -7,7 +7,7 @@ export that only resolves because something else loaded it first — would
 be invisible here.
 """
 
-import json
+import asyncio
 import os
 import subprocess
 import sys
@@ -17,11 +17,31 @@ import pytest
 
 import repro
 from repro.cli import _COMMANDS, build_parser, main
+from repro.runtime.codec import (
+    decode_message,
+    encode_message,
+    read_frame,
+    write_frame,
+)
+from repro.sim.messages import (
+    AbortMessage,
+    AckMessage,
+    CommitMessage,
+    PrepareMessage,
+    ReadReply,
+    ReadRequest,
+    VersionReply,
+    VersionRequest,
+    VoteMessage,
+)
+from repro.sim.replica import Timestamp
 
 SRC = str(Path(repro.__file__).resolve().parents[1])
 
 #: What a ``repro serve`` child must never load.
 FORBIDDEN = (
+    "asyncio",
+    "ssl",
     "numpy",
     "scipy",
     "repro.analysis",
@@ -58,14 +78,19 @@ def _forbidden_among(modules) -> list[str]:
     )
 
 
+def _imports_in(log) -> list[str]:
+    """Module names in ``-X importtime`` output, in import order."""
+    return [
+        line.rsplit("|", 1)[1].strip()
+        for line in log.splitlines()
+        if line.startswith("import time:")
+    ]
+
+
 def _imported_by_help(command: str) -> list[str]:
     done = _python("-X", "importtime", "-m", "repro", command, "--help")
     assert done.returncode == 0, done.stderr
-    return [
-        line.rsplit("|", 1)[1].strip()
-        for line in done.stderr.splitlines()
-        if line.startswith("import time:")
-    ]
+    return _imports_in(done.stderr)
 
 
 def test_serve_entry_point_imports_nothing_a_site_does_not_run():
@@ -86,41 +111,18 @@ def test_a_process_loads_the_one_command_it_runs(command):
     assert loaded <= {own, "repro.commands.options"}
 
 
-#: Runs in the child: serve every request kind over a real socket using
-#: only ``runtime.connection`` + ``runtime.codec``, report module growth.
-_SERVING_CHILD = """
-import asyncio, json, sys
-from repro.runtime.siteserver import SiteServer
-from repro.runtime.codec import encode_frame, encode_message
-from repro.runtime.connection import Connection
-from repro.sim.messages import (
-    AbortMessage, AckMessage, CommitMessage, PrepareMessage, ReadReply,
-    ReadRequest, VersionReply, VersionRequest, VoteMessage,
-)
-from repro.sim.replica import Timestamp
+async def _serve_every_request_kind(port: int) -> None:
+    """Drive one site through every message it handles, as a coordinator."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
 
-before = set(sys.modules)
+    async def ask(message, answered=True):
+        write_frame(writer, encode_message(message))
+        await writer.drain()
+        if answered:
+            return decode_message(await read_frame(reader))
 
-
-async def main():
-    loop = asyncio.get_running_loop()
-    server = SiteServer(0)
-    await server.start()
-    greeted = loop.create_future()
-    inbox = asyncio.Queue()
-    link = Connection(
-        lambda connection: greeted.set_result(connection.peer_sid),
-        inbox.put_nowait,
-        lambda connection: None,
-    )
-    await loop.create_connection(lambda: link, "127.0.0.1", server.port)
-    link.send_hello(-1)
-    assert await asyncio.wait_for(greeted, 5) == 0
-
-    async def ask(message):
-        link.send(encode_frame(encode_message(message)))
-        return await asyncio.wait_for(inbox.get(), 5)
-
+    write_frame(writer, {"kind": "hello", "sid": -1})
+    assert (await read_frame(reader)) == {"kind": "hello", "sid": 0}
     reply = await ask(ReadRequest(-1, 0, "k", 1))
     assert type(reply) is ReadReply and reply.value is None
     reply = await ask(VersionRequest(-1, 0, "k", 2))
@@ -133,38 +135,56 @@ async def main():
     assert type(reply) is VoteMessage and reply.vote_commit
     # An abort is not acknowledged; the read after it is served only
     # because the abort freed the key.
-    link.send(encode_frame(encode_message(AbortMessage(-1, 0, 2))))
+    await ask(AbortMessage(-1, 0, 2), answered=False)
     reply = await ask(ReadRequest(-1, 0, "k", 3))
     assert reply.value == "v" and reply.timestamp == Timestamp(1, 0)
-    link.close()
-    await server.stop()
+    writer.close()
 
 
-asyncio.run(main())
-print(json.dumps({
-    "loaded": sorted(sys.modules),
-    "late": sorted(set(sys.modules) - before),
-}))
-"""
+def test_serving_every_request_kind_imports_nothing_more(tmp_path):
+    """A real ``repro serve`` child, asked every request kind over TCP:
+    nothing it loads is forbidden (asyncio and ssl included), and nothing
+    loads after its announce line."""
+    log = tmp_path / "importtime.txt"
+    with open(log, "w") as stderr:
+        child = subprocess.Popen(
+            [sys.executable, "-X", "importtime", "-m", "repro", "serve",
+             "--sid", "0", "--port", "0"],
+            env={**os.environ, "PYTHONPATH": SRC},
+            stdout=subprocess.PIPE, stderr=stderr, text=True,
+        )
+    try:
+        announce = child.stdout.readline()
+        assert announce.startswith("REPRO-SITE sid=0 "), log.read_text()
+        at_announce = _imports_in(log.read_text())
+        port = int(announce.rsplit("port=", 1)[1])
+        asyncio.run(asyncio.wait_for(_serve_every_request_kind(port), 30))
+        assert child.poll() is None  # still serving
+    finally:
+        child.terminate()
+        child.wait(30)
+        child.stdout.close()
+    loaded = _imports_in(log.read_text())
+    assert "repro.runtime.loop" in loaded and "repro.sim.site" in loaded
+    assert loaded == at_announce  # nothing lazy on the serving path
+    assert _forbidden_among(loaded) == []
 
 
-def test_serving_every_request_kind_imports_nothing_more():
-    done = _python("-c", _SERVING_CHILD)
-    assert done.returncode == 0, done.stderr
-    report = json.loads(done.stdout)
-    assert report["late"] == []  # nothing lazy on the serving path
-    assert _forbidden_among(report["loaded"]) == []
-
-
-#: Runs in the child: the two lazy ``__init__`` tables behave like the
+#: Runs in the child: the five lazy ``__init__`` tables behave like the
 #: eager imports they replaced.
 _EXPORTS_CHILD = """
 import pickle
+import sys
 import repro
 import repro.sim
 
 assert "core" not in vars(repro)  # nothing resolved yet: a real test
-for package in (repro, repro.sim):
+import repro.core, repro.protocols, repro.quorums
+
+assert "numpy" not in sys.modules  # the three tables import nothing
+for package in (repro.core, repro.protocols, repro.quorums):
+    assert not set(package.__all__) & set(vars(package)), package.__name__
+for package in (repro, repro.sim, repro.core, repro.protocols, repro.quorums):
     listed = dir(package)
     for name in package.__all__:
         assert name in listed, (package.__name__, name)
@@ -201,6 +221,34 @@ assert clone.seed == 11 and clone.tree.spec() == config.tree.spec()
 def test_lazy_package_exports_resolve_like_eager_ones():
     done = _python("-c", _EXPORTS_CHILD)
     assert done.returncode == 0, done.stderr
+
+
+#: Runs in the child: what a coordinator, a simulator, the auditor and
+#: the report load, and a 200-operation simulation through them.
+_NO_NUMPY_CHILD = """
+import sys
+import repro.fault.invariants
+import repro.obs.report
+import repro.runtime.cluster
+from repro.core.builder import from_spec
+from repro.sim.engine import SimulationConfig, simulate
+from repro.sim.workload import WorkloadSpec
+
+result = simulate(SimulationConfig(
+    tree=from_spec("1-3-5"), workload=WorkloadSpec(operations=200), seed=1,
+    check_invariants=True,
+))
+assert len(result.monitor.outcomes) == 200
+print(sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy")))
+"""
+
+
+def test_the_coordinator_and_the_simulator_load_no_numpy():
+    """Selecting quorums takes ints, not a numpy matrix, and the package
+    tables import no analysis module (DESIGN §2.16)."""
+    done = _python("-c", _NO_NUMPY_CHILD)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 #: One full argv per command: ``build_parser()`` accepts it, the

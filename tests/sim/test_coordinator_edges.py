@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.builder import from_spec
 from repro.core.protocol import ArbitraryProtocol
-from repro.sim.coordinator import QuorumCoordinator
+from repro.sim.coordinator import FailureReason, QuorumCoordinator
 from repro.sim.events import Scheduler
 from repro.sim.locks import LockManager
 from repro.sim.messages import AbortMessage, PrepareMessage
@@ -280,6 +280,40 @@ class TestTerminationHoles:
         self.release_key_elsewhere(sites)
         scheduler.run()
         self.assert_settled(sites, coordinator)
+
+
+def test_a_refused_vote_waits_for_the_orphaned_prepare_to_clear():
+    """A lost abort leaves a prepare behind at one member; a write to the
+    same key meets it and is refused.  With no retry policy the retry
+    waits one timeout (as finding no quorum does), so the orphan's doubt
+    tick clears it and a later attempt commits.  Retrying at once spent
+    every attempt against the same orphan within a few round trips."""
+    tree, scheduler, network, sites, locks, coordinator = make_rig(
+        spec="1-3", max_attempts=1  # one level: every write quorum is {0,1,2}
+    )
+    first = []
+    coordinator.write("k", "v1", first.append)
+    scheduler.run(until=0.5)
+    foreign = 10**9  # a prepare held elsewhere makes site 0 refuse
+    sites[0]._on_prepare(PrepareMessage(-1, 0, foreign, "k", "foreign"))
+    scheduler.run(until=1.5)  # sites 1 and 2 voted yes
+    network.set_partition(PartitionSpec.split({1}))
+    scheduler.run(until=5.0)  # the abort to site 1 is dropped
+    assert first and first[0].reason is FailureReason.VOTE_REFUSED
+    assert [site.sid for site in sites if set(site._prepared) - {foreign}] == [1]
+    network.heal_partition()
+    sites[0]._on_abort(AbortMessage(-1, 0, foreign))
+
+    coordinator._max_attempts = 3
+    second = []
+    coordinator.write("k", "v2", second.append)
+    scheduler.run()
+    (outcome,) = second
+    assert outcome.success and outcome.attempts > 1
+    assert outcome.latency > 8.0  # at least one timeout between attempts
+    assert all(site.store.read("k").value == "v2" for site in sites)
+    assert not coordinator._decisions
+    assert not any(site._prepared for site in sites)
 
 
 class TestSystemIntrospection:
