@@ -201,6 +201,10 @@ class PackedQuorums:
 
     # -- kernel ops --------------------------------------------------------
 
+    def live_filter(self, live_words: np.ndarray) -> np.ndarray:
+        """Boolean vector: row ``j`` is True iff quorum ``j`` ⊆ live set."""
+        return ((self.matrix & live_words) == self.matrix).all(axis=1)
+
     def bit_matrix(self) -> np.ndarray:
         """The ``(m, n)`` 0/1 uint8 matrix of quorum membership."""
         as_bytes = np.ascontiguousarray(self.matrix).view(np.uint8)

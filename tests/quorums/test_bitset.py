@@ -20,6 +20,11 @@ def words_of(mask, words):
     return [(mask >> (64 * word)) & (2**64 - 1) for word in range(words)]
 
 
+def live_words(mask, words):
+    """A live-set bitmask as the uint64 row :meth:`live_filter` takes."""
+    return np.array(words_of(mask, words), dtype=np.uint64)
+
+
 class TestPackingRoundTrip:
     def test_masks_and_frozensets_round_trip(self):
         quorums = [{0, 2, 5}, {1}, {0, 1, 2, 3, 4, 5}]
@@ -71,10 +76,35 @@ class TestKernelOps:
             for row, element in enumerate(range(3)):
                 assert matrix[row, col] == (1.0 if element in quorum else 0.0)
 
+    def test_live_filter_subset_semantics(self):
+        packed = PackedQuorums.from_quorums(
+            [{0, 1}, {2}, {0, 2}], universe=range(3)
+        )
+        live = live_words(0b101, packed.words)
+        assert packed.live_filter(live).tolist() == [False, True, True]
+
+    def test_live_filter_empty_live_set(self):
+        packed = PackedQuorums.from_quorums([{0}, {1, 2}], universe=range(3))
+        live = live_words(0, packed.words)
+        assert not packed.live_filter(live).any()
+
     def test_n_equals_one(self):
         packed = PackedQuorums.from_quorums([{0}], universe={0})
         assert packed.n == 1 and packed.words == 1
         assert packed.matrix.tolist() == [[1]]
+        assert packed.live_filter(live_words(1, 1)).tolist() == [True]
+        assert packed.live_filter(live_words(0, 1)).tolist() == [False]
+
+    def test_multi_word_live_filter(self):
+        quorums = [{0, 100}, {64, 65}, {127}]
+        packed = PackedQuorums.from_quorums(quorums, universe=range(128))
+        mask = (1 << 0) | (1 << 100) | (1 << 127)
+        assert packed.live_filter(live_words(mask, 2)).tolist() == [
+            True, False, True
+        ]
+        # The int-mask filter selection runs (``q & live == q``) agrees.
+        masks = [sum(1 << element for element in q) for q in quorums]
+        assert [q & mask == q for q in masks] == [True, False, True]
 
     def test_cross_intersects_requires_shared_universe(self):
         a = PackedQuorums.from_quorums([{0}], universe=range(2))
