@@ -54,6 +54,12 @@ if TYPE_CHECKING:  # annotation-only: neither package is needed to select
     from repro.fault.detector import SuspectList
     from repro.runtime.interfaces import Clock
 
+#: The one empty quorum: CPython has no empty-frozenset singleton, so
+#: each ``frozenset()`` is a fresh GC-tracked object, and an operation
+#: that never contacts a quorum (a read's version quorum, a lease hit)
+#: would otherwise keep its own for as long as its outcome lives.
+EMPTY_QUORUM: frozenset[int] = frozenset()
+
 #: Materialisation guard: systems with more quorums than this keep their
 #: structural selectors (enumeration would cost more than it saves).
 DEFAULT_MAX_QUORUMS = 4096
@@ -375,7 +381,7 @@ class QuorumChooser:
         avoid: frozenset[int] = (
             suspects.suspected(self._clock.now)
             if suspects is not None
-            else frozenset()
+            else EMPTY_QUORUM
         )
         index = self._index
         if index is None:

@@ -45,7 +45,6 @@ from __future__ import annotations
 import enum
 import random
 from collections.abc import Callable
-from functools import partial
 from operator import attrgetter
 from typing import TYPE_CHECKING, Any
 
@@ -57,7 +56,7 @@ if TYPE_CHECKING:  # annotation-only: repro.fault type-hints this module back
 from repro.obs.recorder import NULL_RECORDER, NullRecorder
 from repro.obs.spans import STATUS_OK, SpanKind
 from repro.quorums.liveness import LivenessOracle
-from repro.quorums.selection import QuorumChooser, SelectionIndex
+from repro.quorums.selection import EMPTY_QUORUM, QuorumChooser, SelectionIndex
 from repro.quorums.system import QuorumSystem
 from repro.sim.leases import LeaseCache
 from repro.sim.locks import LockManager, LockMode
@@ -95,12 +94,14 @@ class _OpContext:
     A hand-rolled slotted class rather than a slotted dataclass: one is
     constructed per operation (per submission, even), and a flat
     ``__init__`` assigning its slots directly is several times cheaper
-    than the generated 30-parameter dataclass one.  Read contexts skip
-    the write-side scratch collections entirely (``versions``/``votes``/
-    ``acks`` stay ``None``) — the write pipeline never runs for them.
-    The collections a context does own are *reused* across attempts:
-    :meth:`QuorumCoordinator._start_attempt` clears them in place instead
-    of reallocating.
+    than the generated 30-parameter dataclass one.  A context is most of
+    what an operation queued for its lock holds (with its lock request,
+    whose callback is the coordinator's one bound method), so it holds
+    no collections until :meth:`QuorumCoordinator._start_attempt` gives
+    each attempt fresh ones — ``replies``, plus ``versions``/``votes``/
+    ``acks`` for writes — and its quorums start as the shared
+    :data:`~repro.quorums.selection.EMPTY_QUORUM`, which a read's
+    ``version_quorum`` keeps.
     """
 
     __slots__ = (
@@ -134,17 +135,12 @@ class _OpContext:
         self.attempts = 0
         self.request_id = 0
         self.txid = 0
-        self.quorum = frozenset()
-        self.version_quorum = frozenset()
-        self.replies: dict[int, ReadReply] = {}
-        if op_type == "read":
-            self.versions = None
-            self.votes = None
-            self.acks = None
-        else:
-            self.versions: dict[int, Timestamp] = {}
-            self.votes: dict[int, bool] = {}
-            self.acks: set[int] = set()
+        self.quorum = EMPTY_QUORUM
+        self.version_quorum = EMPTY_QUORUM
+        self.replies: dict[int, ReadReply] | None = None
+        self.versions: dict[int, Timestamp] | None = None
+        self.votes: dict[int, bool] | None = None
+        self.acks: set[int] | None = None
         self.write_timestamp: Timestamp | None = None
         self.timeout_handle: "CancelHandle | None" = None
         self.finished = finished
@@ -316,6 +312,8 @@ class QuorumCoordinator:
         # quorums ever selected; sorted order never changes, so entries
         # survive reconfiguration unharmed.
         self._sorted_members: dict[frozenset[int], list[int]] = {}
+        # Bound once: every lock request carries this and its ``ctx``.
+        self._on_lock_granted = self._lock_decided
         network.register(sid, self)
 
     #: Endpoint-protocol liveness: coordinators do not fail in this model.
@@ -523,10 +521,10 @@ class QuorumCoordinator:
         if self._trace_enabled:
             self._trace_operation_start(ctx, mode)
         self._locks.acquire(
-            ctx.lock_token, ctx.key, mode, partial(self._lock_decided, ctx)
+            ctx.lock_token, ctx.key, mode, self._on_lock_granted, ctx
         )
 
-    def _lock_decided(self, ctx: _OpContext, _granted: bool) -> None:
+    def _lock_decided(self, ctx: _OpContext) -> None:
         """The lock is held (a request is never denied)."""
         if ctx.lock_span:
             self._recorder.end_span(ctx.lock_span, self._clock.now)
@@ -565,15 +563,15 @@ class QuorumCoordinator:
         if ctx.finished:
             return
         ctx.attempts += 1
-        ctx.replies.clear()
+        ctx.replies = {}
         if ctx.op_type != "read":
-            ctx.versions.clear()
-            ctx.votes.clear()
-            # Stale commit acknowledgements must not leak into the next
-            # attempt: a fresh attempt selects a fresh quorum, and acks
-            # from an earlier one would let ``_on_ack`` complete the
-            # commit early.
-            ctx.acks.clear()
+            # Fresh per attempt: stale commit acknowledgements must not
+            # leak into the next attempt (a fresh attempt selects a fresh
+            # quorum, and acks from an earlier one would let ``_on_ack``
+            # complete the commit early).
+            ctx.versions = {}
+            ctx.votes = {}
+            ctx.acks = set()
             ctx.speculative = False
         recorder = self._recorder
         if recorder.enabled:
@@ -593,7 +591,7 @@ class QuorumCoordinator:
             # write availability depends on W only (Section 3.2.2).
             floor = self._version_floor.get(ctx.key, ZERO_TIMESTAMP)
             ctx.write_timestamp = floor.next_version(self._writer_id)
-            ctx.version_quorum = self._chooser.choose("read") or frozenset()
+            ctx.version_quorum = self._chooser.choose("read") or EMPTY_QUORUM
             ctx.speculative = True
             self._start_prepare_phase(ctx)
 

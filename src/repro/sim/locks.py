@@ -40,7 +40,8 @@ class LockMode(enum.Enum):
 class _LockRequest:
     txid: int
     mode: LockMode
-    callback: Callable[[bool], None]
+    callback: Callable[[Any], None]
+    arg: Any
     enqueued_at: float = 0.0
 
 
@@ -120,16 +121,20 @@ class LockManager:
         txid: int,
         key: Any,
         mode: LockMode,
-        callback: Callable[[bool], None],
+        callback: Callable[[Any], None],
+        arg: Any = True,
     ) -> None:
-        """Request a lock; ``callback(True)`` fires when it is granted.
+        """Request a lock; ``callback(arg)`` fires when it is granted.
 
-        A request is never denied (there is no wait timeout), so the
-        callback's one argument is always ``True``; it stays for callers
-        written against the ``callback(granted)`` signature.  Immediate
-        grants still go through the scheduler (zero delay) so the caller's
-        control flow is identical in both cases.  ``txid`` must not
-        already hold the key.
+        ``arg`` rides in the clock's own argument slot, so a caller can
+        pass one callable bound once plus its per-request state instead
+        of a fresh closure or ``partial`` per request: a queued request
+        then holds only ``callback``, ``arg`` and its mode.  A request is
+        never denied (there is no wait timeout), so the default ``True``
+        keeps callers written against ``callback(granted)`` unchanged.
+        Immediate grants still go through the scheduler (zero delay) so
+        the caller's control flow is identical in both cases.  ``txid``
+        must not already hold the key.
         """
         # Not setdefault: that would construct (and usually discard) a
         # fresh _KeyLockState — two default_factory calls — on every
@@ -144,11 +149,11 @@ class LockManager:
             self.stats.granted_immediately += 1
             if self._recorder.enabled:
                 self._record_grant(key, txid, 0.0)
-            self._scheduler.call_later(0.0, callback, True)
+            self._scheduler.call_later(0.0, callback, arg)
             return
 
         request = _LockRequest(
-            txid=txid, mode=mode, callback=callback,
+            txid=txid, mode=mode, callback=callback, arg=arg,
             enqueued_at=self._scheduler.now,
         )
         state.queue.append(request)
@@ -203,7 +208,7 @@ class LockManager:
                 self._record_grant(
                     key, head.txid, self._scheduler.now - head.enqueued_at
                 )
-            self._scheduler.call_later(0.0, head.callback, True)
+            self._scheduler.call_later(0.0, head.callback, head.arg)
             if head.mode is LockMode.EXCLUSIVE:
                 return
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 from typing import Any
 
+from repro.quorums.selection import EMPTY_QUORUM
 from repro.sim.replica import Timestamp
 
 
@@ -46,8 +47,8 @@ class OperationOutcome:
         success: bool,
         value: Any = None,
         timestamp: Timestamp | None = None,
-        quorum: frozenset[int] = frozenset(),
-        version_quorum: frozenset[int] = frozenset(),
+        quorum: frozenset[int] = EMPTY_QUORUM,
+        version_quorum: frozenset[int] = EMPTY_QUORUM,
         attempts: int = 1,
         started_at: float = 0.0,
         finished_at: float = 0.0,

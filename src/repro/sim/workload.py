@@ -83,7 +83,16 @@ class WorkloadSpec:
 
 class Workload:
     """Drives one or more coordinators according to a :class:`WorkloadSpec`,
-    round-robin over the coordinators."""
+    round-robin over the coordinators.
+
+    ``on_outcome`` (the sink, usually the monitor's ``record``) is
+    released when the last outcome reports, as the completion hook is.
+    The workload (through its bound-once ``_op_done``), coordinators,
+    sites and network outlive the run as reference cycles; a sink they
+    still reached would keep the monitor's outcomes alive until the
+    collector reclaims those cycles, instead of freeing them with the
+    last reference to the monitor.
+    """
 
     def __init__(
         self,
@@ -102,7 +111,9 @@ class Workload:
                 raise ValueError("need at least one coordinator")
         self._scheduler = scheduler
         self._rng = rng
-        self._on_outcome = on_outcome
+        self._on_outcome: Callable[[OperationOutcome], None] | None = on_outcome
+        #: Bound once: every operation carries it as its ``on_done``.
+        self._done = self._op_done
         self._on_complete: Callable[[], None] | None = None
         self._issued = 0
         self._completed = 0
@@ -204,11 +215,11 @@ class Workload:
         if key is None:
             key = self._key_names[key_index] = f"k{key_index}"
         if self._rng.random() < self._spec.read_fraction:
-            coordinator.read(key, self._op_done)
+            coordinator.read(key, self._done)
         else:
             value = f"v{self._next_value}"
             self._next_value += 1
-            coordinator.write(key, value, self._op_done)
+            coordinator.write(key, value, self._done)
 
     def add_on_complete(self, callback: Callable[[], None]) -> None:
         """Set the one completion hook: it fires once, when the last
@@ -223,7 +234,10 @@ class Workload:
         self._maybe_complete()
 
     def _maybe_complete(self) -> None:
-        if self._completed >= self._spec.operations and self._on_complete:
+        if self._completed < self._spec.operations:
+            return
+        self._on_outcome = None
+        if self._on_complete:
             callback, self._on_complete = self._on_complete, None
             callback()
 

@@ -116,3 +116,24 @@ class TestStats:
         assert locks.stats.granted_after_wait == 1
         assert locks.stats.releases == 1
         assert locks.stats.granted == 2
+
+
+class TestCallbackArgument:
+    def test_an_immediate_grant_fires_callback_with_arg(self, rig):
+        scheduler, locks = rig
+        results = []
+        locks.acquire(1, "k", LockMode.SHARED, results.append, "ctx-1")
+        scheduler.run()
+        assert results == ["ctx-1"]
+
+    def test_a_grant_after_waiting_fires_callback_with_arg(self, rig):
+        scheduler, locks = rig
+        results = []
+        locks.acquire(1, "k", LockMode.EXCLUSIVE, results.append, "ctx-1")
+        locks.acquire(2, "k", LockMode.SHARED, results.append, "ctx-2")
+        locks.acquire(3, "k", LockMode.SHARED, results.append, "ctx-3")
+        scheduler.run()
+        assert results == ["ctx-1"]
+        locks.release(1, "k")
+        scheduler.run()
+        assert results == ["ctx-1", "ctx-2", "ctx-3"]

@@ -191,9 +191,9 @@ class TestCoordinatorStateRegressions:
             on_done=rig.outcomes.append, lock_token=1, started_at=0.0,
         )
         ctx.attempts = 1
-        ctx.acks.update({0, 1, 2})
-        ctx.replies[0] = object()
-        ctx.votes[0] = True
+        ctx.acks = {0, 1, 2}
+        ctx.replies = {0: object()}
+        ctx.votes = {0: True}
         rig.coordinator._start_attempt(ctx)
         assert ctx.acks == set()
         assert ctx.replies == {} and ctx.votes == {}
