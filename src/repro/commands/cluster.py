@@ -1,7 +1,9 @@
-"""``repro cluster``: real site processes under smoke traffic over TCP.
+"""``repro cluster``: the simulator's workload over real site processes.
 
-Spawns N ``repro serve`` children and a coordinator front-end, optionally
-kill -9s a site mid-run; exits non-zero on a failed read or an orphaned
+Runs the config its options describe (closed loop, uniform keys, one
+client) on a :class:`~repro.runtime.cluster.LocalCluster`, after seeding
+every key, optionally kill -9ing a site once ``--kill-after-ops``
+outcomes have reported; exits non-zero on a failed read or an orphaned
 process.
 """
 
@@ -14,26 +16,31 @@ from repro.commands import options
 
 def _run_cluster(parser, args) -> int:
     import asyncio
+    import itertools
     import json
 
     from repro.core.builder import from_spec
-    from repro.runtime.cluster import KVFrontend, LocalCluster, run_traffic
+    from repro.runtime.cluster import KVFrontend, LocalCluster
+    from repro.sim.engine import SimulationConfig
+    from repro.sim.workload import WorkloadSpec
 
-    n = from_spec(args.spec).n
-    if args.kill_site is not None and not 0 <= args.kill_site < n:
+    tree = from_spec(args.spec)
+    if args.kill_site is not None and not 0 <= args.kill_site < tree.n:
         # Before any site process is spawned.
         parser.error(
             f"argument --kill-site: {args.kill_site} is not a site of "
-            f"{args.spec} (0 to {n - 1})"
+            f"{args.spec} (0 to {tree.n - 1})"
         )
+    config = options.from_options(
+        SimulationConfig, args,
+        tree=tree, workload=options.from_options(WorkloadSpec, args),
+    )
+    # Default victim: the highest SID, a deepest-level leaf —
+    # quorum-critical for writes on some specs but never for reads.
+    victim = args.kill_site if args.kill_site is not None else tree.n - 1
 
     async def drive() -> int:
-        cluster = LocalCluster(
-            spec=args.spec,
-            timeout=args.timeout,
-            max_attempts=args.max_attempts,
-            seed=args.seed,
-        )
+        cluster = LocalCluster(config=config)
         await cluster.start()
         print(
             f"cluster up: spec={args.spec} sites={cluster.n} "
@@ -41,32 +48,41 @@ def _run_cluster(parser, args) -> int:
             flush=True,
         )
         exit_code = 0
+        killed_at: list[float] = []  # when the victim was SIGKILLed
+        reported = itertools.count()  # outcomes so far: 0 before the run
+
+        def observe(_outcome=None) -> None:
+            if next(reported) == args.kill_after_ops:
+                cluster.kill_site(victim)
+                killed_at.append(cluster.transport.clock.now)
+
         try:
-            report = await run_traffic(
-                cluster,
-                operations=args.operations,
-                read_fraction=args.read_fraction,
-                keys=args.keys,
-                seed=args.seed,
-                kill_after_ops=args.kill_after_ops,
-                kill_site=args.kill_site,
-            )
-            summary = report.summary()
-            if report.killed_site is not None:
+            for key_index in range(args.keys):  # unmeasured: seed every key
+                await cluster.put(f"k{key_index}", f"seed-{key_index}")
+            observe()  # --kill-after-ops 0 kills before the first operation
+            result = await cluster.run(observe)
+            monitor = result.monitor
+            if killed_at:
+                post_kill = [
+                    outcome.success
+                    for outcome in monitor.outcomes
+                    if outcome.op_type == "read"
+                    and outcome.started_at >= killed_at[0]
+                ]
                 print(
-                    f"SIGKILLed site {report.killed_site} after "
-                    f"{report.kill_after_ops} ops; post-kill reads "
-                    f"{report.post_kill_reads - report.post_kill_read_failures}"
-                    f"/{report.post_kill_reads} succeeded",
+                    f"SIGKILLed site {victim} after {args.kill_after_ops} "
+                    f"ops; post-kill reads {sum(post_kill)}/"
+                    f"{len(post_kill)} succeeded",
                     flush=True,
                 )
+            summary = {  # a quantity with no sample is NaN, not JSON
+                key: None if value != value else value
+                for key, value in result.summary().items()
+            }
             print(json.dumps(summary, indent=2))
             # Gate: every read must succeed — including every read issued
             # after the kill (writes may legitimately lose their quorum).
-            if report.read_failures or (
-                report.killed_site is not None
-                and report.post_kill_read_failures
-            ):
+            if monitor.reads.failed:
                 exit_code = 1
             if args.serve:
                 frontend = KVFrontend(cluster, port=args.serve_port)

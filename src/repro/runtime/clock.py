@@ -130,6 +130,7 @@ class AsyncClock:
         "_ready",
         "_loop_ready",
         "_idle",
+        "_floor",
     )
 
     def __init__(self, loop: asyncio.AbstractEventLoop | None = None) -> None:
@@ -151,6 +152,8 @@ class AsyncClock:
         self._ready: list[list] = []  # zero-delay entries awaiting a drain
         # The loop's own ready queue: empty when nothing else is runnable.
         self._loop_ready = getattr(self._loop, "_ready", ())
+        # The earliest deadline call_at accepts (see there).
+        self._floor = self._loop.time()
         ref = _IDLE_BATCHES.get(self._loop)
         self._idle = ref() if ref is not None else None
         if self._idle is None:
@@ -178,6 +181,29 @@ class AsyncClock:
             self._push(self._loop.time() + delay, callback, arg)
         else:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
+
+    def call_at(
+        self,
+        when: float,
+        callback: Callable[..., Any],
+        arg: Any = _NO_ARG,
+    ) -> None:
+        """Fire-and-forget: run ``callback`` once the loop's time reaches
+        ``when``.
+
+        A deadline before the clock's present raises, as the simulator's
+        does.  The present is the deadline of the timer running or run
+        last, capped at the loop's time then (before any, the clock's
+        creation): a timer may chain deadlines off its own however late
+        it ran, as a workload's arrivals do, and one already behind the
+        loop's time fires on the next pass over the timers.
+        """
+        if when < self._floor:
+            raise ValueError(
+                f"cannot schedule into the past (when={when}, "
+                f"now={self._floor})"
+            )
+        self._push(when, callback, arg)
 
     def schedule(
         self,
@@ -234,7 +260,8 @@ class AsyncClock:
         self._timer = None
         self._armed_for = _FIRING
         loop = self._loop
-        horizon = loop.time() + self._resolution
+        now = loop.time()
+        horizon = now + self._resolution
         queue = self._queue
         pop = heapq.heappop
         try:
@@ -245,6 +272,8 @@ class AsyncClock:
                     self._cancelled -= 1
                     continue
                 entry[_CALLBACK] = None
+                time = entry[_TIME]
+                self._floor = time if time < now else now
                 arg = entry[_ARG]
                 try:
                     if arg is _NO_ARG:

@@ -1,44 +1,40 @@
 """Local cluster orchestration — the ``repro cluster`` entry point.
 
-Spawns N real site processes (each running ``repro serve`` on an
-ephemeral localhost port), dials them with a :class:`TcpTransport`, and
-drives the *same* :class:`~repro.sim.coordinator.QuorumCoordinator` the
-simulator uses — wall-clock timeouts, real retry backoff, real sockets.
-On top of the coordinator sit:
+A :class:`LocalCluster` runs a :class:`~repro.sim.engine.SimulationConfig`
+on real processes: one ``repro serve`` child per replica of
+``config.resolve()`` (any protocol of the zoo), dialled by a
+:class:`TcpTransport`, and the config's coordinator wired by
+:func:`~repro.sim.engine.build_coordinators` as in the simulator.  One
+time unit of the config is one wall second (DESIGN §2.17).  On top sit:
 
+* :meth:`LocalCluster.run`, the simulator's ``Workload`` → coordinator →
+  ``InvariantChecker.wrap`` → ``Monitor`` pipeline over the live sites,
+  returning a :class:`~repro.sim.engine.SimulationResult`;
 * an awaitable :meth:`LocalCluster.get`/:meth:`LocalCluster.put` pair
   (operation completion callbacks resolved into futures);
 * a chaos hook (:meth:`LocalCluster.kill_site`) that injects a crash by
   sending the site process SIGKILL — no cooperation, no cleanup, the
   transport discovers the death through the dropped connection;
-* a closed-loop traffic runner (:func:`run_traffic`) measuring
-  wall-clock ops/sec and latency percentiles, with an optional mid-run
-  kill; ``repro cluster`` (and so the CI runtime job) is a thin wrapper
-  around it;
 * a KV front-end (:class:`KVFrontend`) serving the get/put API to
   external clients as ``get``/``put``/``result`` control frames.
-
-The tree spec (``"1-3-5"``-style, see :func:`repro.core.builder.from_spec`)
-decides replica count and quorum structure exactly as in the simulator.
 """
 
 from __future__ import annotations
 
 import asyncio
-import contextlib
 import os
 import random
 import subprocess
 import sys
 import tempfile
-from dataclasses import dataclass, field
+from collections.abc import Callable
 from pathlib import Path
 from typing import IO, Any
 
 import repro
 from repro.core.builder import from_spec
-from repro.core.protocol import ArbitraryProtocol
-from repro.obs.stats import linear_percentile
+from repro.fault.invariants import InvariantChecker
+from repro.obs.recorder import NULL_RECORDER, NullRecorder, TraceRecorder
 from repro.runtime.codec import (
     CodecError,
     check_wire_exact,
@@ -47,7 +43,17 @@ from repro.runtime.codec import (
 )
 from repro.runtime.transport import TcpTransport
 from repro.sim.coordinator import OperationOutcome, QuorumCoordinator
+from repro.sim.engine import (
+    COORDINATOR_SID,
+    SimulationConfig,
+    SimulationResult,
+    build_coordinators,
+    child_seeds,
+)
 from repro.sim.locks import LockManager
+from repro.sim.monitor import Monitor
+from repro.sim.network import NetworkStats
+from repro.sim.workload import Workload
 
 _ANNOUNCE_PREFIX = "REPRO-SITE "
 
@@ -162,8 +168,29 @@ class SiteProcess:
         return self.proc.returncode
 
 
+#: What a TCP cluster cannot honour yet (ROADMAP item 3): a config that
+#: sets one of these fields off its default is refused.
+_SIMULATOR_ONLY = {
+    "failures": "a site process fails only by LocalCluster.kill_site",
+    "latency": "the host's network sets the latency",
+    "drop_probability": "the host's network sets the loss",
+    "duplicate_probability": "the host's network sets the duplication",
+    "reshape_at": "only the simulator reshapes the tree mid-run",
+    "clients": "a site replies on the connection whose hello named the "
+               "destination, so a second coordinator SID hears nothing",
+}
+
+
 class LocalCluster:
-    """N local site processes + one in-process coordinator front-end."""
+    """N local site processes + one in-process coordinator front-end.
+
+    ``config`` describes the cluster and its run; without one, ``spec``,
+    ``timeout``, ``max_attempts``, ``seed`` and ``service_time`` stand
+    for the config that sets only those.  A config that asks for what
+    TCP cannot honour yet (a failure injector, a latency, loss or
+    duplication model, a mid-run reshape, more than one client) is
+    refused with ``ValueError`` naming the field.
+    """
 
     def __init__(
         self,
@@ -173,20 +200,33 @@ class LocalCluster:
         max_attempts: int = 4,
         seed: int = 0,
         service_time: float = 0.0,
+        config: SimulationConfig | None = None,
     ) -> None:
-        self.spec = spec
-        self.tree = from_spec(spec)
-        self.system = ArbitraryProtocol(self.tree)
-        self.n = self.tree.n
+        if config is None:
+            config = SimulationConfig(
+                tree=from_spec(spec), timeout=timeout,
+                max_attempts=max_attempts, seed=seed,
+                service_time=service_time,
+            )
+        default = SimulationConfig()
+        for name, reason in _SIMULATOR_ONLY.items():
+            value = getattr(config, name)
+            if value != getattr(default, name):
+                raise ValueError(f"{name}={value!r}: {reason}")
+        self.config = config
+        self.system, self.n = config.resolve()
         self.host = host
-        self.timeout = timeout
-        self.max_attempts = max_attempts
-        self.seed = seed
-        self.service_time = service_time
+        self.timeout = config.timeout
+        self.max_attempts = config.max_attempts
+        self.seed = config.seed
+        self.service_time = config.service_time
         self.sites: list[SiteProcess] = []
         self.transport: TcpTransport | None = None
         self.coordinator: QuorumCoordinator | None = None
         self.locks: LockManager | None = None
+        self._recorder: NullRecorder = (
+            TraceRecorder() if config.trace else NULL_RECORDER
+        )
 
     async def start(self) -> None:
         """Spawn every site, dial them all, wire the coordinator."""
@@ -205,26 +245,76 @@ class LocalCluster:
 
     async def dial(self, addresses: list[tuple[int, str, int]]) -> None:
         """Connect to sites already serving at ``(sid, host, port)``
-        addresses and wire the coordinator to them."""
-        self.transport = TcpTransport(local_sid=-1)
+        addresses and wire the config's coordinator to them."""
+        transport = self.transport = TcpTransport(local_sid=COORDINATOR_SID)
         await asyncio.gather(
             *(
-                self.transport.connect(sid, host, port)
+                transport.connect(sid, host, port)
                 for sid, host, port in addresses
             )
         )
-        self.locks = LockManager(self.transport.clock)
-        self.coordinator = QuorumCoordinator(
-            sid=-1,
-            network=self.transport,
-            system=self.system,
-            locks=self.locks,
-            detector=self.transport.is_live,
-            rng=random.Random(self.seed),
-            timeout=self.timeout,
-            max_attempts=self.max_attempts,
-            writer_id=self.n,
-            liveness_epoch=self.transport.current_liveness_epoch,
+        self.coordinator, = build_coordinators(
+            self.config, self.system, self.n, transport,
+            lambda _coordinator_sid: transport.is_live,
+            self._recorder, child_seeds(self.seed)[2],
+        )
+        self.locks = self.coordinator.locks
+
+    async def run(
+        self, on_outcome: Callable[[OperationOutcome], None] | None = None
+    ) -> SimulationResult:
+        """Run the config's workload over the live sites.
+
+        Outcomes go through the config's ``InvariantChecker`` (when
+        ``check_invariants``) into a :class:`Monitor`, then to
+        ``on_outcome``; the workload draws the simulator's keys and
+        operations for the same seed.  A violated invariant ends the run
+        and raises here.
+        """
+        assert self.coordinator is not None, "cluster not started"
+        config = self.config
+        clock = self.transport.clock
+        stats = self.transport.stats
+        monitor = Monitor(tuple(range(self.n)), recorder=self._recorder)
+        invariants = InvariantChecker() if config.check_invariants else None
+        sink = invariants.wrap(monitor.record) if invariants else monitor.record
+        finished = asyncio.get_running_loop().create_future()
+
+        def record(outcome: OperationOutcome) -> None:
+            try:
+                sink(outcome)
+                if on_outcome is not None:
+                    on_outcome(outcome)
+            except Exception as exc:  # raised in a loop callback: carry it
+                if not finished.done():
+                    finished.set_exception(exc)
+
+        workload = Workload(
+            config.workload, self.coordinator, clock,
+            random.Random(child_seeds(config.seed)[1]), record,
+        )
+        workload.add_on_complete(
+            lambda: finished.done() or finished.set_result(None)
+        )
+        sent, delivered, dropped = stats.sent, stats.delivered, stats.dropped_dead
+        started = clock.now
+        workload.start()
+        await finished
+        return SimulationResult(
+            config=config,
+            monitor=monitor,
+            network_stats=NetworkStats(
+                sent=stats.sent - sent,
+                delivered=stats.delivered - delivered,
+                dropped_dead=stats.dropped_dead - dropped,
+            ),
+            sites=[],
+            duration=clock.now - started,
+            events_processed=0,
+            recorder=self._recorder,
+            suspects=self.coordinator.suspects,
+            invariants=invariants,
+            leases=self.coordinator.leases,
         )
 
     async def stop(self) -> list[int | None]:
@@ -285,121 +375,6 @@ class LocalCluster:
         _check_key(key)
         check_wire_exact(value)
         return await self._submit("write", key, value)
-
-
-# ---------------------------------------------------------------------
-# closed-loop traffic (smoke runs, chaos demo, bench)
-# ---------------------------------------------------------------------
-
-
-@dataclass
-class TrafficReport:
-    """What one closed-loop traffic run observed (wall-clock seconds)."""
-
-    operations: int = 0
-    reads: int = 0
-    writes: int = 0
-    read_failures: int = 0
-    write_failures: int = 0
-    elapsed: float = 0.0
-    read_latencies: list[float] = field(default_factory=list)
-    write_latencies: list[float] = field(default_factory=list)
-    killed_site: int | None = None
-    kill_after_ops: int | None = None
-    post_kill_reads: int = 0
-    post_kill_read_failures: int = 0
-
-    @property
-    def ops_per_sec(self) -> float:
-        """Completed operations per wall-clock second."""
-        return self.operations / self.elapsed if self.elapsed > 0 else 0.0
-
-    def summary(self) -> dict[str, Any]:
-        """JSON-ready headline numbers (a percentile of no samples is 0)."""
-
-        def ms(samples: list[float], fraction: float) -> float:
-            if not samples:
-                return 0.0
-            return round(linear_percentile(sorted(samples), fraction) * 1e3, 4)
-
-        return {
-            "operations": self.operations,
-            "reads": self.reads,
-            "writes": self.writes,
-            "read_failures": self.read_failures,
-            "write_failures": self.write_failures,
-            "elapsed_sec": round(self.elapsed, 6),
-            "ops_per_sec": round(self.ops_per_sec, 3),
-            "read_p50_ms": ms(self.read_latencies, 0.5),
-            "read_p99_ms": ms(self.read_latencies, 0.99),
-            "write_p50_ms": ms(self.write_latencies, 0.5),
-            "write_p99_ms": ms(self.write_latencies, 0.99),
-            "killed_site": self.killed_site,
-            "kill_after_ops": self.kill_after_ops,
-            "post_kill_reads": self.post_kill_reads,
-            "post_kill_read_failures": self.post_kill_read_failures,
-        }
-
-
-async def run_traffic(
-    cluster: LocalCluster,
-    operations: int = 100,
-    read_fraction: float = 0.8,
-    keys: int = 8,
-    seed: int = 0,
-    kill_after_ops: int | None = None,
-    kill_site: int | None = None,
-) -> TrafficReport:
-    """Closed-loop get/put traffic against a started cluster.
-
-    Writes seed each key before the measured loop so reads observe real
-    data.  With ``kill_after_ops`` set, site ``kill_site`` (default: the
-    highest SID, a deepest-level leaf — quorum-critical for writes on
-    some specs but never for reads) is SIGKILLed after that many
-    measured operations; reads completed after the kill are tallied
-    separately so callers can assert read availability survived.
-    """
-    rng = random.Random(seed)
-    report = TrafficReport(
-        killed_site=None,
-        kill_after_ops=kill_after_ops,
-    )
-    for key_index in range(keys):  # unmeasured warmup: seed every key
-        await cluster.put(f"k{key_index}", f"seed-{key_index}")
-    clock = cluster.transport.clock
-    started = clock.now
-    killed = False
-    for op_index in range(operations):
-        if (
-            kill_after_ops is not None
-            and not killed
-            and op_index >= kill_after_ops
-        ):
-            victim = kill_site if kill_site is not None else cluster.n - 1
-            cluster.kill_site(victim)
-            report.killed_site = victim
-            killed = True
-        key = f"k{rng.randrange(keys)}"
-        op_start = clock.now
-        if rng.random() < read_fraction:
-            outcome = await cluster.get(key)
-            report.reads += 1
-            report.read_latencies.append(clock.now - op_start)
-            if not outcome.success:
-                report.read_failures += 1
-            if killed:
-                report.post_kill_reads += 1
-                if not outcome.success:
-                    report.post_kill_read_failures += 1
-        else:
-            outcome = await cluster.put(key, f"v{op_index}")
-            report.writes += 1
-            report.write_latencies.append(clock.now - op_start)
-            if not outcome.success:
-                report.write_failures += 1
-        report.operations += 1
-    report.elapsed = clock.now - started
-    return report
 
 
 # ---------------------------------------------------------------------
@@ -514,25 +489,3 @@ class KVFrontend:
             # cancelled this handler sees a cancelled task, not a clean
             # return.
             writer.close()
-
-
-async def kv_request(
-    host: str, port: int, frames: list[dict[str, Any]]
-) -> list[dict[str, Any]]:
-    """Tiny KV client: send ``frames``, return one result per request."""
-    reader, writer = await asyncio.open_connection(host, port)
-    results: list[dict[str, Any]] = []
-    try:
-        for frame in frames:
-            write_frame(writer, frame)
-        await writer.drain()
-        for _ in frames:
-            result = await read_frame(reader)
-            if result is None:
-                break
-            results.append(result)
-    finally:
-        writer.close()
-        with contextlib.suppress(ConnectionError):
-            await writer.wait_closed()
-    return results

@@ -9,8 +9,9 @@ captured here:
 * :class:`Clock` — scheduling primitives.  ``now`` is a monotone float
   (virtual seconds in the simulator, ``loop.time()`` wall seconds in the
   asyncio runtime); ``call_later`` is the handle-free fire-and-forget
-  workhorse; ``schedule`` returns a cancellable handle (timeouts, batch
-  windows).  The simulator's :class:`~repro.sim.events.Scheduler`
+  workhorse, ``call_at`` its absolute-time twin (a workload's arrivals,
+  accumulated from ``now``); ``schedule`` returns a cancellable handle
+  (timeouts).  The simulator's :class:`~repro.sim.events.Scheduler`
   satisfies it natively; :class:`~repro.runtime.clock.AsyncClock` adapts
   an asyncio event loop.
 * :class:`Transport` — endpoint registry plus message delivery.  The
@@ -62,6 +63,13 @@ class Clock(Protocol):
     ) -> None:
         """Fire-and-forget: run ``callback`` (with ``arg``, if given)
         after ``delay`` seconds."""
+        ...
+
+    def call_at(
+        self, when: float, callback: Callable[..., Any], arg: Any = ...
+    ) -> None:
+        """Fire-and-forget at absolute time ``when``; a deadline before
+        the clock's present raises ``ValueError``."""
         ...
 
     def schedule(

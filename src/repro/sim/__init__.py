@@ -46,7 +46,6 @@ _EXPORTS = {
     "ReadRequest": "messages",
     "ReconfigOutcome": "reconfigure",
     "ReconfigStatus": "reconfigure",
-    "ReplicaGroup": "engine",
     "Scheduler": "events",
     "SimulationConfig": "engine",
     "SimulationResult": "engine",
@@ -57,7 +56,6 @@ _EXPORTS = {
     "VoteMessage": "messages",
     "Workload": "workload",
     "WorkloadSpec": "workload",
-    "build_replica_group": "engine",
     "run_workload": "engine",
     "simulate": "engine",
 }

@@ -10,8 +10,9 @@ closed-form predictions so experiments can compare them directly.
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.core.builder import from_spec
 from repro.core.protocol import ArbitraryProtocol
@@ -32,6 +33,9 @@ from repro.sim.network import Network, NetworkStats
 from repro.sim.reconfigure import ReconfigOutcome, TreeReconfigurer
 from repro.sim.site import Site
 from repro.sim.workload import Workload, WorkloadSpec
+
+if TYPE_CHECKING:
+    from repro.runtime.interfaces import Transport
 
 #: Network address of the (single) coordinator.
 COORDINATOR_SID = -1
@@ -164,7 +168,9 @@ class SimulationConfig:
 
 @dataclass
 class SimulationResult:
-    """Everything measured by one simulation run."""
+    """Everything measured by one simulation run — or, in wall seconds,
+    by a run over real sites (:meth:`~repro.runtime.cluster.LocalCluster.run`),
+    whose sites are processes and whose ``events_processed`` is 0."""
 
     config: SimulationConfig
     monitor: Monitor
@@ -216,63 +222,41 @@ class SimulationResult:
         return result
 
 
-@dataclass
-class ReplicaGroup:
-    """One self-contained replica group.
+def child_seeds(seed: int) -> tuple[int, int, int]:
+    """The network, workload and coordinator seeds of a run's ``seed``,
+    on either backend (so one config issues the same operations on both).
 
-    A group owns its message fabric, replica sites, lock manager and
-    coordinator set — exactly the paper's single-object system.
+    64 fresh bits each: seeding from ``rng.random()`` would collapse the
+    seed space to a 53-bit float and correlate the child streams.  The
+    order is part of the determinism contract: a *dedicated* master
+    stream for coordinators comes last, so changing ``clients`` never
+    perturbs the network or workload streams.
     """
-
-    system: QuorumSystem
-    n: int
-    network: Network
-    sites: list[Site]
-    locks: LockManager
-    coordinators: list[QuorumCoordinator]
-    suspects: SuspectList | None
-    #: The group's shared read-lease cache (``None`` unless configured).
-    leases: LeaseCache | None = None
+    rng = random.Random(seed)
+    return rng.getrandbits(64), rng.getrandbits(64), rng.getrandbits(64)
 
 
-def build_replica_group(
+def build_coordinators(
     config: SimulationConfig,
     system: QuorumSystem,
     n: int,
-    scheduler: Scheduler,
+    transport: Transport,
+    detector_for: Callable[[int], Callable[[int], bool]],
     recorder: NullRecorder,
-    network_seed: int,
     coordinator_seed: int,
-) -> ReplicaGroup:
-    """Wire one replica group (network + sites + locks + coordinators).
-
-    ``network_seed`` / ``coordinator_seed`` are the group's child seeds —
-    the caller owns the derivation order (:func:`build_simulation` keeps
-    the legacy network/workload/coordinator order).  Coordinators within
-    the group share one :class:`~repro.quorums.selection.SelectionIndex`
-    (when the system qualifies) so the packed quorum tables and viable-row
-    caches are built once per group, not once per client.
+) -> list[QuorumCoordinator]:
+    """The client half of a replica group, on either backend: one lock
+    manager, transaction-id source, version floor, suspect list, lease
+    cache and :class:`~repro.quorums.selection.SelectionIndex` shared by
+    ``config.clients`` coordinators on ``transport`` (a :class:`Network`
+    or a ``TcpTransport``); ``detector_for(sid)`` is coordinator
+    ``sid``'s liveness oracle.
     """
     if config.clients < 1:
         raise ValueError("need at least one client")
     from repro.sim.transactions import TransactionIdSource
 
-    network = Network(
-        scheduler,
-        random.Random(network_seed),
-        latency=config.latency,
-        drop_probability=config.drop_probability,
-        duplicate_probability=config.duplicate_probability,
-        recorder=recorder,
-    )
-    sites = [
-        Site(
-            sid, network,
-            service_time=config.service_time, timeout=config.timeout,
-        )
-        for sid in range(n)
-    ]
-    locks = LockManager(scheduler, recorder=recorder)
+    locks = LockManager(transport.clock, recorder=recorder)
     tx_ids = TransactionIdSource()
     version_floor: dict = {}
     coordinator_master = random.Random(coordinator_seed)
@@ -292,7 +276,7 @@ def build_replica_group(
     # client's write must revoke the lease every other client would
     # otherwise serve reads from.
     leases = (
-        LeaseCache(epoch=network.current_liveness_epoch)
+        LeaseCache(epoch=transport.current_liveness_epoch)
         if config.leases
         else None
     )
@@ -300,14 +284,6 @@ def build_replica_group(
     shared_selector = None
     for index in range(config.clients):
         coordinator_sid = COORDINATOR_SID - index
-
-        def detector(sid: int, _csid: int = coordinator_sid) -> bool:
-            # From a coordinator's vantage point a replica on the far side
-            # of a partition is indistinguishable from a crashed one
-            # (Section 2.2 treats partitioning as a special case of site
-            # and link failures).
-            return sites[sid].up and network.reachable(_csid, sid)
-
         # The coordinator's own seed is drawn unconditionally (legacy
         # stream); the retry-policy jitter seed is drawn *only* when a
         # policy is configured, so unconfigured runs keep byte-identical
@@ -321,10 +297,10 @@ def build_replica_group(
         coordinators.append(
             QuorumCoordinator(
                 sid=coordinator_sid,
-                network=network,
+                network=transport,
                 system=system,
                 locks=locks,
-                detector=detector,
+                detector=detector_for(coordinator_sid),
                 rng=coordinator_rng,
                 timeout=config.timeout,
                 max_attempts=config.max_attempts,
@@ -332,7 +308,7 @@ def build_replica_group(
                 tx_ids=tx_ids,
                 version_floor=version_floor,
                 recorder=recorder,
-                liveness_epoch=network.current_liveness_epoch,
+                liveness_epoch=transport.current_liveness_epoch,
                 retry_policy=retry_policy,
                 suspects=suspects,
                 selector=shared_selector,
@@ -341,17 +317,7 @@ def build_replica_group(
         )
         if index == 0:
             shared_selector = coordinators[0].selector
-    config.failures.install(scheduler, sites, network)
-    return ReplicaGroup(
-        system=system,
-        n=n,
-        network=network,
-        sites=sites,
-        locks=locks,
-        coordinators=coordinators,
-        suspects=suspects,
-        leases=leases,
-    )
+    return coordinators
 
 
 def build_simulation(
@@ -367,28 +333,45 @@ def build_simulation(
     """
     system, n = config.resolve()
     scheduler = Scheduler()
-    rng = random.Random(config.seed)
     recorder: NullRecorder = TraceRecorder() if config.trace else NULL_RECORDER
-    # Child RNGs are seeded with 64 fresh bits each: seeding from
-    # rng.random() would collapse the seed space to a 53-bit float and
-    # correlate the child streams.  The derivation order is part of the
-    # determinism contract: network, workload, then one *dedicated* master
-    # stream for coordinators, so changing ``clients`` never perturbs the
-    # network or workload streams (and client k's stream is the same in
-    # every run that has at least k clients).
-    network_seed = rng.getrandbits(64)
-    workload_seed = rng.getrandbits(64)
-    coordinator_seed = rng.getrandbits(64)
+    network_seed, workload_seed, coordinator_seed = child_seeds(config.seed)
     monitor = Monitor(replica_ids=tuple(range(n)), recorder=recorder)
     if invariants is None and config.check_invariants:
         invariants = InvariantChecker()
-    group = build_replica_group(
-        config, system, n, scheduler, recorder, network_seed, coordinator_seed
+    network = Network(
+        scheduler,
+        random.Random(network_seed),
+        latency=config.latency,
+        drop_probability=config.drop_probability,
+        duplicate_probability=config.duplicate_probability,
+        recorder=recorder,
     )
+    sites = [
+        Site(
+            sid, network,
+            service_time=config.service_time, timeout=config.timeout,
+        )
+        for sid in range(n)
+    ]
+
+    def detector_for(coordinator_sid: int) -> Callable[[int], bool]:
+        def detector(sid: int) -> bool:
+            # From a coordinator's vantage point a replica on the far side
+            # of a partition is indistinguishable from a crashed one
+            # (Section 2.2 treats partitioning as a special case of site
+            # and link failures).
+            return sites[sid].up and network.reachable(coordinator_sid, sid)
+
+        return detector
+
+    coordinators = build_coordinators(
+        config, system, n, network, detector_for, recorder, coordinator_seed
+    )
+    config.failures.install(scheduler, sites, network)
     workload = Workload(
         spec=config.workload,
-        coordinator=group.coordinators,
-        scheduler=scheduler,
+        coordinator=coordinators,
+        clock=scheduler,
         rng=random.Random(workload_seed),
         on_outcome=(
             invariants.wrap(monitor.record)
@@ -396,7 +379,7 @@ def build_simulation(
             else monitor.record
         ),
     )
-    return scheduler, workload, monitor, group.network, group.sites
+    return scheduler, workload, monitor, network, sites
 
 
 def run_workload(

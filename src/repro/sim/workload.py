@@ -31,9 +31,12 @@ from bisect import bisect
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from itertools import accumulate
+from typing import TYPE_CHECKING
 
 from repro.sim.coordinator import OperationOutcome, QuorumCoordinator
-from repro.sim.events import Scheduler
+
+if TYPE_CHECKING:
+    from repro.runtime.interfaces import Clock
 
 
 @dataclass(frozen=True)
@@ -85,6 +88,10 @@ class Workload:
     """Drives one or more coordinators according to a :class:`WorkloadSpec`,
     round-robin over the coordinators.
 
+    ``clock`` is the simulator's ``Scheduler`` or a TCP cluster's
+    ``AsyncClock``: Poisson arrivals accumulate from its ``now`` at
+    :meth:`start` (0.0 in the simulator), each armed with ``call_at``.
+
     ``on_outcome`` (the sink, usually the monitor's ``record``) is
     released when the last outcome reports, as the completion hook is.
     The workload (through its bound-once ``_op_done``), coordinators,
@@ -98,7 +105,7 @@ class Workload:
         self,
         spec: WorkloadSpec,
         coordinator: QuorumCoordinator | Sequence[QuorumCoordinator],
-        scheduler: Scheduler,
+        clock: Clock,
         rng: random.Random,
         on_outcome: Callable[[OperationOutcome], None],
     ) -> None:
@@ -109,7 +116,7 @@ class Workload:
             self._coordinators = tuple(coordinator)
             if not self._coordinators:
                 raise ValueError("need at least one coordinator")
-        self._scheduler = scheduler
+        self._clock = clock
         self._rng = rng
         self._on_outcome: Callable[[OperationOutcome], None] | None = on_outcome
         #: Bound once: every operation carries it as its ``on_done``.
@@ -178,6 +185,7 @@ class Workload:
             # up front) cannot interleave with — and thereby perturb —
             # the key/op-type draws on the main workload stream.
             self._arrival_rng = random.Random(self._rng.getrandbits(64))
+            self._next_arrival_at = self._clock.now
             self._schedule_next_arrival()
 
     def _schedule_next_arrival(self) -> None:
@@ -197,7 +205,7 @@ class Workload:
         # call_at == schedule_at minus the EventHandle nobody keeps
         # (arrivals are never cancelled); same float round-trip, so the
         # event times are bit-identical.
-        self._scheduler.call_at(self._next_arrival_at, self._arrive)
+        self._clock.call_at(self._next_arrival_at, self._arrive)
 
     def _arrive(self) -> None:
         self._schedule_next_arrival()
@@ -223,7 +231,8 @@ class Workload:
 
     def add_on_complete(self, callback: Callable[[], None]) -> None:
         """Set the one completion hook: it fires once, when the last
-        outcome reports (the engine stops the scheduler's drain loop)."""
+        outcome reports (the engine stops the scheduler's drain loop, a
+        TCP cluster resolves the future its run awaits)."""
         self._on_complete = callback
 
     def _op_done(self, outcome: OperationOutcome) -> None:

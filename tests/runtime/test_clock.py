@@ -2,6 +2,7 @@
 
 import asyncio
 import gc
+import random
 import weakref
 
 import pytest
@@ -10,8 +11,13 @@ from hypothesis import strategies as st
 
 from repro.runtime.clock import AsyncClock
 from repro.runtime.interfaces import CancelHandle, Clock
+from repro.runtime.loop import SelectorLoop
 from repro.runtime.transport import TcpTransport
+from repro.sim.events import Scheduler
+from repro.sim.outcome import OperationOutcome
+from repro.sim.workload import Workload, WorkloadSpec
 from tests.runtime.test_connection import run_counting
+from tests.runtime.test_loop import spin
 
 
 def test_satisfies_the_seam_protocols():
@@ -101,6 +107,157 @@ def test_negative_delay_rejected_like_the_simulator():
             clock.schedule(-0.1, lambda: None)
 
     asyncio.run(main())
+
+
+# ---------------------------------------------------------------------
+# call_at, on asyncio's loop and on a site's SelectorLoop
+# ---------------------------------------------------------------------
+
+both_loops = pytest.mark.parametrize(
+    "make_loop", [asyncio.new_event_loop, SelectorLoop],
+    ids=["asyncio", "selector"],
+)
+
+
+def on_frozen_time(loop, body):
+    """Run ``body(clock, advance)`` with ``loop.time`` frozen except
+    when ``advance(seconds)`` moves it and runs the loop a few
+    iterations (the due timer and the drain it may schedule)."""
+    now = [loop.time()]
+    loop.time = lambda: now[0]
+
+    def advance(seconds):
+        now[0] += seconds
+        for _ in range(4):
+            if isinstance(loop, SelectorLoop):
+                loop.call_soon(lambda: None)  # an iteration that never sleeps
+                loop._run_once()
+            else:
+                loop.run_until_complete(asyncio.sleep(0))
+
+    try:
+        body(AsyncClock(loop), advance)
+    finally:
+        del loop.time
+        if not isinstance(loop, SelectorLoop):
+            loop.close()
+
+
+@both_loops
+def test_call_at_fires_at_its_deadline_and_never_before_the_horizon(make_loop):
+    loop = make_loop()
+    clock = AsyncClock(loop)
+    fired = []
+    deadline = clock.now + 0.02
+    clock.call_at(deadline, lambda: fired.append(loop.time()))
+    clock.call_at(deadline, fired.append, "arg")
+    try:
+        spin(loop, lambda: len(fired) == 2)
+    finally:
+        if not isinstance(loop, SelectorLoop):
+            loop.close()
+    assert fired[0] + clock._resolution >= deadline
+    assert fired[1] == "arg"
+
+
+@both_loops
+def test_call_at_and_call_later_at_one_deadline_fire_in_scheduling_order(
+    make_loop,
+):
+    def body(clock, advance):
+        fired = []
+        deadline = clock.now + 0.01
+        for tag in range(6):
+            if tag % 2:
+                clock.call_at(deadline, fired.append, tag)
+            else:
+                clock.call_later(0.01, fired.append, tag)
+        advance(0.005)
+        assert fired == []  # not before the deadline
+        advance(0.005)
+        assert fired == list(range(6))
+
+    on_frozen_time(make_loop(), body)
+
+
+@both_loops
+def test_a_past_deadline_raises_like_the_simulators(make_loop):
+    """Before any timer the present is the clock's creation; inside a
+    timer it is that timer's deadline, so one the loop ran a second late
+    may still chain deadlines off its own (they fire in the same pass)
+    but not before it."""
+    with pytest.raises(ValueError, match="past"):
+        Scheduler().call_at(-1.0, lambda: None)
+
+    def body(clock, advance):
+        with pytest.raises(ValueError, match="past"):
+            clock.call_at(clock.now - 1.0, lambda: None)
+        fired, refused = [], []
+        deadline = clock.now + 0.01
+
+        def late():
+            fired.append("late")
+            clock.call_at(deadline + 0.001, fired.append, "chained")
+            try:
+                clock.call_at(deadline - 0.001, fired.append, "past")
+            except ValueError:
+                refused.append(deadline - 0.001)
+
+        clock.call_at(deadline, late)
+        advance(1.0)
+        assert fired == ["late", "chained"]
+        assert refused == [deadline - 0.001]
+        with pytest.raises(ValueError, match="past"):
+            clock.call_at(deadline, lambda: None)
+
+    on_frozen_time(make_loop(), body)
+
+
+def test_a_poisson_workload_on_the_clock_completes_every_operation():
+    """The simulator's ``Workload`` arms its arrivals with ``call_at`` at
+    absolute times accumulated from the clock's ``now`` at ``start``; on
+    a wall clock an arrival the loop ran late still chains the next one
+    off its own deadline, so none is refused and none is lost."""
+
+    class Coordinator:
+        def __init__(self, clock):
+            self.clock = clock
+            self.issued_at = []
+
+        def read(self, key, done):
+            self.issued_at.append(self.clock.now)
+            now = self.clock.now
+            self.clock.call_later(0.0, done, OperationOutcome(
+                op_type="read", key=key, success=True,
+                started_at=now, finished_at=now,
+            ))
+
+        write = lambda self, key, value, done: self.read(key, done)  # noqa: E731
+
+    async def main():
+        clock = AsyncClock()
+        coordinator = Coordinator(clock)
+        outcomes = []
+        workload = Workload(
+            spec=WorkloadSpec(
+                operations=300, arrival="poisson", rate=3000.0, keys=4
+            ),
+            coordinator=[coordinator],
+            clock=clock,
+            rng=random.Random(5),
+            on_outcome=outcomes.append,
+        )
+        finished = asyncio.get_running_loop().create_future()
+        workload.add_on_complete(lambda: finished.set_result(None))
+        started = clock.now
+        workload.start()
+        await asyncio.wait_for(finished, 30.0)
+        return started, workload, coordinator.issued_at, outcomes
+
+    started, workload, issued_at, outcomes = asyncio.run(main())
+    assert workload.issued == workload.completed == len(outcomes) == 300
+    assert started <= issued_at[0]
+    assert issued_at == sorted(issued_at)
 
 
 def test_building_outside_a_running_loop_raises():

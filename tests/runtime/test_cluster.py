@@ -2,12 +2,13 @@
 
 These tests spawn actual ``repro serve`` child processes and talk to
 them over real localhost TCP — the full runtime stack.  One test drives
-everything (spawn is the expensive part): smoke traffic, the kill -9
-chaos injection with reads surviving, the KV front-end API, and an
-orphan-free shutdown.
+everything (spawn is the expensive part): a run of the simulator's
+workload with the kill -9 chaos injection and reads surviving, the KV
+front-end API, and an orphan-free shutdown.
 """
 
 import asyncio
+import contextlib
 import gc
 import os
 import shutil
@@ -21,15 +22,9 @@ from types import SimpleNamespace
 import pytest
 
 import repro
+from repro.core.builder import from_spec
 from repro.runtime import cluster as cluster_module
-from repro.runtime.cluster import (
-    KVFrontend,
-    LocalCluster,
-    SiteProcess,
-    TrafficReport,
-    kv_request,
-    run_traffic,
-)
+from repro.runtime.cluster import KVFrontend, LocalCluster, SiteProcess
 from repro.runtime.codec import (
     CodecError,
     decode_message,
@@ -38,12 +33,44 @@ from repro.runtime.codec import (
     write_frame,
 )
 from repro.runtime.siteserver import SiteServer
+from repro.sim.engine import SimulationConfig
+from repro.sim.failures import BernoulliFailures
 from repro.sim.messages import ReadRequest
+from repro.sim.workload import WorkloadSpec
+
+
+async def kv_request(host, port, frames):
+    """Tiny client of a :class:`KVFrontend`: send ``frames``, return one
+    result per request."""
+    reader, writer = await asyncio.open_connection(host, port)
+    results = []
+    try:
+        for frame in frames:
+            write_frame(writer, frame)
+        await writer.drain()
+        for _ in frames:
+            result = await read_frame(reader)
+            if result is None:
+                break
+            results.append(result)
+    finally:
+        writer.close()
+        with contextlib.suppress(ConnectionError):
+            await writer.wait_closed()
+    return results
 
 
 def test_cluster_serves_sigkill_survives_and_shuts_down_clean():
+    # Read-only workload: the kill gate is about READ availability
+    # (1-3 write quorums need all three sites).
+    config = SimulationConfig(
+        tree=from_spec("1-3"),
+        workload=WorkloadSpec(operations=30, read_fraction=1.0, keys=4),
+        timeout=1.0, max_attempts=4, seed=5,
+    )
+
     async def main():
-        cluster = LocalCluster(spec="1-3", timeout=1.0, max_attempts=4)
+        cluster = LocalCluster(config=config)
         await cluster.start()
         try:
             # -- basic KV semantics over real TCP --------------------
@@ -69,21 +96,30 @@ def test_cluster_serves_sigkill_survives_and_shuts_down_clean():
             assert results[1]["version"] == 1
             assert results[2]["value"] is None  # never written
 
-            # -- smoke traffic with a mid-run SIGKILL ----------------
-            # Read-only measured loop: the kill gate is about READ
-            # availability (1-3 write quorums need all three sites).
-            report = await run_traffic(
-                cluster, operations=30, read_fraction=1.0, keys=4,
-                seed=5, kill_after_ops=10,
-            )
-            assert report.killed_site == 2
+            # -- the config's workload with a mid-run SIGKILL --------
+            reported, killed_at = [], []
+
+            def kill_after_ten(outcome):
+                reported.append(outcome)
+                if len(reported) == 10:
+                    cluster.kill_site(2)
+                    killed_at.append(cluster.transport.clock.now)
+
+            result = await cluster.run(kill_after_ten)
             assert not cluster.sites[2].alive  # SIGKILL landed
-            assert report.reads == 30 and report.read_failures == 0
-            assert report.post_kill_reads == 20
-            assert report.post_kill_read_failures == 0
-            assert report.ops_per_sec > 0
-            summary = report.summary()
-            assert summary["read_p99_ms"] >= summary["read_p50_ms"] >= 0
+            monitor = result.monitor
+            assert monitor.reads.attempted == 30
+            assert monitor.reads.failed == 0
+            post_kill = [
+                outcome for outcome in monitor.outcomes
+                if outcome.started_at >= killed_at[0]
+            ]
+            assert len(post_kill) == 20
+            assert all(outcome.success for outcome in post_kill)
+            summary = result.summary()
+            assert summary["duration"] > 0
+            assert summary["read_latency_mean"] > 0
+            assert summary["messages_sent"] >= 30
 
             # -- writes are honestly unavailable without their quorum
             lost = await cluster.put("greeting", "goodbye")
@@ -107,8 +143,41 @@ def test_cluster_command_reads_through_a_kill_and_exits_clean(capsys):
         "--keys", "4", "--seed", "7", "--kill-after-ops", "10",
     ]) == 0
     out = capsys.readouterr().out
-    assert "SIGKILLed site" in out
+    assert "SIGKILLed site 2 after 10 ops" in out
+    assert "post-kill reads 20/20 succeeded" in out
     assert "cluster shut down cleanly (no orphans)" in out
+
+
+def test_cluster_command_exits_1_when_a_read_fails(capsys):
+    """``1-1`` has one site: with it SIGKILLed before the run, no read
+    finds a quorum, and the gate reads the failures off the monitor."""
+    from repro.cli import main
+
+    assert main([
+        "cluster", "1-1", "--operations", "3", "--read-fraction", "1.0",
+        "--keys", "1", "--kill-after-ops", "0", "--timeout", "0.2",
+        "--max-attempts", "1",
+    ]) == 1
+    out = capsys.readouterr().out
+    assert "SIGKILLed site 0 after 0 ops; post-kill reads 0/3 succeeded" in out
+    assert "cluster shut down cleanly (no orphans)" in out
+
+
+@pytest.mark.parametrize("field, value", [
+    ("failures", BernoulliFailures(p=0.9)),
+    ("latency", 2.0),
+    ("drop_probability", 0.01),
+    ("duplicate_probability", 0.01),
+    ("reshape_at", 10.0),
+    ("clients", 2),
+])
+def test_a_config_tcp_cannot_honour_yet_is_refused(field, value):
+    """Refused when the cluster is built, before any site is spawned,
+    with the field named; each is a simulator-only model (or, for
+    ``clients``, replies a site could not route)."""
+    config = SimulationConfig(tree=from_spec("1-3"), **{field: value})
+    with pytest.raises(ValueError, match=f"^{field}="):
+        LocalCluster(config=config)
 
 
 def test_service_time_reaches_the_site_processes():
@@ -200,21 +269,6 @@ def test_a_value_the_wire_cannot_carry_is_refused_and_no_site_link_drops():
         assert unhandled == []
 
     asyncio.run(asyncio.wait_for(main(), 30.0))
-
-
-def test_traffic_report_summarises_the_median_of_five_samples():
-    """Regression: the nearest-rank ``round()`` percentile this report
-    used to carry put the p50 of five samples at the second one (banker's
-    rounding of 2.5); it now uses ``obs.stats.linear_percentile``."""
-    report = TrafficReport(
-        read_latencies=[0.005, 0.001, 0.004, 0.002, 0.003],
-        write_latencies=[0.001, 0.002],
-    )
-    summary = report.summary()
-    assert summary["read_p50_ms"] == 3.0
-    assert summary["write_p50_ms"] == 1.5
-    assert summary["write_p99_ms"] == 1.99
-    assert TrafficReport().summary()["read_p50_ms"] == 0.0
 
 
 class _StubCluster:

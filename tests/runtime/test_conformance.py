@@ -22,15 +22,18 @@ import pytest
 from repro.core.builder import from_spec
 from repro.core.protocol import ArbitraryProtocol
 from repro.fault.invariants import InvariantChecker
+from repro.fault.retry import RetryPolicySpec
 from repro.runtime.cluster import LocalCluster
 from repro.runtime.siteserver import SiteServer
 from repro.runtime.transport import TcpTransport
 from repro.sim.coordinator import QuorumCoordinator
+from repro.sim.engine import SimulationConfig, simulate
 from repro.sim.events import Scheduler
 from repro.sim.locks import LockManager
 from repro.sim.messages import AbortMessage, CommitMessage, PrepareMessage
 from repro.sim.network import Network
 from repro.sim.site import Site
+from repro.sim.workload import WorkloadSpec
 
 SPEC = "1-3-5"  # 8 replicas: level-1 SIDs 0-2, level-2 SIDs 3-7
 
@@ -373,3 +376,52 @@ def test_a_fresh_coordinator_over_newer_versions_commits_above_them():
 
     versions = asyncio.run(main())
     assert max(timestamp.version for timestamp in versions) == 4
+
+
+def test_one_config_runs_on_the_simulator_and_on_real_site_processes():
+    """ROADMAP item 9: one ``SimulationConfig`` — leases, an exponential
+    retry policy, the failure detector and the invariant audit on — runs
+    through ``simulate`` and through a ``LocalCluster`` of ``repro
+    serve`` processes, one time unit read as one wall second.  Fault
+    free, neither fails an operation or breaks an invariant, both
+    summarise with the same keys, and the same seed issues the same
+    operations on both."""
+    config = SimulationConfig(
+        tree=from_spec(SPEC),
+        workload=WorkloadSpec(operations=120, read_fraction=0.7, keys=8),
+        timeout=8.0,
+        seed=3,
+        retry_policy=RetryPolicySpec(
+            kind="exponential", base=0.05, cap=1.0, jitter=0.1
+        ),
+        detector=True,
+        leases=True,
+        check_invariants=True,
+    )
+    simulated = simulate(config)
+
+    async def main():
+        cluster = LocalCluster(config=config)
+        await cluster.start()
+        try:
+            result = await cluster.run()
+            lease_hits.append(cluster.coordinator.leases.hits)
+            return result
+        finally:
+            await cluster.stop()
+            orphans.extend(cluster.orphans())
+
+    orphans, lease_hits = [], []
+    real = asyncio.run(asyncio.wait_for(main(), 90.0))
+    assert orphans == []
+    assert simulated.leases.hits > 0 and lease_hits[0] > 0
+    assert real.summary().keys() == simulated.summary().keys()
+    for result in (simulated, real):
+        monitor = result.monitor
+        assert monitor.reads.failed == monitor.writes.failed == 0
+        assert monitor.total_operations == 120
+        assert result.invariants.violations == []
+        assert result.invariants.checked == 120
+    assert [(o.op_type, o.key) for o in real.monitor.outcomes] == [
+        (o.op_type, o.key) for o in simulated.monitor.outcomes
+    ]

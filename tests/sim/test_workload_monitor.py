@@ -151,6 +151,20 @@ class TestMonitor:
         assert monitor.reads.latency_percentile(0.5) == 3.0
         assert monitor.reads.mean_latency == pytest.approx(4.0)
 
+    def test_the_median_of_five_samples_interpolates(self):
+        """Moved from the deleted ``TrafficReport`` (the TCP cluster now
+        reports through this monitor): a nearest-rank ``round()``
+        percentile put the p50 of five samples at the second one
+        (banker's rounding of 2.5); ``linear_percentile`` does not."""
+        monitor = Monitor(replica_ids=tuple(range(8)))
+        for latency in (0.005, 0.001, 0.004, 0.002, 0.003):
+            monitor.record(_outcome(latency=latency))
+        for latency in (0.001, 0.002):
+            monitor.record(_outcome(op_type="write", latency=latency))
+        assert monitor.reads.latency_percentile(0.5) == 0.003
+        assert monitor.writes.latency_percentile(0.5) == 0.0015
+        assert monitor.writes.latency_percentile(0.99) == pytest.approx(0.00199)
+
     def test_empty_percentile_is_nan(self):
         monitor = Monitor(replica_ids=(0,))
         assert math.isnan(monitor.reads.latency_percentile(0.5))

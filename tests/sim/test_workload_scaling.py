@@ -60,7 +60,7 @@ def _drive(spec: WorkloadSpec, seed: int = 0):
     workload = Workload(
         spec=spec,
         coordinator=[coordinator],
-        scheduler=scheduler,
+        clock=scheduler,
         rng=random.Random(seed),
         on_outcome=lambda outcome: None,
     )
@@ -107,7 +107,7 @@ class TestZipfFastPath:
         workload = Workload(
             spec=spec,
             coordinator=[InstantCoordinator(Scheduler())],
-            scheduler=Scheduler(),
+            clock=Scheduler(),
             rng=random.Random(0),
             on_outcome=lambda outcome: None,
         )
@@ -120,7 +120,7 @@ class TestZipfFastPath:
         workload = Workload(
             spec=spec,
             coordinator=[InstantCoordinator(Scheduler())],
-            scheduler=Scheduler(),
+            clock=Scheduler(),
             rng=random.Random(0),
             on_outcome=lambda outcome: None,
         )
@@ -177,7 +177,7 @@ class TestPoissonIncrementalSchedule:
         workload = Workload(
             spec=spec,
             coordinator=[coordinator],
-            scheduler=scheduler,
+            clock=scheduler,
             rng=random.Random(1),
             on_outcome=lambda outcome: None,
         )
