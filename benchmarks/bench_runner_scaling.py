@@ -112,7 +112,7 @@ def _simulation_workload(smoke: bool):
             partial(simulated_monitor, args), repeats, args.seed, jobs=jobs
         )
         return [
-            (m.reads, m.writes, m.outcomes) for m in monitors
+            (m.reads, m.writes, m.summary()) for m in monitors
         ]
 
     return run

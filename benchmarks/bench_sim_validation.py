@@ -134,10 +134,11 @@ def test_one_copy_equivalence_under_failures(benchmark):
     )
 
     def run():
-        result = simulate(config)
+        outcomes: list = []
+        simulate(config, on_outcome=outcomes.append)
         last_written: dict = {}
         violations = 0
-        for outcome in result.monitor.outcomes:
+        for outcome in outcomes:
             if not outcome.success:
                 continue
             if outcome.op_type == "write":

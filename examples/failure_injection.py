@@ -62,7 +62,8 @@ def partition_demo() -> None:
     level2 = set(tree.replica_ids_at(2))          # replicas 3..7
     # The coordinator (SID -1) stays on level 2's side of the split.
     partition = PartitionSpec.split(level1, level2 | {-1})
-    result = simulate(
+    outcomes: list = []
+    simulate(
         SimulationConfig(
             tree=tree,
             workload=WorkloadSpec(operations=600, read_fraction=0.5, keys=8),
@@ -70,12 +71,12 @@ def partition_demo() -> None:
             max_attempts=1,
             timeout=8.0,
             seed=9,
-        )
+        ),
+        on_outcome=outcomes.append,
     )
-    during = [o for o in result.monitor.outcomes if 400 <= o.started_at < 1200]
+    during = [o for o in outcomes if 400 <= o.started_at < 1200]
     before_after = [
-        o for o in result.monitor.outcomes
-        if o.started_at < 400 or o.started_at >= 1208
+        o for o in outcomes if o.started_at < 400 or o.started_at >= 1208
     ]
     reads_during = [o for o in during if o.op_type == "read"]
     writes_during = [o for o in during if o.op_type == "write"]

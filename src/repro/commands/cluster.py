@@ -49,26 +49,24 @@ def _run_cluster(parser, args) -> int:
         )
         exit_code = 0
         killed_at: list[float] = []  # when the victim was SIGKILLed
+        post_kill: list[bool] = []  # success of each read issued after it
         reported = itertools.count()  # outcomes so far: 0 before the run
 
-        def observe(_outcome=None) -> None:
+        def observe(outcome=None) -> None:
             if next(reported) == args.kill_after_ops:
                 cluster.kill_site(victim)
                 killed_at.append(cluster.transport.clock.now)
+            elif killed_at and outcome.op_type == "read" and (
+                outcome.started_at >= killed_at[0]
+            ):
+                post_kill.append(outcome.success)
 
         try:
             for key_index in range(args.keys):  # unmeasured: seed every key
                 await cluster.put(f"k{key_index}", f"seed-{key_index}")
             observe()  # --kill-after-ops 0 kills before the first operation
             result = await cluster.run(observe)
-            monitor = result.monitor
             if killed_at:
-                post_kill = [
-                    outcome.success
-                    for outcome in monitor.outcomes
-                    if outcome.op_type == "read"
-                    and outcome.started_at >= killed_at[0]
-                ]
                 print(
                     f"SIGKILLed site {victim} after {args.kill_after_ops} "
                     f"ops; post-kill reads {sum(post_kill)}/"
@@ -82,7 +80,7 @@ def _run_cluster(parser, args) -> int:
             print(json.dumps(summary, indent=2))
             # Gate: every read must succeed — including every read issued
             # after the kill (writes may legitimately lose their quorum).
-            if monitor.reads.failed:
+            if result.monitor.reads.failed:
                 exit_code = 1
             if args.serve:
                 frontend = KVFrontend(cluster, port=args.serve_port)

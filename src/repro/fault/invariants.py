@@ -56,12 +56,8 @@ class InvariantChecker:
     """Audits the outcome stream for quorum-intersection and version
     monotonicity violations.
 
-    Use :meth:`wrap` to splice the checker in front of an existing
-    outcome callback::
-
-        monitor = Monitor(...)
-        checker = InvariantChecker()
-        workload = Workload(..., on_outcome=checker.wrap(monitor.record))
+    :meth:`wrap` splices it in front of an outcome callback, as
+    :func:`~repro.sim.engine.outcome_sink` does on both backends.
     """
 
     def __init__(self, strict: bool = True) -> None:

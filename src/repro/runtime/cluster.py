@@ -49,6 +49,7 @@ from repro.sim.engine import (
     SimulationResult,
     build_coordinators,
     child_seeds,
+    outcome_sink,
 )
 from repro.sim.locks import LockManager
 from repro.sim.monitor import Monitor
@@ -267,9 +268,9 @@ class LocalCluster:
 
         Outcomes go through the config's ``InvariantChecker`` (when
         ``check_invariants``) into a :class:`Monitor`, then to
-        ``on_outcome``; the workload draws the simulator's keys and
-        operations for the same seed.  A violated invariant ends the run
-        and raises here.
+        ``on_outcome``, as in :func:`~repro.sim.engine.simulate`; the
+        workload draws the simulator's keys and operations for the same
+        seed.  A violated invariant ends the run and raises here.
         """
         assert self.coordinator is not None, "cluster not started"
         config = self.config
@@ -277,14 +278,12 @@ class LocalCluster:
         stats = self.transport.stats
         monitor = Monitor(tuple(range(self.n)), recorder=self._recorder)
         invariants = InvariantChecker() if config.check_invariants else None
-        sink = invariants.wrap(monitor.record) if invariants else monitor.record
+        sink = outcome_sink(monitor, invariants, on_outcome)
         finished = asyncio.get_running_loop().create_future()
 
         def record(outcome: OperationOutcome) -> None:
             try:
                 sink(outcome)
-                if on_outcome is not None:
-                    on_outcome(outcome)
             except Exception as exc:  # raised in a loop callback: carry it
                 if not finished.done():
                     finished.set_exception(exc)

@@ -23,13 +23,14 @@ from repro.fault.invariants import InvariantChecker
 from repro.fault.retry import RetryPolicySpec
 from repro.obs.recorder import NULL_RECORDER, NullRecorder, TraceRecorder
 from repro.quorums.system import QuorumSystem
-from repro.sim.coordinator import QuorumCoordinator
+from repro.sim.coordinator import DoneCallback, QuorumCoordinator
 from repro.sim.events import Scheduler
 from repro.sim.failures import FailureInjector, NoFailures
 from repro.sim.leases import LeaseCache
 from repro.sim.locks import LockManager
 from repro.sim.monitor import Monitor
 from repro.sim.network import Network, NetworkStats
+from repro.sim.outcome import OperationOutcome
 from repro.sim.reconfigure import ReconfigOutcome, TreeReconfigurer
 from repro.sim.site import Site
 from repro.sim.workload import Workload, WorkloadSpec
@@ -189,6 +190,9 @@ class SimulationResult:
     #: The mid-run reconfiguration's outcome (``None`` unless
     #: ``config.reshape_at`` scheduled one).
     reconfiguration: ReconfigOutcome | None = None
+    #: ``(started_at, finished_at, success)`` per read, kept only when
+    #: ``config.reshape_at > 0`` (the one run with a window to measure).
+    read_spans: list[tuple[float, float, bool]] = field(default_factory=list)
 
     def window_read_availability(self, start: float, end: float) -> float | None:
         """Fraction of reads *submitted* in ``[start, end]`` that completed
@@ -199,16 +203,15 @@ class SimulationResult:
         after the window closed.
         """
         started = [
-            outcome
-            for outcome in self.monitor.outcomes
-            if outcome.op_type == "read" and start <= outcome.started_at <= end
+            (finished_at, success)
+            for started_at, finished_at, success in self.read_spans
+            if start <= started_at <= end
         ]
         if not started:
             return None
         served = sum(
-            1
-            for outcome in started
-            if outcome.success and outcome.finished_at <= end
+            1 for finished_at, success in started
+            if success and finished_at <= end
         )
         return served / len(started)
 
@@ -320,16 +323,34 @@ def build_coordinators(
     return coordinators
 
 
+def outcome_sink(
+    monitor: Monitor,
+    invariants: InvariantChecker | None,
+    on_outcome: DoneCallback | None,
+) -> DoneCallback:
+    """A run's outcome path on both backends: audit, monitor, observer."""
+    sink = invariants.wrap(monitor.record) if invariants else monitor.record
+    if on_outcome is None:
+        return sink
+
+    def record(outcome: OperationOutcome) -> None:
+        sink(outcome)
+        on_outcome(outcome)
+
+    return record
+
+
 def build_simulation(
     config: SimulationConfig,
     invariants: InvariantChecker | None = None,
+    on_outcome: DoneCallback | None = None,
 ) -> tuple[Scheduler, Workload, Monitor, Network, list[Site]]:
     """Wire a simulation without running it (useful for custom driving).
 
     ``invariants`` splices a safety auditor in front of the monitor's
     outcome callback; pass your own instance to keep a reference (one is
     created internally when ``config.check_invariants`` asks for auditing
-    but none is supplied).
+    but none is supplied).  ``on_outcome`` sees every outcome after them.
     """
     system, n = config.resolve()
     scheduler = Scheduler()
@@ -373,11 +394,7 @@ def build_simulation(
         coordinator=coordinators,
         clock=scheduler,
         rng=random.Random(workload_seed),
-        on_outcome=(
-            invariants.wrap(monitor.record)
-            if invariants is not None
-            else monitor.record
-        ),
+        on_outcome=outcome_sink(monitor, invariants, on_outcome),
     )
     return scheduler, workload, monitor, network, sites
 
@@ -439,50 +456,52 @@ def _reshape_target(
     return plan.tree
 
 
-def install_reshape(
+def simulate(
     config: SimulationConfig,
-    scheduler: Scheduler,
-    coordinator: QuorumCoordinator,
-    invariants: InvariantChecker | None,
-) -> list[ReconfigOutcome]:
-    """Schedule the configured mid-run reconfiguration; returns its outbox.
-
-    The returned list receives the :class:`ReconfigOutcome` when the
-    transition finishes — drain the scheduler past the workload if it is
-    still empty (see :func:`simulate`).
-    """
-    reconfigurer = TreeReconfigurer(coordinator, invariants=invariants)
-    keys = [f"k{index}" for index in range(config.workload.keys)]
-    outbox: list[ReconfigOutcome] = []
-
-    def launch() -> None:
-        reconfigurer.reconfigure_online(
-            _reshape_target(config, coordinator), keys, outbox.append
-        )
-
-    scheduler.schedule_at(config.reshape_at, launch)
-    return outbox
-
-
-def simulate(config: SimulationConfig, max_events: int = 5_000_000) -> SimulationResult:
+    max_events: int = 5_000_000,
+    on_outcome: DoneCallback | None = None,
+) -> SimulationResult:
     """Run one configured simulation until the workload completes.
 
     A thin wrapper: :func:`build_simulation` wires the replica group and
-    :func:`run_workload` drains the event loop.  With ``reshape_at`` set, the scheduled
-    reconfiguration runs concurrently with the workload and the loop is
-    drained until its outcome lands as ``result.reconfiguration``.
+    :func:`run_workload` drains the event loop.  ``on_outcome`` sees every
+    outcome (:func:`outcome_sink`); the result keeps none.  With
+    ``reshape_at`` set, the reconfiguration launches then and runs
+    concurrently with the workload, the loop is drained until its outcome
+    lands as ``result.reconfiguration``, and the result keeps the
+    ``read_spans`` its transition window is measured on.
     """
     invariants = InvariantChecker() if config.check_invariants else None
-    scheduler, workload, monitor, network, sites = build_simulation(
-        config, invariants=invariants
-    )
-    reconfig_outbox: list[ReconfigOutcome] | None = None
+    read_spans: list[tuple[float, float, bool]] = []
+    observer = on_outcome
     if config.reshape_at > 0.0:
-        reconfig_outbox = install_reshape(
-            config, scheduler, workload.coordinators[0], invariants
-        )
+
+        def observer(outcome: OperationOutcome) -> None:
+            if outcome.op_type == "read":
+                read_spans.append(
+                    (outcome.started_at, outcome.finished_at, outcome.success)
+                )
+            if on_outcome is not None:
+                on_outcome(outcome)
+
+    scheduler, workload, monitor, network, sites = build_simulation(
+        config, invariants=invariants, on_outcome=observer
+    )
+    coordinator = workload.coordinators[0]
+    reconfig_outbox: list[ReconfigOutcome] = []
+    if config.reshape_at > 0.0:
+        reconfigurer = TreeReconfigurer(coordinator, invariants=invariants)
+        keys = [f"k{index}" for index in range(config.workload.keys)]
+
+        def launch() -> None:
+            reconfigurer.reconfigure_online(
+                _reshape_target(config, coordinator), keys,
+                reconfig_outbox.append,
+            )
+
+        scheduler.schedule_at(config.reshape_at, launch)
     run_workload(scheduler, workload, max_events)
-    if reconfig_outbox is not None:
+    if config.reshape_at > 0.0:
         # The workload can complete while the migration is still in
         # flight; keep stepping until the reconfiguration reports — it
         # always terminates (attempts are bounded).
@@ -501,10 +520,9 @@ def simulate(config: SimulationConfig, max_events: int = 5_000_000) -> Simulatio
         duration=scheduler.now,
         events_processed=scheduler.processed_events,
         recorder=monitor.recorder,
-        suspects=workload.coordinators[0].suspects,
+        suspects=coordinator.suspects,
         invariants=invariants,
-        leases=workload.coordinators[0].leases,
-        reconfiguration=(
-            reconfig_outbox[0] if reconfig_outbox else None
-        ),
+        leases=coordinator.leases,
+        reconfiguration=reconfig_outbox[0] if reconfig_outbox else None,
+        read_spans=read_spans,
     )

@@ -1,7 +1,8 @@
 """Measurement: per-replica load, availability, latency, message counts.
 
-The monitor receives every :class:`~repro.sim.coordinator.OperationOutcome`
-and aggregates the quantities the paper analyses:
+The monitor folds every :class:`~repro.sim.coordinator.OperationOutcome`
+into the quantities the paper analyses and keeps no outcome (a caller
+that needs them subscribes through ``on_outcome``):
 
 * **measured load** — for each replica, the fraction of operations (of each
   kind) whose quorum contained it; the *system* load is the maximum over
@@ -127,8 +128,8 @@ class OperationSummary:
 
 
 class Monitor:
-    """Collects outcomes and computes the measured counterparts of the
-    paper's analytical quantities."""
+    """Aggregates outcomes into the measured counterparts of the paper's
+    analytical quantities."""
 
     def __init__(
         self,
@@ -143,11 +144,9 @@ class Monitor:
         self.writes = OperationSummary()
         self._read_touches: Counter = Counter()
         self._write_touches: Counter = Counter()
-        self.outcomes: list[OperationOutcome] = []
 
     def record(self, outcome: OperationOutcome) -> None:
-        """Ingest one finished operation."""
-        self.outcomes.append(outcome)
+        """Fold one finished operation into the aggregates."""
         summary = self.reads if outcome.op_type == "read" else self.writes
         touches = (
             self._read_touches if outcome.op_type == "read" else self._write_touches
@@ -177,9 +176,9 @@ class Monitor:
     def merge(self, other: "Monitor") -> "Monitor":
         """Fold another monitor's measurements into this one (returns self).
 
-        Both monitors must observe the same replica set.  Outcome lists and
-        latency samples are concatenated, so folding shard monitors in task
-        order reproduces the serial monitor exactly.  Trace recorders merge
+        Both monitors must observe the same replica set.  Latency samples
+        are concatenated, so folding shard monitors in task order
+        reproduces the serial monitor exactly.  Trace recorders merge
         when both runs were traced (span ids are renumbered into this
         recorder's id space).
         """
@@ -192,7 +191,6 @@ class Monitor:
         self.writes.merge(other.writes)
         self._read_touches.update(other._read_touches)
         self._write_touches.update(other._write_touches)
-        self.outcomes.extend(other.outcomes)
         if (
             self.recorder.enabled
             and other.recorder.enabled

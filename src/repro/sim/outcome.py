@@ -28,7 +28,7 @@ class OperationOutcome:
     """The result of one read or write operation.
 
     A hand-rolled slotted class, not a dataclass: one is allocated per
-    finished operation and retained by the monitor, so the flat
+    finished operation (the monitor keeps none), so the flat
     ``__init__`` and ``__slots__`` matter at throughput-bench scale.
     Value equality is field-wise, matching the old dataclass semantics
     (and, like a dataclass with ``eq=True``, instances are unhashable).

@@ -92,13 +92,10 @@ class Workload:
     ``AsyncClock``: Poisson arrivals accumulate from its ``now`` at
     :meth:`start` (0.0 in the simulator), each armed with ``call_at``.
 
-    ``on_outcome`` (the sink, usually the monitor's ``record``) is
-    released when the last outcome reports, as the completion hook is.
-    The workload (through its bound-once ``_op_done``), coordinators,
-    sites and network outlive the run as reference cycles; a sink they
-    still reached would keep the monitor's outcomes alive until the
-    collector reclaims those cycles, instead of freeing them with the
-    last reference to the monitor.
+    ``on_outcome`` (the sink: the monitor and any observer) is released
+    when the last outcome reports, as the completion hook is, so the
+    reference cycles the run leaves behind (workload, coordinators,
+    sites, network) keep no monitor alive until the next collection.
     """
 
     def __init__(

@@ -91,8 +91,10 @@ class TestDeterminism:
         # construction and consumed there gave the second simulate() of
         # the same config a different failure schedule.
         config = replace(chaos_config(seed=3), failures=failures)
-        first = simulate(config).monitor
-        assert simulate(config).monitor.outcomes == first.outcomes
+        first, second = [], []
+        simulate(config, on_outcome=first.append)
+        simulate(config, on_outcome=second.append)
+        assert second == first
 
     def test_serial_matches_parallel_under_chaos(self):
         run = partial(simulated_monitor, CHAOS_ARGS)

@@ -11,12 +11,15 @@ import pytest
 
 from repro.core.builder import from_spec, recommended_tree
 from repro.sim import BernoulliFailures, SimulationConfig, WorkloadSpec, simulate
-from tests.integration.test_consistency import audit_one_copy_equivalence
+from tests.integration.test_consistency import (
+    audit_one_copy_equivalence,
+    simulate_observed,
+)
 
 
 class TestDuplication:
     def test_duplicates_are_harmless(self):
-        result = simulate(
+        result, outcomes = simulate_observed(
             SimulationConfig(
                 tree=from_spec("1-3-5"),
                 workload=WorkloadSpec(operations=1500, read_fraction=0.5, keys=8),
@@ -27,10 +30,10 @@ class TestDuplication:
         assert result.network_stats.duplicated > 100
         assert result.monitor.reads.failed == 0
         assert result.monitor.writes.failed == 0
-        assert audit_one_copy_equivalence(result) == 0
+        assert audit_one_copy_equivalence(outcomes) == 0
 
     def test_no_double_applies(self):
-        result = simulate(
+        result, outcomes = simulate_observed(
             SimulationConfig(
                 tree=from_spec("1-3-5"),
                 workload=WorkloadSpec(operations=600, read_fraction=0.0, keys=4),
@@ -42,7 +45,7 @@ class TestDuplication:
         # each successful write commits at exactly its quorum members once
         expected = sum(
             len(outcome.quorum)
-            for outcome in result.monitor.outcomes
+            for outcome in outcomes
             if outcome.success
         )
         assert commits == expected
@@ -57,7 +60,7 @@ class TestRandomLatency:
         ids=["uniform", "exponential"],
     )
     def test_consistency_with_random_latency(self, latency):
-        result = simulate(
+        result, outcomes = simulate_observed(
             SimulationConfig(
                 tree=from_spec("1-3-5"),
                 workload=WorkloadSpec(
@@ -72,12 +75,12 @@ class TestRandomLatency:
         )
         assert result.monitor.reads.failed == 0
         assert result.monitor.writes.failed == 0
-        assert audit_one_copy_equivalence(result) == 0
+        assert audit_one_copy_equivalence(outcomes) == 0
 
 
 class TestEverythingAtOnce:
     def test_chaos_run(self):
-        result = simulate(
+        result, outcomes = simulate_observed(
             SimulationConfig(
                 tree=recommended_tree(30),
                 workload=WorkloadSpec(
@@ -94,7 +97,7 @@ class TestEverythingAtOnce:
                 seed=44,
             )
         )
-        assert audit_one_copy_equivalence(result) == 0
+        assert audit_one_copy_equivalence(outcomes) == 0
         # the run actually exercised everything
         assert result.network_stats.dropped_loss > 0
         assert result.network_stats.duplicated > 0

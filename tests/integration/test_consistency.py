@@ -15,7 +15,14 @@ from repro.sim.failures import CompositeFailures, CrashRepairProcess, PartitionS
 from repro.sim.network import PartitionSpec
 
 
-def audit_one_copy_equivalence(result) -> int:
+def simulate_observed(config: SimulationConfig):
+    """``simulate(config)`` and every outcome it reported, in completion
+    order (the result keeps none)."""
+    outcomes: list = []
+    return simulate(config, on_outcome=outcomes.append), outcomes
+
+
+def audit_one_copy_equivalence(outcomes) -> int:
     """Number of reads that returned something other than the latest write.
 
     Operations are audited in completion order.  With a single coordinator
@@ -25,7 +32,7 @@ def audit_one_copy_equivalence(result) -> int:
     """
     latest: dict = {}
     violations = 0
-    for outcome in result.monitor.outcomes:
+    for outcome in outcomes:
         if not outcome.success:
             continue
         if outcome.op_type == "write":
@@ -39,18 +46,18 @@ def audit_one_copy_equivalence(result) -> int:
 
 class TestOneCopyEquivalence:
     def test_failure_free(self):
-        result = simulate(
+        _, outcomes = simulate_observed(
             SimulationConfig(
                 tree=from_spec("1-3-5"),
                 workload=WorkloadSpec(operations=2000, read_fraction=0.6, keys=8),
                 seed=1,
             )
         )
-        assert audit_one_copy_equivalence(result) == 0
+        assert audit_one_copy_equivalence(outcomes) == 0
 
     @pytest.mark.parametrize("seed", [2, 3, 4])
     def test_bernoulli_failures(self, seed):
-        result = simulate(
+        _, outcomes = simulate_observed(
             SimulationConfig(
                 tree=from_spec("1-3-5"),
                 workload=WorkloadSpec(operations=2000, read_fraction=0.5, keys=6),
@@ -60,10 +67,10 @@ class TestOneCopyEquivalence:
                 seed=seed,
             )
         )
-        assert audit_one_copy_equivalence(result) == 0
+        assert audit_one_copy_equivalence(outcomes) == 0
 
     def test_crash_repair_churn(self):
-        result = simulate(
+        result, outcomes = simulate_observed(
             SimulationConfig(
                 tree=recommended_tree(30),
                 workload=WorkloadSpec(operations=2500, read_fraction=0.5, keys=10),
@@ -77,7 +84,7 @@ class TestOneCopyEquivalence:
         )
         # churn must actually have happened
         assert sum(site.stats.crashes for site in result.sites) > 10
-        assert audit_one_copy_equivalence(result) == 0
+        assert audit_one_copy_equivalence(outcomes) == 0
 
     def test_partition_window(self):
         tree = from_spec("1-3-5")
@@ -85,7 +92,7 @@ class TestOneCopyEquivalence:
             set(tree.replica_ids_at(1)),
             set(tree.replica_ids_at(2)) | {-1},
         )
-        result = simulate(
+        result, outcomes = simulate_observed(
             SimulationConfig(
                 tree=tree,
                 workload=WorkloadSpec(operations=1200, read_fraction=0.5, keys=6),
@@ -96,10 +103,10 @@ class TestOneCopyEquivalence:
             )
         )
         assert result.network_stats.dropped_partition >= 0
-        assert audit_one_copy_equivalence(result) == 0
+        assert audit_one_copy_equivalence(outcomes) == 0
 
     def test_lossy_network_with_churn(self):
-        result = simulate(
+        _, outcomes = simulate_observed(
             SimulationConfig(
                 tree=mostly_write(9),
                 workload=WorkloadSpec(operations=1500, read_fraction=0.4, keys=6),
@@ -114,10 +121,10 @@ class TestOneCopyEquivalence:
                 seed=7,
             )
         )
-        assert audit_one_copy_equivalence(result) == 0
+        assert audit_one_copy_equivalence(outcomes) == 0
 
     def test_versions_strictly_increase_per_key(self):
-        result = simulate(
+        _, outcomes = simulate_observed(
             SimulationConfig(
                 tree=from_spec("1-3-5"),
                 workload=WorkloadSpec(operations=2000, read_fraction=0.3, keys=4),
@@ -128,7 +135,7 @@ class TestOneCopyEquivalence:
             )
         )
         last_version: dict = {}
-        for outcome in result.monitor.outcomes:
+        for outcome in outcomes:
             if outcome.op_type != "write" or not outcome.success:
                 continue
             version = outcome.timestamp.version
@@ -137,7 +144,7 @@ class TestOneCopyEquivalence:
 
     def test_reads_never_go_backwards(self):
         """Monotone reads per key (a consequence of quorum intersection)."""
-        result = simulate(
+        _, outcomes = simulate_observed(
             SimulationConfig(
                 tree=from_spec("1-3-5"),
                 workload=WorkloadSpec(operations=2000, read_fraction=0.7, keys=4),
@@ -148,7 +155,7 @@ class TestOneCopyEquivalence:
             )
         )
         highest_read: dict = {}
-        for outcome in result.monitor.outcomes:
+        for outcome in outcomes:
             if outcome.op_type != "read" or not outcome.success:
                 continue
             if outcome.timestamp is None:

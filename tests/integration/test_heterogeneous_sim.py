@@ -54,11 +54,14 @@ class TestHeterogeneousFleet:
         assert result.monitor.writes.availability > 0.97
 
     def test_consistency_holds_with_heterogeneous_failures(self):
-        from tests.integration.test_consistency import audit_one_copy_equivalence
+        from tests.integration.test_consistency import (
+            audit_one_copy_equivalence,
+            simulate_observed,
+        )
 
         tree = from_spec("1-3-5")
         p_map = {sid: 0.6 + 0.05 * sid for sid in range(8)}
-        result = simulate(
+        _, outcomes = simulate_observed(
             SimulationConfig(
                 tree=tree,
                 workload=WorkloadSpec(operations=1500, read_fraction=0.5, keys=6),
@@ -68,4 +71,4 @@ class TestHeterogeneousFleet:
                 seed=5,
             )
         )
-        assert audit_one_copy_equivalence(result) == 0
+        assert audit_one_copy_equivalence(outcomes) == 0

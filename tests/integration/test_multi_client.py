@@ -4,12 +4,15 @@ import pytest
 
 from repro.core.builder import from_spec, recommended_tree
 from repro.sim import BernoulliFailures, SimulationConfig, WorkloadSpec, simulate
-from tests.integration.test_consistency import audit_one_copy_equivalence
+from tests.integration.test_consistency import (
+    audit_one_copy_equivalence,
+    simulate_observed,
+)
 
 
 class TestMultiClient:
     def test_failure_free_concurrency(self):
-        result = simulate(
+        result, outcomes = simulate_observed(
             SimulationConfig(
                 tree=from_spec("1-3-5"),
                 workload=WorkloadSpec(
@@ -22,11 +25,11 @@ class TestMultiClient:
         )
         assert result.monitor.reads.failed == 0
         assert result.monitor.writes.failed == 0
-        assert audit_one_copy_equivalence(result) == 0
+        assert audit_one_copy_equivalence(outcomes) == 0
 
     def test_contention_on_single_key(self):
         """Every operation hits one key: the lock manager must serialise."""
-        result = simulate(
+        result, outcomes = simulate_observed(
             SimulationConfig(
                 tree=from_spec("1-3-5"),
                 workload=WorkloadSpec(
@@ -38,10 +41,10 @@ class TestMultiClient:
             )
         )
         assert result.monitor.writes.failed == 0
-        assert audit_one_copy_equivalence(result) == 0
+        assert audit_one_copy_equivalence(outcomes) == 0
         versions = [
             outcome.timestamp.version
-            for outcome in result.monitor.outcomes
+            for outcome in outcomes
             if outcome.op_type == "write" and outcome.success
         ]
         # strictly increasing versions across DIFFERENT writers
@@ -49,7 +52,7 @@ class TestMultiClient:
         assert len(set(versions)) == len(versions)
 
     def test_multi_client_with_failures(self):
-        result = simulate(
+        _, outcomes = simulate_observed(
             SimulationConfig(
                 tree=recommended_tree(30),
                 workload=WorkloadSpec(
@@ -63,12 +66,12 @@ class TestMultiClient:
                 seed=33,
             )
         )
-        assert audit_one_copy_equivalence(result) == 0
+        assert audit_one_copy_equivalence(outcomes) == 0
 
     def test_version_floor_shared_across_clients(self):
         """Writer A's version must be visible to writer B even when B's
         version quorum cannot reach A's write level."""
-        result = simulate(
+        _, outcomes = simulate_observed(
             SimulationConfig(
                 tree=from_spec("1-3-5"),
                 workload=WorkloadSpec(
@@ -83,7 +86,7 @@ class TestMultiClient:
             )
         )
         per_key_versions: dict = {}
-        for outcome in result.monitor.outcomes:
+        for outcome in outcomes:
             if not outcome.success:
                 continue
             versions = per_key_versions.setdefault(outcome.key, [])

@@ -48,9 +48,9 @@ def run_partitioned(config: SimulationConfig):
 
 class TestTraceWellFormed:
     def setup_method(self):
-        result = simulate(lossy_config())
+        self.outcomes = []
+        result = simulate(lossy_config(), on_outcome=self.outcomes.append)
         self.recorder = result.recorder
-        self.outcomes = result.monitor.outcomes
         self.network_stats = result.network_stats
 
     def test_recorder_enabled_and_loss_actually_happened(self):

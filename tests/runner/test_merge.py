@@ -14,7 +14,7 @@ from repro.sim import SimulationConfig, WorkloadSpec, simulate
 from repro.sim.monitor import Monitor, OperationSummary
 
 
-def _run(seed: int, trace: bool = False) -> Monitor:
+def _run(seed: int, trace: bool = False, on_outcome=None) -> Monitor:
     from repro.core import from_spec
 
     config = SimulationConfig(
@@ -23,7 +23,7 @@ def _run(seed: int, trace: bool = False) -> Monitor:
         seed=seed,
         trace=trace,
     )
-    return simulate(config).monitor
+    return simulate(config, on_outcome=on_outcome).monitor
 
 
 # ----------------------------------------------------------------------
@@ -55,15 +55,16 @@ def test_summary_merge_adds_counters_and_concatenates_latencies():
 
 
 def test_monitor_merge_equals_recording_all_outcomes_in_order():
-    first, second = _run(1), _run(2)
+    outcomes = []
+    first = _run(1, on_outcome=outcomes.append)
+    second = _run(2, on_outcome=outcomes.append)
     replay = Monitor(replica_ids=first._replica_ids)
-    for outcome in first.outcomes + second.outcomes:
+    for outcome in outcomes:
         replay.record(outcome)
     merged = merge_monitors([first, second])
     assert merged is first
     assert merged.reads == replay.reads
     assert merged.writes == replay.writes
-    assert merged.outcomes == replay.outcomes
     assert merged._read_touches == replay._read_touches
     assert merged._write_touches == replay._write_touches
     assert merged.summary() == replay.summary()

@@ -111,7 +111,7 @@ def test_cluster_serves_sigkill_survives_and_shuts_down_clean():
             assert monitor.reads.attempted == 30
             assert monitor.reads.failed == 0
             post_kill = [
-                outcome for outcome in monitor.outcomes
+                outcome for outcome in reported
                 if outcome.started_at >= killed_at[0]
             ]
             assert len(post_kill) == 20

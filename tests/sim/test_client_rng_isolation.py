@@ -54,9 +54,10 @@ def test_workload_and_network_streams_ignore_client_count():
 
 
 def test_multi_client_simulation_is_deterministic():
-    first = simulate(_config(clients=3))
-    second = simulate(_config(clients=3))
-    assert first.monitor.outcomes == second.monitor.outcomes
+    outcomes_first, outcomes_second = [], []
+    first = simulate(_config(clients=3), on_outcome=outcomes_first.append)
+    second = simulate(_config(clients=3), on_outcome=outcomes_second.append)
+    assert outcomes_first == outcomes_second
     assert first.monitor.summary() == second.monitor.summary()
     assert first.duration == second.duration
 

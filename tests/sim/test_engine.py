@@ -88,7 +88,8 @@ class TestSimulate:
         """
 
         def run():
-            return simulate(
+            outcomes = []
+            monitor = simulate(
                 SimulationConfig(
                     tree=from_spec("1-3-5"),
                     workload=WorkloadSpec(
@@ -98,32 +99,37 @@ class TestSimulate:
                     failures=BernoulliFailures(p=0.8, seed=11, resample_every=25.0),
                     timeout=6.0,
                     seed=11,
-                )
+                ),
+                on_outcome=outcomes.append,
             ).monitor
+            return monitor, outcomes
 
-        a, b = run(), run()
+        (a, outcomes_a), (b, outcomes_b) = run(), run()
         trace_a = [
             (o.op_type, o.key, o.success, o.quorum, o.version_quorum,
              o.attempts, o.started_at, o.finished_at, o.reason)
-            for o in a.outcomes
+            for o in outcomes_a
         ]
         trace_b = [
             (o.op_type, o.key, o.success, o.quorum, o.version_quorum,
              o.attempts, o.started_at, o.finished_at, o.reason)
-            for o in b.outcomes
+            for o in outcomes_b
         ]
         assert trace_a == trace_b
         assert_summaries_equal(a.summary(), b.summary())
 
     def test_different_seeds_differ(self):
         def run(seed):
-            return simulate(
+            outcomes = []
+            simulate(
                 SimulationConfig(
                     tree=from_spec("1-3-5"),
                     workload=WorkloadSpec(operations=100),
                     seed=seed,
-                )
-            ).monitor.outcomes
+                ),
+                on_outcome=outcomes.append,
+            )
+            return outcomes
 
         keys_a = [outcome.key for outcome in run(1)]
         keys_b = [outcome.key for outcome in run(2)]

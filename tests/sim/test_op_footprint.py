@@ -1,12 +1,15 @@
 """What the simulator keeps per operation, and what a finished run frees.
 
 A queued operation holds its context and one lock request, read outcomes
-share one empty version quorum, and a finished run's outcomes go with
-the last reference to its monitor, by reference counting.
+share one empty version quorum, a finished run keeps its measurements
+(counters and latency samples) and no outcome, and its monitor goes with
+the last reference to it, by reference counting.
 """
 
 import functools
 import gc
+import pickle
+import tracemalloc
 import weakref
 
 from repro.core.builder import from_spec
@@ -14,6 +17,7 @@ from repro.quorums import selection
 from repro.quorums.selection import EMPTY_QUORUM
 from repro.sim.engine import (
     SimulationConfig,
+    SimulationResult,
     build_simulation,
     run_workload,
     simulate,
@@ -36,6 +40,55 @@ def _saturated(operations: int = 500, **overrides) -> SimulationConfig:
     )
 
 
+def _held_bytes(operations: int) -> tuple[int, SimulationResult]:
+    """Bytes a finished ``SimulationResult`` still holds (``tracemalloc``,
+    after a collection), and the result."""
+    gc.collect()
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = simulate(_saturated(operations))
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0] - before, result
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+class TestAFinishedRunKeepsItsMeasurementsOnly:
+    """The summary reads aggregates only; an outcome kept per operation
+    (about 240 B held, 94 B pickled back per ``--jobs`` repeat) bought
+    nothing."""
+
+    def test_a_result_holds_at_most_64_bytes_per_extra_operation(self):
+        small, _ = _held_bytes(2_000)
+        large, result = _held_bytes(6_000)
+        assert result.monitor.total_operations == 6_000
+        assert (large - small) / 4_000 <= 64
+
+    def test_a_pickled_monitor_grows_at_most_16_bytes_per_extra_operation(
+        self,
+    ):
+        small = len(pickle.dumps(simulate(_saturated(2_000)).monitor))
+        large = len(pickle.dumps(simulate(_saturated(6_000)).monitor))
+        assert (large - small) / 4_000 <= 16
+
+    def test_only_a_reshaped_run_keeps_its_read_spans(self):
+        assert simulate(_saturated()).read_spans == []
+        outcomes = []
+        result = simulate(
+            _saturated(reshape_at=20.0, reshape_spec="1-4-4"),
+            on_outcome=outcomes.append,
+        )
+        assert result.reconfiguration is not None
+        assert result.read_spans and result.read_spans == [
+            (o.started_at, o.finished_at, o.success)
+            for o in outcomes if o.op_type == "read"
+        ]
+
+
 class TestAFinishedRunFreesItself:
     def test_a_dropped_result_frees_its_outcomes(self):
         enabled = gc.isenabled()
@@ -43,7 +96,7 @@ class TestAFinishedRunFreesItself:
         try:
             result = simulate(_saturated())
             monitor = weakref.ref(result.monitor)
-            assert len(result.monitor.outcomes) == 500
+            assert result.monitor.total_operations == 500
             del result
             assert monitor() is None
         finally:
@@ -67,7 +120,8 @@ class TestAFinishedRunFreesItself:
 class TestReadsShareOneEmptyQuorum:
     def test_every_read_outcome_holds_the_same_empty_version_quorum(self):
         for overrides in ({}, {"leases": True}):
-            outcomes = simulate(_saturated(**overrides)).monitor.outcomes
+            outcomes = []
+            simulate(_saturated(**overrides), on_outcome=outcomes.append)
             reads = [o for o in outcomes if o.op_type == "read"]
             assert reads
             assert {id(o.version_quorum) for o in reads} == {id(EMPTY_QUORUM)}

@@ -31,9 +31,11 @@ class TestWorkloadSpec:
             WorkloadSpec(**kwargs)
 
 
-def _run_workload(spec: WorkloadSpec, seed: int = 0):
+def _run_workload(spec: WorkloadSpec, seed: int = 0, on_outcome=None):
     config = SimulationConfig(tree=from_spec("1-3-5"), workload=spec, seed=seed)
-    scheduler, workload, monitor, network, sites = build_simulation(config)
+    scheduler, workload, monitor, network, sites = build_simulation(
+        config, on_outcome=on_outcome
+    )
     workload.start()
     while workload.completed < spec.operations:
         assert scheduler.step(), "stalled"
@@ -89,11 +91,13 @@ class TestWorkloadExecution:
         assert fired == [5]
 
     def test_zipf_skews_keys(self):
-        _workload, monitor = _run_workload(
-            WorkloadSpec(operations=400, keys=8, zipf_s=1.5, read_fraction=1.0)
+        outcomes = []
+        _run_workload(
+            WorkloadSpec(operations=400, keys=8, zipf_s=1.5, read_fraction=1.0),
+            on_outcome=outcomes.append,
         )
         counts = {}
-        for outcome in monitor.outcomes:
+        for outcome in outcomes:
             counts[outcome.key] = counts.get(outcome.key, 0) + 1
         assert counts.get("k0", 0) > counts.get("k7", 0)
 
