@@ -56,24 +56,27 @@ def survey(n: int = 121) -> list[RelatedWorkEntry]:
     rowa = quorum_system("rowa", n)
     entries.append(RelatedWorkEntry(
         protocol="ROWA", reference="[3]", n=rowa.n,
-        read_cost_best=1, read_cost_worst=1, write_cost=rowa.n,
+        read_cost_best=int(rowa.read_cost()),
+        read_cost_worst=int(rowa.read_cost()),
+        write_cost=int(rowa.write_cost()),
         read_load=rowa.load("read"), write_load=rowa.load("write"),
     ))
 
     majority = quorum_system("majority", n)
     entries.append(RelatedWorkEntry(
         protocol="Majority", reference="[13]", n=majority.n,
-        read_cost_best=(majority.n + 1) / 2,
-        read_cost_worst=(majority.n + 1) / 2,
-        write_cost=(majority.n + 1) / 2,
+        read_cost_best=majority.read_cost(),
+        read_cost_worst=majority.read_cost(),
+        write_cost=majority.write_cost(),
         read_load=majority.load("read"), write_load=majority.load("write"),
     ))
 
     fpp = fpp_system(n)
     entries.append(RelatedWorkEntry(
         protocol="FPP (sqrt n)", reference="[9]", n=fpp.n,
-        read_cost_best=fpp.quorum_size(), read_cost_worst=fpp.quorum_size(),
-        write_cost=fpp.quorum_size(),
+        read_cost_best=int(fpp.read_cost()),
+        read_cost_worst=int(fpp.read_cost()),
+        write_cost=int(fpp.write_cost()),
         read_load=fpp.load("read"), write_load=fpp.load("write"),
     ))
 

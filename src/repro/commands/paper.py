@@ -31,7 +31,8 @@ def _print_example() -> None:
     print(format_table(
         ["quantity", "value"],
         [
-            ["m(R)", 15], ["m(W)", 2],
+            ["m(R)", metrics.num_read_quorums],
+            ["m(W)", metrics.num_write_quorums],
             ["RD_cost", metrics.read_cost],
             ["RD_availability(0.7)", round(metrics.read_availability, 4)],
             ["L_RD", round(metrics.read_load, 4)],

@@ -41,7 +41,6 @@ _EXPORTS = {
     "as_oracle": "liveness",
     "estimate_availability_monte_carlo": "availability",
     "exact_availability": "availability",
-    "induced_loads": "strategy",
     "is_antichain": "base",
     "is_intersecting": "base",
     "operation_availability": "availability",

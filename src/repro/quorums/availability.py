@@ -272,10 +272,3 @@ def operation_availability(
     return system_availability(
         quorums, p, universe=system.universe, samples=samples, seed=seed
     )
-
-
-def best_not_to_replicate(p: float) -> bool:
-    """Peleg-Wool criterion: with per-replica availability below 1/2 the
-    most available "quorum system" is a single centralised site (the paper
-    cites this to justify assuming ``p > 1/2``)."""
-    return p < 0.5

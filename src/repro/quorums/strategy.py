@@ -104,13 +104,6 @@ class Strategy:
         )
 
 
-def induced_loads(
-    system: SetSystem, weights: Sequence[float]
-) -> dict[Element, float]:
-    """Convenience wrapper: per-element loads for explicit weights."""
-    return Strategy(system, tuple(float(w) for w in weights)).element_loads()
-
-
 def system_load(
     quorums: Iterable[Collection[Element]],
     weights: Sequence[float] | None = None,

@@ -96,9 +96,9 @@ class SimulationConfig:
         :class:`~repro.fault.detector.SuspectList` to every coordinator:
         silent quorum members accumulate suspicion evidence and quorum
         selection prefers quorums avoiding suspected sites.
-    probe_interval / suspect_threshold:
-        Failure-detector tuning (how long suspicion lasts before a site
-        is rehabilitated, and how many pieces of evidence it takes).
+    probe_interval:
+        Failure-detector tuning: how long suspicion lasts before a site
+        is rehabilitated.
     check_invariants:
         When True, :func:`simulate` audits every completed operation with
         an :class:`~repro.fault.invariants.InvariantChecker` (quorum
@@ -139,7 +139,6 @@ class SimulationConfig:
     retry_policy: RetryPolicySpec | None = None
     detector: bool = False
     probe_interval: float = 30.0
-    suspect_threshold: int = 1
     check_invariants: bool = False
     leases: bool = False
     reshape_at: float = 0.0
@@ -267,11 +266,7 @@ def build_coordinators(
     # client's timeouts steers every client's selection (the detector
     # models a site-local subsystem, not per-operation state).
     suspects = (
-        SuspectList(
-            probe_interval=config.probe_interval,
-            threshold=config.suspect_threshold,
-            recorder=recorder,
-        )
+        SuspectList(probe_interval=config.probe_interval, recorder=recorder)
         if config.detector
         else None
     )

@@ -6,7 +6,6 @@ import math
 import pytest
 
 from repro.quorums.availability import (
-    best_not_to_replicate,
     estimate_availability_monte_carlo,
     exact_availability,
     system_availability,
@@ -123,9 +122,3 @@ class TestMonotonicity:
             assert exact_availability(extended, p, universe=range(4)) >= (
                 exact_availability(base, p, universe=range(4))
             )
-
-
-class TestPelegWool:
-    def test_below_half_prefer_single_king(self):
-        assert best_not_to_replicate(0.4)
-        assert not best_not_to_replicate(0.6)

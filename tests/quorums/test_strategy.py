@@ -3,7 +3,7 @@
 import pytest
 
 from repro.quorums.base import SetSystem
-from repro.quorums.strategy import Strategy, induced_loads, system_load
+from repro.quorums.strategy import Strategy, system_load
 
 
 @pytest.fixture
@@ -99,8 +99,3 @@ class TestModuleHelpers:
 
     def test_system_load_explicit_weights(self):
         assert system_load([{0}, {1}], weights=[0.9, 0.1]) == pytest.approx(0.9)
-
-    def test_induced_loads_helper(self):
-        system = SetSystem([{0, 1}, {1, 2}])
-        loads = induced_loads(system, [0.5, 0.5])
-        assert loads == {0: 0.5, 1: 1.0, 2: 0.5}
