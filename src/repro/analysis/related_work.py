@@ -4,13 +4,13 @@ Section 1 of the paper walks through the replica control landscape with a
 specific cost/load figure for each protocol.  This module reproduces that
 survey as data: one :class:`RelatedWorkEntry` per protocol with the intro's
 formulas evaluated at a given ``n`` (snapped to each protocol's admissible
-sizes), used by ``benchmarks/bench_related_work.py``.
+sizes), used by ``benchmarks/bench_paper.py``.
 
 Every constructible protocol comes out of :mod:`repro.protocols.zoo` as a
 unified :class:`~repro.quorums.system.QuorumSystem`; the per-row load
 figures are read through the interface's ``load(op)`` accessor (which each
-protocol backs with its closed form), while the cost columns use the
-protocol-specific formulas the intro quotes.
+protocol backs with its closed form), and the cost columns through each
+protocol's ``read_cost`` / ``write_cost`` or its own cost accessors.
 
 Two of the surveyed tree protocols are represented by their published cost
 formulas only (the paper cites but does not define them):

@@ -16,7 +16,7 @@ strategy) and the dual (the witness ``y``) with :func:`scipy.optimize.linprog`.
 
 This module is the ground truth against which the paper's closed-form loads
 (``1/d`` for reads, ``1/|K_phy|`` for writes, Appendix 6) are verified in the
-test suite and in ``benchmarks/bench_load_optimality.py``.
+test suite and in ``benchmarks/bench_paper.py``.
 """
 
 from __future__ import annotations

@@ -51,7 +51,6 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 #: Why an unreached function may stay (the second column of a kept row).
 CATEGORIES = (
-    "paper",        # the paper's definitions, closed forms and proofs
     "reference",    # the plain twin an optimised kernel is tested against
     "safety",       # error handling and validation no run trips
     "declaration",  # a Protocol / ABC method or a dunder
