@@ -59,7 +59,7 @@ from repro.quorums.liveness import LivenessOracle
 from repro.quorums.selection import EMPTY_QUORUM, QuorumChooser, SelectionIndex
 from repro.quorums.system import QuorumSystem
 from repro.sim.leases import LeaseCache
-from repro.sim.locks import LockManager, LockMode
+from repro.sim.locks import LockManager, LockMode, LockRequest
 from repro.sim.messages import (
     AbortMessage,
     AckMessage,
@@ -88,18 +88,34 @@ class _Stage(enum.Enum):
     COMMIT = "commit"
 
 
-class _OpContext:
-    """Per-operation protocol state.
+class _QueuedOp(LockRequest):
+    """An operation until its lock is granted: the lock request itself
+    (``txid`` is the lock token, ``callback`` the coordinator's bound-once
+    ``_lock_decided``) plus what it was submitted with.  Its operation
+    type and first stage follow from ``mode`` and ``copy_read``; nothing
+    refers back to it, so reference counting frees it at the grant."""
 
-    A hand-rolled slotted class rather than a slotted dataclass: one is
-    constructed per operation (per submission, even), and a flat
-    ``__init__`` assigning its slots directly is several times cheaper
-    than the generated 30-parameter dataclass one.  A context is most of
-    what an operation queued for its lock holds (with its lock request,
-    whose callback is the coordinator's one bound method), so it holds
-    no collections until :meth:`QuorumCoordinator._start_attempt` gives
-    each attempt fresh ones — ``replies``, plus ``versions``/``votes``/
-    ``acks`` for writes — and its quorums start as the shared
+    __slots__ = ("key", "value", "on_done", "started_at", "copy_read")
+
+    def __init__(
+        self, txid: int, mode: LockMode, callback: Callable[[Any], None],
+        key: Any, value: Any, on_done: DoneCallback, started_at: float,
+        copy_read: bool,
+    ) -> None:
+        self.txid, self.mode, self.callback = txid, mode, callback
+        self.key, self.value, self.on_done = key, value, on_done
+        self.started_at, self.copy_read = started_at, copy_read
+
+
+class _OpContext:
+    """Per-operation protocol state, from the lock's grant on.
+
+    A hand-rolled slotted class rather than a slotted dataclass (a flat
+    ``__init__`` is several times cheaper than the generated one), built
+    from the operation's :class:`_QueuedOp` when its lock is granted.
+    It holds no collections until :meth:`QuorumCoordinator._start_attempt`
+    gives each attempt fresh ones — ``replies``, plus ``versions``/
+    ``votes``/``acks`` for writes — and its quorums start as the shared
     :data:`~repro.quorums.selection.EMPTY_QUORUM`, which a read's
     ``version_quorum`` keeps.
     """
@@ -110,20 +126,13 @@ class _OpContext:
         "version_quorum", "replies", "versions", "votes", "acks",
         "write_timestamp", "timeout_handle", "finished",
         "copy_read", "speculative", "version_members", "trace_id", "op_span",
-        "lock_span", "attempt_span", "phase_span",
+        "attempt_span", "phase_span",
     )
 
     def __init__(
-        self,
-        op_type: str,
-        key: Any,
-        on_done: DoneCallback,
-        lock_token: int,
-        started_at: float,
-        value: Any = None,
-        stage: _Stage = _Stage.READ,
-        copy_read: bool = False,
-        finished: bool = False,
+        self, op_type: str, key: Any, on_done: DoneCallback, lock_token: int,
+        started_at: float, value: Any = None, stage: _Stage = _Stage.READ,
+        copy_read: bool = False, finished: bool = False,
     ) -> None:
         self.op_type = op_type
         self.key = key
@@ -155,7 +164,6 @@ class _OpContext:
         # Trace span ids (0 = no span; only set when a recorder is enabled).
         self.trace_id = 0
         self.op_span = 0
-        self.lock_span = 0
         self.attempt_span = 0
         self.phase_span = 0
 
@@ -312,8 +320,11 @@ class QuorumCoordinator:
         # quorums ever selected; sorted order never changes, so entries
         # survive reconfiguration unharmed.
         self._sorted_members: dict[frozenset[int], list[int]] = {}
-        # Bound once: every lock request carries this and its ``ctx``.
+        # Bound once: every lock request carries this.
         self._on_lock_granted = self._lock_decided
+        # Lock token -> (trace id, lock-wait span) of an operation waiting
+        # for its lock; only fed when tracing.
+        self._lock_waits: dict[int, tuple[int, int]] = {}
         network.register(sid, self)
 
     #: Endpoint-protocol liveness: coordinators do not fail in this model.
@@ -389,28 +400,11 @@ class QuorumCoordinator:
         """
         if self._leases is not None and self._serve_leased(key, on_done):
             return
-        ctx = _OpContext(
-            op_type="read",
-            key=key,
-            on_done=on_done,
-            lock_token=self._tx_ids.next_id(),
-            started_at=self._clock.now,
-            stage=_Stage.READ,
-        )
-        self._acquire(ctx, LockMode.SHARED)
+        self._acquire(key, None, on_done, LockMode.SHARED, False)
 
     def write(self, key: Any, value: Any, on_done: DoneCallback) -> None:
         """Issue a quorum write; ``on_done`` fires exactly once."""
-        ctx = _OpContext(
-            op_type="write",
-            key=key,
-            value=value,
-            on_done=on_done,
-            lock_token=self._tx_ids.next_id(),
-            started_at=self._clock.now,
-            stage=_Stage.PREPARE,
-        )
-        self._acquire(ctx, LockMode.EXCLUSIVE)
+        self._acquire(key, value, on_done, LockMode.EXCLUSIVE, False)
 
     def copy_key(self, key: Any, on_done: DoneCallback) -> None:
         """Atomically re-write ``key``'s current value at a fresh version.
@@ -425,16 +419,7 @@ class QuorumCoordinator:
         trees' write quorums.  A never-written key (dominant value
         ``None``) completes successfully without writing anything.
         """
-        ctx = _OpContext(
-            op_type="write",
-            key=key,
-            on_done=on_done,
-            lock_token=self._tx_ids.next_id(),
-            started_at=self._clock.now,
-            stage=_Stage.READ,
-            copy_read=True,
-        )
-        self._acquire(ctx, LockMode.EXCLUSIVE)
+        self._acquire(key, None, on_done, LockMode.EXCLUSIVE, True)
 
     # ------------------------------------------------------------------
     # read leases
@@ -464,29 +449,12 @@ class QuorumCoordinator:
     # trace span helpers
     # ------------------------------------------------------------------
 
-    def _trace_operation_start(self, ctx: _OpContext, mode: LockMode) -> None:
-        recorder = self._recorder
-        if not recorder.enabled:
-            return
-        now = self._clock.now
-        ctx.trace_id = ctx.op_span = recorder.start_trace(
-            ctx.op_type, now, key=str(ctx.key), coordinator=self.sid
-        )
-        ctx.lock_span = recorder.start_span(
-            ctx.trace_id, ctx.op_span, "lock_wait", SpanKind.LOCK_WAIT, now,
-            op=ctx.op_type, mode=mode.value,
-        )
-
     def _begin_phase(
         self, ctx: _OpContext, name: str, quorum_size: int, **attributes: Any
     ) -> None:
         recorder = self._recorder
-        if not recorder.enabled:
-            return
         now = self._clock.now
-        if ctx.phase_span:
-            recorder.end_span(ctx.phase_span, now)
-            ctx.phase_span = 0
+        self._end_phase(ctx)
         recorder.event(
             ctx.trace_id, ctx.attempt_span, "quorum_select", now,
             op=ctx.op_type, stage=name, size=quorum_size,
@@ -504,32 +472,57 @@ class QuorumCoordinator:
             ctx.phase_span = 0
 
     def _close_attempt(self, ctx: _OpContext, status: str = STATUS_OK) -> None:
-        recorder = self._recorder
-        if not recorder.enabled:
-            return
         self._end_phase(ctx, status=status)
         if ctx.attempt_span:
-            recorder.end_span(ctx.attempt_span, self._clock.now, status=status)
+            self._recorder.end_span(
+                ctx.attempt_span, self._clock.now, status=status
+            )
             ctx.attempt_span = 0
 
     # ------------------------------------------------------------------
     # lock handling
     # ------------------------------------------------------------------
 
-    def _acquire(self, ctx: _OpContext, mode: LockMode) -> None:
+    def _acquire(
+        self, key: Any, value: Any, on_done: DoneCallback, mode: LockMode,
+        copy_read: bool,
+    ) -> None:
         """Every operation starts here: open its trace, queue for its lock."""
+        request = _QueuedOp(
+            self._tx_ids.next_id(), mode, self._on_lock_granted, key, value,
+            on_done, self._clock.now, copy_read,
+        )
         if self._trace_enabled:
-            self._trace_operation_start(ctx, mode)
+            recorder = self._recorder
+            now = self._clock.now
+            op_type = "read" if mode is LockMode.SHARED else "write"
+            trace_id = recorder.start_trace(
+                op_type, now, key=str(key), coordinator=self.sid
+            )
+            self._lock_waits[request.txid] = trace_id, recorder.start_span(
+                trace_id, trace_id, "lock_wait", SpanKind.LOCK_WAIT, now,
+                op=op_type, mode=mode.value,
+            )
         self._locks.acquire(
-            ctx.lock_token, ctx.key, mode, self._on_lock_granted, ctx
+            request.txid, key, mode, self._on_lock_granted, request
         )
 
-    def _lock_decided(self, ctx: _OpContext) -> None:
-        """The lock is held (a request is never denied)."""
-        if ctx.lock_span:
-            self._recorder.end_span(ctx.lock_span, self._clock.now)
-            ctx.lock_span = 0
-        if ctx.op_type == "read" and self._leases is not None:
+    def _lock_decided(self, request: _QueuedOp) -> None:
+        """The lock is held (a request is never denied): build the
+        operation's protocol state and start it."""
+        read = request.mode is LockMode.SHARED
+        op_type = "read" if read else "write"
+        ctx = _OpContext(
+            op_type, request.key, request.on_done, request.txid,
+            request.started_at, request.value,
+            _Stage.READ if read or request.copy_read else _Stage.PREPARE,
+            request.copy_read,
+        )
+        if self._trace_enabled:
+            ctx.trace_id, lock_span = self._lock_waits.pop(request.txid)
+            ctx.op_span = ctx.trace_id
+            self._recorder.end_span(lock_span, self._clock.now)
+        if read and self._leases is not None:
             # Re-check the lease now that the shared lock is held: a
             # writer queued ahead of this reader committed and re-granted
             # the lease (write-through) while we waited, so the cached
@@ -546,7 +539,7 @@ class QuorumCoordinator:
                     timestamp=entry.timestamp, leased=True,
                 )
                 return
-        if ctx.op_type == "write" and self._leases is not None:
+        if not read and self._leases is not None:
             # Revoke the key's lease the moment the writer owns the
             # exclusive lock — before any replica state can change — so
             # every read from here on queues behind the lock instead of
@@ -677,14 +670,8 @@ class QuorumCoordinator:
         # per protocol phase, and (ctx, attempt, stage) pins which phase
         # it guards so a late firing after a retry is recognisably stale.
         ctx.timeout_handle = self._clock.schedule(
-            self._timeout, self._fire_timeout, (ctx, ctx.attempts, ctx.stage)
+            self._timeout, self._on_timeout, (ctx, ctx.attempts, ctx.stage)
         )
-
-    def _fire_timeout(
-        self, armed: tuple[_OpContext, int, _Stage]
-    ) -> None:
-        ctx, attempt, stage = armed
-        self._on_timeout(ctx, attempt, stage)
 
     def _cancel_timeout(self, ctx: _OpContext) -> None:
         if ctx.timeout_handle is not None:
@@ -703,7 +690,8 @@ class QuorumCoordinator:
             return pending
         return set(ctx.quorum) - ctx.acks
 
-    def _on_timeout(self, ctx: _OpContext, attempt: int, stage: _Stage) -> None:
+    def _on_timeout(self, armed: tuple[_OpContext, int, _Stage]) -> None:
+        ctx, attempt, stage = armed
         if ctx.finished or ctx.attempts != attempt or ctx.stage is not stage:
             return
         if self._recorder.enabled:
@@ -842,8 +830,7 @@ class QuorumCoordinator:
         commit in between.
         """
         self._cancel_timeout(ctx)
-        if ctx.phase_span:
-            self._end_phase(ctx)
+        self._end_phase(ctx)
         self._by_request.pop(ctx.request_id, None)
         if best.timestamp == ZERO_TIMESTAMP:
             # Never written: nothing to transfer (and nothing a lease or

@@ -36,30 +36,43 @@ class LockMode(enum.Enum):
     EXCLUSIVE = "exclusive"
 
 
-@dataclass(slots=True)
-class _LockRequest:
-    txid: int
-    mode: LockMode
-    callback: Callable[[Any], None]
-    arg: Any
-    enqueued_at: float = 0.0
+class LockRequest:
+    """A request waiting in a key's queue: its grant calls
+    ``callback(arg)``.  A caller with per-request state subclasses it and
+    passes the request as :meth:`LockManager.acquire`'s ``arg``; its
+    ``arg`` is itself (a property, not a slot that would make a cycle),
+    so the waiting request is that one object."""
+
+    __slots__ = ("txid", "mode", "callback")
+
+    @property
+    def arg(self) -> "LockRequest":
+        return self
+
+
+class _PlainRequest(LockRequest):
+    """``acquire``'s own request for an ``arg`` that is not a request."""
+
+    __slots__ = ("arg",)
+
+    def __init__(self, txid: int, mode: LockMode, callback: Any, arg: Any):
+        self.txid, self.mode = txid, mode
+        self.callback, self.arg = callback, arg
 
 
 @dataclass(slots=True)
 class _KeyLockState:
     holders: dict[int, LockMode] = field(default_factory=dict)
-    queue: deque[_LockRequest] = field(default_factory=deque)
+    queue: deque[LockRequest] = field(default_factory=deque)
     #: Count of exclusive holders (0 or 1), maintained on every grant
     #: and release so compatibility is two comparisons instead
     #: of a scan over ``holders`` per acquire.
     exclusive: int = 0
 
     def compatible(self, mode: LockMode) -> bool:
-        if not self.holders:
-            return True
-        if mode is LockMode.SHARED:
-            return not self.exclusive
-        return False
+        return not self.holders or (
+            mode is LockMode.SHARED and not self.exclusive
+        )
 
 
 @dataclass
@@ -97,14 +110,14 @@ class LockManager:
     """
 
     def __init__(
-        self,
-        scheduler: "Clock",
-        recorder: NullRecorder = NULL_RECORDER,
+        self, scheduler: "Clock", recorder: NullRecorder = NULL_RECORDER
     ) -> None:
         self._scheduler = scheduler
         self._recorder = recorder
         self._keys: dict[Any, _KeyLockState] = {}
-        #: When each (key, txid) grant happened; only fed when tracing.
+        #: When each waiting (key, txid) was queued and each grant
+        #: happened; only fed when tracing, so a request holds neither.
+        self._enqueued_at: dict[tuple[Any, int], float] = {}
         self._granted_at: dict[tuple[Any, int], float] = {}
         self.stats = LockStats()
 
@@ -117,24 +130,21 @@ class LockManager:
     # ------------------------------------------------------------------
 
     def acquire(
-        self,
-        txid: int,
-        key: Any,
-        mode: LockMode,
-        callback: Callable[[Any], None],
-        arg: Any = True,
+        self, txid: int, key: Any, mode: LockMode,
+        callback: Callable[[Any], None], arg: Any = True,
     ) -> None:
         """Request a lock; ``callback(arg)`` fires when it is granted.
 
-        ``arg`` rides in the clock's own argument slot, so a caller can
-        pass one callable bound once plus its per-request state instead
-        of a fresh closure or ``partial`` per request: a queued request
-        then holds only ``callback``, ``arg`` and its mode.  A request is
-        never denied (there is no wait timeout), so the default ``True``
-        keeps callers written against ``callback(granted)`` unchanged.
-        Immediate grants still go through the scheduler (zero delay) so
-        the caller's control flow is identical in both cases.  ``txid``
-        must not already hold the key.
+        ``arg`` rides in the clock's own argument slot, so a caller passes
+        one callable bound once, not a closure per request.  An ``arg``
+        that is a :class:`LockRequest` of this ``txid``, ``mode`` and
+        ``callback`` waits as itself, so a queued request is the one
+        object its caller built; any other waits in a ``_PlainRequest``.
+        A request is never denied (no wait timeout), so the default
+        ``True`` suits callers written against ``callback(granted)``.
+        Immediate grants still go through the scheduler (zero delay), so
+        the caller's control flow is the same either way.  ``txid`` must
+        not already hold the key.
         """
         # Not setdefault: that would construct (and usually discard) a
         # fresh _KeyLockState — two default_factory calls — on every
@@ -151,12 +161,11 @@ class LockManager:
                 self._record_grant(key, txid, 0.0)
             self._scheduler.call_later(0.0, callback, arg)
             return
-
-        request = _LockRequest(
-            txid=txid, mode=mode, callback=callback, arg=arg,
-            enqueued_at=self._scheduler.now,
-        )
-        state.queue.append(request)
+        if not isinstance(arg, LockRequest):
+            arg = _PlainRequest(txid, mode, callback, arg)
+        if self._recorder.enabled:
+            self._enqueued_at[(key, txid)] = self._scheduler.now
+        state.queue.append(arg)
 
     # ------------------------------------------------------------------
     # release
@@ -206,7 +215,9 @@ class LockManager:
             self.stats.granted_after_wait += 1
             if self._recorder.enabled:
                 self._record_grant(
-                    key, head.txid, self._scheduler.now - head.enqueued_at
+                    key, head.txid,
+                    self._scheduler.now
+                    - self._enqueued_at.pop((key, head.txid)),
                 )
             self._scheduler.call_later(0.0, head.callback, head.arg)
             if head.mode is LockMode.EXCLUSIVE:

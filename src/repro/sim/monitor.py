@@ -25,6 +25,7 @@ that needs them subscribes through ``on_outcome``):
 from __future__ import annotations
 
 import math
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -44,8 +45,9 @@ class OperationSummary:
     total_quorum_size: int = 0
     total_version_quorum_size: int = 0
     total_replicas_contacted: int = 0
-    latencies: list[float] = field(default_factory=list)
-    failure_latencies: list[float] = field(default_factory=list)
+    # C doubles: 8 B a sample, not a 24 B float plus an 8 B list slot.
+    latencies: array = field(default_factory=lambda: array("d"))
+    failure_latencies: array = field(default_factory=lambda: array("d"))
     failure_reasons: Counter = field(default_factory=Counter)
 
     @property
@@ -110,7 +112,7 @@ class OperationSummary:
     def merge(self, other: "OperationSummary") -> "OperationSummary":
         """Fold ``other``'s aggregates into this summary (returns self).
 
-        Merging is order-sensitive only through the latency lists, which
+        Merging is order-sensitive only through the latency samples, which
         are concatenated — the parallel runner folds shards in task order
         so a merged summary is identical to the serial one.
         """

@@ -48,8 +48,8 @@ class TestFailureLatencyAccounting:
         monitor = Monitor(replica_ids=(0, 1, 2))
         monitor.record(outcome(success=True, finished=5.0))
         monitor.record(outcome(success=False, finished=30.0))
-        assert monitor.reads.latencies == [5.0]
-        assert monitor.reads.failure_latencies == [30.0]
+        assert list(monitor.reads.latencies) == [5.0]
+        assert list(monitor.reads.failure_latencies) == [30.0]
         assert monitor.reads.failure_latency_mean == 30.0
         assert monitor.reads.mean_latency == 5.0
 

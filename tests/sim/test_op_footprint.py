@@ -1,20 +1,27 @@
 """What the simulator keeps per operation, and what a finished run frees.
 
-A queued operation holds its context and one lock request, read outcomes
-share one empty version quorum, a finished run keeps its measurements
+A queued operation is one lock request (its context is built when the
+lock is granted) and reference counting frees it, read outcomes share
+one empty version quorum, a finished run keeps its measurements
 (counters and latency samples) and no outcome, and its monitor goes with
 the last reference to it, by reference counting.
 """
 
 import functools
 import gc
+import hashlib
+import math
 import pickle
 import tracemalloc
 import weakref
 
+import pytest
+
 from repro.core.builder import from_spec
+from repro.obs.spans import SpanKind
 from repro.quorums import selection
 from repro.quorums.selection import EMPTY_QUORUM
+from repro.sim.coordinator import _OpContext, _QueuedOp
 from repro.sim.engine import (
     SimulationConfig,
     SimulationResult,
@@ -22,6 +29,7 @@ from repro.sim.engine import (
     run_workload,
     simulate,
 )
+from repro.sim.locks import LockMode
 from repro.sim.workload import WorkloadSpec
 
 from tests.sim.test_coordinator import Rig
@@ -170,3 +178,121 @@ class TestQueuedOperationsHoldOneCallable:
         rig.scheduler.run()
         assert [o.op_type for o in rig.outcomes] == ["write"] + ["read"] * 4
         assert all(o.success and o.value == "v" for o in rig.outcomes)
+
+
+def _count(cls) -> int:
+    """Live instances of ``cls`` the collector tracks."""
+    return sum(1 for obj in gc.get_objects() if type(obj) is cls)
+
+
+def _held_behind_a_writer(rig: Rig) -> None:
+    """Hold ``k``'s exclusive lock under a txid the coordinator never draws."""
+    rig.locks.acquire(10**9, "k", LockMode.EXCLUSIVE, lambda granted: None)
+    rig.scheduler.run()
+
+
+def _waiting_bytes(op: str, operations: int = 5_000) -> float:
+    """``tracemalloc`` bytes per operation queued behind a held exclusive
+    lock, each submitted at its own simulated time (so each keeps a
+    start time of its own, as in a run)."""
+    rig = Rig()
+    _held_behind_a_writer(rig)
+    done = rig.outcomes.append
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(operations):
+            rig.scheduler.run(until=1.0 + i)
+            if op == "read":
+                rig.coordinator.read("k", done)
+            else:
+                rig.coordinator.write("k", f"v{i}", done)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert rig.locks.queue_length("k") == operations
+    return held / operations
+
+
+class TestAQueuedOperationIsOneRequest:
+    """An operation waiting for its lock holds what it was submitted with,
+    in one object; its ``_OpContext`` is built at the grant."""
+
+    def test_a_waiting_read_holds_at_most_200_bytes(self):
+        assert _waiting_bytes("read") <= 200
+
+    def test_a_waiting_write_holds_at_most_240_bytes(self):
+        assert _waiting_bytes("write") <= 240
+
+    def test_no_context_exists_before_the_grant(self):
+        rig = Rig()
+        rig.write("k", "v0")
+        _held_behind_a_writer(rig)
+        gc.collect()
+        contexts = _count(_OpContext)
+        for _ in range(3):
+            rig.coordinator.read("k", rig.outcomes.append)
+            rig.coordinator.write("k", "v1", rig.outcomes.append)
+            rig.coordinator.copy_key("k", rig.outcomes.append)
+        assert rig.locks.queue_length("k") == 9
+        assert _count(_OpContext) == contexts
+        assert _count(_QueuedOp) == 9
+        rig.locks.release(10**9, "k")
+        rig.scheduler.run()
+        assert [o.op_type for o in rig.outcomes[1:]] == (
+            ["read", "write", "write"] * 3
+        )
+        assert all(o.success for o in rig.outcomes)
+        assert rig.outcomes[-1].value == "v1"
+
+
+class TestQueuedRequestsAreFreedByReferenceCounting:
+    @pytest.mark.parametrize("trace", [False, True])
+    def test_no_request_outlives_its_grant_without_a_collection(self, trace):
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            before = _count(_QueuedOp)
+            scheduler, workload, monitor, network, sites = build_simulation(
+                _saturated(trace=trace)
+            )
+            run_workload(scheduler, workload, max_events=1_000_000)
+            assert workload.completed == 500
+            locks = workload.coordinators[0].locks
+            assert locks.stats.granted_after_wait > 100
+            assert _count(_QueuedOp) == before
+        finally:
+            if enabled:
+                gc.enable()
+
+
+def _digest(values) -> str:
+    return hashlib.sha256(repr(list(values)).encode()).hexdigest()[:16]
+
+
+class TestATracedRunWaitsAsBefore:
+    """Taking a queued operation's lock-wait span and enqueue time out of
+    its request changes no recorded wait.  The figures are those of the
+    code that kept both on the request: count, ``math.fsum`` and a digest
+    of ``repr`` of the values in recording order."""
+
+    def test_lock_wait_spans_and_lock_observations_are_unchanged(self):
+        recorder = simulate(_saturated(trace=True)).monitor.recorder
+        waits = [
+            span.end - span.start for span in recorder.spans.values()
+            if span.kind is SpanKind.LOCK_WAIT
+        ]
+        assert len(waits) == 500
+        assert sum(1 for wait in waits if wait > 0) == 239
+        assert math.fsum(waits) == 19376.835354930576
+        assert _digest(waits) == "f0a614b173604adb"
+        observed = recorder.metrics["lock.wait"]
+        assert len(observed) == 500
+        assert math.fsum(observed) == 19376.835354930576
+        assert _digest(observed) == "988d722e256bf673"
+        held = recorder.metrics["lock.hold"]
+        assert len(held) == 500
+        assert math.fsum(held) == 5893.276820666328
+        assert _digest(held) == "df0d645d314f9899"
